@@ -39,7 +39,6 @@ from .greens import (
     vh_potential_info,
 )
 from .units import D2Z_UNIT_FACTORS
-from .validate import run_battery
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -230,6 +229,12 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _grid(lo: float, hi: float, n: int) -> np.ndarray:
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"grid limits must be finite, got {lo} and {hi}")
+    return np.linspace(lo, hi, n)
+
+
 def cmd_geom(args) -> int:
     RunConfig.from_args(args)
     geom = toroid_from_radii(args.a, args.b)
@@ -261,7 +266,7 @@ def cmd_potential(args) -> int:
     src = axial_source(args.source_z, geom)
 
     if args.cut == "axis":
-        grid = np.linspace(args.zmin, args.zmax, args.zpoints)
+        grid = _grid(args.zmin, args.zmax, args.zpoints)
         fields = [ToroidalCoords(xi=0.0, eta=2.0 * math.atan2(geom.f, zz)) for zz in grid]
         label = "z_nm"
     else:
@@ -292,7 +297,7 @@ def cmd_charge_energy(args) -> int:
     cfg = RunConfig.from_args(args, grid_attrs=("zpoints",))
     geom = toroid_from_radii(cfg.a, cfg.b)
     g = axial_greens(geom, rel_tol=cfg.tol, n_cap=cfg.n_cap)
-    grid = np.linspace(args.zmin, args.zmax, args.zpoints)
+    grid = _grid(args.zmin, args.zmax, args.zpoints)
     infos = [charge_interaction_energy_info(zz, g, charge=args.charge) for zz in grid]
     ref = abs(charge_interaction_energy(0.0, g, charge=args.charge))
     columns = ["zprime_nm", "U_eV"]
@@ -312,7 +317,7 @@ def cmd_vdw(args) -> int:
     geom = toroid_from_radii(cfg.a, cfg.b)
     g = axial_greens(geom, rel_tol=cfg.tol, n_cap=cfg.n_cap)
     p = particle_model(cfg.d2z, unit=cfg.d2z_unit)
-    grid = np.linspace(args.zmin, args.zmax, args.zpoints)
+    grid = _grid(args.zmin, args.zmax, args.zpoints)
     prof = force_profile(grid, p, g)
 
     columns = ["zp_nm"]
@@ -349,7 +354,7 @@ def cmd_sweep_ratio(args) -> int:
         raise ValueError("--zp heights must be positive")
     if args.ratio_min <= 1.0 or args.ratio_max <= args.ratio_min:
         raise ValueError("need 1 < ratio-min < ratio-max")
-    ratios = np.linspace(args.ratio_min, args.ratio_max, args.ratio_points)
+    ratios = _grid(args.ratio_min, args.ratio_max, args.ratio_points)
     p = particle_model(cfg.d2z, unit=cfg.d2z_unit)
 
     table = np.empty((ratios.size, len(zp_list)))
@@ -386,25 +391,17 @@ def cmd_contour(args) -> int:
         raise ValueError("need 1 < ratio-min < ratio-max")
     if cfg.out is None:
         raise ValueError("contour requires --out (matrix plus gnuplot script)")
-    ratios = np.linspace(args.ratio_min, args.ratio_max, args.ratio_points)
-    zps = np.linspace(args.zmin, args.zmax, args.zpoints)
+    ratios = _grid(args.ratio_min, args.ratio_max, args.ratio_points)
+    zps = _grid(args.zmin, args.zmax, args.zpoints)
     p = particle_model(cfg.d2z, unit=cfg.d2z_unit)
     grid = sweep_contour(ratios * cfg.b, zps * cfg.b, cfg.b, p,
                          rel_tol=cfg.tol, n_cap=cfg.n_cap)
 
     if cfg.fmt == "json":
-        payload = {
-            "config": _config_echo(args),
-            "columns": ["zp_over_b"] + [float(r) for r in ratios],
-            "rows": [
-                [float(zps[i])] + [_jsonify(v) for v in grid.force[i]]
-                for i in range(zps.size)
-            ],
-            "diagnostics": {"failed_cells": list(grid.diagnostics)},
-        }
-        with open(cfg.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _emit_table(cfg, args,
+                    ["zp_over_b"] + [float(r) for r in ratios],
+                    [[float(zps[i])] + list(grid.force[i]) for i in range(zps.size)],
+                    {"failed_cells": list(grid.diagnostics)})
         return EXIT_OK
 
     # gnuplot "nonuniform matrix": first row is <N> then the column coords
@@ -433,6 +430,10 @@ def cmd_contour(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    # Imported here: the battery's BEM oracle is the only user of scipy, and
+    # every other command runs on numpy alone.
+    from .validate import run_battery
+
     if not 0.0 < args.tol <= 1e-4:
         raise ValueError(f"--tol must lie in (0, 1e-4], got {args.tol}")
     results = run_battery(rel_tol=args.tol, n_cap=args.ncap)

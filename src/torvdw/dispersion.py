@@ -25,6 +25,14 @@ particle away from the origin; the n >= 1 terms pull it in.  Their balance
 is set by the decay rate of R_n (that is, by a/b), which is the whole
 repulsion-versus-attraction story: thin rings repel nearby axial
 particles, fat ones never do.
+
+Both sums are evaluated in the scaled variables c = f / r and t = z_p / r,
+r = sqrt(f^2 + z_p^2), so that no power of r is ever formed: the energy
+terms become R_n (t^2 + 4 n^2 c^2) / r^4 and the force terms
+R_n [(1 - 12 n^2) c^2 - 2 t^2] / r^6, and the division by r happens one
+factor at a time after the physical prefactor is applied.  Heights up to
+the float64 limit therefore give the representable U and F rather than
+an overflow.
 """
 
 from __future__ import annotations
@@ -66,8 +74,8 @@ class ParticleModel:
     d2z: float
 
     def __post_init__(self):
-        if not self.d2z > 0.0:
-            raise ValueError(f"<d_z^2> must be positive, got {self.d2z}")
+        if not 0.0 < self.d2z < math.inf:
+            raise ValueError(f"<d_z^2> must be positive and finite, got {self.d2z}")
 
 
 def particle_model(
@@ -121,18 +129,33 @@ def _sum_adaptive_grid(
     return acc[stop, cols], stop, converged
 
 
-def _mixed_same_point(
-    z_p: np.ndarray, g: AxialGreens
+def _heights(z_p) -> np.ndarray:
+    """Particle heights as a 1-d float array; non-finite heights are refused."""
+    z_arr = np.atleast_1d(np.asarray(z_p, dtype=float))
+    if not np.all(np.isfinite(z_arr)):
+        raise ValueError("particle heights must be finite")
+    return z_arr
+
+
+def _scaled(z_p: np.ndarray, f: float):
+    """(r, c, t) = (sqrt(f^2 + z_p^2), f / r, z_p / r), with no overflow."""
+    r = np.hypot(f, z_p)
+    return r, f / r, z_p / r
+
+
+def _energy_grid(
+    z_p: np.ndarray, p: ParticleModel, g: AxialGreens
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """d^2 G_H / dz dz' at coincident axis points, vectorized (1/nm^3)."""
-    f = g.geometry.f
+    """U(z_p) in eV, vectorized, with per-point (n_used, converged)."""
     w = _weights(g)
     n = np.arange(w.size)
-    z_p = np.atleast_1d(np.asarray(z_p, dtype=float))
-    denom = (f * f + z_p * z_p) ** 3
-    terms = w[:, None] * (z_p[None, :] ** 2 + (4.0 * f * f) * n[:, None] ** 2)
+    r, c, t = _scaled(z_p, g.geometry.f)
+    terms = w[:, None] * (t[None, :] ** 2 + 4.0 * (n[:, None] * c[None, :]) ** 2)
     values, n_used, convg = _sum_adaptive_grid(terms, g.table.ratio, g.rel_tol)
-    return -(f / (2.0 * math.pi**2)) * values / denom, n_used, convg
+    # U = pref d2G with d2G = -(f / 2 pi^2) S / r^4 = -(c / 2 pi^2) S / r^3,
+    # S the scaled sum
+    scale = -(_energy_prefactor(p) / (2.0 * math.pi**2)) * c * values
+    return scale / r / r / r, n_used, convg
 
 
 def gh_mixed_derivative(z: float, z_prime: float, g: AxialGreens) -> float:
@@ -147,6 +170,8 @@ def gh_mixed_derivative(z: float, z_prime: float, g: AxialGreens) -> float:
         If the differentiated series does not converge within the cap.
     """
     f = g.geometry.f
+    if not (math.isfinite(z) and math.isfinite(z_prime)):
+        raise ValueError(f"axis heights must be finite, got z = {z}, z' = {z_prime}")
     w = _weights(g)
     n = np.arange(w.size)
 
@@ -184,35 +209,49 @@ def _energy_prefactor(p: ParticleModel) -> float:
     return p.d2z * 2.0 * math.pi * K_E_EV_NM
 
 
+def _converged(values: np.ndarray, convg: np.ndarray, what: str, g: AxialGreens):
+    if not convg.all():
+        raise TruncationError(
+            f"{what} series not converged within the term cap",
+            partial_sum=float(values[~convg][0]),
+            bound=float("nan"),
+            n_terms=g.table.n_max + 1,
+        )
+    return values
+
+
+def _like_input(z_p, out: np.ndarray):
+    return float(out[0]) if np.isscalar(z_p) or np.asarray(z_p).ndim == 0 else out
+
+
 def vdw_energy(z_p, p: ParticleModel, g: AxialGreens):
     """Dispersion energy U(z_p) in eV; scalar in, scalar out (or ndarray).
 
     Negative for every height and every geometry, and even in z_p.
+
+    Raises
+    ------
+    ValueError
+        For a non-finite height.
+    TruncationError
+        If the series does not converge within the term cap.
     """
-    z_arr = np.atleast_1d(np.asarray(z_p, dtype=float))
-    d2g, _, convg = _mixed_same_point(z_arr, g)
-    if not convg.all():
-        raise TruncationError(
-            "energy series not converged within the term cap",
-            partial_sum=float(d2g[~convg][0]) * _energy_prefactor(p),
-            bound=float("nan"),
-            n_terms=g.table.n_max + 1,
-        )
-    out = _energy_prefactor(p) * d2g
-    return float(out[0]) if np.isscalar(z_p) or np.asarray(z_p).ndim == 0 else out
+    energy, _, convg = _energy_grid(_heights(z_p), p, g)
+    return _like_input(z_p, _converged(energy, convg, "energy", g))
 
 
 def _force_grid(z_p: np.ndarray, p: ParticleModel, g: AxialGreens):
-    f = g.geometry.f
+    """F_z(z_p) in eV/nm, vectorized, with per-point (n_used, converged)."""
     w = _weights(g)
     n = np.arange(w.size)
-    z_p = np.atleast_1d(np.asarray(z_p, dtype=float))
-    denom = (f * f + z_p * z_p) ** 4
-    bracket = (1.0 - 12.0 * n[:, None] ** 2) * f * f - 2.0 * z_p[None, :] ** 2
-    terms = w[:, None] * bracket
+    r, c, t = _scaled(z_p, g.geometry.f)
+    terms = w[:, None] * ((1.0 - 12.0 * n[:, None] ** 2) * c[None, :] ** 2
+                          - 2.0 * t[None, :] ** 2)
     values, n_used, convg = _sum_adaptive_grid(terms, g.table.ratio, g.rel_tol)
-    pref = 2.0 * (p.d2z * K_E_EV_NM / math.pi) * f
-    return pref * z_p * values / denom, n_used, convg
+    # F = 2 C z_p S / r^6 = 2 C' c t S / r^4 with C' = <d_z^2> K_E / pi,
+    # S the scaled sum
+    scale = 2.0 * (p.d2z * K_E_EV_NM / math.pi) * c * t * values
+    return scale / r / r / r / r, n_used, convg
 
 
 def vdw_force(z_p, p: ParticleModel, g: AxialGreens):
@@ -220,17 +259,16 @@ def vdw_force(z_p, p: ParticleModel, g: AxialGreens):
 
     Odd in z_p with F_z(0) = 0.  Positive values push the particle away
     from the origin (repulsion), negative pull it back.
+
+    Raises
+    ------
+    ValueError
+        For a non-finite height.
+    TruncationError
+        If the series does not converge within the term cap.
     """
-    z_arr = np.atleast_1d(np.asarray(z_p, dtype=float))
-    force, _, convg = _force_grid(z_arr, p, g)
-    if not convg.all():
-        raise TruncationError(
-            "force series not converged within the term cap",
-            partial_sum=float(force[~convg][0]),
-            bound=float("nan"),
-            n_terms=g.table.n_max + 1,
-        )
-    return float(force[0]) if np.isscalar(z_p) or np.asarray(z_p).ndim == 0 else force
+    force, _, convg = _force_grid(_heights(z_p), p, g)
+    return _like_input(z_p, _converged(force, convg, "force", g))
 
 
 @dataclass(frozen=True)
@@ -247,11 +285,11 @@ class ForceProfile:
 
 def force_profile(z_grid, p: ParticleModel, g: AxialGreens) -> ForceProfile:
     """Evaluate U and F on a grid and record normalization scales."""
-    z_grid = np.array(z_grid, dtype=float)
-    energy = vdw_energy(z_grid, p, g)
-    force = vdw_force(z_grid, p, g)
-    _, n_used_e, _ = _mixed_same_point(z_grid, g)
-    _, n_used_f, _ = _force_grid(z_grid, p, g)
+    z_grid = _heights(z_grid).copy()
+    energy, n_used_e, convg = _energy_grid(z_grid, p, g)
+    _converged(energy, convg, "energy", g)
+    force, n_used_f, convg = _force_grid(z_grid, p, g)
+    _converged(force, convg, "force", g)
     n_used = np.maximum(n_used_e, n_used_f)
     for arr in (z_grid, energy, force, n_used):
         arr.flags.writeable = False
@@ -279,6 +317,8 @@ def find_force_zero(
         regime of fat toroids).
     """
     lo, hi = float(bracket[0]), float(bracket[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"bracket must be finite, got {bracket}")
     if lo >= hi:
         raise ValueError(f"bracket must be ordered, got {bracket}")
     f_lo = vdw_force(lo, p, g)
@@ -323,8 +363,8 @@ def critical_ratio(
         If the force is already repulsive at the low end or never becomes
         repulsive by the high end; carries the bound that was hit.
     """
-    if z_p <= 0.0 or b <= 0.0:
-        raise ValueError(f"need z_p > 0 and b > 0, got z_p = {z_p}, b = {b}")
+    if not (0.0 < z_p < math.inf and 0.0 < b < math.inf):
+        raise ValueError(f"need finite z_p > 0 and b > 0, got z_p = {z_p}, b = {b}")
     lo, hi = float(search[0]), float(search[1])
     if not 1.0 < lo < hi:
         raise ValueError(f"search range must satisfy 1 < lo < hi, got {search}")
@@ -387,6 +427,7 @@ def sweep_contour(
     z_values = np.asarray(z_values, dtype=float)
     if a_values.size == 0 or z_values.size == 0:
         raise ValueError("a and z grids must be non-empty")
+    z_values = _heights(z_values)
     if not np.all(a_values > b):
         raise ValueError("every a must exceed b")
 

@@ -64,10 +64,12 @@ def toroid_from_radii(a: float, b: float) -> ToroidGeometry:
     DegenerateToroidError
         If a <= b (the focal scale vanishes or turns imaginary).
     ValueError
-        For non-positive radii.
+        For non-positive or non-finite radii.
     """
     a = float(a)
     b = float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"radii must be finite, got a = {a}, b = {b}")
     if a <= 0.0 or b <= 0.0:
         raise ValueError(f"radii must be positive, got a = {a}, b = {b}")
     if a <= b:
@@ -90,6 +92,10 @@ class ToroidalCoords:
     phi: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.xi, self.eta, self.phi))):
+            raise ValueError(
+                f"coordinates must be finite, got ({self.xi}, {self.eta}, {self.phi})"
+            )
         if self.xi < 0.0:
             raise ValueError(f"xi must be >= 0, got {self.xi}")
         eta = math.remainder(self.eta, _TWO_PI)

@@ -75,8 +75,16 @@ class AxialSource:
 
 
 def axial_source(z_src: float, geom: ToroidGeometry, charge: float = 1.0) -> AxialSource:
-    """Place a point charge on the axis of the given toroid."""
+    """Place a point charge on the axis of the given toroid.
+
+    Raises
+    ------
+    ValueError
+        For a non-finite height.
+    """
     z_src = float(z_src)
+    if not math.isfinite(z_src):
+        raise ValueError(f"source height must be finite, got {z_src}")
     if abs(z_src) > FAR_SOURCE_FACTOR * geom.f:
         warnings.warn(
             f"source at |z| = {abs(z_src)} nm is beyond {FAR_SOURCE_FACTOR:g} "

@@ -20,8 +20,16 @@ emx = e^{-xi} and m1 = 1 - e^{-2 xi}:
     Q_{-1/2}(z) = 2 sqrt(emx) K(emx^2)
 
 (equivalent to the classical sqrt(2/(z+1)) K(2/(z+1)) forms through a
-Landen transformation).  K is evaluated through ellipkm1 so that no
-precision is lost near either end of the domain.
+Landen transformation).  K and E are evaluated from the complementary
+parameter p = 1 - m, which the seeds pass exactly (emx^2 and m1), so that
+no precision is lost near either end of the domain:
+
+    K = pi / (2 AGM(1, sqrt(p)))                          (DLMF 19.8.5)
+    E = (p / 3) (R_D(0, p, 1) + R_D(0, 1, p))             (DLMF 19.25.1)
+
+with R_D from Carlson's duplication algorithm (DLMF 19.36; Carlson,
+Numer. Math. 33, 1979).  Every term of the E form is positive, so unlike
+R_F - (m/3) R_D or the AGM c_n sum it does not cancel as m -> 1.
 """
 
 from __future__ import annotations
@@ -30,9 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ellipe as _ellipe
-from scipy.special import ellipk as _ellipk
-from scipy.special import ellipkm1 as _ellipkm1
 
 from .errors import NearSingularArgumentError, OverflowHorizonError
 
@@ -55,6 +60,66 @@ _LOG_HORIZON = 690.0
 #: Miller-recurrence values are rescaled when they pass this magnitude.
 _RESCALE_LIMIT = 1e280
 
+#: Carlson's stopping constant (eps / 4)^(-1/6) for R_D in float64.
+_RD_STOP = (np.finfo(float).eps / 4.0) ** (-1.0 / 6.0)
+
+#: Below this complementary parameter E(1 - p) - 1 ~ (p/4) ln(16/p) is
+#: under a tenth of an ulp of 1, so E rounds to exactly 1.
+_E_UNIT_BELOW = 1e-18
+
+
+def _k_complement(p: float) -> float:
+    """K(1 - p) from the complementary parameter p >= 0; +inf at p = 0.
+
+    The AGM converges quadratically; once a and b agree to 1e-8 the next
+    mean is exact to rounding.  The loop is bounded so a 1-ulp oscillation
+    of the means can never keep it running.
+    """
+    if p == 0.0:
+        return math.inf
+    a, b = 1.0, math.sqrt(p)
+    for _ in range(64):
+        if a - b <= 1e-8 * a:
+            break
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return math.pi / (a + b)
+
+
+def _carlson_rd(x: float, y: float, z: float) -> float:
+    """Carlson's R_D(x, y, z) by duplication; x, y >= 0 (not both 0), z > 0."""
+    x0, y0 = x, y
+    a0 = (x + y + 3.0 * z) / 5.0
+    a = a0
+    q = _RD_STOP * max(abs(a0 - x), abs(a0 - y), abs(a0 - z))
+    total = 0.0
+    fac = 1.0  # 4^-n
+    for _ in range(64):
+        if fac * q < a:
+            break
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * sy + sx * sz + sy * sz
+        total += fac / (sz * (z + lam))
+        fac *= 0.25
+        x, y, z, a = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam), 0.25 * (a + lam)
+    dx = (a0 - x0) * fac / a
+    dy = (a0 - y0) * fac / a
+    dz = -(dx + dy) / 3.0
+    xy, z2 = dx * dy, dz * dz
+    e2 = xy - 6.0 * z2
+    e3 = (3.0 * xy - 8.0 * z2) * dz
+    e4 = 3.0 * (xy - z2) * z2
+    e5 = xy * z2 * dz
+    series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0
+              - 3.0 * e4 / 22.0 - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
+    return fac * series / (a * math.sqrt(a)) + 3.0 * total
+
+
+def _e_complement(p: float) -> float:
+    """E(1 - p) from the complementary parameter 0 <= p <= 1."""
+    if p < _E_UNIT_BELOW:
+        return 1.0
+    return (p / 3.0) * (_carlson_rd(0.0, p, 1.0) + _carlson_rd(0.0, 1.0, p))
+
 
 def elliptic_K(m: float) -> float:
     """Complete elliptic integral of the first kind, parameter convention.
@@ -72,7 +137,7 @@ def elliptic_K(m: float) -> float:
     m = float(m)
     if not 0.0 <= m < 1.0:
         raise ValueError(f"elliptic_K parameter must satisfy 0 <= m < 1, got {m}")
-    return float(_ellipk(m))
+    return _k_complement(1.0 - m)
 
 
 def elliptic_E(m: float) -> float:
@@ -86,23 +151,23 @@ def elliptic_E(m: float) -> float:
     m = float(m)
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"elliptic_E parameter must satisfy 0 <= m <= 1, got {m}")
-    return float(_ellipe(m))
+    return _e_complement(1.0 - m)
 
 
 def toroidal_seeds(z: float) -> tuple[float, float, float]:
     """Elliptic-integral anchors (P_{-1/2}, P_{+1/2}, Q_{-1/2}) at z > 1.
 
-    All three are evaluated to machine precision across the whole domain;
-    the complementary-parameter routine ellipkm1 carries the K values
-    where the plain parameter would round badly.
+    All three are evaluated to machine precision across the whole domain:
+    each elliptic integral is handed its complementary parameter exactly,
+    rather than a parameter m close to 1 that has already been rounded.
     """
     z = float(z)
     xi = math.acosh(z)
     emx = 1.0 / (z + math.sqrt((z - 1.0) * (z + 1.0)))   # e^{-xi}
     m1 = -math.expm1(-2.0 * xi)                          # 1 - e^{-2 xi}, no cancellation
-    p_minus = (2.0 / math.pi) * math.sqrt(emx) * float(_ellipkm1(emx * emx))
-    p_plus = (2.0 / math.pi) * float(_ellipe(m1)) / math.sqrt(emx)
-    q_minus = 2.0 * math.sqrt(emx) * float(_ellipkm1(m1))
+    p_minus = (2.0 / math.pi) * math.sqrt(emx) * _k_complement(emx * emx)
+    p_plus = (2.0 / math.pi) * _e_complement(emx * emx) / math.sqrt(emx)
+    q_minus = 2.0 * math.sqrt(emx) * _k_complement(m1)
     return p_minus, p_plus, q_minus
 
 
@@ -144,12 +209,15 @@ def legendre_p_half(z: float, n_max: int) -> np.ndarray:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
 
-    p = np.empty(n_max + 1)
     if z == 1.0:
-        p.fill(1.0)
-        return p
-
+        return np.ones(n_max + 1)
     p_minus, p_plus, _ = toroidal_seeds(z)
+    return _p_forward(z, n_max, p_minus, p_plus)
+
+
+def _p_forward(z: float, n_max: int, p_minus: float, p_plus: float) -> np.ndarray:
+    """Forward recurrence from the seeds P_{-1/2}(z), P_{+1/2}(z), z > 1."""
+    p = np.empty(n_max + 1)
     p[0] = p_minus
     if n_max >= 1:
         p[1] = p_plus
@@ -246,7 +314,7 @@ def harmonic_table(z: float, n_max: int) -> HarmonicTable:
         )
 
     p_minus, p_plus, q_minus = toroidal_seeds(z)
-    p = legendre_p_half(z, n_max)
+    p = _p_forward(z, n_max, p_minus, p_plus)
     if n_max == 0:
         q = np.array([q_minus])
     else:

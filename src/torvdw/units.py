@@ -12,14 +12,17 @@ which has dimension 1/nm and makes the bare Coulomb term exactly 1/r.
 
 import math
 
-import scipy.constants as _const
+# SI constants: e and c are exact by definition; eps0 is CODATA 2022.
+ELEMENTARY_CHARGE_C = 1.602176634e-19
+SPEED_OF_LIGHT_M_PER_S = 299792458.0
+VACUUM_PERMITTIVITY_F_PER_M = 8.8541878188e-12
 
 # e/(4 pi eps0) in V nm: potential of a unit charge at 1 nm.
-K_E_EV_NM = _const.e / (4.0 * math.pi * _const.epsilon_0) * 1e9
+K_E_EV_NM = ELEMENTARY_CHARGE_C / (4.0 * math.pi * VACUUM_PERMITTIVITY_F_PER_M) * 1e9
 
 # Dipole-moment conversions to the native e nm scale.
-_E_NM_IN_CM = _const.e * 1e-9            # one e nm, in C m
-_DEBYE_IN_CM = 1e-21 / _const.c          # one debye, in C m
+_E_NM_IN_CM = ELEMENTARY_CHARGE_C * 1e-9          # one e nm, in C m
+_DEBYE_IN_CM = 1e-21 / SPEED_OF_LIGHT_M_PER_S     # one debye, in C m
 
 DEBYE2_TO_E2NM2 = (_DEBYE_IN_CM / _E_NM_IN_CM) ** 2
 C2M2_TO_E2NM2 = 1.0 / _E_NM_IN_CM ** 2

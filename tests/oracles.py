@@ -1,42 +1,15 @@
 """Independent numerical oracles used by the tests.
 
-These deliberately avoid the production code paths: elliptic integrals
-come from the arithmetic-geometric mean, Legendre functions from adaptive
-quadrature of their integral representations.
+These deliberately avoid the production code paths: Legendre functions
+come from adaptive quadrature of their integral representations.  The
+elliptic integrals are checked against scipy.special and mpmath directly
+in test_specfun.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
-
-
-def agm_elliptic_k(m: float) -> float:
-    """K(m) by AGM iteration: K = pi / (2 agm(1, sqrt(1-m)))."""
-    a, b = 1.0, math.sqrt(1.0 - m)
-    for _ in range(60):
-        if abs(a - b) <= 4.0 * np.finfo(float).eps * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)
-
-
-def agm_elliptic_e(m: float) -> float:
-    """E(m) by the AGM with the c_n correction sum."""
-    if m == 1.0:
-        return 1.0
-    a, b = 1.0, math.sqrt(1.0 - m)
-    c = math.sqrt(m)
-    s = 0.5 * c * c
-    pow2 = 1.0
-    for _ in range(60):
-        if abs(c) <= np.finfo(float).eps * a:
-            break
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
-        pow2 *= 2.0
-        s += 0.5 * pow2 * c * c
-    k = math.pi / (2.0 * a)
-    return k * (1.0 - s)
 
 
 def legendre_p_quad(nu: float, z: float) -> float:

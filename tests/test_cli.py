@@ -2,11 +2,13 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from torvdw.cli import main
+from torvdw.cli import _config_echo, build_parser, main
+from torvdw.dispersion import particle_model, sweep_contour
 
 
 def run_cli(capsys, *argv):
@@ -231,6 +233,61 @@ class TestContour:
         code, _, err = run_cli(capsys, "contour", "--b", "1")
         assert code == 2
         assert "requires --out" in err
+
+    def test_json_bytes_unchanged(self, tmp_path, capsys):
+        # the JSON file goes through the shared table writer; its bytes must
+        # equal those of the command's former dedicated payload code
+        out_file = tmp_path / "grid.json"
+        argv = ["contour", "--b", "1", "--ratio-min", "2", "--ratio-max", "8",
+                "--ratio-points", "5", "--zmin", "-3", "--zmax", "3",
+                "--zpoints", "7", "--format", "json", "--out", str(out_file)]
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+
+        ratios = np.linspace(2.0, 8.0, 5)
+        zps = np.linspace(-3.0, 3.0, 7)
+        grid = sweep_contour(ratios, zps, 1.0, particle_model(1.0))
+        payload = {
+            "config": _config_echo(build_parser().parse_args(argv)),
+            "columns": ["zp_over_b"] + [float(r) for r in ratios],
+            "rows": [[float(zps[i])] + [v.item() for v in grid.force[i]]
+                     for i in range(zps.size)],
+            "diagnostics": {"failed_cells": list(grid.diagnostics)},
+        }
+        expected = io.StringIO()
+        json.dump(payload, expected, indent=2, sort_keys=True)
+        expected.write("\n")
+        assert out_file.read_text() == expected.getvalue()
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["geom", "--a", "inf", "--b", "1"],
+            ["vdw", "--a", "5", "--b", "1", "--zmin", "nan"],
+            ["vdw", "--a", "5", "--b", "1", "--zmax", "inf"],
+            ["sweep-ratio", "--b", "1", "--ratio-max", "nan"],
+            ["vdw", "--a", "5", "--b", "1", "--d2z", "inf"],
+            ["sweep-ratio", "--b", "1", "--zp", "nan"],
+            ["sweep-ratio", "--b", "nan", "--zp", "1"],
+            ["charge-energy", "--a", "5", "--b", "1", "--zmin", "nan"],
+            ["potential", "--a", "5", "--b", "1", "--source-z", "nan"],
+            ["potential", "--a", "5", "--b", "1", "--zmin", "nan"],
+            ["contour", "--b", "1", "--zmin", "nan", "--out", "unused.csv"],
+        ],
+        ids=lambda argv: "_".join(a.lstrip("-") for a in argv),
+    )
+    def test_configuration_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "configuration error" in err
+        assert "finite" in err
+        assert out == ""
+        assert not (tmp_path / "unused.csv").exists()
 
 
 class TestValidate:

@@ -1,11 +1,15 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from torvdw import axial_greens, axial_source, toroid_from_radii, ToroidalCoords
 from torvdw.dispersion import (
+    _energy_grid,
+    _force_grid,
     critical_ratio,
     find_force_zero,
     force_profile,
@@ -63,6 +67,11 @@ class TestParticleModel:
             particle_model(0.0)
         with pytest.raises(ValueError):
             particle_model(-1.0)
+
+    @pytest.mark.parametrize("d2z", [math.inf, math.nan])
+    def test_finite_required(self, d2z):
+        with pytest.raises(ValueError, match="finite"):
+            particle_model(d2z)
 
     def test_unit_conversions(self):
         assert particle_model(1.0, unit="debye2").d2z == pytest.approx(
@@ -318,6 +327,69 @@ class TestSweep:
             sweep_contour([2.0], [], 1.0, particle)
         with pytest.raises(ValueError):
             sweep_contour([0.5], [1.0], 1.0, particle)
+
+
+class TestNonFiniteHeights:
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_every_entry_point_refuses(self, particle, greens51, z):
+        grid = np.array([0.0, 1.0, z])
+        for call in (
+            lambda: vdw_energy(z, particle, greens51),
+            lambda: vdw_energy(grid, particle, greens51),
+            lambda: vdw_force(z, particle, greens51),
+            lambda: vdw_force(grid, particle, greens51),
+            lambda: force_profile(grid, particle, greens51),
+            lambda: gh_mixed_derivative(1.0, z, greens51),
+            lambda: sweep_contour([5.0], grid, 1.0, particle),
+            lambda: critical_ratio(z, 1.0, particle),
+            lambda: find_force_zero(particle, greens51, (0.1, z)),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
+
+class TestLargeHeights:
+    Z_FAR = 1e80  # (f^2 + z^2)^4 overflows float64 here
+
+    def _reference(self, g, p, z, n_energy, n_force):
+        """The truncated closed forms of U and F at 50 digits."""
+        with mpmath.workdps(50):
+            f, z = mpmath.mpf(g.geometry.f), mpmath.mpf(z)
+            k_e, d2z = mpmath.mpf(K_E_EV_NM), mpmath.mpf(p.d2z)
+            w = [mpmath.mpf(x) * (1 if n == 0 else 2) for n, x in enumerate(g.table.ratio)]
+            s = f * f + z * z
+            energy = -(d2z * 2 * mpmath.pi * k_e) * f / (2 * mpmath.pi**2) * sum(
+                w[n] * (z * z + 4 * n * n * f * f) for n in range(n_energy + 1)
+            ) / s**3
+            force = 2 * (d2z * k_e / mpmath.pi) * f * z * sum(
+                w[n] * ((1 - 12 * n * n) * f * f - 2 * z * z) for n in range(n_force + 1)
+            ) / s**4
+            return energy, force
+
+    def test_far_field_finite_without_warnings(self, greens51):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z in (self.Z_FAR, -self.Z_FAR, 1e300):
+                u = vdw_energy(z, particle_model(1.0), greens51)
+                force = vdw_force(z, particle_model(1.0), greens51)
+                assert math.isfinite(u) and math.isfinite(force)
+            assert vdw_energy(self.Z_FAR, particle_model(1.0), greens51) < 0.0
+
+    def test_matches_high_precision_closed_form(self, greens51):
+        # a large <d_z^2> keeps U ~ z^-4 and F ~ z^-5 inside the normal
+        # float64 range at z = 1e80, so the comparison is to full precision
+        p = particle_model(1e200)
+        z = np.array([self.Z_FAR])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u, n_energy, _ = _energy_grid(z, p, greens51)
+            force, n_force, _ = _force_grid(z, p, greens51)
+            assert vdw_energy(self.Z_FAR, p, greens51) == u[0]
+            assert vdw_force(self.Z_FAR, p, greens51) == force[0]
+        u_ref, f_ref = self._reference(greens51, p, self.Z_FAR, n_energy[0], n_force[0])
+        assert u[0] < 0.0 and force[0] < 0.0
+        assert float(abs((u[0] - u_ref) / u_ref)) <= 1e-12
+        assert float(abs((force[0] - f_ref) / f_ref)) <= 1e-12
 
 
 class TestForceProfile:

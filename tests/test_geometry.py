@@ -44,6 +44,13 @@ class TestToroidFromRadii:
         with pytest.raises(ValueError):
             toroid_from_radii(a, b)
 
+    @pytest.mark.parametrize(
+        "a,b", [(math.nan, 1.0), (math.inf, 1.0), (5.0, math.nan), (math.inf, math.inf)]
+    )
+    def test_nonfinite(self, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            toroid_from_radii(a, b)
+
     @given(
         b=st.floats(min_value=1e-3, max_value=1e3),
         excess=st.floats(min_value=1e-6, max_value=1e3),
@@ -204,3 +211,10 @@ class TestCoordNormalization:
     def test_negative_xi_rejected(self):
         with pytest.raises(ValueError):
             ToroidalCoords(xi=-0.1, eta=0.0)
+
+    @pytest.mark.parametrize(
+        "xi,eta,phi", [(math.nan, 0.0, 0.0), (0.0, math.nan, 0.0), (1.0, 1.0, math.inf)]
+    )
+    def test_nonfinite_rejected(self, xi, eta, phi):
+        with pytest.raises(ValueError, match="finite"):
+            ToroidalCoords(xi=xi, eta=eta, phi=phi)

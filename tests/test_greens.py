@@ -158,6 +158,13 @@ class TestVhPotential:
         with pytest.warns(FarSourceWarning):
             axial_source(1e7 * geom51.f, geom51)
 
+    @pytest.mark.parametrize("z_src", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_source_rejected(self, geom51, greens51, z_src):
+        with pytest.raises(ValueError, match="finite"):
+            axial_source(z_src, geom51)
+        with pytest.raises(ValueError, match="finite"):
+            charge_interaction_energy(z_src, greens51)
+
 
 class TestChargeEnergy:
     def test_negative_even_and_peaked_at_origin(self, greens51):

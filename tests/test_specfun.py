@@ -1,18 +1,42 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, strategies as st
 
-from oracles import agm_elliptic_e, agm_elliptic_k, legendre_p_quad, legendre_q_quad
+from oracles import legendre_p_quad, legendre_q_quad
 from torvdw.errors import NearSingularArgumentError, OverflowHorizonError
 from torvdw.specfun import (
+    _e_complement,
+    _k_complement,
     elliptic_E,
     elliptic_K,
     harmonic_table,
     legendre_p_half,
     toroidal_seeds,
 )
+
+EPS = np.finfo(float).eps
+
+# Dense grids over both ends of the domain: the parameter m up to 1 - 1e-15,
+# and the complementary parameter p = 1 - m down to 1e-300.
+M_GRID = sorted(
+    set(np.linspace(0.0, 1.0 - 1e-15, 201).tolist())
+    | {1.0 - 10.0**-k for k in range(1, 16)}
+    | {10.0**-k for k in range(1, 300, 13)}
+)
+P_GRID = sorted(set(np.geomspace(1e-300, 1.0, 241).tolist()) | {0.5, 0.9, 1.0})
+
+
+def _eps_error(value, fn, m=None, p=None):
+    """|value - fn| / fn in units of eps, fn at 50 digits in the parameter
+    m, or in 1 - p with the extra digits that 1 - p itself needs."""
+    digits = 50 if p is None else 50 + max(0, -math.floor(math.log10(p)))
+    with mpmath.workdps(digits):
+        ref = fn(mpmath.mpf(m) if p is None else 1 - mpmath.mpf(p))
+        return float(abs(mpmath.mpf(value) - ref) / ref) / EPS
 
 
 class TestEllipticIntegrals:
@@ -40,10 +64,41 @@ class TestEllipticIntegrals:
         with pytest.raises(ValueError):
             elliptic_E(m)
 
-    def test_agreement_with_agm_oracle(self, rng):
+    def test_agreement_with_scipy_oracle(self, rng):
+        # scipy.special is a test-only oracle for the production AGM and
+        # Carlson routines
         for m in rng.uniform(0.0, 0.999, size=60):
-            assert elliptic_K(m) == pytest.approx(agm_elliptic_k(m), rel=1e-14)
-            assert elliptic_E(m) == pytest.approx(agm_elliptic_e(m), rel=1e-14)
+            assert elliptic_K(m) == pytest.approx(scipy.special.ellipk(m), rel=1e-14)
+            assert elliptic_E(m) == pytest.approx(scipy.special.ellipe(m), rel=1e-14)
+        for p in np.geomspace(1e-300, 1.0, 60):
+            assert _k_complement(p) == pytest.approx(
+                scipy.special.ellipkm1(p), rel=1e-14
+            )
+
+    def test_k_within_4_eps_of_mpmath(self):
+        worst = max(_eps_error(elliptic_K(m), mpmath.ellipk, m=m) for m in M_GRID)
+        assert worst <= 4.0
+
+    def test_k_complement_within_4_eps_of_mpmath(self):
+        worst = max(_eps_error(_k_complement(p), mpmath.ellipk, p=p) for p in P_GRID)
+        assert worst <= 4.0
+
+    def test_e_within_4_eps_of_mpmath(self):
+        worst = max(_eps_error(elliptic_E(m), mpmath.ellipe, m=m) for m in M_GRID)
+        assert worst <= 4.0
+        worst = max(_eps_error(_e_complement(p), mpmath.ellipe, p=p) for p in P_GRID)
+        assert worst <= 4.0
+
+    def test_complement_ends(self):
+        assert _k_complement(0.0) == math.inf
+        assert _k_complement(1.0) == pytest.approx(math.pi / 2.0, rel=1e-15)
+        assert _e_complement(0.0) == 1.0
+        # subnormal complementary parameters still end the AGM loop
+        for p in (5e-324, 1e-310):
+            assert _k_complement(p) == pytest.approx(
+                float(mpmath.log(4 / mpmath.sqrt(mpmath.mpf(p)))), rel=1e-14
+            )
+            assert _e_complement(p) == 1.0
 
 
 class TestSeeds:
