@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .dispersion import (
+    _bisect_ratio,
     force_profile,
     particle_model,
     sweep_contour,
@@ -235,6 +236,18 @@ def _grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def _emit_profile(cfg: RunConfig, args, columns, grid, info, ref, ref_key) -> int:
+    """Write a one-quantity profile: the grid, the values and, unless
+    --no-normalize, values / ref; the diagnostics carry the per-point
+    series term counts and ref under ref_key."""
+    cols_data = [grid, info.value] + ([info.value / ref] if cfg.normalize else [])
+    columns = columns[:len(cols_data)]
+    rows = [[float(v) for v in row] for row in zip(*cols_data)]
+    diagnostics = {"n_used": [int(n) for n in info.n_used], ref_key: ref}
+    _emit_table(cfg, args, columns, rows, diagnostics, gnuplot_cols=[len(columns)])
+    return EXIT_OK
+
+
 def cmd_geom(args) -> int:
     RunConfig.from_args(args)
     geom = toroid_from_radii(args.a, args.b)
@@ -279,18 +292,10 @@ def cmd_potential(args) -> int:
         ]
         label = "r_nm"
 
-    infos = [vh_potential_info(fld, src, g) for fld in fields]
-    ref = vh_potential_info(ToroidalCoords(xi=0.0, eta=math.pi), src, g).value
-    columns = [label, "VH_V"]
-    rows = [[float(x), i.value] for x, i in zip(grid, infos)]
-    if cfg.normalize:
-        columns.append("VH_norm")
-        for row, i in zip(rows, infos):
-            row.append(i.value / abs(ref))
-    diagnostics = {"n_used": [i.n_used for i in infos], "normalization_V": abs(ref)}
-    _emit_table(cfg, args, columns, rows, diagnostics,
-                gnuplot_cols=[len(columns)])
-    return EXIT_OK
+    info = vh_potential_info(fields, src, g)
+    ref = abs(vh_potential_info(ToroidalCoords(xi=0.0, eta=math.pi), src, g).value)
+    return _emit_profile(cfg, args, [label, "VH_V", "VH_norm"], grid, info, ref,
+                         "normalization_V")
 
 
 def cmd_charge_energy(args) -> int:
@@ -298,18 +303,10 @@ def cmd_charge_energy(args) -> int:
     geom = toroid_from_radii(cfg.a, cfg.b)
     g = axial_greens(geom, rel_tol=cfg.tol, n_cap=cfg.n_cap)
     grid = _grid(args.zmin, args.zmax, args.zpoints)
-    infos = [charge_interaction_energy_info(zz, g, charge=args.charge) for zz in grid]
+    info = charge_interaction_energy_info(grid, g, charge=args.charge)
     ref = abs(charge_interaction_energy(0.0, g, charge=args.charge))
-    columns = ["zprime_nm", "U_eV"]
-    rows = [[float(z), i.value] for z, i in zip(grid, infos)]
-    if cfg.normalize:
-        columns.append("U_norm")
-        for row, i in zip(rows, infos):
-            row.append(i.value / ref)
-    diagnostics = {"n_used": [i.n_used for i in infos], "normalization_eV": ref}
-    _emit_table(cfg, args, columns, rows, diagnostics,
-                gnuplot_cols=[len(columns)])
-    return EXIT_OK
+    return _emit_profile(cfg, args, ["zprime_nm", "U_eV", "U_norm"], grid, info, ref,
+                         "normalization_eV")
 
 
 def cmd_vdw(args) -> int:
@@ -357,28 +354,22 @@ def cmd_sweep_ratio(args) -> int:
     ratios = _grid(args.ratio_min, args.ratio_max, args.ratio_points)
     p = particle_model(cfg.d2z, unit=cfg.d2z_unit)
 
-    table = np.empty((ratios.size, len(zp_list)))
-    for i, ratio in enumerate(ratios):
-        g = axial_greens(
-            toroid_from_radii(ratio * cfg.b, cfg.b),
-            rel_tol=cfg.tol,
-            n_cap=cfg.n_cap,
-        )
-        for j, zp in enumerate(zp_list):
-            table[i, j] = vdw_force(zp, p, g)
+    def greens_at(ratio):
+        return axial_greens(toroid_from_radii(ratio * cfg.b, cfg.b),
+                            rel_tol=cfg.tol, n_cap=cfg.n_cap)
 
+    table = np.array([vdw_force(np.array(zp_list), p, greens_at(r)) for r in ratios])
     columns = ["a_over_b"] + [f"F_zp{zp:g}_eV_per_nm" for zp in zp_list]
-    rows = [
-        [float(ratios[i])] + [float(table[i, j]) for j in range(len(zp_list))]
-        for i in range(ratios.size)
-    ]
+    rows = [[float(v) for v in row] for row in np.column_stack([ratios, table])]
+    # refine each first sign change on the grid by critical_ratio's bisection
     crossings = {}
     for j, zp in enumerate(zp_list):
         sgn = table[:, j] > 0.0
         idx = np.nonzero(sgn[1:] != sgn[:-1])[0]
-        crossings[f"zp={zp:g}"] = (
-            float(0.5 * (ratios[idx[0]] + ratios[idx[0] + 1])) if idx.size else None
-        )
+        crossings[f"zp={zp:g}"] = _bisect_ratio(
+            lambda r: vdw_force(zp, p, greens_at(r)) > 0.0,
+            ratios[idx[0]], ratios[idx[0] + 1], bool(sgn[idx[0]]), 1e-4,
+        ) if idx.size else None
     _emit_table(cfg, args, columns, rows,
                 {"zero_crossings_a_over_b": crossings},
                 gnuplot_cols=list(range(2, len(columns) + 1)))

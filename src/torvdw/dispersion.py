@@ -45,11 +45,16 @@ import numpy as np
 from .errors import (
     NoSignChangeError,
     RangeExceededError,
-    TruncationError,
     UnsupportedConfigurationError,
 )
 from .geometry import toroid_from_radii
-from .greens import AxialGreens, axial_greens
+from .greens import (
+    AxialGreens,
+    _raise_unconverged,
+    _sum_adaptive_grid,
+    _two_minus_delta,
+    axial_greens,
+)
 from .units import K_E_EV_NM, d2z_to_e2nm2
 
 __all__ = [
@@ -76,6 +81,9 @@ class ParticleModel:
     def __post_init__(self):
         if not 0.0 < self.d2z < math.inf:
             raise ValueError(f"<d_z^2> must be positive and finite, got {self.d2z}")
+        if not math.isfinite(_energy_prefactor(self)):
+            raise ValueError(f"<d_z^2> = {self.d2z} (e nm)^2 overflows the energy "
+                             "prefactor; it must stay finite")
 
 
 def particle_model(
@@ -98,37 +106,6 @@ def particle_model(
     return ParticleModel(d2z=d2z_to_e2nm2(float(d2z), unit))
 
 
-def _weights(g: AxialGreens) -> np.ndarray:
-    n = np.arange(g.table.n_max + 1)
-    return np.where(n == 0, 1.0, 2.0) * g.table.ratio
-
-
-def _sum_adaptive_grid(
-    terms: np.ndarray, decay: np.ndarray, rel_tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-column adaptive truncation of a (n_terms x n_points) term matrix.
-
-    Same stopping rule as the scalar series: three consecutive terms below
-    rel_tol of the running sum and the decay envelope down to rel_tol of
-    its head.  Returns (values, n_used, converged); unconverged columns
-    hold the full partial sum.
-    """
-    acc = np.cumsum(terms, axis=0)
-    scale = np.abs(acc)
-    tiny = np.finfo(float).tiny
-    scale[scale == 0.0] = tiny
-    small = np.abs(terms) <= rel_tol * scale
-    ok = small.copy()
-    ok[1:] &= small[:-1]
-    ok[2:] &= small[:-2]
-    ok &= (decay <= rel_tol * decay[0])[:, None]
-    converged = ok.any(axis=0)
-    stop = np.argmax(ok, axis=0)
-    stop[~converged] = terms.shape[0] - 1
-    cols = np.arange(terms.shape[1])
-    return acc[stop, cols], stop, converged
-
-
 def _heights(z_p) -> np.ndarray:
     """Particle heights as a 1-d float array; non-finite heights are refused."""
     z_arr = np.atleast_1d(np.asarray(z_p, dtype=float))
@@ -143,19 +120,17 @@ def _scaled(z_p: np.ndarray, f: float):
     return r, f / r, z_p / r
 
 
-def _energy_grid(
-    z_p: np.ndarray, p: ParticleModel, g: AxialGreens
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """U(z_p) in eV, vectorized, with per-point (n_used, converged)."""
-    w = _weights(g)
+def _energy_grid(z_p: np.ndarray, p: ParticleModel, g: AxialGreens):
+    """U(z_p) in eV, vectorized, with the column sums behind it."""
+    w = _two_minus_delta(g.table.n_max) * g.table.ratio
     n = np.arange(w.size)
     r, c, t = _scaled(z_p, g.geometry.f)
     terms = w[:, None] * (t[None, :] ** 2 + 4.0 * (n[:, None] * c[None, :]) ** 2)
-    values, n_used, convg = _sum_adaptive_grid(terms, g.table.ratio, g.rel_tol)
+    sums = _sum_adaptive_grid(terms, g.table.ratio, g.rel_tol)
     # U = pref d2G with d2G = -(f / 2 pi^2) S / r^4 = -(c / 2 pi^2) S / r^3,
     # S the scaled sum
-    scale = -(_energy_prefactor(p) / (2.0 * math.pi**2)) * c * values
-    return scale / r / r / r, n_used, convg
+    scale = -(_energy_prefactor(p) / (2.0 * math.pi**2)) * c * sums.values
+    return scale / r / r / r, sums
 
 
 def gh_mixed_derivative(z: float, z_prime: float, g: AxialGreens) -> float:
@@ -172,7 +147,7 @@ def gh_mixed_derivative(z: float, z_prime: float, g: AxialGreens) -> float:
     f = g.geometry.f
     if not (math.isfinite(z) and math.isfinite(z_prime)):
         raise ValueError(f"axis heights must be finite, got z = {z}, z' = {z_prime}")
-    w = _weights(g)
+    w = _two_minus_delta(g.table.n_max) * g.table.ratio
     n = np.arange(w.size)
 
     def u(t):
@@ -193,31 +168,14 @@ def gh_mixed_derivative(z: float, z_prime: float, g: AxialGreens) -> float:
                                - u(z) * du(z_prime) * dtheta(z))
         + 4.0 * n**2 * u(z) * u(z_prime) * dtheta(z) * dtheta(z_prime) * cos_phi
     )
-    value, _, convg = _sum_adaptive_grid(terms[:, None], g.table.ratio, g.rel_tol)
-    if not convg[0]:
-        raise TruncationError(
-            f"mixed-derivative series not converged after {terms.size} terms",
-            partial_sum=value[0],
-            bound=abs(terms[-1]),
-            n_terms=terms.size,
-        )
-    return float(-(f / (2.0 * math.pi**2)) * value[0])
+    sums = _sum_adaptive_grid(terms[:, None], g.table.ratio, g.rel_tol)
+    _raise_unconverged(sums, "mixed-derivative")
+    return float(-(f / (2.0 * math.pi**2)) * sums.values[0])
 
 
 def _energy_prefactor(p: ParticleModel) -> float:
     # <d_z^2>/(2 eps0) in eV nm^3 per (e nm)^2 of fluctuation.
     return p.d2z * 2.0 * math.pi * K_E_EV_NM
-
-
-def _converged(values: np.ndarray, convg: np.ndarray, what: str, g: AxialGreens):
-    if not convg.all():
-        raise TruncationError(
-            f"{what} series not converged within the term cap",
-            partial_sum=float(values[~convg][0]),
-            bound=float("nan"),
-            n_terms=g.table.n_max + 1,
-        )
-    return values
 
 
 def _like_input(z_p, out: np.ndarray):
@@ -236,22 +194,23 @@ def vdw_energy(z_p, p: ParticleModel, g: AxialGreens):
     TruncationError
         If the series does not converge within the term cap.
     """
-    energy, _, convg = _energy_grid(_heights(z_p), p, g)
-    return _like_input(z_p, _converged(energy, convg, "energy", g))
+    energy, sums = _energy_grid(_heights(z_p), p, g)
+    _raise_unconverged(sums, "energy")
+    return _like_input(z_p, energy)
 
 
 def _force_grid(z_p: np.ndarray, p: ParticleModel, g: AxialGreens):
-    """F_z(z_p) in eV/nm, vectorized, with per-point (n_used, converged)."""
-    w = _weights(g)
+    """F_z(z_p) in eV/nm, vectorized, with the column sums behind it."""
+    w = _two_minus_delta(g.table.n_max) * g.table.ratio
     n = np.arange(w.size)
     r, c, t = _scaled(z_p, g.geometry.f)
     terms = w[:, None] * ((1.0 - 12.0 * n[:, None] ** 2) * c[None, :] ** 2
                           - 2.0 * t[None, :] ** 2)
-    values, n_used, convg = _sum_adaptive_grid(terms, g.table.ratio, g.rel_tol)
+    sums = _sum_adaptive_grid(terms, g.table.ratio, g.rel_tol)
     # F = 2 C z_p S / r^6 = 2 C' c t S / r^4 with C' = <d_z^2> K_E / pi,
     # S the scaled sum
-    scale = 2.0 * (p.d2z * K_E_EV_NM / math.pi) * c * t * values
-    return scale / r / r / r / r, n_used, convg
+    scale = 2.0 * (p.d2z * K_E_EV_NM / math.pi) * c * t * sums.values
+    return scale / r / r / r / r, sums
 
 
 def vdw_force(z_p, p: ParticleModel, g: AxialGreens):
@@ -267,8 +226,9 @@ def vdw_force(z_p, p: ParticleModel, g: AxialGreens):
     TruncationError
         If the series does not converge within the term cap.
     """
-    force, _, convg = _force_grid(_heights(z_p), p, g)
-    return _like_input(z_p, _converged(force, convg, "force", g))
+    force, sums = _force_grid(_heights(z_p), p, g)
+    _raise_unconverged(sums, "force")
+    return _like_input(z_p, force)
 
 
 @dataclass(frozen=True)
@@ -284,13 +244,13 @@ class ForceProfile:
 
 
 def force_profile(z_grid, p: ParticleModel, g: AxialGreens) -> ForceProfile:
-    """Evaluate U and F on a grid and record normalization scales."""
+    """Evaluate U and F on a grid and record the scales of normalized plots."""
     z_grid = _heights(z_grid).copy()
-    energy, n_used_e, convg = _energy_grid(z_grid, p, g)
-    _converged(energy, convg, "energy", g)
-    force, n_used_f, convg = _force_grid(z_grid, p, g)
-    _converged(force, convg, "force", g)
-    n_used = np.maximum(n_used_e, n_used_f)
+    energy, e_sums = _energy_grid(z_grid, p, g)
+    _raise_unconverged(e_sums, "energy")
+    force, f_sums = _force_grid(z_grid, p, g)
+    _raise_unconverged(f_sums, "force")
+    n_used = np.maximum(e_sums.n_used, f_sums.n_used)
     for arr in (z_grid, energy, force, n_used):
         arr.flags.writeable = False
     return ForceProfile(
@@ -369,13 +329,12 @@ def critical_ratio(
     if not 1.0 < lo < hi:
         raise ValueError(f"search range must satisfy 1 < lo < hi, got {search}")
 
-    def force_at(ratio: float) -> float:
-        geom = toroid_from_radii(ratio * b, b)
-        g = axial_greens(geom, rel_tol=rel_tol, n_cap=n_cap)
-        return vdw_force(z_p, p, g)
+    def repulsive(ratio: float) -> bool:
+        g = axial_greens(toroid_from_radii(ratio * b, b), rel_tol=rel_tol, n_cap=n_cap)
+        return vdw_force(z_p, p, g) > 0.0
 
     grid = np.geomspace(lo, hi, 65)
-    signs = [force_at(r) > 0.0 for r in grid]
+    signs = [repulsive(r) for r in grid]
     if signs[0]:
         raise RangeExceededError(
             f"force already repulsive at a/b = {lo}; threshold below range",
@@ -387,13 +346,23 @@ def critical_ratio(
             bound=hi,
         )
     k = signs.index(True)
-    r_lo, r_hi = grid[k - 1], grid[k]
+    return _bisect_ratio(repulsive, grid[k - 1], grid[k], False, rel_resolution)
+
+
+def _bisect_ratio(repulsive, r_lo: float, r_hi: float, low_side: bool,
+                  rel_resolution: float) -> float:
+    """Bisect in log(a/b) the force sign change between r_lo and r_hi.
+
+    repulsive(ratio) is F > 0 at that a/b and low_side its value at r_lo;
+    each step keeps the half whose sign matches the low end.  Returns the
+    geometric midpoint of the final bracket (relative width rel_resolution).
+    """
     while r_hi / r_lo - 1.0 > rel_resolution:
         mid = math.sqrt(r_lo * r_hi)
-        if force_at(mid) > 0.0:
-            r_hi = mid
-        else:
+        if repulsive(mid) == low_side:
             r_lo = mid
+        else:
+            r_hi = mid
     return math.sqrt(r_lo * r_hi)
 
 
@@ -435,9 +404,9 @@ def sweep_contour(
     diags = []
     for j, a in enumerate(a_values):
         g = axial_greens(toroid_from_radii(a, b), rel_tol=rel_tol, n_cap=n_cap)
-        col, _, convg = _force_grid(z_values, p, g)
-        force[:, j] = np.where(convg, col, np.nan)
-        for i in np.nonzero(~convg)[0]:
+        col, sums = _force_grid(z_values, p, g)
+        force[:, j] = np.where(sums.converged, col, np.nan)
+        for i in np.nonzero(~sums.converged)[0]:
             diags.append((int(i), int(j), "series not converged within cap"))
     force.flags.writeable = False
     return SweepGrid(

@@ -20,6 +20,7 @@ r < f.  On the axis, z = f cot(eta / 2).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +65,9 @@ def toroid_from_radii(a: float, b: float) -> ToroidGeometry:
     DegenerateToroidError
         If a <= b (the focal scale vanishes or turns imaginary).
     ValueError
-        For non-positive or non-finite radii.
+        For non-positive or non-finite radii, and for radii whose focal
+        scale f, xi0 or cosh(xi0) leaves the float range (f not finite or
+        below the smallest normal float).
     """
     a = float(a)
     b = float(b)
@@ -80,7 +83,11 @@ def toroid_from_radii(a: float, b: float) -> ToroidGeometry:
     # e^{xi0} = cosh + sinh = (a + f)/b, exact in the same arithmetic that
     # makes f/sinh(xi0) = b round-trip to machine precision.
     xi0 = math.log((a + f) / b)
-    return ToroidGeometry(a=a, b=b, f=f, xi0=xi0, cosh_xi0=a / b)
+    cosh_xi0 = a / b
+    if not (sys.float_info.min <= f < math.inf and xi0 < math.inf and cosh_xi0 < math.inf):
+        raise ValueError(f"radii a = {a}, b = {b} give a focal scale f = {f}, xi0 = {xi0}, "
+                         f"cosh xi0 = {cosh_xi0} outside the finite, normal float range")
+    return ToroidGeometry(a=a, b=b, f=f, xi0=xi0, cosh_xi0=cosh_xi0)
 
 
 @dataclass(frozen=True)

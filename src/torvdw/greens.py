@@ -101,18 +101,12 @@ def axial_source(z_src: float, geom: ToroidGeometry, charge: float = 1.0) -> Axi
 
 @dataclass(frozen=True)
 class AxialGreens:
-    """Geometry, truncation policy and the cached ratio table at cosh(xi0).
-
-    normalization selects the reporting convention of vh_potential:
-    "si" gives volts for the source's charge, "reduced" gives the
-    dimensionless value in units of q / (4 pi eps0 f).
-    """
+    """Geometry, truncation policy and the cached ratio table at cosh(xi0)."""
 
     geometry: ToroidGeometry
     table: HarmonicTable
     rel_tol: float
     n_cap: int
-    normalization: str
 
 
 def _table_size(xi: float, rel_tol: float, n_cap: int) -> int:
@@ -124,72 +118,90 @@ def _table_size(xi: float, rel_tol: float, n_cap: int) -> int:
     return max(4, min(n_cap, need, horizon))
 
 
-def axial_greens(
-    geom: ToroidGeometry,
-    rel_tol: float = 1e-12,
-    n_cap: int = 2000,
-    normalization: str = "si",
-) -> AxialGreens:
+def axial_greens(geom: ToroidGeometry, rel_tol: float = 1e-12,
+                 n_cap: int = 2000) -> AxialGreens:
     """Build the evaluator for the given toroid and truncation policy."""
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     if n_cap < 8:
         raise ValueError(f"n_cap must be at least 8, got {n_cap}")
-    if normalization not in ("si", "reduced"):
-        raise ValueError(
-            f"normalization must be 'si' or 'reduced', got {normalization!r}"
-        )
     table = harmonic_table(geom.cosh_xi0, _table_size(geom.xi0, rel_tol, n_cap))
-    return AxialGreens(
-        geometry=geom,
-        table=table,
-        rel_tol=float(rel_tol),
-        n_cap=int(n_cap),
-        normalization=normalization,
-    )
+    return AxialGreens(geometry=geom, table=table, rel_tol=float(rel_tol), n_cap=int(n_cap))
 
 
 class SeriesInfo(NamedTuple):
+    """A series value and its terms used; arrays for an array of points."""
+
     value: float
     n_used: int
 
 
-def _adaptive_sum(terms: np.ndarray, decay: np.ndarray, rel_tol: float) -> SeriesInfo:
-    """Sum an oscillating series under the truncation policy.
+class ColumnSums(NamedTuple):
+    """Column-wise sums of a term matrix under the truncation rule."""
 
-    Stops at the first n where the term magnitude has stayed below
+    values: np.ndarray     # sum at the stop; the whole column where not converged
+    n_used: np.ndarray     # index of the stopping term
+    converged: np.ndarray
+    terms: np.ndarray      # kept for the tail estimate of a failed column
+
+
+def _sum_adaptive_grid(terms: np.ndarray, decay: np.ndarray, rel_tol: float) -> ColumnSums:
+    """Truncate each column of a (n_terms x n_points) term matrix.
+
+    A column stops at the first n where the term magnitude has stayed below
     rel_tol * |partial sum| for 3 consecutive terms (single-term smallness
     is unreliable under the cos factors) and the monotone decay envelope
-    has fallen to decay[n] <= rel_tol * decay[0].
-
-    Raises
-    ------
-    TruncationError
-        If the criterion is not met by the end of the term array (the
-        configured cap), carrying the partial sum and a tail estimate.
+    has fallen to decay[n] <= rel_tol * decay[0].  This is the only
+    truncation rule of the package.
     """
-    acc = np.cumsum(terms)
+    acc = np.cumsum(terms, axis=0)
     scale = np.abs(acc)
     scale[scale == 0.0] = np.finfo(float).tiny
     small = np.abs(terms) <= rel_tol * scale
     ok = small.copy()
     ok[1:] &= small[:-1]
     ok[2:] &= small[:-2]
-    ok &= decay <= rel_tol * decay[0]
-    hits = np.nonzero(ok)[0]
-    if hits.size == 0:
-        last = abs(float(terms[-1]))
-        prev = abs(float(terms[-2])) if terms.size > 1 else 0.0
-        rho = min(0.99, last / prev) if prev > 0.0 else 0.5
-        raise TruncationError(
-            f"series not converged after {terms.size} terms "
-            f"(last relative term {last / float(scale[-1]):.2e})",
-            partial_sum=acc[-1],
-            bound=last * rho / (1.0 - rho),
-            n_terms=terms.size,
-        )
-    stop = int(hits[0])
-    return SeriesInfo(value=float(acc[stop]), n_used=stop)
+    ok &= (decay <= rel_tol * decay[0])[:, None]
+    converged = ok.any(axis=0)
+    stop = np.argmax(ok, axis=0)
+    stop[~converged] = terms.shape[0] - 1
+    return ColumnSums(acc[stop, np.arange(terms.shape[1])], stop, converged, terms)
+
+
+def _raise_unconverged(sums: ColumnSums, what: str) -> None:
+    """Raise TruncationError for the first column that did not converge.
+
+    The error carries that column's partial sum, the geometric tail
+    estimate |t_N| rho / (1 - rho) with rho = min(0.99, |t_N / t_(N-1)|)
+    (0.5 when t_(N-1) = 0) as its bound, and the number of terms summed.
+    """
+    if sums.converged.all():
+        return
+    k = int(np.argmin(sums.converged))
+    n_terms = sums.terms.shape[0]
+    prev, last = np.abs(sums.terms[-2:, k])
+    rho = min(0.99, last / prev) if prev > 0.0 else 0.5
+    raise TruncationError(
+        f"{what} series not converged after {n_terms} terms",
+        partial_sum=sums.values[k],
+        bound=last * rho / (1.0 - rho),
+        n_terms=n_terms,
+    )
+
+
+def _two_minus_delta(n_max: int) -> np.ndarray:
+    return np.where(np.arange(n_max + 1) == 0, 1.0, 2.0)
+
+
+def _cosine_series(radial: np.ndarray, delta: np.ndarray, decay: np.ndarray,
+                   rel_tol: float, what: str) -> ColumnSums:
+    """sum_n (2 - delta_n0) radial[n] cos(n delta) for each column of
+    radial and entry of delta, truncated by the shared rule."""
+    n = np.arange(radial.shape[0])
+    terms = _two_minus_delta(n.size - 1)[:, None] * radial * np.cos(np.outer(n, delta))
+    sums = _sum_adaptive_grid(terms, decay, rel_tol)
+    _raise_unconverged(sums, what)
+    return sums
 
 
 def _one_minus_cos_eta_src(src: AxialSource, f: float) -> float:
@@ -202,55 +214,62 @@ def _cosh_minus_cos(xi: float, eta: float) -> float:
     return 2.0 * math.sinh(0.5 * xi) ** 2 + 2.0 * math.sin(0.5 * eta) ** 2
 
 
-def _vh_reduced(field: ToroidalCoords, src: AxialSource, g: AxialGreens) -> SeriesInfo:
-    """V_H / (K_E q) at the field point, in 1/nm."""
+def _vh_prefactor(field: ToroidalCoords, src: AxialSource, f: float) -> float:
+    return -(1.0 / (math.pi * f)) * math.sqrt(
+        _cosh_minus_cos(field.xi, field.eta) * _one_minus_cos_eta_src(src, f)
+    )
+
+
+def _vh_reduced(field, src: AxialSource, g: AxialGreens) -> SeriesInfo:
+    """V_H / (K_E q) in 1/nm at one field point or a sequence of them.
+
+    Every point is one column of a single term matrix summed by the shared
+    truncation rule.
+    """
+    single = isinstance(field, ToroidalCoords)
+    fields = [field] if single else list(field)
     geom = g.geometry
     table = g.table
-    if field.xi > geom.xi0 * (1.0 + 1e-12):
+    xi = np.array([fld.xi for fld in fields])
+    if np.any(xi > geom.xi0 * (1.0 + 1e-12)):
         raise OutOfRegionError(
-            f"field point xi = {field.xi} lies inside the conductor "
-            f"(xi0 = {geom.xi0})"
+            f"field point xi = {xi.max()} lies inside the conductor (xi0 = {geom.xi0})"
         )
 
-    n = np.arange(table.n_max + 1)
-    two_minus_delta = np.where(n == 0, 1.0, 2.0)
     # Q(cosh xi0) P(cosh xi) / P(cosh xi0) = ratio[n] * P(cosh xi); on the
-    # axis P_{n-1/2}(1) = 1.  The P ratio is <= 1 for xi <= xi0, so
-    # table.ratio remains a valid decay envelope for the stopping rule.
-    cosh_xi = math.cosh(field.xi)
-    if field.xi == 0.0:
-        radial = table.ratio
-    elif abs(cosh_xi - table.z) <= 4.0 * np.finfo(float).eps * table.z:
-        radial = table.q  # on the surface: ratio * P(cosh xi0) collapses to Q
-    else:
-        radial = table.ratio * legendre_p_half(cosh_xi, table.n_max)
-    terms = two_minus_delta * radial * np.cos(n * (field.eta - src.eta_src))
-    info = _adaptive_sum(terms, table.ratio, g.rel_tol)
+    # axis P_{n-1/2}(1) = 1, and on the surface ratio * P(cosh xi0)
+    # collapses to Q.  The P ratio is <= 1 for xi <= xi0, so table.ratio
+    # remains a valid decay envelope for the stopping rule.
+    cosh_xi = np.array([math.cosh(fld.xi) for fld in fields])
+    on_axis = xi == 0.0
+    on_surface = np.abs(cosh_xi - table.z) <= 4.0 * np.finfo(float).eps * table.z
+    rest = ~(on_axis | on_surface)
+    radial = np.empty((table.n_max + 1, len(fields)))
+    radial[:, on_axis] = table.ratio[:, None]
+    radial[:, on_surface] = table.q[:, None]
+    if rest.any():
+        radial[:, rest] = table.ratio[:, None] * legendre_p_half(cosh_xi[rest], table.n_max)
 
-    pref = -(1.0 / (math.pi * geom.f)) * math.sqrt(
-        _cosh_minus_cos(field.xi, field.eta) * _one_minus_cos_eta_src(src, geom.f)
-    )
-    return SeriesInfo(value=pref * info.value, n_used=info.n_used)
+    delta = [fld.eta - src.eta_src for fld in fields]
+    sums = _cosine_series(radial, delta, table.ratio, g.rel_tol, "potential")
+    value = np.array([_vh_prefactor(fld, src, geom.f) for fld in fields]) * sums.values
+    if single:
+        return SeriesInfo(value=float(value[0]), n_used=int(sums.n_used[0]))
+    return SeriesInfo(value=value, n_used=sums.n_used)
 
 
-def vh_potential_info(
-    field: ToroidalCoords, src: AxialSource, g: AxialGreens
-) -> SeriesInfo:
+def vh_potential_info(field, src: AxialSource, g: AxialGreens) -> SeriesInfo:
     """vh_potential plus the number of series terms used (for diagnostics)."""
     info = _vh_reduced(field, src, g)
-    if g.normalization == "reduced":
-        return SeriesInfo(value=info.value * g.geometry.f, n_used=info.n_used)
-    return SeriesInfo(
-        value=info.value * K_E_EV_NM * src.charge, n_used=info.n_used
-    )
+    return SeriesInfo(value=info.value * K_E_EV_NM * src.charge, n_used=info.n_used)
 
 
-def vh_potential(field: ToroidalCoords, src: AxialSource, g: AxialGreens) -> float:
-    """Potential of the induced surface charge at a field point.
+def vh_potential(field, src: AxialSource, g: AxialGreens):
+    """Potential (V) of the induced surface charge at field points.
 
-    Volts under the "si" normalization, dimensionless multiples of
-    q / (4 pi eps0 f) under "reduced".  Valid outside the conductor,
-    0 <= xi <= xi0; on the axis pass xi = 0.
+    field is one ToroidalCoords, giving a float, or a sequence of them,
+    giving an array.  Valid outside the conductor, 0 <= xi <= xi0; on the
+    axis pass xi = 0.
 
     Raises
     ------
@@ -262,24 +281,33 @@ def vh_potential(field: ToroidalCoords, src: AxialSource, g: AxialGreens) -> flo
     return vh_potential_info(field, src, g).value
 
 
-def charge_interaction_energy_info(
-    z_src: float, g: AxialGreens, charge: float = 1.0
-) -> SeriesInfo:
+def charge_interaction_energy_info(z_src, g: AxialGreens, charge: float = 1.0) -> SeriesInfo:
     """charge_interaction_energy plus the number of series terms used."""
-    src = axial_source(z_src, g.geometry, charge)
-    field = ToroidalCoords(xi=0.0, eta=src.eta_src)
-    info = _vh_reduced(field, src, g)
-    return SeriesInfo(
-        value=charge * charge * K_E_EV_NM * info.value, n_used=info.n_used
-    )
+    heights = np.asarray(z_src, dtype=float)
+    srcs = [axial_source(z, g.geometry, charge) for z in heights.reshape(-1)]
+    # With the field point at the source every cos[n (eta - eta')] is
+    # exactly 1 (eta - eta' is 0 or the float 2 pi), so one series, the
+    # on-axis ratio sum, serves every height.
+    ratio = g.table.ratio
+    sums = _cosine_series(ratio[:, None], [0.0], ratio, g.rel_tol, "charge-energy")
+    value = np.array([
+        charge * charge * K_E_EV_NM
+        * (_vh_prefactor(ToroidalCoords(xi=0.0, eta=src.eta_src), src, g.geometry.f)
+           * sums.values[0])
+        for src in srcs
+    ])
+    if heights.ndim == 0:
+        return SeriesInfo(value=float(value[0]), n_used=int(sums.n_used[0]))
+    return SeriesInfo(value=value, n_used=np.full(value.size, sums.n_used[0]))
 
 
-def charge_interaction_energy(z_src: float, g: AxialGreens, charge: float = 1.0) -> float:
+def charge_interaction_energy(z_src, g: AxialGreens, charge: float = 1.0):
     """Energy (eV) of the charge with the surface charge it induces.
 
     This is q V_H evaluated at the charge's own position; no factor 1/2
     enters because the self-energy of the induced distribution is not part
-    of this interaction term.  Negative for every source height.
+    of this interaction term.  Negative for every source height.  A scalar
+    height gives a float, an array of heights an array.
     """
     return charge_interaction_energy_info(z_src, g, charge).value
 
@@ -295,33 +323,29 @@ def surface_residual(src: AxialSource, g: AxialGreens, n_samples: int = 64) -> f
     etas = -math.pi + (np.arange(n_samples) + 0.5) * (2.0 * math.pi / n_samples)
     r, z = surface_rz(g.geometry, etas)
     dist = np.hypot(r, z - src.z_src)
-    worst = 0.0
-    for eta_i, dist_i in zip(etas, dist):
-        field = ToroidalCoords(xi=g.geometry.xi0, eta=float(eta_i))
-        vh = _vh_reduced(field, src, g).value
-        worst = max(worst, abs(1.0 / dist_i + vh) * dist_i)
-    return worst
+    fields = [ToroidalCoords(xi=g.geometry.xi0, eta=float(eta)) for eta in etas]
+    vh = _vh_reduced(fields, src, g).value
+    return float(np.max(np.abs(1.0 / dist + vh) * dist))
 
 
-# Tables for inverse_distance_series are keyed by the field argument
-# cosh(xi) rounded to 12 significant digits; grids of field points share
-# arguments, so the cache hit rate is high.
-_FIELD_TABLE_CACHE: dict[str, HarmonicTable] = {}
+# Tables for inverse_distance_series are keyed by the exact field argument
+# cosh(xi); grids of field points share arguments, so the cache hit rate
+# is high, and a table is only ever reused at the argument it was built for.
+_FIELD_TABLE_CACHE: dict[float, HarmonicTable] = {}
 _FIELD_TABLE_LOCK = threading.Lock()
 _FIELD_TABLE_CAP = 2048
 
 
 def _field_table(z: float, n_needed: int) -> HarmonicTable:
-    key = "%.11e" % z
     with _FIELD_TABLE_LOCK:
-        cached = _FIELD_TABLE_CACHE.get(key)
+        cached = _FIELD_TABLE_CACHE.get(z)
     if cached is not None and cached.n_max >= n_needed:
         return cached
     table = harmonic_table(z, n_needed)
     with _FIELD_TABLE_LOCK:
         if len(_FIELD_TABLE_CACHE) >= _FIELD_TABLE_CAP:
             _FIELD_TABLE_CACHE.clear()
-        _FIELD_TABLE_CACHE[key] = table
+        _FIELD_TABLE_CACHE[z] = table
     return table
 
 
@@ -365,9 +389,6 @@ def inverse_distance_series(
             )
         return math.sqrt(a_fac * b_fac / (2.0 * gap)) / f
 
-    n_needed = _table_size(field.xi, g.rel_tol, g.n_cap)
-    table = _field_table(cosh_xi, n_needed)
-    n = np.arange(table.n_max + 1)
-    terms = np.where(n == 0, 1.0, 2.0) * table.q * np.cos(n * delta)
-    info = _adaptive_sum(terms, table.q, g.rel_tol)
-    return (1.0 / (math.pi * f)) * math.sqrt(a_fac * b_fac) * info.value
+    table = _field_table(cosh_xi, _table_size(field.xi, g.rel_tol, g.n_cap))
+    sums = _cosine_series(table.q[:, None], [delta], table.q, g.rel_tol, "inverse-distance")
+    return (1.0 / (math.pi * f)) * math.sqrt(a_fac * b_fac) * float(sums.values[0])

@@ -190,11 +190,13 @@ class HarmonicTable:
         return math.acosh(self.z)
 
 
-def legendre_p_half(z: float, n_max: int) -> np.ndarray:
+def legendre_p_half(z, n_max: int) -> np.ndarray:
     """P_{n-1/2}(z) for n = 0..n_max by forward recurrence, z >= 1.
 
-    The growing solution is stable in this direction.  At z = 1 exactly the
-    recurrence reproduces P_{n-1/2}(1) = 1 identically.
+    z is a scalar (result shape (n_max + 1,)) or a 1-d array (one column
+    per argument); the growing solution is stable in this direction for
+    every argument.  At z = 1 exactly the recurrence reproduces
+    P_{n-1/2}(1) = 1 identically.
 
     Raises
     ------
@@ -202,35 +204,38 @@ def legendre_p_half(z: float, n_max: int) -> np.ndarray:
         If P_{n-1/2}(z) exceeds float64 range before n_max; the error
         carries the largest safe degree index.
     """
-    z = float(z)
+    z_arr = np.asarray(z, dtype=float)
     n_max = int(n_max)
-    if z < 1.0:
-        raise ValueError(f"legendre_p_half requires z >= 1, got {z}")
+    if z_arr.ndim > 1 or not np.all(z_arr >= 1.0):
+        raise ValueError(f"legendre_p_half requires a scalar or 1-d array of z >= 1, got {z}")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
 
-    if z == 1.0:
-        return np.ones(n_max + 1)
-    p_minus, p_plus, _ = toroidal_seeds(z)
-    return _p_forward(z, n_max, p_minus, p_plus)
+    seeds = np.array([toroidal_seeds(x)[:2] if x > 1.0 else (1.0, 1.0)
+                      for x in z_arr.reshape(-1)]).reshape(z_arr.shape + (2,))
+    return _p_forward(z_arr, n_max, seeds[..., 0], seeds[..., 1])
 
 
-def _p_forward(z: float, n_max: int, p_minus: float, p_plus: float) -> np.ndarray:
-    """Forward recurrence from the seeds P_{-1/2}(z), P_{+1/2}(z), z > 1."""
-    p = np.empty(n_max + 1)
+def _p_forward(z, n_max: int, p_minus, p_plus) -> np.ndarray:
+    """Forward recurrence from the seeds P_{-1/2}(z), P_{+1/2}(z); z and the
+    seeds are scalars or equal-length 1-d arrays, row n holds P_{n-1/2}."""
+    p = np.empty((n_max + 1,) + np.shape(z))
     p[0] = p_minus
     if n_max >= 1:
         p[1] = p_plus
-    for n in range(1, n_max):
-        # nu = n - 1/2:  (nu+1) p[n+1] = (2nu+1) z p[n] - nu p[n-1]
-        nxt = ((2.0 * n) * z * p[n] - (n - 0.5) * p[n - 1]) / (n + 0.5)
-        if nxt > 1e300 or not math.isfinite(nxt):
-            raise OverflowHorizonError(
-                f"P_(n-1/2)({z}) overflows float64 at n = {n + 1}; "
-                f"largest safe n is {n}",
-                max_safe_n=n,
-            )
-        p[n + 1] = nxt
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_max):
+            # nu = n - 1/2:  (nu+1) p[n+1] = (2nu+1) z p[n] - nu p[n-1]
+            p[n + 1] = ((2.0 * n) * z * p[n] - (n - 0.5) * p[n - 1]) / (n + 0.5)
+    # The first row past 1e300 (inf and nan fail the test too) marks the
+    # horizon; the rows before it do not depend on it.
+    bad = np.flatnonzero(~np.all(p.reshape(n_max + 1, np.size(z))[2:] <= 1e300, axis=1))
+    if bad.size:
+        n = int(bad[0]) + 1
+        raise OverflowHorizonError(
+            f"P_(n-1/2)({z}) overflows float64 at n = {n + 1}; largest safe n is {n}",
+            max_safe_n=n,
+        )
     return p
 
 

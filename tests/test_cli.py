@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from torvdw.cli import _config_echo, build_parser, main
-from torvdw.dispersion import particle_model, sweep_contour
+from torvdw.dispersion import critical_ratio, particle_model, sweep_contour
 
 
 def run_cli(capsys, *argv):
@@ -187,6 +187,19 @@ class TestSweepRatio:
         assert crossings["zp=1"] < crossings["zp=2"] < crossings["zp=3"]
         assert crossings["zp=1"] == pytest.approx(3.5528, rel=2e-2)
 
+    def test_crossings_match_critical_ratio(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep-ratio", "--b", "1", "--zp", "1", "--zp", "2",
+            "--zp", "3", "--format", "json",
+        )
+        assert code == 0
+        crossings = json.loads(out)["diagnostics"]["zero_crossings_a_over_b"]
+        p = particle_model(1.0)
+        for zp in (1.0, 2.0, 3.0):
+            assert crossings[f"zp={zp:g}"] == pytest.approx(
+                critical_ratio(zp, 1.0, p), rel=2e-4
+            )
+
     def test_every_column_turns_repulsive(self, capsys):
         code, out, _ = run_cli(
             capsys, "sweep-ratio", "--b", "1", "--zp", "1", "--zp", "4",
@@ -290,6 +303,25 @@ class TestNonFiniteInputs:
         assert not (tmp_path / "unused.csv").exists()
 
 
+class TestOutOfRangeInputs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["geom", "--a", "1e200", "--b", "1"],
+            ["vdw", "--a", "2e-200", "--b", "1e-200"],
+            ["vdw", "--a", "5", "--b", "1", "--d2z", "1e308"],
+        ],
+        ids=lambda argv: "_".join(a.lstrip("-") for a in argv),
+    )
+    def test_configuration_error(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "configuration error" in err and "finite" in err
+        assert out == ""
+
+
 class TestValidate:
     def test_battery_passes(self, capsys):
         code, out, _ = run_cli(capsys, "validate")
@@ -324,7 +356,7 @@ class TestOutputContracts:
         assert len(payload["diagnostics"]["n_used"]) == 5
         assert len(payload["rows"]) == 5
 
-    @pytest.mark.parametrize("cmd", ["charge-energy", "vdw"])
+    @pytest.mark.parametrize("cmd", ["charge-energy", "vdw", "potential"])
     def test_per_point_diagnostics(self, capsys, cmd):
         code, out, _ = run_cli(
             capsys, cmd, "--a", "5", "--b", "1", "--zpoints", "7",

@@ -22,10 +22,11 @@ from torvdw.dispersion import (
 from torvdw.errors import (
     NoSignChangeError,
     RangeExceededError,
+    TruncationError,
     UnsupportedConfigurationError,
 )
 from torvdw.geometry import axis_eta_from_z
-from torvdw.greens import _vh_reduced
+from torvdw.greens import _vh_reduced, charge_interaction_energy, vh_potential
 from torvdw.units import DEBYE2_TO_E2NM2, K_E_EV_NM
 
 # Oracle values frozen from the boundary-element route (1600 panels,
@@ -72,6 +73,16 @@ class TestParticleModel:
     def test_finite_required(self, d2z):
         with pytest.raises(ValueError, match="finite"):
             particle_model(d2z)
+
+    def test_energy_prefactor_overflow_rejected(self):
+        # <d_z^2> 2 pi K_E overflows float64 above about 1.9e307 (e nm)^2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                particle_model(1e308)
+            with pytest.raises(ValueError, match="finite"):
+                particle_model(1e252, unit="C2m2")  # 3.9e307 (e nm)^2
+            assert particle_model(1e307).d2z == 1e307
 
     def test_unit_conversions(self):
         assert particle_model(1.0, unit="debye2").d2z == pytest.approx(
@@ -382,11 +393,12 @@ class TestLargeHeights:
         z = np.array([self.Z_FAR])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            u, n_energy, _ = _energy_grid(z, p, greens51)
-            force, n_force, _ = _force_grid(z, p, greens51)
+            u, energy_sums = _energy_grid(z, p, greens51)
+            force, force_sums = _force_grid(z, p, greens51)
             assert vdw_energy(self.Z_FAR, p, greens51) == u[0]
             assert vdw_force(self.Z_FAR, p, greens51) == force[0]
-        u_ref, f_ref = self._reference(greens51, p, self.Z_FAR, n_energy[0], n_force[0])
+        u_ref, f_ref = self._reference(greens51, p, self.Z_FAR,
+                                       energy_sums.n_used[0], force_sums.n_used[0])
         assert u[0] < 0.0 and force[0] < 0.0
         assert float(abs((u[0] - u_ref) / u_ref)) <= 1e-12
         assert float(abs((force[0] - f_ref) / f_ref)) <= 1e-12
@@ -407,3 +419,26 @@ class TestForceProfile:
         fd = -(prof.energy[2:] - prof.energy[:-2]) / (z[2] - z[0])
         mask = np.abs(prof.force[1:-1]) > 1e-7
         np.testing.assert_allclose(fd[mask], prof.force[1:-1][mask], rtol=5e-3)
+
+
+# Each series entry point, run on a/b = 1.01 with the term cap at its minimum
+# of 8 (the series needs about 300 terms there).
+STARVED_CALLS = {
+    "vdw_energy": lambda g: vdw_energy(1.0, particle_model(1.0), g),
+    "vdw_force": lambda g: vdw_force(1.0, particle_model(1.0), g),
+    "force_profile": lambda g: force_profile(np.linspace(-1.0, 1.0, 5), particle_model(1.0), g),
+    "gh_mixed_derivative": lambda g: gh_mixed_derivative(0.3, 0.5, g),
+    "charge_interaction_energy": lambda g: charge_interaction_energy(0.4, g),
+    "vh_potential": lambda g: vh_potential(
+        ToroidalCoords(xi=0.0, eta=1.0), axial_source(0.4, g.geometry), g),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STARVED_CALLS))
+def test_truncation_error_contract(name):
+    g = axial_greens(toroid_from_radii(1.01, 1.0), n_cap=8)
+    with pytest.raises(TruncationError) as exc:
+        STARVED_CALLS[name](g)
+    assert math.isfinite(exc.value.partial_sum)
+    assert math.isfinite(exc.value.bound) and exc.value.bound > 0.0
+    assert exc.value.n_terms == 9  # n = 0..n_cap

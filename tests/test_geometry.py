@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,23 @@ class TestToroidFromRadii:
     def test_nonfinite(self, a, b):
         with pytest.raises(ValueError, match="finite"):
             toroid_from_radii(a, b)
+
+    @pytest.mark.parametrize(
+        "a,b", [(2e-200, 1e-200), (1e200, 1.0), (1e300, 1e-10), (1.0, 1e-310)]
+    )
+    def test_focal_scale_out_of_range(self, a, b):
+        # f underflows to 0 or overflows (with xi0), or cosh xi0 = a/b overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="focal scale"):
+                toroid_from_radii(a, b)
+
+    @pytest.mark.parametrize("a,b", [(2e-150, 1e-150), (1e150, 1.0), (1e153, 1e-150)])
+    def test_extreme_in_range_radii_unchanged(self, a, b):
+        geom = toroid_from_radii(a, b)
+        assert geom.f == math.sqrt((a - b) * (a + b))
+        assert geom.xi0 == math.log((a + geom.f) / b)
+        assert geom.cosh_xi0 == a / b
 
     @given(
         b=st.floats(min_value=1e-3, max_value=1e3),

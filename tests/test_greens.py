@@ -15,6 +15,7 @@ from torvdw import (
     toroidal_to_cartesian,
     vh_potential,
 )
+from torvdw import greens
 from torvdw.errors import (
     CoincidentPointsError,
     FarSourceWarning,
@@ -22,7 +23,7 @@ from torvdw.errors import (
     TruncationError,
 )
 from torvdw.geometry import axis_eta_from_z
-from torvdw.greens import vh_potential_info
+from torvdw.greens import charge_interaction_energy_info, vh_potential_info
 from torvdw.units import K_E_EV_NM
 
 
@@ -78,6 +79,23 @@ class TestInverseDistance:
         assert math.isfinite(exc.value.partial_sum)
         assert exc.value.bound > 0.0
         assert exc.value.n_terms == 301  # n = 0..n_cap inclusive
+
+    @pytest.mark.parametrize("xi", [0.15, 0.05, 0.02])
+    def test_field_tables_independent_of_call_order(self, geom53, greens53, xi):
+        # two field points whose cosh(xi) agree to 12 digits must not share
+        # a table: each gets its fresh-cache value whichever comes first
+        src = axial_source(0.7, geom53)
+        pts = [ToroidalCoords(xi=xi, eta=1.0),
+               ToroidalCoords(xi=math.acosh(math.cosh(xi) + 4.9e-12), eta=1.0)]
+        assert math.cosh(pts[0].xi) != math.cosh(pts[1].xi)
+        fresh = []
+        for pt in pts:
+            greens._FIELD_TABLE_CACHE.clear()
+            fresh.append(inverse_distance_series(pt, src, greens53))
+        for order in ((0, 1), (1, 0)):
+            greens._FIELD_TABLE_CACHE.clear()
+            got = {k: inverse_distance_series(pts[k], src, greens53) for k in order}
+            assert [got[0], got[1]] == fresh
 
 
 class TestVhPotential:
@@ -141,18 +159,6 @@ class TestVhPotential:
             vh_potential(
                 ToroidalCoords(xi=1.5 * geom51.xi0, eta=1.0), src, greens51
             )
-
-    def test_reduced_normalization(self, geom51):
-        g_si = axial_greens(geom51, normalization="si")
-        g_red = axial_greens(geom51, normalization="reduced")
-        src = axial_source(1.0, geom51, charge=2.0)
-        field = axis_point(2.5, geom51.f)
-        v_si = vh_potential(field, src, g_si)
-        v_red = vh_potential(field, src, g_red)
-        # reduced values are in units of q / (4 pi eps0 f)
-        assert v_si == pytest.approx(
-            v_red * K_E_EV_NM * src.charge / geom51.f, rel=1e-14
-        )
 
     def test_far_source_warns(self, geom51):
         with pytest.warns(FarSourceWarning):
@@ -238,3 +244,73 @@ class TestDiagnostics:
         assert info.n_used >= 3
         assert info.n_used <= greens53.table.n_max
         assert info.value == vh_potential(axis_point(1.0, geom53.f), src, greens53)
+
+
+def _mixed_points(geom):
+    """Axis, central-plane, surface and interior field points."""
+    f = geom.f
+    pts = [ToroidalCoords(xi=0.0, eta=axis_eta_from_z(z, f)) for z in np.linspace(-20, 20, 41)]
+    pts += [ToroidalCoords(xi=2.0 * math.atanh(r / f), eta=math.pi)
+            for r in np.linspace(0.0, (geom.a - geom.b) * (1.0 - 1e-9), 31)]
+    pts += [ToroidalCoords(xi=geom.xi0, eta=float(e)) for e in np.linspace(-3.0, 3.0, 12)]
+    pts += [ToroidalCoords(xi=geom.xi0 * u, eta=e)
+            for u, e in [(0.3, 0.4), (0.9, -2.5), (0.999, 3.1)]]
+    return pts
+
+
+class TestArrayCalls:
+    """An array call returns exactly what one scalar call per point returns."""
+
+    RATIOS = [1.3, 5.0 / 3.0, 5.0, 20.0]
+
+    @pytest.mark.parametrize("ratio", RATIOS)
+    def test_vh_potential_info(self, ratio):
+        geom = toroid_from_radii(ratio, 1.0)
+        g = axial_greens(geom)
+        src = axial_source(0.35, geom, charge=-2.0)
+        pts = _mixed_points(geom)
+        info = vh_potential_info(pts, src, g)
+        scalar = [vh_potential_info(pt, src, g) for pt in pts]
+        assert isinstance(info.value, np.ndarray) and info.value.shape == (len(pts),)
+        assert info.value.tolist() == [s.value for s in scalar]
+        assert info.n_used.tolist() == [s.n_used for s in scalar]
+        assert vh_potential(pts, src, g).tolist() == [s.value for s in scalar]
+        assert isinstance(scalar[0].value, float) and isinstance(scalar[0].n_used, int)
+
+    @pytest.mark.parametrize("ratio", RATIOS)
+    def test_charge_interaction_energy(self, ratio):
+        g = axial_greens(toroid_from_radii(ratio, 1.0))
+        heights = np.concatenate([np.linspace(-30.0, 30.0, 121), [1e-300, 4e3]])
+        info = charge_interaction_energy_info(heights, g, charge=1.5)
+        scalar = [charge_interaction_energy_info(h, g, charge=1.5) for h in heights]
+        assert info.value.tolist() == [s.value for s in scalar]
+        assert info.n_used.tolist() == [s.n_used for s in scalar]
+        assert charge_interaction_energy(heights, g, 1.5).tolist() == info.value.tolist()
+        assert isinstance(charge_interaction_energy(2.0, g), float)
+
+    def test_empty_sequence(self, geom51, greens51):
+        info = vh_potential_info([], axial_source(0.0, geom51), greens51)
+        assert info.value.shape == (0,) and info.n_used.shape == (0,)
+
+
+class TestTruncationRule:
+    def test_tail_estimate_of_failed_column(self):
+        # column 0 converges; column 1 has ratio 1/2 at its end, column 2 a
+        # zero before its last term
+        terms = np.array([[1.0, 1.0, 1.0],
+                          [1e-20, 0.5, 0.0],
+                          [0.0, 0.25, 0.0],
+                          [0.0, 0.125, 0.25]])
+        decay = np.array([1.0, 1e-20, 1e-21, 1e-22])
+        sums = greens._sum_adaptive_grid(terms, decay, 1e-12)
+        assert sums.converged.tolist() == [True, False, False]
+        assert sums.values.tolist() == [1.0 + 1e-20, 1.875, 1.25]
+        with pytest.raises(TruncationError) as exc:
+            greens._raise_unconverged(sums, "test")
+        assert exc.value.partial_sum == 1.875
+        assert exc.value.bound == 0.125  # |t_N| rho / (1 - rho), rho = 1/2
+        assert exc.value.n_terms == 4
+        with pytest.raises(TruncationError) as exc:
+            greens._raise_unconverged(greens._sum_adaptive_grid(terms[:, 2:], decay, 1e-12), "test")
+        assert exc.value.bound == 0.25  # rho = 0.5 when t_(N-1) = 0
+        greens._raise_unconverged(greens._sum_adaptive_grid(terms[:, :1], decay, 1e-12), "test")

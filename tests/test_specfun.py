@@ -115,6 +115,25 @@ class TestHarmonicTable:
         # relaxed domain: the forward recurrence is exact at z = 1
         assert np.all(legendre_p_half(1.0, 60) == 1.0)
 
+    def test_legendre_p_half_array_matches_scalar(self):
+        zs = np.concatenate([[1.0, 1.0 + 1e-12, 1.3], 1.0 + np.geomspace(1e-9, 40.0, 57)])
+        cols = legendre_p_half(zs, 60)
+        assert cols.shape == (61, zs.size)
+        for k, z in enumerate(zs):
+            assert cols[:, k].tolist() == legendre_p_half(z, 60).tolist()
+        assert legendre_p_half(zs[:0], 60).shape == (61, 0)
+        assert legendre_p_half(5.0, 35).tolist() == harmonic_table(5.0, 35).p.tolist()
+
+    def test_legendre_p_half_array_overflow_matches_scalar(self):
+        with pytest.raises(OverflowHorizonError) as scalar:
+            legendre_p_half(100.0, 200)
+        with pytest.raises(OverflowHorizonError) as array:
+            legendre_p_half(np.array([1.5, 100.0, 3.0]), 200)
+        assert array.value.max_safe_n == scalar.value.max_safe_n
+        assert 0 < scalar.value.max_safe_n < 200
+        with pytest.raises(ValueError):
+            legendre_p_half(np.array([2.0, 0.5]), 10)
+
     def test_near_singular_argument_rejected(self):
         with pytest.raises(NearSingularArgumentError):
             harmonic_table(1.0 + 1e-13, 10)
