@@ -9,6 +9,13 @@ integrated analytically over its own arc.  The only special function used
 is the complete elliptic integral K, so agreement with the separable
 series is a genuine cross-check rather than a shared code path.
 
+The toroid is mirror-symmetric about z = 0 and the ring kernel depends on
+heights only through (z - z')^2.  The mesh is built with exactly mirrored
+halves, so the collocation system splits into an even and an odd block
+over the lower half (see BemMesh).  The solve factors the two blocks:
+half the kernel evaluations and a quarter of the LU work of the full
+dense system, with the same solution.
+
 Reduced units as in the rest of the package: potentials per K_E q,
 lengths in nm, charges in e.
 """
@@ -75,43 +82,118 @@ def ring_potential(r: float, z: float, r0: float, z0: float, charge: float) -> f
 
 @dataclass
 class BemMesh:
-    """Equal-arc ring panelization of the toroidal surface.
+    """Equal-arc ring panelization of the toroidal surface, mirror-symmetric
+    about z = 0.
 
-    The collocation matrix and its LU factorization are assembled lazily
-    and cached; the mesh is otherwise immutable by convention.
+    Panel ``n - 1 - i`` is the exact mirror of panel ``i`` (same r, negated
+    z and eta); for odd n the middle panel lies on z = 0.  Indices
+    ``0 .. h - 1``, h = n // 2, are the lower half.  Because the ring kernel
+    sees heights only through (z - z')^2, the collocation matrix A
+    decouples into an even and an odd block over the lower half,
+
+        E = (G_same + G_mirror) w,    O = (G_same - G_mirror) w,
+
+    with w the ring charge per unit density and the analytic self term on
+    G_same's diagonal; for odd n the middle panel adds one row and column
+    to E.  The blocks and their LU factorizations are assembled lazily and
+    cached; the mesh is otherwise immutable by convention.
     """
 
     geometry: ToroidGeometry
     n_panels: int
-    psi: np.ndarray   # tube angle of panel centers, (-pi, pi]
+    psi: np.ndarray   # tube angle of panel centers, (-pi, pi)
     r: np.ndarray     # ring radii
     z: np.ndarray     # ring heights
     ds: float         # meridian arc length per panel (uniform)
     eta: np.ndarray   # toroidal angle of panel centers
+    _blocks: tuple | None = field(default=None, repr=False, compare=False)
     _lu: tuple | None = field(default=None, repr=False, compare=False)
-    _matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    def collocation_matrix(self) -> np.ndarray:
-        """Reduced potential at panel i per unit surface density on panel j."""
-        if self._matrix is None:
-            r, z, ds = self.r, self.z, self.ds
-            ring_charge = 2.0 * math.pi * r * ds  # per unit density
-            a = _ring_kernel(r[:, None], z[:, None], r[None, :], z[None, :])
-            a = a * ring_charge[None, :]
+    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The even block E, (n - h) x (n - h), and the odd block O, h x h."""
+        if self._blocks is None:
+            h = self.n_panels // 2
+            k = self.n_panels - h
+            r, z, ds = self.r[:k], self.z[:k], self.ds
+            w = 2.0 * math.pi * r * ds  # ring charge per unit density
+            # the last column is the middle ring when n is odd
+            same = _ring_kernel(r[:h, None], z[:h, None], r[None, :], z[None, :])
+            mirror = _ring_kernel(r[:h, None], z[:h, None], r[None, :h], -z[None, :h])
+            mirror *= w[:h]
+            even = np.empty((k, k))
+            even[:h] = same * w
             # Analytic self term - the kernel's log singularity integrated
             # over the panel arc: 2 ds (ln(16 r / ds) + 1).
-            np.fill_diagonal(a, 2.0 * ds * (np.log(16.0 * r / ds) + 1.0))
-            self._matrix = a
-        return self._matrix
+            np.fill_diagonal(even, 2.0 * ds * (np.log(16.0 * r / ds) + 1.0))
+            odd = even[:h, :h] - mirror
+            even[:h, :h] += mirror
+            # the middle panel sees each lower ring and its mirror alike
+            even[h:, :h] = 2.0 * same[:, h:].T * w[:h]
+            self._blocks = (even, odd)
+        return self._blocks
 
     def lu(self):
+        """LU factorizations of the even and odd blocks."""
         if self._lu is None:
-            self._lu = lu_factor(self.collocation_matrix())
+            self._lu = tuple(lu_factor(block) for block in self.blocks())
         return self._lu
+
+    def collocation_matrix(self) -> np.ndarray:
+        """Reduced potential at panel i per unit surface density on panel j.
+
+        Rebuilt from the even and odd blocks, with no kernel evaluations:
+        a density on lower panel j has even and odd parts of half its size,
+        on its mirror panel the odd part changes sign.
+        """
+        even, odd = self.blocks()
+        h = odd.shape[0]
+        lower = _unfold(0.5 * even[:, :h], 0.5 * odd)
+        middle = _unfold(even[:, h:], np.zeros((h, even.shape[0] - h)))
+        upper = _unfold(0.5 * even[:, :h], -0.5 * odd)
+        return np.hstack([lower, middle, upper[:, ::-1]])
+
+
+def _fold(v: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd parts of a panel vector over the lower half; the even
+    part carries the middle panel of an odd mesh."""
+    upper = v[::-1][:h]
+    even = v[:v.size - h].copy()
+    even[:h] = 0.5 * (v[:h] + upper)
+    return even, 0.5 * (v[:h] - upper)
+
+
+def _unfold(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """The panel vector whose even and odd parts are given (inverse of
+    _fold); 2-d parts are unfolded column by column."""
+    k, h = len(even), len(odd)
+    v = np.empty((k + h,) + even.shape[1:])
+    v[:k] = even
+    v[:h] += odd
+    v[::-1][:h] = even[:h] - odd
+    return v
+
+
+def _condition(mesh: BemMesh) -> float:
+    """2-norm condition number of the collocation matrix, from its blocks.
+
+    With the middle panel's row and column rescaled by sqrt(2), the blocks
+    are the collocation matrix in an orthonormal even/odd basis, so their
+    singular values together are the matrix's own.
+    """
+    even, odd = mesh.blocks()
+    h = odd.shape[0]
+    even = even.copy()
+    even[:h, h:] *= math.sqrt(2.0)
+    even[h:, :h] /= math.sqrt(2.0)
+    s = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in (even, odd)])
+    return float(s.max() / s.min())
 
 
 def build_mesh(geom: ToroidGeometry, n_panels: int) -> BemMesh:
     """Cut the meridian circle into n_panels equal arcs.
+
+    The lower half is computed and the upper half set to its exact mirror
+    image, so the even/odd split of the collocation system is exact.
 
     Raises
     ------
@@ -123,13 +205,24 @@ def build_mesh(geom: ToroidGeometry, n_panels: int) -> BemMesh:
     if n_panels < 16:
         raise MeshError(f"need at least 16 panels, got {n_panels}")
     a, b, f = geom.a, geom.b, geom.f
-    psi = -math.pi + (np.arange(n_panels) + 0.5) * (2.0 * math.pi / n_panels)
+    h = n_panels // 2
+    psi = -math.pi + (np.arange(n_panels - h) + 0.5) * (2.0 * math.pi / n_panels)
+    psi[h:] = 0.0  # the middle panel of an odd mesh
     r = a + b * np.cos(psi)
     z = b * np.sin(psi)
     eta = np.arctan2(2.0 * f * z, (r - f) * (r + f) + z * z)
-    ds = 2.0 * math.pi * b / n_panels
+
+    def mirrored(x, sign):
+        return np.concatenate([x, sign * x[h - 1::-1]])
+
     return BemMesh(
-        geometry=geom, n_panels=n_panels, psi=psi, r=r, z=z, ds=ds, eta=eta
+        geometry=geom,
+        n_panels=n_panels,
+        psi=mirrored(psi, -1.0),
+        r=mirrored(r, 1.0),
+        z=mirrored(z, -1.0),
+        ds=2.0 * math.pi * b / n_panels,
+        eta=mirrored(eta, -1.0),
     )
 
 
@@ -138,7 +231,7 @@ class BemSolution:
     """Induced surface-charge density solving the grounded condition."""
 
     mesh: BemMesh
-    sigma: np.ndarray   # e / nm^2 per unit source charge... scaled by source
+    sigma: np.ndarray   # induced density, e / nm^2, for the source's charge
     source: AxialSource
     residual: float     # collocation residual relative to the Coulomb scale
 
@@ -146,23 +239,28 @@ class BemSolution:
 def solve_induced_density(mesh: BemMesh, src: AxialSource) -> BemSolution:
     """Solve the collocation system for the induced surface density.
 
+    The right-hand side is split into its even and odd parts, each is
+    solved with its block's LU, and sigma is rebuilt from the two.
+
     Raises
     ------
     SolverError
-        If the solved system's residual exceeds 1e-8 of the source
-        Coulomb scale; carries a condition-number estimate.
+        If the full system's residual exceeds 1e-8 of the source Coulomb
+        scale; carries the collocation matrix's condition number.
     """
     dist = np.hypot(mesh.r, mesh.z - src.z_src)
     rhs = -src.charge / dist
-    sigma = lu_solve(mesh.lu(), rhs)
-    a = mesh.collocation_matrix()
-    residual = float(np.max(np.abs(a @ sigma - rhs)) / np.max(np.abs(rhs)))
+    parts = _fold(rhs, mesh.n_panels // 2)
+    halves = [lu_solve(lu, part) for lu, part in zip(mesh.lu(), parts)]
+    resid = _unfold(*(block @ x - part
+                      for block, x, part in zip(mesh.blocks(), halves, parts)))
+    residual = float(np.max(np.abs(resid)) / np.max(np.abs(rhs)))
     if residual > RESIDUAL_LIMIT:
         raise SolverError(
             f"collocation residual {residual:.2e} exceeds {RESIDUAL_LIMIT:g}",
-            condition=float(np.linalg.cond(a)),
+            condition=_condition(mesh),
         )
-    sigma = sigma.copy()
+    sigma = _unfold(*halves)
     sigma.flags.writeable = False
     return BemSolution(mesh=mesh, sigma=sigma, source=src, residual=residual)
 

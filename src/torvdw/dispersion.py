@@ -45,6 +45,7 @@ import numpy as np
 from .errors import (
     NoSignChangeError,
     RangeExceededError,
+    ResultOverflowError,
     UnsupportedConfigurationError,
 )
 from .geometry import toroid_from_radii
@@ -120,6 +121,27 @@ def _scaled(z_p: np.ndarray, f: float):
     return r, f / r, z_p / r
 
 
+def _over_r(scale: np.ndarray, r: np.ndarray, power: int, what: str) -> np.ndarray:
+    """scale / r^power, dividing one factor at a time.
+
+    Raises
+    ------
+    ResultOverflowError
+        If the quotient overflows, as it does for a toroid of focal scale
+        f ~ r far below 1 nm under a large <d_z^2>.
+    """
+    with np.errstate(over="ignore"):
+        for _ in range(power):
+            scale = scale / r
+    if not np.all(np.isfinite(scale)):
+        raise ResultOverflowError(
+            f"the {what} exceeds the float64 range at "
+            f"{int(np.sum(~np.isfinite(scale)))} of {scale.size} heights; "
+            "the toroid is too small for this <d_z^2>"
+        )
+    return scale
+
+
 def _energy_grid(z_p: np.ndarray, p: ParticleModel, g: AxialGreens):
     """U(z_p) in eV, vectorized, with the column sums behind it."""
     w = _two_minus_delta(g.table.n_max) * g.table.ratio
@@ -130,7 +152,7 @@ def _energy_grid(z_p: np.ndarray, p: ParticleModel, g: AxialGreens):
     # U = pref d2G with d2G = -(f / 2 pi^2) S / r^4 = -(c / 2 pi^2) S / r^3,
     # S the scaled sum
     scale = -(_energy_prefactor(p) / (2.0 * math.pi**2)) * c * sums.values
-    return scale / r / r / r, sums
+    return _over_r(scale, r, 3, "energy"), sums
 
 
 def gh_mixed_derivative(z: float, z_prime: float, g: AxialGreens) -> float:
@@ -210,7 +232,7 @@ def _force_grid(z_p: np.ndarray, p: ParticleModel, g: AxialGreens):
     # F = 2 C z_p S / r^6 = 2 C' c t S / r^4 with C' = <d_z^2> K_E / pi,
     # S the scaled sum
     scale = 2.0 * (p.d2z * K_E_EV_NM / math.pi) * c * t * sums.values
-    return scale / r / r / r / r, sums
+    return _over_r(scale, r, 4, "force"), sums
 
 
 def vdw_force(z_p, p: ParticleModel, g: AxialGreens):

@@ -23,6 +23,10 @@ class OverflowHorizonError(OverflowError):
         self.max_safe_n = int(max_safe_n)
 
 
+class ResultOverflowError(OverflowError):
+    """A finite input whose result lies beyond the float64 range."""
+
+
 class PointAtInfinityError(ValueError):
     """(xi, eta) = (0, 0) maps to the point at infinity."""
 

@@ -12,7 +12,9 @@ from torvdw import (
     toroid_from_radii,
     vh_potential,
 )
+import torvdw.bem as bem_module
 from torvdw.bem import (
+    _ring_kernel,
     bem_gh_reduced,
     bem_mixed_derivative,
     bem_vh,
@@ -22,7 +24,12 @@ from torvdw.bem import (
     total_induced_charge,
 )
 from torvdw.dispersion import gh_mixed_derivative
-from torvdw.errors import AccuracyWarning, MeshError, SingularKernelError
+from torvdw.errors import (
+    AccuracyWarning,
+    MeshError,
+    SingularKernelError,
+    SolverError,
+)
 from torvdw.units import K_E_EV_NM
 from torvdw.validate import check_bem_vs_series
 
@@ -112,11 +119,88 @@ class TestSolve:
         np.testing.assert_allclose(vh, -coulomb, rtol=1e-10)
 
 
+def _dense_matrix(mesh):
+    """The full collocation matrix assembled panel by panel, as a reference."""
+    r, z, ds = mesh.r, mesh.z, mesh.ds
+    a = _ring_kernel(r[:, None], z[:, None], r[None, :], z[None, :])
+    a = a * (2.0 * math.pi * r * ds)[None, :]
+    np.fill_diagonal(a, 2.0 * ds * (np.log(16.0 * r / ds) + 1.0))
+    return a
+
+
+MIRROR_PANELS = [64, 65, 128, 129]
+
+
+class TestMirrorBlocks:
+    # at n = 25 the middle panel's angle, -pi + 12.5 (2 pi / 25), rounds off zero
+    @pytest.mark.parametrize("n", MIRROR_PANELS + [25])
+    def test_mesh_is_bitwise_mirror_symmetric(self, geom53, n):
+        mesh = build_mesh(geom53, n)
+        assert np.array_equal(mesh.r[::-1], mesh.r)
+        assert np.array_equal(mesh.z[::-1], -mesh.z)
+        assert np.array_equal(mesh.eta[::-1], -mesh.eta)
+        assert np.all(mesh.z[: n // 2] < 0.0)
+        if n % 2:
+            assert mesh.z[n // 2] == 0.0
+
+    @pytest.mark.parametrize("n", MIRROR_PANELS)
+    def test_collocation_matrix_matches_dense_assembly(self, geom53, n):
+        mesh = build_mesh(geom53, n)
+        dense = _dense_matrix(mesh)
+        np.testing.assert_allclose(mesh.collocation_matrix(), dense, rtol=1e-13)
+
+    @pytest.mark.parametrize("n", MIRROR_PANELS)
+    @pytest.mark.parametrize("where", ["origin", "above", "below", "far"])
+    def test_sigma_matches_dense_solve(self, geom53, n, where):
+        z_src = {"origin": 0.0, "above": 1.3 * geom53.b, "below": -1.3 * geom53.b,
+                 "far": 10.0 * geom53.a}[where]
+        mesh = build_mesh(geom53, n)
+        src = axial_source(z_src, geom53)
+        rhs = -src.charge / np.hypot(mesh.r, mesh.z - src.z_src)
+        dense = np.linalg.solve(_dense_matrix(mesh), rhs)
+        sol = solve_induced_density(mesh, src)
+        np.testing.assert_allclose(sol.sigma, dense, rtol=1e-10)
+
+    @pytest.mark.parametrize("n", MIRROR_PANELS)
+    def test_half_the_kernel_evaluations(self, geom53, monkeypatch, n):
+        evals = []
+
+        def counting(*args):
+            evals.append(np.broadcast(*args).size)
+            return _ring_kernel(*args)
+
+        monkeypatch.setattr(bem_module, "_ring_kernel", counting)
+        mesh = build_mesh(geom53, n)
+        solve_induced_density(mesh, axial_source(1.0, geom53))
+        mesh.collocation_matrix()
+        assert 0 < sum(evals) <= n * n / 2 + n
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_solver_error_carries_full_condition_number(self, geom53, monkeypatch, n):
+        monkeypatch.setattr(bem_module, "RESIDUAL_LIMIT", 0.0)
+        mesh = build_mesh(geom53, n)
+        with pytest.raises(SolverError) as info:
+            solve_induced_density(mesh, axial_source(1.0, geom53))
+        assert info.value.condition == pytest.approx(
+            np.linalg.cond(mesh.collocation_matrix()), rel=1e-8
+        )
+
+
 class TestAgainstSeries:
     def test_vh_agreement_and_order(self):
         result = check_bem_vs_series()
         assert result.passed, result.detail
         assert result.value <= 1e-3
+
+    def test_series_evaluated_once_per_probe(self):
+        calls = []
+
+        def counting(field, src, g):
+            calls.append(field)
+            return vh_potential(field, src, g)
+
+        assert check_bem_vs_series(series_evaluator=counting).passed
+        assert len(calls) == 3 * 20  # geometries x probes, not x panel counts
 
     def test_known_point_a5_b1(self, geom51, greens51):
         # source at the origin, field on the axis at 2 nm

@@ -321,6 +321,16 @@ class TestOutOfRangeInputs:
         assert "configuration error" in err and "finite" in err
         assert out == ""
 
+    def test_result_overflow(self, capsys):
+        argv = ["vdw", "--a", "1.5e-100", "--b", "1e-100", "--d2z", "1e300",
+                "--zmin=-1e-100", "--zmax", "1e-100", "--zpoints", "3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "configuration error" in err and "float64 range" in err
+        assert out == ""
+
 
 class TestValidate:
     def test_battery_passes(self, capsys):

@@ -22,6 +22,7 @@ from torvdw.dispersion import (
 from torvdw.errors import (
     NoSignChangeError,
     RangeExceededError,
+    ResultOverflowError,
     TruncationError,
     UnsupportedConfigurationError,
 )
@@ -402,6 +403,40 @@ class TestLargeHeights:
         assert u[0] < 0.0 and force[0] < 0.0
         assert float(abs((u[0] - u_ref) / u_ref)) <= 1e-12
         assert float(abs((force[0] - f_ref) / f_ref)) <= 1e-12
+
+
+class TestResultOverflow:
+    """1/r^3 and 1/r^4 with r ~ f overflow when a toroid far below 1 nm
+    meets a large <d_z^2>: a typed error, never an inf or a warning."""
+
+    @pytest.fixture
+    def tiny(self):
+        return axial_greens(toroid_from_radii(1.5e-100, 1e-100))
+
+    def test_every_entry_point_raises_without_warnings(self, tiny):
+        p = particle_model(1e300)
+        calls = (
+            lambda: vdw_energy(0.0, p, tiny),
+            lambda: vdw_force(1e-100, p, tiny),
+            lambda: force_profile([-1e-100, 0.0, 1e-100], p, tiny),
+            lambda: sweep_contour([1.5e-100], [1e-100], 1e-100, p),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(ResultOverflowError, match="float64 range"):
+                    call()
+
+    def test_representable_energy_still_returned(self, tiny):
+        # U ~ 1/f^3 ~ 1e300 eV fits, while F ~ 1/f^4 does not
+        p = particle_model(1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = vdw_energy(np.array([0.0, 1e-100]), p, tiny)
+            assert np.all(np.isfinite(u)) and np.all(u < 0.0)
+            assert vdw_force(0.0, p, tiny) == 0.0
+            with pytest.raises(ResultOverflowError):
+                vdw_force(1e-100, p, tiny)
 
 
 class TestForceProfile:
