@@ -38,10 +38,11 @@ def study(a: float, b: float, panel_counts=(50, 100, 200, 400, 800, 1600)) -> No
         if math.hypot(r - geom.a, z) < 1.3 * geom.b:
             continue
         pts.append((r, z))
-    reference = [
+    reference = np.array([
         vh_potential(cartesian_to_toroidal(r, 0.0, z, geom.f), src, g)
         for r, z in pts
-    ]
+    ])
+    r, z = np.array(pts).T
 
     print(f"a = {a} nm, b = {b} nm, source at z' = {src.z_src} nm, "
           f"{len(pts)} exterior probe points")
@@ -50,10 +51,7 @@ def study(a: float, b: float, panel_counts=(50, 100, 200, 400, 800, 1600)) -> No
     for n in panel_counts:
         t0 = time.perf_counter()
         sol = solve_induced_density(build_mesh(geom, n), src)
-        err = max(
-            abs(bem_vh(r, z, sol) - v_ref) / abs(v_ref)
-            for (r, z), v_ref in zip(pts, reference)
-        )
+        err = float(np.max(np.abs(bem_vh(r, z, sol) - reference) / np.abs(reference)))
         dt = time.perf_counter() - t0
         order = f"{math.log(prev / err) / math.log(2.0):7.2f}" if prev else "      -"
         print(f"{n:8d} {err:14.3e} {order} {dt:9.3f}")

@@ -23,14 +23,13 @@ lengths in nm, charges in e.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 from scipy.special import ellipk as _ellipk
 
-from .errors import AccuracyWarning, MeshError, SingularKernelError, SolverError
+from .errors import MeshError, SingularKernelError, SolverError
 from .geometry import ToroidGeometry
 from .greens import AxialSource, axial_source
 from .units import K_E_EV_NM
@@ -236,11 +235,28 @@ class BemSolution:
     residual: float     # collocation residual relative to the Coulomb scale
 
 
+def _solve(mesh: BemMesh, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve A x = rhs by its even and odd parts, each with its block's LU.
+
+    Returns x and the full system's residual relative to max |rhs|; raises
+    SolverError, with the collocation matrix's condition number, when that
+    residual exceeds RESIDUAL_LIMIT or is NaN.
+    """
+    parts = _fold(rhs, mesh.n_panels // 2)
+    halves = [lu_solve(lu, part) for lu, part in zip(mesh.lu(), parts)]
+    resid = _unfold(*(block @ x - part
+                      for block, x, part in zip(mesh.blocks(), halves, parts)))
+    residual = float(np.max(np.abs(resid)) / np.max(np.abs(rhs)))
+    if not residual <= RESIDUAL_LIMIT:
+        raise SolverError(
+            f"collocation residual {residual:.2e} exceeds {RESIDUAL_LIMIT:g}",
+            condition=_condition(mesh),
+        )
+    return _unfold(*halves), residual
+
+
 def solve_induced_density(mesh: BemMesh, src: AxialSource) -> BemSolution:
     """Solve the collocation system for the induced surface density.
-
-    The right-hand side is split into its even and odd parts, each is
-    solved with its block's LU, and sigma is rebuilt from the two.
 
     Raises
     ------
@@ -248,19 +264,7 @@ def solve_induced_density(mesh: BemMesh, src: AxialSource) -> BemSolution:
         If the full system's residual exceeds 1e-8 of the source Coulomb
         scale; carries the collocation matrix's condition number.
     """
-    dist = np.hypot(mesh.r, mesh.z - src.z_src)
-    rhs = -src.charge / dist
-    parts = _fold(rhs, mesh.n_panels // 2)
-    halves = [lu_solve(lu, part) for lu, part in zip(mesh.lu(), parts)]
-    resid = _unfold(*(block @ x - part
-                      for block, x, part in zip(mesh.blocks(), halves, parts)))
-    residual = float(np.max(np.abs(resid)) / np.max(np.abs(rhs)))
-    if residual > RESIDUAL_LIMIT:
-        raise SolverError(
-            f"collocation residual {residual:.2e} exceeds {RESIDUAL_LIMIT:g}",
-            condition=_condition(mesh),
-        )
-    sigma = _unfold(*halves)
+    sigma, residual = _solve(mesh, -src.charge / np.hypot(mesh.r, mesh.z - src.z_src))
     sigma.flags.writeable = False
     return BemSolution(mesh=mesh, sigma=sigma, source=src, residual=residual)
 
@@ -270,71 +274,67 @@ def total_induced_charge(sol: BemSolution) -> float:
     return float(np.sum(sol.sigma * 2.0 * math.pi * sol.mesh.r * sol.mesh.ds))
 
 
-def _vh_reduced_bem(r: float, z: float, sol: BemSolution) -> float:
+def _vh_reduced_bem(r, z, sol: BemSolution):
+    """Reduced induced potential at field points (r, z), one ring sum each."""
+    r = np.asarray(r, dtype=float)[..., None]
+    z = np.asarray(z, dtype=float)[..., None]
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(z))):
+        raise ValueError("field points must be finite")
     mesh = sol.mesh
     ring_charges = sol.sigma * 2.0 * math.pi * mesh.r * mesh.ds
     dr = r - mesh.r
     dz = z - mesh.z
     if np.any((dr * dr + dz * dz) == 0.0):
         raise SingularKernelError("field point lies on a panel ring")
-    kern = _ring_kernel(float(r), float(z), mesh.r, mesh.z)
-    return float(np.sum(ring_charges * kern))
+    return np.sum(ring_charges * _ring_kernel(r, z, mesh.r, mesh.z), axis=-1)
 
 
-def bem_vh(r: float, z: float, sol: BemSolution) -> float:
+def bem_vh(r, z, sol: BemSolution):
     """Potential (V) of the induced charge at the field point (r, z).
 
     The boundary-element counterpart of the series V_H: a plain sum of
-    ring potentials over all panels.
+    ring potentials over all panels.  r and z are scalars (a float is
+    returned) or arrays of one shape (an array of that shape is returned).
+    A non-finite coordinate raises ValueError, a point on a panel ring
+    SingularKernelError.
     """
-    return K_E_EV_NM * _vh_reduced_bem(float(r), float(z), sol)
+    return K_E_EV_NM * _vh_reduced_bem(r, z, sol)
 
 
 def bem_gh_reduced(z_field: float, sol: BemSolution) -> float:
     """eps0 V_H / q on the axis, in 1/nm: the Green's-kernel counterpart."""
-    return _vh_reduced_bem(0.0, float(z_field), sol) / (4.0 * math.pi * sol.source.charge)
+    return _vh_reduced_bem(0.0, z_field, sol) / (4.0 * math.pi * sol.source.charge)
 
 
 def bem_mixed_derivative(
-    z: float,
-    z_prime: float,
-    geom: ToroidGeometry,
-    n_panels: int = 400,
-    step: float | None = None,
-    richardson_check: bool = True,
+    z: float, z_prime: float, geom: ToroidGeometry, n_panels: int = 400
 ) -> float:
-    """d^2/dz dz' of eps0 V_H / q by 4-point central differences (1/nm^3).
+    """d^2/dz dz' of eps0 V_H / q on the axis (1/nm^3), differentiated
+    exactly on the discrete system.
 
-    Two solves (sources at z' +- h) evaluated at field heights z +- h give
-    the stencil.  With richardson_check the same stencil at h/2 estimates
-    the step error and warns when the two disagree by more than 5%.
+    The system is linear in its right-hand side, so d sigma/dz' solves
+    A sigma' = -q (z_i - z') / d_i^3, scaled by d_min^2 so that a far
+    source cannot underflow it.  On the axis the ring kernel is
+    1 / sqrt(r_j^2 + (z - z_j)^2), whose z-derivative weights sigma'.
+
+    Raises
+    ------
+    ValueError
+        For a non-finite height.
+    SolverError
+        As solve_induced_density, for the derivative system.
     """
-    f = geom.f
-    h = float(step) if step is not None else 1e-3 * f
-    if h <= 0.0:
-        raise ValueError(f"step must be positive, got {h}")
+    if not math.isfinite(z):
+        raise ValueError(f"field height must be finite, got {z}")
+    src = axial_source(z_prime, geom)
     mesh = build_mesh(geom, n_panels)
-
-    def stencil(hh: float) -> float:
-        vals = {}
-        for s_off in (+hh, -hh):
-            sol = solve_induced_density(mesh, axial_source(z_prime + s_off, geom))
-            for f_off in (+hh, -hh):
-                vals[(f_off, s_off)] = bem_gh_reduced(z + f_off, sol)
-        return (
-            vals[(+hh, +hh)] - vals[(+hh, -hh)] - vals[(-hh, +hh)] + vals[(-hh, -hh)]
-        ) / (4.0 * hh * hh)
-
-    d_h = stencil(h)
-    if richardson_check:
-        d_half = stencil(0.5 * h)
-        scale = max(abs(d_h), abs(d_half))
-        if scale > 0.0 and abs(d_h - d_half) > 0.05 * scale:
-            warnings.warn(
-                f"mixed-derivative stencils at h = {h:g} and h/2 differ by "
-                f"{abs(d_h - d_half) / scale:.1%}; the step is too coarse or "
-                "too fine for the panel resolution",
-                AccuracyWarning,
-                stacklevel=2,
-            )
-    return d_h
+    dz_src = mesh.z - src.z_src
+    dist = np.hypot(mesh.r, dz_src)
+    d_min = dist.min()
+    sigma_prime, _ = _solve(mesh, -src.charge * (dz_src / dist) * (d_min / dist) ** 2)
+    dz = z - mesh.z
+    rho = np.hypot(mesh.r, dz)
+    dkern = -(dz / rho) / rho / rho
+    ring_charges = sigma_prime * 2.0 * math.pi * mesh.r * mesh.ds
+    return float(np.sum(ring_charges * dkern) / d_min / d_min
+                 / (4.0 * math.pi * src.charge))

@@ -113,7 +113,3 @@ class SolverError(RuntimeError):
 
 class FarSourceWarning(UserWarning):
     """Source so far away that its induced potential underflows to ~0."""
-
-
-class AccuracyWarning(UserWarning):
-    """A finite-difference step failed its Richardson consistency check."""

@@ -134,13 +134,16 @@ def check_bem_vs_series(
         g = axial_greens(geom, rel_tol=rel_tol, n_cap=n_cap)
         src = axial_source(1.3, geom)
         pts = _exterior_points(geom, rng, n_points)
-        refs = [series_evaluator(cartesian_to_toroidal(r, 0.0, z, geom.f), src, g)
-                for r, z in pts]
+        refs = np.array([
+            series_evaluator(cartesian_to_toroidal(r, 0.0, z, geom.f), src, g)
+            for r, z in pts
+        ])
+        r, z = np.array(pts).T
         errs = {}
         for n_panels in (100, 200, 400):
             sol = solve_induced_density(build_mesh(geom, n_panels), src)
-            errs[n_panels] = max(abs(bem_vh(r, z, sol) - v) / abs(v)
-                                 for (r, z), v in zip(pts, refs))
+            errs[n_panels] = float(np.max(np.abs(bem_vh(r, z, sol) - refs)
+                                          / np.abs(refs)))
         worst = max(worst, errs[400])
         order = math.log(errs[100] / errs[400]) / math.log(4.0)
         worst_order = min(worst_order, order)

@@ -1,5 +1,6 @@
+import importlib.util
 import math
-import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,12 +25,7 @@ from torvdw.bem import (
     total_induced_charge,
 )
 from torvdw.dispersion import gh_mixed_derivative
-from torvdw.errors import (
-    AccuracyWarning,
-    MeshError,
-    SingularKernelError,
-    SolverError,
-)
+from torvdw.errors import MeshError, SingularKernelError, SolverError
 from torvdw.units import K_E_EV_NM
 from torvdw.validate import check_bem_vs_series
 
@@ -119,6 +115,49 @@ class TestSolve:
         np.testing.assert_allclose(vh, -coulomb, rtol=1e-10)
 
 
+NAN, INF = math.nan, math.inf
+
+
+class TestFieldPoints:
+    @pytest.fixture(scope="class")
+    def sol(self, geom51):
+        return solve_induced_density(build_mesh(geom51, 64), axial_source(1.0, geom51))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call", [
+        lambda sol, g: bem_vh(NAN, 0.0, sol),
+        lambda sol, g: bem_vh(0.0, NAN, sol),
+        lambda sol, g: bem_vh(INF, 0.0, sol),
+        lambda sol, g: bem_vh(0.0, INF, sol),
+        lambda sol, g: bem_vh(np.array([1.0, NAN]), np.array([0.0, 2.0]), sol),
+        lambda sol, g: bem_gh_reduced(NAN, sol),
+        lambda sol, g: bem_gh_reduced(-INF, sol),
+        lambda sol, g: bem_mixed_derivative(NAN, 1.0, g, 64),
+        lambda sol, g: bem_mixed_derivative(INF, 1.0, g, 64),
+        lambda sol, g: bem_mixed_derivative(1.0, NAN, g, 64),
+        lambda sol, g: bem_mixed_derivative(1.0, -INF, g, 64),
+    ], ids=["vh-r-nan", "vh-z-nan", "vh-r-inf", "vh-z-inf", "vh-array-nan",
+            "gh-nan", "gh-inf", "mixed-z-nan", "mixed-z-inf", "mixed-zp-nan",
+            "mixed-zp-inf"])
+    def test_non_finite_input_raises_value_error(self, sol, geom51, call):
+        with pytest.raises(ValueError, match="finite"):
+            call(sol, geom51)
+
+    def test_array_call_equals_scalar_calls(self, sol):
+        r = np.array([[0.0, 2.0, 7.5], [1.0, 9.0, 0.3]])
+        z = np.array([[3.0, -4.0, 0.0], [-2.5, 1.0, 6.0]])
+        values = bem_vh(r, z, sol)
+        assert values.shape == r.shape
+        scalars = [bem_vh(ri, zi, sol) for ri, zi in zip(r.flat, z.flat)]
+        assert all(isinstance(v, float) for v in scalars)
+        assert np.array_equal(values.ravel(), scalars)
+
+    def test_point_on_panel_ring_in_array_rejected(self, sol):
+        mesh = sol.mesh
+        with pytest.raises(SingularKernelError):
+            bem_vh(np.array([0.0, mesh.r[3]]), np.array([1.0, mesh.z[3]]), sol)
+
+
 def _dense_matrix(mesh):
     """The full collocation matrix assembled panel by panel, as a reference."""
     r, z, ds = mesh.r, mesh.z, mesh.ds
@@ -184,6 +223,11 @@ class TestMirrorBlocks:
         assert info.value.condition == pytest.approx(
             np.linalg.cond(mesh.collocation_matrix()), rel=1e-8
         )
+
+    def test_nan_residual_fails_the_gate(self, geom53, monkeypatch):
+        monkeypatch.setattr(bem_module, "lu_solve", lambda lu, b: np.full_like(b, NAN))
+        with pytest.raises(SolverError):
+            solve_induced_density(build_mesh(geom53, 64), axial_source(1.0, geom53))
 
 
 class TestAgainstSeries:
@@ -258,40 +302,61 @@ class TestAgainstSeries:
 
 class TestMixedDerivative:
     def test_symmetry(self, geom51):
-        d1 = bem_mixed_derivative(2.0, 1.0, geom51, 400, richardson_check=False)
-        d2 = bem_mixed_derivative(1.0, 2.0, geom51, 400, richardson_check=False)
+        d1 = bem_mixed_derivative(2.0, 1.0, geom51, 400)
+        d2 = bem_mixed_derivative(1.0, 2.0, geom51, 400)
         assert d1 == pytest.approx(d2, rel=1e-10)
 
     def test_agreement_with_analytic_series(self, geom51, greens51):
         exact = gh_mixed_derivative(2.0, 1.0, greens51)
-        approx = bem_mixed_derivative(
-            2.0, 1.0, geom51, 400, step=1e-3 * geom51.f, richardson_check=False
+        approx = bem_mixed_derivative(2.0, 1.0, geom51, 400)
+        assert approx == pytest.approx(exact, rel=2e-3)
+
+    @pytest.mark.parametrize("a, b, z, z_prime", [
+        (2.0, 1.0, 1.0, 1.0), (5.0, 1.0, 0.5, 0.5), (9.6, 0.8, 1.6, 1.6),
+        (5.0, 1.0, 2.0, 1.0),
+    ])
+    def test_matches_stencil_on_same_mesh(self, a, b, z, z_prime):
+        # reference: 4-point central differences of the solved potential;
+        # at h = 1e-3 f their h^2 error is a few 1e-6 relative on these cases
+        geom = toroid_from_radii(a, b)
+        mesh = build_mesh(geom, 400)
+        h = 1e-3 * geom.f
+
+        def gh(dz, dz_prime):
+            sol = solve_induced_density(mesh, axial_source(z_prime + dz_prime, geom))
+            return bem_gh_reduced(z + dz, sol)
+
+        stencil = (gh(h, h) - gh(h, -h) - gh(-h, h) + gh(-h, -h)) / (4.0 * h * h)
+        assert bem_mixed_derivative(z, z_prime, geom, 400) == pytest.approx(
+            stencil, rel=1e-5
         )
-        assert approx == pytest.approx(exact, rel=1e-2)
 
-    def test_second_order_step_dependence_and_richardson(self, geom51, greens51):
-        exact = gh_mixed_derivative(2.0, 1.0, greens51)
-        h = 0.5
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", AccuracyWarning)
-            d_h = bem_mixed_derivative(2.0, 1.0, geom51, 400, step=h,
-                                       richardson_check=False)
-            d_h2 = bem_mixed_derivative(2.0, 1.0, geom51, 400, step=0.5 * h,
-                                        richardson_check=False)
-        err_h = abs(d_h - exact)
-        err_h2 = abs(d_h2 - exact)
-        assert err_h / err_h2 >= 3.0  # second-order scheme
-        richardson = (4.0 * d_h2 - d_h) / 3.0
-        assert abs(richardson - exact) <= err_h / 4.0
+    def test_one_block_solve_pair(self, geom51, monkeypatch):
+        lu_calls, solves = [], []
+        lu_solve = bem_module.lu_solve
 
-    def test_coarse_step_warns(self, geom51):
-        with pytest.warns(AccuracyWarning):
-            bem_mixed_derivative(2.0, 1.0, geom51, 400, step=1.5)
+        def counting_lu_solve(*args):
+            lu_calls.append(1)
+            return lu_solve(*args)
 
-    def test_default_step_silent(self, geom51):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", AccuracyWarning)
-            bem_mixed_derivative(2.0, 1.0, geom51, 400)
+        def counting_solve(*args):
+            solves.append(1)
+            return solve_induced_density(*args)
+
+        monkeypatch.setattr(bem_module, "lu_solve", counting_lu_solve)
+        monkeypatch.setattr(bem_module, "solve_induced_density", counting_solve)
+        bem_mixed_derivative(2.0, 1.0, geom51, 400)
+        assert len(lu_calls) == 2
+        assert not solves
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_solver_error_carries_condition_number(self, geom51, monkeypatch, n):
+        monkeypatch.setattr(bem_module, "RESIDUAL_LIMIT", 0.0)
+        with pytest.raises(SolverError) as info:
+            bem_mixed_derivative(2.0, 1.0, geom51, n)
+        assert info.value.condition == pytest.approx(
+            np.linalg.cond(build_mesh(geom51, n).collocation_matrix()), rel=1e-8
+        )
 
     def test_gh_reduced_units(self, geom51):
         # eps0 V_H / q relates to the reduced potential by 1/(4 pi)
@@ -302,3 +367,15 @@ class TestMixedDerivative:
         assert gh == pytest.approx(
             v / (K_E_EV_NM * src.charge) / (4.0 * math.pi), rel=1e-14
         )
+
+
+def test_convergence_script_smoke(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "bem_convergence.py"
+    spec = importlib.util.spec_from_file_location("bem_convergence", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.study(5.0, 2.0, panel_counts=(50, 100))
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    rows = [row for row in rows if row and row[0].isdigit()]
+    assert [int(row[0]) for row in rows] == [50, 100]
+    assert all(math.isfinite(float(row[1])) for row in rows)
