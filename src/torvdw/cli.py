@@ -24,13 +24,13 @@ import numpy as np
 
 from . import __version__
 from .dispersion import (
-    _bisect_ratio,
+    critical_ratio,
     force_profile,
     particle_model,
     sweep_contour,
     vdw_force,
 )
-from .errors import TruncationError
+from .errors import RangeExceededError, TruncationError
 from .geometry import ToroidalCoords, surface_rz, toroid_from_radii
 from .greens import (
     axial_greens,
@@ -354,22 +354,18 @@ def cmd_sweep_ratio(args) -> int:
     ratios = _grid(args.ratio_min, args.ratio_max, args.ratio_points)
     p = particle_model(cfg.d2z, unit=cfg.d2z_unit)
 
-    def greens_at(ratio):
-        return axial_greens(toroid_from_radii(ratio * cfg.b, cfg.b),
-                            rel_tol=cfg.tol, n_cap=cfg.n_cap)
-
-    table = np.array([vdw_force(np.array(zp_list), p, greens_at(r)) for r in ratios])
+    series = {"rel_tol": cfg.tol, "n_cap": cfg.n_cap}
+    table = np.array([vdw_force(np.array(zp_list), p, axial_greens(
+        toroid_from_radii(r * cfg.b, cfg.b), **series)) for r in ratios])
     columns = ["a_over_b"] + [f"F_zp{zp:g}_eV_per_nm" for zp in zp_list]
     rows = [[float(v) for v in row] for row in np.column_stack([ratios, table])]
-    # refine each first sign change on the grid by critical_ratio's bisection
     crossings = {}
-    for j, zp in enumerate(zp_list):
-        sgn = table[:, j] > 0.0
-        idx = np.nonzero(sgn[1:] != sgn[:-1])[0]
-        crossings[f"zp={zp:g}"] = _bisect_ratio(
-            lambda r: vdw_force(zp, p, greens_at(r)) > 0.0,
-            ratios[idx[0]], ratios[idx[0] + 1], bool(sgn[idx[0]]), 1e-4,
-        ) if idx.size else None
+    for zp in zp_list:
+        try:
+            crossings[f"zp={zp:g}"] = critical_ratio(
+                zp, cfg.b, p, (args.ratio_min, args.ratio_max), **series)
+        except RangeExceededError:
+            crossings[f"zp={zp:g}"] = None
     _emit_table(cfg, args, columns, rows,
                 {"zero_crossings_a_over_b": crossings},
                 gnuplot_cols=list(range(2, len(columns) + 1)))

@@ -285,11 +285,23 @@ def force_profile(z_grid, p: ParticleModel, g: AxialGreens) -> ForceProfile:
     )
 
 
+def _sign_sums(g: AxialGreens):
+    """(A, B) of the force's sign sum f^2 A - 2 z_p^2 B, and their weights."""
+    w = _two_minus_delta(g.table.n_max)
+    weights = np.column_stack([w * (1.0 - 12.0 * np.arange(w.size) ** 2), w])
+    sums = _sum_adaptive_grid(weights * g.table.ratio[:, None], g.table.ratio, g.rel_tol)
+    _raise_unconverged(sums, "force-zero")
+    return sums.values, weights
+
+
 def find_force_zero(
     p: ParticleModel, g: AxialGreens, bracket: tuple[float, float]
 ) -> float:
-    """Bisect the force sign change inside the bracket.
+    """The axial force zero in the bracket nearest its midpoint.
 
+    The force's sign sum f^2 A - 2 z_p^2 B, with A = sum_n (2 - delta_n0)
+    R_n (1 - 12 n^2) and B = sum_n (2 - delta_n0) R_n, is linear in z_p^2,
+    so the zeros are 0 and, when A > 0, +-z* with z*^2 = f^2 A / (2 B).
     The zero height is independent of <d_z^2>, which only scales the force.
 
     Raises
@@ -299,28 +311,20 @@ def find_force_zero(
         regime of fat toroids).
     """
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"bracket must be finite, got {bracket}")
-    if lo >= hi:
-        raise ValueError(f"bracket must be ordered, got {bracket}")
-    f_lo = vdw_force(lo, p, g)
-    f_hi = vdw_force(hi, p, g)
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"bracket must be finite and ordered, got {bracket}")
+    f_lo, f_hi = vdw_force(np.array([lo, hi]), p, g)
     if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
         raise NoSignChangeError(
             f"force does not change sign on [{lo}, {hi}] "
             f"(F = {f_lo:.3e} and {f_hi:.3e}); no repulsion zone to bound"
         )
-    f_scale = max(abs(f_lo), abs(f_hi))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = vdw_force(mid, p, g)
-        if abs(f_mid) <= 1e-10 * f_scale or (hi - lo) <= 1e-15 * max(1.0, abs(mid)):
-            return mid
-        if math.copysign(1.0, f_mid) == math.copysign(1.0, f_lo):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    (a_sum, b_sum), _ = _sign_sums(g)
+    z_star = g.geometry.f * math.sqrt(a_sum / (2.0 * b_sum)) if a_sum > 0.0 else 0.0
+    # Zeros outside a sign-changing bracket lie farther from its midpoint
+    # than those inside; the clip only absorbs rounding at the ends.
+    zero = min((-z_star, 0.0, z_star), key=lambda z: abs(z - (0.5 * lo + 0.5 * hi)))
+    return min(max(zero, lo), hi)
 
 
 def critical_ratio(
@@ -328,16 +332,17 @@ def critical_ratio(
     b: float,
     p: ParticleModel,
     search: tuple[float, float] = (1.01, 1000.0),
-    rel_resolution: float = 1e-4,
     rel_tol: float = 1e-12,
     n_cap: int = 2000,
 ) -> float:
     """Smallest a/b at which the force at height z_p turns repulsive.
 
-    Scans a geometric grid over the search range for the attractive to
-    repulsive sign change, then bisects in log(a/b) to the requested
-    relative resolution.  Non-decreasing in z_p: farther targets need
-    thinner rings.
+    The force has the sign of sigma = (z^2 - 1) A - 2 (z_p / b)^2 B at
+    z = a/b (A, B as in find_force_zero), which changes sign once: A < 0
+    below a/b* = 3.20474843857 and (z^2 - 1) A / B rises strictly above it.
+    Numerical Recipes' rtsafe (Newton inside the sign bracket, else
+    bisection) finds the root in u = log(a/b) to |du| <= 1e-14, with
+    dR_n/dz = 1 / ((1 - z^2) P_n^2) from the Wronskian (DLMF 14.2(iv)).
 
     Raises
     ------
@@ -348,44 +353,42 @@ def critical_ratio(
     if not (0.0 < z_p < math.inf and 0.0 < b < math.inf):
         raise ValueError(f"need finite z_p > 0 and b > 0, got z_p = {z_p}, b = {b}")
     lo, hi = float(search[0]), float(search[1])
-    if not 1.0 < lo < hi:
-        raise ValueError(f"search range must satisfy 1 < lo < hi, got {search}")
+    if not 1.0 < lo < hi < math.inf:
+        raise ValueError(f"search range must be finite with 1 < lo < hi, got {search}")
+    h2 = 2.0 * (z_p / b) * (z_p / b)
 
-    def repulsive(ratio: float) -> bool:
-        g = axial_greens(toroid_from_radii(ratio * b, b), rel_tol=rel_tol, n_cap=n_cap)
-        return vdw_force(z_p, p, g) > 0.0
+    def sigma(z: float):
+        # sigma and d sigma / du; (z^2 - 1) dR_n/dz = -1 / P_n^2
+        g = axial_greens(toroid_from_radii(z * b, b), rel_tol=rel_tol, n_cap=n_cap)
+        (a_sum, b_sum), weights = _sign_sums(g)
+        da, db = np.sum(weights / g.table.p[:, None] ** 2, axis=0)
+        value = (z * z - 1.0) * a_sum - h2 * b_sum
+        return value, z * (2.0 * z * a_sum - da + h2 * db / (z * z - 1.0))
 
-    grid = np.geomspace(lo, hi, 65)
-    signs = [repulsive(r) for r in grid]
-    if signs[0]:
-        raise RangeExceededError(
-            f"force already repulsive at a/b = {lo}; threshold below range",
-            bound=lo,
-        )
-    if not any(signs):
-        raise RangeExceededError(
-            f"force still attractive at a/b = {hi}; threshold above range",
-            bound=hi,
-        )
-    k = signs.index(True)
-    return _bisect_ratio(repulsive, grid[k - 1], grid[k], False, rel_resolution)
-
-
-def _bisect_ratio(repulsive, r_lo: float, r_hi: float, low_side: bool,
-                  rel_resolution: float) -> float:
-    """Bisect in log(a/b) the force sign change between r_lo and r_hi.
-
-    repulsive(ratio) is F > 0 at that a/b and low_side its value at r_lo;
-    each step keeps the half whose sign matches the low end.  Returns the
-    geometric midpoint of the final bracket (relative width rel_resolution).
-    """
-    while r_hi / r_lo - 1.0 > rel_resolution:
-        mid = math.sqrt(r_lo * r_hi)
-        if repulsive(mid) == low_side:
-            r_lo = mid
+    if sigma(lo)[0] > 0.0:
+        raise RangeExceededError(f"force already repulsive at a/b = {lo}; "
+                                 "threshold below range", bound=lo)
+    if not sigma(hi)[0] > 0.0:
+        raise RangeExceededError(f"force still attractive at a/b = {hi}; "
+                                 "threshold above range", bound=hi)
+    u_lo, u_hi = math.log(lo), math.log(hi)
+    u, step, step_old = 0.5 * (u_lo + u_hi), u_hi - u_lo, u_hi - u_lo
+    value, slope = sigma(math.exp(u))
+    while value != 0.0:
+        u_lo, u_hi = (u, u_hi) if value < 0.0 else (u_lo, u)
+        # A Newton step must land inside the bracket and be under half the
+        # step before last, so step sizes halve at least every second pass.
+        inside = ((u - u_hi) * slope - value) * ((u - u_lo) * slope - value) < 0.0
+        if inside and abs(2.0 * value) <= abs(step_old * slope):
+            step_old, step = step, value / slope
+            u -= step
         else:
-            r_hi = mid
-    return math.sqrt(r_lo * r_hi)
+            step_old, step = step, 0.5 * (u_hi - u_lo)
+            u = u_lo + step
+        if abs(step) <= 1e-14:
+            break
+        value, slope = sigma(math.exp(u))
+    return math.exp(u)
 
 
 @dataclass(frozen=True)

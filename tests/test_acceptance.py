@@ -170,7 +170,7 @@ def test_criterion_06_repulsion_phenomenology():
 
     ratios = [critical_ratio(z_p, 1.0, p) for z_p in (1.0, 2.0, 3.0)]
     goldens_ok = all(
-        abs(r - CRITICAL_RATIOS_B1[z_p]) <= 5e-4 * r
+        abs(r - CRITICAL_RATIOS_B1[z_p]) <= 1e-12 * r
         for r, z_p in zip(ratios, (1.0, 2.0, 3.0))
     )
     increasing = ratios[0] < ratios[1] < ratios[2]

@@ -196,9 +196,7 @@ class TestSweepRatio:
         crossings = json.loads(out)["diagnostics"]["zero_crossings_a_over_b"]
         p = particle_model(1.0)
         for zp in (1.0, 2.0, 3.0):
-            assert crossings[f"zp={zp:g}"] == pytest.approx(
-                critical_ratio(zp, 1.0, p), rel=2e-4
-            )
+            assert crossings[f"zp={zp:g}"] == critical_ratio(zp, 1.0, p, search=(1.5, 10.0))
 
     def test_every_column_turns_repulsive(self, capsys):
         code, out, _ = run_cli(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from torvdw import axial_greens, axial_source, toroid_from_radii, ToroidalCoords
+from torvdw import dispersion as dispersion_module
 from torvdw.dispersion import (
     _energy_grid,
     _force_grid,
@@ -51,11 +52,16 @@ SERIES_ENERGY_REGRESSION = {
 
 FORCE_ZERO_A5_B1 = 2.5714743782375984  # nm, by sign scan + bisection
 
-CRITICAL_RATIOS_B1 = {  # bisection over a/b at 1e-4 relative resolution
-    1.0: 3.552813570774823,
-    2.0: 4.398413168788663,
-    3.0: 5.484673645109743,
+CRITICAL_RATIOS_B1 = {  # 50-digit mpmath roots of the force's sign sum in a/b
+    1.0: 3.5527668890823486,
+    2.0: 4.3983503786989555,
+    3.0: 5.4847479975299635,
 }
+
+# The repulsion threshold: the 50-digit mpmath root of
+# A(a/b) = sum_n (2 - delta_n0) R_n (1 - 12 n^2), the limit of the critical
+# ratio as z_p -> 0.
+THRESHOLD_RATIO = 3.2047484385699470658
 
 
 @pytest.fixture(scope="module")
@@ -274,13 +280,89 @@ class TestForceZero:
         z_star = find_force_zero(particle, g_below, (1e-6, 20.0))
         assert z_star < 0.05
 
+    @pytest.mark.parametrize("bracket, sign", [((-3.0, 20.0), 1.0), ((-20.0, 3.0), -1.0)])
+    def test_three_zero_bracket_returns_nearest_midpoint(self, particle, greens51,
+                                                          bracket, sign):
+        # -z*, 0 and z* all lie inside; the one nearest the midpoint wins
+        z_star = find_force_zero(particle, greens51, bracket)
+        assert z_star == pytest.approx(sign * FORCE_ZERO_A5_B1, rel=1e-12)
+
+    def test_nanoring_limit(self, particle):
+        # a thin ring of radius a puts the zero at a / sqrt(2), approached
+        # from below like (b / a)^2
+        gaps = []
+        for ratio in (1e1, 1e2, 1e3, 1e4):
+            g = axial_greens(toroid_from_radii(1.0, 1.0 / ratio))
+            gaps.append(find_force_zero(particle, g, (0.1, 3.0)) - 1.0 / math.sqrt(2.0))
+        assert all(gap < 0.0 for gap in gaps)
+        slopes = [math.log10(g0 / g1) for g0, g1 in zip(gaps, gaps[1:])]
+        assert all(1.8 <= s <= 2.0 for s in slopes), slopes
+
 
 class TestCriticalRatio:
     def test_goldens_and_monotonicity(self, particle):
         values = [critical_ratio(z_p, 1.0, particle) for z_p in (1.0, 2.0, 3.0)]
         for v, z_p in zip(values, (1.0, 2.0, 3.0)):
-            assert v == pytest.approx(CRITICAL_RATIOS_B1[z_p], rel=5e-4)
+            assert v == pytest.approx(CRITICAL_RATIOS_B1[z_p], rel=1e-12)
         assert values[0] < values[1] < values[2]
+
+    @pytest.mark.parametrize("z_p", [1.0, 3.0])
+    def test_root_is_a_sign_change_at_40_digits(self, particle, z_p):
+        ratio = critical_ratio(z_p, 1.0, particle)
+
+        def sigma(shift):
+            # (z^2 - 1) A - 2 z_p^2 B at z = ratio (1 + shift), b = 1;
+            # R_n < 1e-90 by n = 60 here
+            with mpmath.workdps(40):
+                z = mpmath.mpf(ratio) * (1 + shift)
+                return sum(
+                    (1 if n == 0 else 2)
+                    * mpmath.re(mpmath.legenq(n - 0.5, 0, z, type=3))
+                    / mpmath.legenp(n - 0.5, 0, z, type=3)
+                    * ((z * z - 1) * (1 - 12 * n * n) - 2 * z_p**2)
+                    for n in range(60)
+                )
+
+        assert sigma(mpmath.mpf("-1e-12")) < 0 < sigma(mpmath.mpf("1e-12"))
+
+    def test_threshold_ratio(self, particle):
+        # 5e-324: the force itself underflows to 0 there, its sign sum does not
+        for z_p in (1e-8, 5e-324):
+            assert critical_ratio(z_p, 1.0, particle) == pytest.approx(
+                THRESHOLD_RATIO, rel=1e-12)
+        # the critical ratio leaves the threshold quadratically in z_p
+        gaps = [critical_ratio(z_p, 1.0, particle) - THRESHOLD_RATIO
+                for z_p in (0.1, 0.01, 0.001)]
+        slopes = [math.log10(g0 / g1) for g0, g1 in zip(gaps, gaps[1:])]
+        assert all(1.9 <= s <= 2.1 for s in slopes), slopes
+
+    def test_newton_steps_use_the_wronskian_slope(self, particle, monkeypatch):
+        # bisection alone needs about 50 tables to reach |du| <= 1e-14; the
+        # Newton steps took 8 to 12 here, the two end checks included
+        builds = []
+        build = dispersion_module.axial_greens
+        monkeypatch.setattr(dispersion_module, "axial_greens",
+                            lambda *a, **k: builds.append(1) or build(*a, **k))
+        for z_p in (1e-8, 0.1, 1.0, 2.0, 3.0, 10.0, 100.0):
+            builds.clear()
+            critical_ratio(z_p, 1.0, particle)
+            assert len(builds) <= 14, (z_p, len(builds))
+
+    def test_single_sign_change_in_ratio(self):
+        # the Newton search assumes one crossing: A < 0 below the threshold,
+        # and above it zeta^2 = (z^2 - 1) A / (2 B) rises strictly
+        def sums(ratio):
+            table = axial_greens(toroid_from_radii(ratio, 1.0)).table
+            n = np.arange(table.n_max + 1)
+            w = np.where(n == 0, 1.0, 2.0) * table.ratio
+            return float(np.sum(w * (1.0 - 12.0 * n**2))), float(np.sum(w))
+
+        assert all(sums(r)[0] < 0.0 for r in np.geomspace(1.01, 3.2, 200))
+        zeta2 = []
+        for r in np.geomspace(THRESHOLD_RATIO, 1e4, 400):
+            a_sum, b_sum = sums(r)
+            zeta2.append((r * r - 1.0) * a_sum / (2.0 * b_sum))
+        assert np.all(np.diff(zeta2) > 0.0)
 
     def test_threshold_is_a_sign_change(self, particle):
         thr = critical_ratio(1.0, 1.0, particle)
@@ -293,6 +375,9 @@ class TestCriticalRatio:
         with pytest.raises(RangeExceededError) as exc:
             critical_ratio(1.0, 1.0, particle, search=(1.01, 1.5))
         assert exc.value.bound == pytest.approx(1.5)
+        with pytest.raises(RangeExceededError) as exc:
+            critical_ratio(1e200, 1.0, particle)  # (z_p / b)^2 overflows
+        assert exc.value.bound == 1000.0
 
     def test_range_exceeded_low(self, particle):
         with pytest.raises(RangeExceededError) as exc:
@@ -304,6 +389,13 @@ class TestCriticalRatio:
             critical_ratio(-1.0, 1.0, particle)
         with pytest.raises(ValueError):
             critical_ratio(1.0, 1.0, particle, search=(0.5, 10.0))
+
+    @pytest.mark.parametrize("search", [(1.01, math.inf), (math.nan, 10.0)])
+    def test_nonfinite_search_rejected(self, particle, search):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                critical_ratio(1.0, 1.0, particle, search=search)
 
 
 class TestSweep:
