@@ -1,20 +1,21 @@
-"""Axisymmetric boundary-element oracle for the grounded toroid.
+"""Axisymmetric Nyström oracle for the grounded toroid.
 
-Independent numerical route to the same electrostatics: the meridian
-circle of the surface is cut into equal arcs (parameterized by the tube
-angle, which makes the arcs exactly uniform), each arc carrying a uniform
-ring of induced charge.  Point-matching at the arc centers enforces the
-grounded condition, with the logarithmic self-interaction of each ring
-integrated analytically over its own arc.  The only special function used
-is the complete elliptic integral K, so agreement with the separable
-series is a genuine cross-check rather than a shared code path.
+Independent numerical route to the same electrostatics: the induced
+density on the meridian circle r = a + b cos t, z = b sin t solves
+int sigma 4 r b K(m) / R_max dt = -V_src, whose kernel is a charged ring's
+potential.  The only special function used is the complete elliptic
+integral K, so agreement with the separable series is a genuine
+cross-check rather than a shared code path.
 
-The toroid is mirror-symmetric about z = 0 and the ring kernel depends on
-heights only through (z - z')^2.  The mesh is built with exactly mirrored
-halves, so the collocation system splits into an even and an odd block
-over the lower half (see BemMesh).  The solve factors the two blocks:
-half the kernel evaluations and a quarter of the LU work of the full
-dense system, with the same solution.
+Kress's log-split Nyström rule (*Linear Integral Equations*, 3rd ed.,
+12.3) on n nodes equispaced in s and graded by tan(t/2) = tan(s/2) /
+lambda, lambda = min(1, sqrt(a/b - 1)): a Möbius map of the circle that
+packs nodes at the inner equator by 1/lambda (Boyd, *Chebyshev and Fourier
+Spectral Methods*, ch. 16).  On the circle 1 - m is the squared chord over
+R_max^2 and K(m) = -K(1 - m) ln(1 - m) / pi + (analytic in 1 - m; DLMF
+19.12), so the kernel is k1 ln(4 sin^2((s - s')/2)) + k2 with k1, k2
+smooth.  Kress's weights integrate the log part and the trapezoidal rule
+the rest: the error falls geometrically with n.
 
 Reduced units as in the rest of the package: potentials per K_E q,
 lengths in nm, charges in e.
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
-from scipy.special import ellipk as _ellipk
+from scipy.special import ellipk, ellipkm1
 
 from .errors import MeshError, SingularKernelError, SolverError
 from .geometry import ToroidGeometry
@@ -46,18 +47,26 @@ __all__ = [
     "total_induced_charge",
 ]
 
-#: Residual gate on the solved collocation system, relative to the source
-#: Coulomb scale at the panels.
+#: Residual gate on the solved system, relative to the source's Coulomb scale.
 RESIDUAL_LIMIT = 1e-8
+
+
+def _ring_moduli(r_f, z_f, r_ring, z_ring):
+    """(p, R_max) of the ring kernel, p = 1 - m: formed from ratios to
+    R_max = hypot(r + r', z - z'), so nothing overflows and p does not
+    cancel.  K(m) is then ellipkm1(p) and K(1 - m) is ellipk(p)."""
+    dz = z_f - z_ring
+    rmax = np.hypot(r_f + r_ring, dz)
+    u, v = (r_f - r_ring) / rmax, dz / rmax
+    return u * u + v * v, rmax
 
 
 def _ring_kernel(r_f, z_f, r_ring, z_ring):
     """Reduced potential of a unit-charge ring: (2/pi) K(m) / R_max."""
-    rsum = r_f + r_ring
-    dz = z_f - z_ring
-    rmax2 = rsum * rsum + dz * dz
-    m = 4.0 * r_f * r_ring / rmax2
-    return (2.0 / math.pi) * _ellipk(m) / np.sqrt(rmax2)
+    p, rmax = _ring_moduli(r_f, z_f, r_ring, z_ring)
+    if np.any(p == 0.0):
+        raise SingularKernelError("field point lies on a ring")
+    return (2.0 / math.pi) * ellipkm1(p) / rmax
 
 
 def ring_potential(r: float, z: float, r0: float, z0: float, charge: float) -> float:
@@ -74,61 +83,70 @@ def ring_potential(r: float, z: float, r0: float, z0: float, charge: float) -> f
     """
     if r0 <= 0.0:
         raise ValueError(f"ring radius must be positive, got {r0}")
-    if r == r0 and z == z0:
-        raise SingularKernelError("field point lies on the ring")
     return K_E_EV_NM * charge * float(_ring_kernel(float(r), float(z), r0, z0))
+
+
+def _log_weights(n: int) -> np.ndarray:
+    """Kress's weights R_d less the log they integrate, by node offset d:
+    c_d = n R_d / (2 pi) - ln(4 sin^2(pi d / n)) (no log at d = 0), where
+    n R_d / (2 pi) = -2 sum_k a_k cos(2 pi k d / n), a_k = 1/k up to
+    k = (n - 1) // 2 and a_{n/2} = 1/n for even n."""
+    a = np.zeros(n)
+    k = np.arange(1, (n + 1) // 2)
+    a[k] = 1.0 / k
+    if n % 2 == 0:
+        a[n // 2] = 1.0 / n
+    c = -2.0 * np.fft.fft(a).real
+    c[1:] -= np.log(4.0 * np.sin(np.pi * np.arange(1, n) / n) ** 2)
+    return c
 
 
 @dataclass
 class BemMesh:
-    """Equal-arc ring panelization of the toroidal surface, mirror-symmetric
-    about z = 0.
+    """Graded Nyström nodes at s_j = -pi + 2 pi (j + 1/2) / n,
+    mirror-symmetric about z = 0.
 
-    Panel ``n - 1 - i`` is the exact mirror of panel ``i`` (same r, negated
-    z and eta); for odd n the middle panel lies on z = 0.  Indices
-    ``0 .. h - 1``, h = n // 2, are the lower half.  Because the ring kernel
-    sees heights only through (z - z')^2, the collocation matrix A
-    decouples into an even and an odd block over the lower half,
-
-        E = (G_same + G_mirror) w,    O = (G_same - G_mirror) w,
-
-    with w the ring charge per unit density and the analytic self term on
-    G_same's diagonal; for odd n the middle panel adds one row and column
-    to E.  The blocks and their LU factorizations are assembled lazily and
-    cached; the mesh is otherwise immutable by convention.
+    Node ``n - 1 - j`` is the exact mirror of node j (same r and weight,
+    negated z and eta); for odd n the middle node lies on z = 0.  Nodes
+    ``0 .. h - 1``, h = n // 2, are the lower half.  The kernel sees
+    heights only through (z - z')^2 and the weights only |s - s'|, so the
+    Nyström matrix A decouples into an even block E = A_same + A_mirror
+    and an odd block O = A_same - A_mirror over the lower half, both from
+    its rows alone; for odd n the middle node adds a row and column to E.
+    The blocks and their LU factorizations are built lazily and cached.
     """
 
     geometry: ToroidGeometry
-    n_panels: int
-    psi: np.ndarray   # tube angle of panel centers, (-pi, pi)
+    n_panels: int     # node count, one ring per node
+    psi: np.ndarray   # tube angle of the nodes, (-pi, pi)
     r: np.ndarray     # ring radii
     z: np.ndarray     # ring heights
-    ds: float         # meridian arc length per panel (uniform)
-    eta: np.ndarray   # toroidal angle of panel centers
+    ds: np.ndarray    # arc weight per node, b t'(s_j) 2 pi / n
+    eta: np.ndarray   # toroidal angle of the nodes
     _blocks: tuple | None = field(default=None, repr=False, compare=False)
     _lu: tuple | None = field(default=None, repr=False, compare=False)
 
     def blocks(self) -> tuple[np.ndarray, np.ndarray]:
         """The even block E, (n - h) x (n - h), and the odd block O, h x h."""
         if self._blocks is None:
-            h = self.n_panels // 2
-            k = self.n_panels - h
-            r, z, ds = self.r[:k], self.z[:k], self.ds
-            w = 2.0 * math.pi * r * ds  # ring charge per unit density
-            # the last column is the middle ring when n is odd
-            same = _ring_kernel(r[:h, None], z[:h, None], r[None, :], z[None, :])
-            mirror = _ring_kernel(r[:h, None], z[:h, None], r[None, :h], -z[None, :h])
-            mirror *= w[:h]
-            even = np.empty((k, k))
-            even[:h] = same * w
-            # Analytic self term - the kernel's log singularity integrated
-            # over the panel arc: 2 ds (ln(16 r / ds) + 1).
-            np.fill_diagonal(even, 2.0 * ds * (np.log(16.0 * r / ds) + 1.0))
-            odd = even[:h, :h] - mirror
-            even[:h, :h] += mirror
-            # the middle panel sees each lower ring and its mirror alike
-            even[h:, :h] = 2.0 * same[:, h:].T * w[:h]
-            self._blocks = (even, odd)
+            n = self.n_panels
+            h, k = n // 2, n - n // 2
+            r, z, ds = self.r, self.z, self.ds
+            p, rmax = _ring_moduli(r[:k, None], z[:k, None], r, z)
+            diag = np.arange(k)
+            p[diag, diag] = 0.5  # placeholder: the diagonal is set below
+            c = _log_weights(n)
+            rows = (4.0 * r * ds / rmax) * (
+                ellipkm1(p) - ellipk(p) * c[np.subtract.outer(diag, np.arange(n)) % n]
+                / math.pi)
+            # k2's limit on the diagonal, 2 b t' ln(8 r / (b t')), with the
+            # log part's own weight; b t' = n ds / (2 pi).
+            rows[diag, diag] = ds[:k] * (
+                2.0 * np.log(16.0 * math.pi * r[:k] / (n * ds[:k])) - c[0])
+            mirror = rows[:, ::-1][:, :h]  # column j's mirror node is n - 1 - j
+            even = rows[:, :k].copy()  # the last column is the middle node's for odd n
+            even[:, :h] += mirror
+            self._blocks = (even, rows[:h, :h] - mirror[:h])
         return self._blocks
 
     def lu(self):
@@ -138,11 +156,11 @@ class BemMesh:
         return self._lu
 
     def collocation_matrix(self) -> np.ndarray:
-        """Reduced potential at panel i per unit surface density on panel j.
+        """Reduced potential at node i per unit surface density at node j.
 
         Rebuilt from the even and odd blocks, with no kernel evaluations:
-        a density on lower panel j has even and odd parts of half its size,
-        on its mirror panel the odd part changes sign.
+        a density at lower node j has even and odd parts of half its size,
+        at its mirror node the odd part changes sign.
         """
         even, odd = self.blocks()
         h = odd.shape[0]
@@ -153,16 +171,16 @@ class BemMesh:
 
 
 def _fold(v: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
-    """Even and odd parts of a panel vector over the lower half; the even
-    part carries the middle panel of an odd mesh."""
+    """Even and odd parts of a node vector (or of each column) over the
+    lower half; the even part carries the middle node of an odd mesh."""
     upper = v[::-1][:h]
-    even = v[:v.size - h].copy()
+    even = v[:len(v) - h].copy()
     even[:h] = 0.5 * (v[:h] + upper)
     return even, 0.5 * (v[:h] - upper)
 
 
 def _unfold(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """The panel vector whose even and odd parts are given (inverse of
+    """The node vector whose even and odd parts are given (inverse of
     _fold); 2-d parts are unfolded column by column."""
     k, h = len(even), len(odd)
     v = np.empty((k + h,) + even.shape[1:])
@@ -173,12 +191,9 @@ def _unfold(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
 
 
 def _condition(mesh: BemMesh) -> float:
-    """2-norm condition number of the collocation matrix, from its blocks.
-
-    With the middle panel's row and column rescaled by sqrt(2), the blocks
-    are the collocation matrix in an orthonormal even/odd basis, so their
-    singular values together are the matrix's own.
-    """
+    """2-norm condition number of the Nyström matrix, from its blocks: with
+    the middle node's row and column rescaled by sqrt(2) they are the matrix
+    in an orthonormal even/odd basis, so their singular values are its own."""
     even, odd = mesh.blocks()
     h = odd.shape[0]
     even = even.copy()
@@ -189,40 +204,28 @@ def _condition(mesh: BemMesh) -> float:
 
 
 def build_mesh(geom: ToroidGeometry, n_panels: int) -> BemMesh:
-    """Cut the meridian circle into n_panels equal arcs.
-
-    The lower half is computed and the upper half set to its exact mirror
-    image, so the even/odd split of the collocation system is exact.
-
-    Raises
-    ------
-    MeshError
-        For fewer than 16 panels (the self-term approximation needs the
-        arcs to be short against the ring radius).
-    """
+    """Place n_panels graded Nyström nodes on the meridian circle, the upper
+    half the exact mirror image of the lower, so that the even/odd split of
+    the system is exact.  Fewer than 16 nodes raise MeshError."""
     n_panels = int(n_panels)
     if n_panels < 16:
-        raise MeshError(f"need at least 16 panels, got {n_panels}")
+        raise MeshError(f"need at least 16 nodes, got {n_panels}")
     a, b, f = geom.a, geom.b, geom.f
+    lam = min(1.0, math.sqrt((a - b) / b))
     h = n_panels // 2
-    psi = -math.pi + (np.arange(n_panels - h) + 0.5) * (2.0 * math.pi / n_panels)
-    psi[h:] = 0.0  # the middle panel of an odd mesh
-    r = a + b * np.cos(psi)
-    z = b * np.sin(psi)
+    half_s = -0.5 * math.pi + (np.arange(n_panels - h) + 0.5) * (math.pi / n_panels)
+    half_s[h:] = 0.0  # the middle node of an odd mesh
+    psi = 2.0 * np.arctan(np.tan(half_s) / lam)
+    dt = lam / ((lam * np.cos(half_s)) ** 2 + np.sin(half_s) ** 2)  # t'(s)
+    r, z = a + b * np.cos(psi), b * np.sin(psi)
     eta = np.arctan2(2.0 * f * z, (r - f) * (r + f) + z * z)
 
     def mirrored(x, sign):
         return np.concatenate([x, sign * x[h - 1::-1]])
 
-    return BemMesh(
-        geometry=geom,
-        n_panels=n_panels,
-        psi=mirrored(psi, -1.0),
-        r=mirrored(r, 1.0),
-        z=mirrored(z, -1.0),
-        ds=2.0 * math.pi * b / n_panels,
-        eta=mirrored(eta, -1.0),
-    )
+    return BemMesh(geometry=geom, n_panels=n_panels, psi=mirrored(psi, -1.0),
+                   r=mirrored(r, 1.0), z=mirrored(z, -1.0), eta=mirrored(eta, -1.0),
+                   ds=mirrored(b * dt * (2.0 * math.pi / n_panels), 1.0))
 
 
 @dataclass(frozen=True)
@@ -230,39 +233,40 @@ class BemSolution:
     """Induced surface-charge density solving the grounded condition."""
 
     mesh: BemMesh
-    sigma: np.ndarray   # induced density, e / nm^2, for the source's charge
+    sigma: np.ndarray   # induced density at the nodes, e / nm^2, for the source's charge
     source: AxialSource
-    residual: float     # collocation residual relative to the Coulomb scale
+    residual: float     # Nyström residual relative to the Coulomb scale
 
 
 def _solve(mesh: BemMesh, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve A x = rhs by its even and odd parts, each with its block's LU.
+    """Solve A x = rhs, a vector or one column per right-hand side, by its
+    even and odd parts, each with its block's LU.
 
-    Returns x and the full system's residual relative to max |rhs|; raises
-    SolverError, with the collocation matrix's condition number, when that
-    residual exceeds RESIDUAL_LIMIT or is NaN.
+    Returns x and the worst column's residual relative to its max |rhs|;
+    raises SolverError, with the Nyström matrix's condition number, when
+    that residual exceeds RESIDUAL_LIMIT or is NaN.
     """
     parts = _fold(rhs, mesh.n_panels // 2)
     halves = [lu_solve(lu, part) for lu, part in zip(mesh.lu(), parts)]
     resid = _unfold(*(block @ x - part
                       for block, x, part in zip(mesh.blocks(), halves, parts)))
-    residual = float(np.max(np.abs(resid)) / np.max(np.abs(rhs)))
+    residual = float(np.max(np.max(np.abs(resid), axis=0) / np.max(np.abs(rhs), axis=0)))
     if not residual <= RESIDUAL_LIMIT:
         raise SolverError(
-            f"collocation residual {residual:.2e} exceeds {RESIDUAL_LIMIT:g}",
+            f"Nyström residual {residual:.2e} exceeds {RESIDUAL_LIMIT:g}",
             condition=_condition(mesh),
         )
     return _unfold(*halves), residual
 
 
 def solve_induced_density(mesh: BemMesh, src: AxialSource) -> BemSolution:
-    """Solve the collocation system for the induced surface density.
+    """Solve the Nyström system for the induced surface density.
 
     Raises
     ------
     SolverError
         If the full system's residual exceeds 1e-8 of the source Coulomb
-        scale; carries the collocation matrix's condition number.
+        scale; carries the Nyström matrix's condition number.
     """
     sigma, residual = _solve(mesh, -src.charge / np.hypot(mesh.r, mesh.z - src.z_src))
     sigma.flags.writeable = False
@@ -282,20 +286,16 @@ def _vh_reduced_bem(r, z, sol: BemSolution):
         raise ValueError("field points must be finite")
     mesh = sol.mesh
     ring_charges = sol.sigma * 2.0 * math.pi * mesh.r * mesh.ds
-    dr = r - mesh.r
-    dz = z - mesh.z
-    if np.any((dr * dr + dz * dz) == 0.0):
-        raise SingularKernelError("field point lies on a panel ring")
     return np.sum(ring_charges * _ring_kernel(r, z, mesh.r, mesh.z), axis=-1)
 
 
 def bem_vh(r, z, sol: BemSolution):
     """Potential (V) of the induced charge at the field point (r, z).
 
-    The boundary-element counterpart of the series V_H: a plain sum of
-    ring potentials over all panels.  r and z are scalars (a float is
-    returned) or arrays of one shape (an array of that shape is returned).
-    A non-finite coordinate raises ValueError, a point on a panel ring
+    The oracle's counterpart of the series V_H: a trapezoidal sum of ring
+    potentials over all nodes.  r and z are scalars (a float is returned)
+    or arrays of one shape (an array of that shape is returned).  A
+    non-finite coordinate raises ValueError, a point on a node ring
     SingularKernelError.
     """
     return K_E_EV_NM * _vh_reduced_bem(r, z, sol)
@@ -306,9 +306,7 @@ def bem_gh_reduced(z_field: float, sol: BemSolution) -> float:
     return _vh_reduced_bem(0.0, z_field, sol) / (4.0 * math.pi * sol.source.charge)
 
 
-def bem_mixed_derivative(
-    z: float, z_prime: float, geom: ToroidGeometry, n_panels: int = 400
-) -> float:
+def bem_mixed_derivative(z, z_prime, geom: ToroidGeometry, n_panels: int = 400):
     """d^2/dz dz' of eps0 V_H / q on the axis (1/nm^3), differentiated
     exactly on the discrete system.
 
@@ -317,6 +315,10 @@ def bem_mixed_derivative(
     source cannot underflow it.  On the axis the ring kernel is
     1 / sqrt(r_j^2 + (z - z_j)^2), whose z-derivative weights sigma'.
 
+    z and z_prime are scalars (a float is returned) or broadcastable arrays
+    (an array of their shape): one mesh, one factorization and one solve
+    with a column per source height.
+
     Raises
     ------
     ValueError
@@ -324,17 +326,19 @@ def bem_mixed_derivative(
     SolverError
         As solve_induced_density, for the derivative system.
     """
-    if not math.isfinite(z):
-        raise ValueError(f"field height must be finite, got {z}")
-    src = axial_source(z_prime, geom)
+    z, z_prime = np.broadcast_arrays(np.asarray(z, dtype=float),
+                                     np.asarray(z_prime, dtype=float))
+    if not np.all(np.isfinite(z)):
+        raise ValueError(f"field heights must be finite, got {z}")
+    z_src = np.array([axial_source(zp, geom).z_src for zp in z_prime.flat])
     mesh = build_mesh(geom, n_panels)
-    dz_src = mesh.z - src.z_src
-    dist = np.hypot(mesh.r, dz_src)
-    d_min = dist.min()
-    sigma_prime, _ = _solve(mesh, -src.charge * (dz_src / dist) * (d_min / dist) ** 2)
-    dz = z - mesh.z
+    dz_src = mesh.z[:, None] - z_src
+    dist = np.hypot(mesh.r[:, None], dz_src)
+    d_min = dist.min(axis=0)
+    sigma_prime, _ = _solve(mesh, -(dz_src / dist) * (d_min / dist) ** 2)
+    dz = z.reshape(-1, 1) - mesh.z
     rho = np.hypot(mesh.r, dz)
     dkern = -(dz / rho) / rho / rho
-    ring_charges = sigma_prime * 2.0 * math.pi * mesh.r * mesh.ds
-    return float(np.sum(ring_charges * dkern) / d_min / d_min
-                 / (4.0 * math.pi * src.charge))
+    ring_charges = sigma_prime.T * (2.0 * math.pi * mesh.r * mesh.ds)
+    out = np.sum(ring_charges * dkern, axis=-1) / d_min / d_min / (4.0 * math.pi)
+    return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)

@@ -118,17 +118,16 @@ def _exterior_points(geom, rng, count):
 def check_bem_vs_series(
     rel_tol: float = 1e-12,
     n_cap: int = 2000,
-    threshold: float = 1e-3,
+    threshold: float = 1e-10,
     n_points: int = 20,
     seed: int = 77,
     geometries=DEFAULT_GEOMETRIES,
     series_evaluator=vh_potential,
 ) -> CheckResult:
-    """Series V_H against the boundary-element solution at 400 panels,
-    plus the measured convergence order over 100 -> 200 -> 400 panels."""
+    """Series V_H against the Nyström oracle at 64 and at 128 nodes: the
+    oracle converges geometrically, so both must agree to the threshold."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    worst_order = math.inf
+    worst = {64: 0.0, 128: 0.0}
     for a, b in geometries:
         geom = toroid_from_radii(a, b)
         g = axial_greens(geom, rel_tol=rel_tol, n_cap=n_cap)
@@ -139,24 +138,18 @@ def check_bem_vs_series(
             for r, z in pts
         ])
         r, z = np.array(pts).T
-        errs = {}
-        for n_panels in (100, 200, 400):
-            sol = solve_induced_density(build_mesh(geom, n_panels), src)
-            errs[n_panels] = float(np.max(np.abs(bem_vh(r, z, sol) - refs)
-                                          / np.abs(refs)))
-        worst = max(worst, errs[400])
-        order = math.log(errs[100] / errs[400]) / math.log(4.0)
-        worst_order = min(worst_order, order)
-    passed = worst <= threshold and worst_order >= 1.0
+        for n in worst:
+            sol = solve_induced_density(build_mesh(geom, n), src)
+            err = float(np.max(np.abs(bem_vh(r, z, sol) - refs) / np.abs(refs)))
+            worst[n] = max(worst[n], err)
+    value = max(worst.values())
     return CheckResult(
         name="series vs boundary elements",
-        passed=passed,
-        value=worst,
+        passed=value <= threshold,
+        value=value,
         threshold=threshold,
-        detail=(
-            f"max rel err at 400 panels over {n_points} exterior points per "
-            f"geometry; slowest refinement order {worst_order:.2f} (need >= 1)"
-        ),
+        detail=f"max rel err over {n_points} exterior points per geometry: "
+               + ", ".join(f"{err:.1e} at {n} nodes" for n, err in worst.items()),
     )
 
 

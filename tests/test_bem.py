@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 
 from torvdw import (
     axial_greens,
@@ -15,7 +16,7 @@ from torvdw import (
 )
 import torvdw.bem as bem_module
 from torvdw.bem import (
-    _ring_kernel,
+    _ring_moduli,
     bem_gh_reduced,
     bem_mixed_derivative,
     bem_vh,
@@ -24,10 +25,13 @@ from torvdw.bem import (
     solve_induced_density,
     total_induced_charge,
 )
-from torvdw.dispersion import gh_mixed_derivative
+from torvdw.dispersion import gh_mixed_derivative, particle_model, vdw_force
 from torvdw.errors import MeshError, SingularKernelError, SolverError
 from torvdw.units import K_E_EV_NM
-from torvdw.validate import check_bem_vs_series
+from torvdw.validate import _exterior_points, check_bem_vs_series
+
+#: The smallest a/b with any axial repulsion (50-digit mpmath root of S0).
+THRESHOLD_RATIO = 3.2047484385699470658
 
 
 class TestMesh:
@@ -37,15 +41,25 @@ class TestMesh:
         assert np.all(resid <= 1e-12 * geom53.b**2)
 
     def test_total_arc_length(self, geom53):
+        # the graded weights b t'(s_j) 2 pi / n sum to the meridian's length
         mesh = build_mesh(geom53, 64)
-        assert mesh.n_panels * mesh.ds == pytest.approx(
-            2.0 * math.pi * geom53.b, rel=1e-12
+        assert np.sum(mesh.ds) == pytest.approx(2.0 * math.pi * geom53.b, rel=1e-12)
+
+    def test_doubling_halves_arc(self, geom51, geom53):
+        # a/b = 5 is ungraded (lambda = 1): every weight is 2 pi b / n
+        assert build_mesh(geom51, 128).ds == pytest.approx(
+            0.5 * build_mesh(geom51, 64).ds[0], rel=1e-15
+        )
+        assert np.sum(build_mesh(geom53, 128).ds) == pytest.approx(
+            np.sum(build_mesh(geom53, 64).ds), rel=1e-14
         )
 
-    def test_doubling_halves_arc(self, geom53):
-        assert build_mesh(geom53, 128).ds == pytest.approx(
-            0.5 * build_mesh(geom53, 64).ds, rel=1e-15
-        )
+    def test_thin_hole_nodes_cluster_at_inner_equator(self):
+        # lambda = sqrt(a/b - 1) = 0.1: weights 1/lambda^2 apart at the equators
+        mesh = build_mesh(toroid_from_radii(1.01, 1.0), 64)
+        inner, outer = mesh.ds[0], mesh.ds[32]
+        assert mesh.r[0] < mesh.r[32]
+        assert outer / inner == pytest.approx(100.0, rel=0.1)
 
     def test_eta_tiles_one_period(self, geom53):
         # panel edges map to strictly monotone eta covering a full turn
@@ -152,6 +166,14 @@ class TestFieldPoints:
         assert all(isinstance(v, float) for v in scalars)
         assert np.array_equal(values.ravel(), scalars)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("r, z", [(1e200, 0.0), (0.0, 1e200)])
+    def test_far_point_is_monopole_without_overflow(self, sol, r, z):
+        # R_max and the moduli are formed as ratios, so nothing overflows
+        v = bem_vh(r, z, sol)
+        assert v == pytest.approx(
+            K_E_EV_NM * total_induced_charge(sol) / math.hypot(r, z), rel=1e-12)
+
     def test_point_on_panel_ring_in_array_rejected(self, sol):
         mesh = sol.mesh
         with pytest.raises(SingularKernelError):
@@ -159,23 +181,36 @@ class TestFieldPoints:
 
 
 def _dense_matrix(mesh):
-    """The full collocation matrix assembled panel by panel, as a reference."""
-    r, z, ds = mesh.r, mesh.z, mesh.ds
-    a = _ring_kernel(r[:, None], z[:, None], r[None, :], z[None, :])
-    a = a * (2.0 * math.pi * r * ds)[None, :]
-    np.fill_diagonal(a, 2.0 * ds * (np.log(16.0 * r / ds) + 1.0))
-    return a
+    """The full Nyström matrix assembled entry by entry, as a reference:
+    the moduli from plain squares, Kress's weights summed term by term."""
+    n, r, z = mesh.n_panels, mesh.r, mesh.z
+    bt = mesh.ds * n / (2.0 * math.pi)  # b t'(s_j)
+    diff = 2.0 * math.pi * np.subtract.outer(np.arange(n), np.arange(n)) / n
+    kress = -(4.0 * math.pi / n) * sum(np.cos(k * diff) / k for k in range(1, (n + 1) // 2))
+    if n % 2 == 0:
+        kress -= (math.pi / (n // 2) ** 2) * np.cos(n // 2 * diff)
+    rmax2 = (r[:, None] + r) ** 2 + (z[:, None] - z) ** 2
+    chord2 = (r[:, None] - r) ** 2 + (z[:, None] - z) ** 2
+    pref = 4.0 * r * bt / np.sqrt(rmax2)
+    k1 = -pref * scipy.special.ellipkm1(4.0 * r[:, None] * r / rmax2) / math.pi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k2 = pref * scipy.special.ellipkm1(chord2 / rmax2) - k1 * np.log(
+            4.0 * np.sin(diff / 2.0) ** 2)
+    np.fill_diagonal(k2, 2.0 * bt * np.log(8.0 * r / bt))
+    return kress * k1 + (2.0 * math.pi / n) * k2
 
 
 MIRROR_PANELS = [64, 65, 128, 129]
 
 
 class TestMirrorBlocks:
-    # at n = 25 the middle panel's angle, -pi + 12.5 (2 pi / 25), rounds off zero
+    # at n = 25 the middle node's s, -pi + 12.5 (2 pi / 25), rounds off zero
     @pytest.mark.parametrize("n", MIRROR_PANELS + [25])
     def test_mesh_is_bitwise_mirror_symmetric(self, geom53, n):
         mesh = build_mesh(geom53, n)
         assert np.array_equal(mesh.r[::-1], mesh.r)
+        assert np.array_equal(mesh.ds[::-1], mesh.ds)
+        assert np.array_equal(mesh.psi[::-1], -mesh.psi)
         assert np.array_equal(mesh.z[::-1], -mesh.z)
         assert np.array_equal(mesh.eta[::-1], -mesh.eta)
         assert np.all(mesh.z[: n // 2] < 0.0)
@@ -206,12 +241,13 @@ class TestMirrorBlocks:
 
         def counting(*args):
             evals.append(np.broadcast(*args).size)
-            return _ring_kernel(*args)
+            return _ring_moduli(*args)
 
-        monkeypatch.setattr(bem_module, "_ring_kernel", counting)
+        monkeypatch.setattr(bem_module, "_ring_moduli", counting)
         mesh = build_mesh(geom53, n)
         solve_induced_density(mesh, axial_source(1.0, geom53))
         mesh.collocation_matrix()
+        # the rows of the lower half against all n nodes, once
         assert 0 < sum(evals) <= n * n / 2 + n
 
     @pytest.mark.parametrize("n", [64, 65])
@@ -232,9 +268,11 @@ class TestMirrorBlocks:
 
 class TestAgainstSeries:
     def test_vh_agreement_and_order(self):
+        # spectral: at the rounding floor at both 64 and 128 nodes
         result = check_bem_vs_series()
         assert result.passed, result.detail
-        assert result.value <= 1e-3
+        assert result.threshold == 1e-10
+        assert result.value <= 1e-10
 
     def test_series_evaluated_once_per_probe(self):
         calls = []
@@ -253,7 +291,7 @@ class TestAgainstSeries:
         v_bem = bem_vh(0.0, 2.0, sol)
         c = cartesian_to_toroidal(0.0, 0.0, 2.0, geom51.f)
         v_series = vh_potential(c, src, greens51)
-        assert v_bem == pytest.approx(v_series, rel=1e-3)
+        assert v_bem == pytest.approx(v_series, rel=1e-10)
 
     def test_charge_energy_a5_b2(self):
         # interaction energy of the charge with its own induced charge
@@ -263,8 +301,27 @@ class TestAgainstSeries:
         sol = solve_induced_density(build_mesh(geom, 400), src)
         u_bem = src.charge * bem_vh(0.0, src.z_src, sol)
         assert u_bem == pytest.approx(
-            charge_interaction_energy(3.0, g), rel=1e-3
+            charge_interaction_energy(3.0, g), rel=1e-10
         )
+
+    @pytest.mark.parametrize("ratio, n", [
+        (1.01, 512), (1.1, 128), (1.5, 128), (5.0, 128), (20.0, 128)])
+    def test_graded_oracle_against_series(self, ratio, n):
+        # V_H at exterior probes (source at f/2) and the mixed derivative at
+        # z = z' in [0.1 f, 3 f]; the graded nodes keep thin holes spectral
+        geom = toroid_from_radii(ratio, 1.0)
+        g = axial_greens(geom)
+        src = axial_source(0.5 * geom.f, geom)
+        pts = _exterior_points(geom, np.random.default_rng(3), 20)
+        refs = [vh_potential(cartesian_to_toroidal(r, 0.0, z, geom.f), src, g)
+                for r, z in pts]
+        r, z = np.array(pts).T
+        sol = solve_induced_density(build_mesh(geom, n), src)
+        np.testing.assert_allclose(bem_vh(r, z, sol), refs, rtol=1e-10)
+        heights = np.linspace(0.1, 3.0, 6) * geom.f
+        np.testing.assert_allclose(
+            bem_mixed_derivative(heights, heights, geom, n),
+            [gh_mixed_derivative(h, h, g) for h in heights], rtol=1e-10)
 
     def test_far_field_is_monopole_of_induced_charge(self, geom53):
         src = axial_source(0.5, geom53)
@@ -309,7 +366,7 @@ class TestMixedDerivative:
     def test_agreement_with_analytic_series(self, geom51, greens51):
         exact = gh_mixed_derivative(2.0, 1.0, greens51)
         approx = bem_mixed_derivative(2.0, 1.0, geom51, 400)
-        assert approx == pytest.approx(exact, rel=2e-3)
+        assert approx == pytest.approx(exact, rel=1e-10)
 
     @pytest.mark.parametrize("a, b, z, z_prime", [
         (2.0, 1.0, 1.0, 1.0), (5.0, 1.0, 0.5, 0.5), (9.6, 0.8, 1.6, 1.6),
@@ -332,21 +389,34 @@ class TestMixedDerivative:
         )
 
     def test_one_block_solve_pair(self, geom51, monkeypatch):
-        lu_calls, solves = [], []
-        lu_solve = bem_module.lu_solve
+        factors, lu_calls, solves = [], [], []
+        lu_factor, lu_solve = bem_module.lu_factor, bem_module.lu_solve
 
-        def counting_lu_solve(*args):
-            lu_calls.append(1)
-            return lu_solve(*args)
+        def counting_lu_factor(a):
+            factors.append(a.shape)
+            return lu_factor(a)
+
+        def counting_lu_solve(lu, b):
+            lu_calls.append(b.shape)
+            return lu_solve(lu, b)
 
         def counting_solve(*args):
             solves.append(1)
             return solve_induced_density(*args)
 
+        monkeypatch.setattr(bem_module, "lu_factor", counting_lu_factor)
         monkeypatch.setattr(bem_module, "lu_solve", counting_lu_solve)
         monkeypatch.setattr(bem_module, "solve_induced_density", counting_solve)
         bem_mixed_derivative(2.0, 1.0, geom51, 400)
-        assert len(lu_calls) == 2
+        assert len(factors) == 2 and len(lu_calls) == 2
+        # ten heights: still one factorization and one solve per block,
+        # with a column per height
+        factors.clear()
+        lu_calls.clear()
+        heights = np.linspace(0.0, 4.5, 10)
+        bem_mixed_derivative(heights, heights, geom51, 400)
+        assert factors == [(200, 200), (200, 200)]
+        assert lu_calls == [(200, 10), (200, 10)]
         assert not solves
 
     @pytest.mark.parametrize("n", [64, 65])
@@ -357,6 +427,43 @@ class TestMixedDerivative:
         assert info.value.condition == pytest.approx(
             np.linalg.cond(build_mesh(geom51, n).collocation_matrix()), rel=1e-8
         )
+
+    @pytest.mark.parametrize("n", [64, 65, 400])
+    def test_array_call_equals_scalar_calls(self, geom51, n):
+        z = np.array([[0.0, 0.5, 2.0], [4.5, -1.0, 3.0]])
+        z_prime = np.array([[0.0, 0.5, 1.0], [4.5, 2.0, -3.0]])
+        values = bem_mixed_derivative(z, z_prime, geom51, n)
+        assert values.shape == z.shape
+        scalars = [bem_mixed_derivative(a, b, geom51, n) for a, b in zip(z.flat, z_prime.flat)]
+        assert all(isinstance(v, float) for v in scalars)
+        np.testing.assert_allclose(values.ravel(), scalars, rtol=1e-14, atol=0.0)
+        # a scalar height broadcasts against an array
+        assert np.array_equal(bem_mixed_derivative(z, 1.0, geom51, n),
+                              bem_mixed_derivative(z, np.ones_like(z), geom51, n))
+
+    def test_oracle_confirms_repulsion_threshold(self):
+        # Near z_p = 0 the axial force has the sign of -(D(h) - D(0)), with
+        # D(z) the mixed derivative at z = z'.  Just below a/b* the force
+        # pulls back to the centre, just above it repels.  The oracle, the
+        # series and vdw_force must agree on both signs.
+        h = 0.05
+        for factor, sign in ((0.99, 1.0), (1.01, -1.0)):
+            geom = toroid_from_radii(THRESHOLD_RATIO * factor, 1.0)
+            g = axial_greens(geom)
+            d = bem_mixed_derivative(np.array([h, 0.0]), np.array([h, 0.0]), geom, 128)
+            series = gh_mixed_derivative(h, h, g) - gh_mixed_derivative(0.0, 0.0, g)
+            force = vdw_force(h, particle_model(1.0), g)
+            assert np.sign(d[0] - d[1]) == np.sign(series) == -np.sign(force) == sign
+            assert d[0] - d[1] == pytest.approx(series, rel=1e-8)
+
+    @pytest.mark.parametrize("ratio", [20.0, 100.0])
+    def test_nanoring_side_matches_series(self, ratio):
+        geom = toroid_from_radii(ratio, 1.0)
+        g = axial_greens(geom)
+        heights = np.array([0.25, 0.5, 1.0]) * geom.a
+        np.testing.assert_allclose(
+            bem_mixed_derivative(heights, heights, geom, 64),
+            [gh_mixed_derivative(z, z, g) for z in heights], rtol=1e-10)
 
     def test_gh_reduced_units(self, geom51):
         # eps0 V_H / q relates to the reduced potential by 1/(4 pi)
