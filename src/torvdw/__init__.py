@@ -8,7 +8,6 @@ from .geometry import (
     ToroidalCoords,
     axis_eta_from_z,
     cartesian_to_toroidal,
-    metric_coefficient,
     toroid_from_radii,
     toroidal_to_cartesian,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "harmonic_table",
     "inverse_distance_series",
     "legendre_p_half",
-    "metric_coefficient",
     "surface_residual",
     "toroid_from_radii",
     "toroidal_to_cartesian",

@@ -35,10 +35,6 @@ class CoordinateSingularityError(ValueError):
     """Input lies on the focal ring, where toroidal coordinates break down."""
 
 
-class SingularMetricError(ValueError):
-    """Metric coefficient requested at the point at infinity."""
-
-
 class OutOfRegionError(ValueError):
     """Field point lies inside the conductor (xi > xi0)."""
 

@@ -29,7 +29,6 @@ from .errors import (
     CoordinateSingularityError,
     DegenerateToroidError,
     PointAtInfinityError,
-    SingularMetricError,
 )
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "ToroidalCoords",
     "axis_eta_from_z",
     "cartesian_to_toroidal",
-    "metric_coefficient",
     "surface_rz",
     "toroid_from_radii",
     "toroidal_to_cartesian",
@@ -148,14 +146,6 @@ def cartesian_to_toroidal(x: float, y: float, z: float, f: float) -> ToroidalCoo
     eta = math.atan2(2.0 * f * z, (r - f) * (r + f) + z * z)
     phi = math.atan2(y, x)
     return ToroidalCoords(xi=xi, eta=eta, phi=phi)
-
-
-def metric_coefficient(c: ToroidalCoords, f: float) -> float:
-    """Scale factor h_xi = h_eta = f / (cosh(xi) - cos(eta))."""
-    denom = 2.0 * math.sinh(0.5 * c.xi) ** 2 + 2.0 * math.sin(0.5 * c.eta) ** 2
-    if denom == 0.0:
-        raise SingularMetricError("metric is singular at (xi, eta) = (0, 0)")
-    return f / denom
 
 
 def axis_eta_from_z(z: float, f: float) -> float:

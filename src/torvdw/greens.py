@@ -21,7 +21,6 @@ Everything internal works in reduced potential V / (K_E q), units 1/nm.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -328,27 +327,6 @@ def surface_residual(src: AxialSource, g: AxialGreens, n_samples: int = 64) -> f
     return float(np.max(np.abs(1.0 / dist + vh) * dist))
 
 
-# Tables for inverse_distance_series are keyed by the exact field argument
-# cosh(xi); grids of field points share arguments, so the cache hit rate
-# is high, and a table is only ever reused at the argument it was built for.
-_FIELD_TABLE_CACHE: dict[float, HarmonicTable] = {}
-_FIELD_TABLE_LOCK = threading.Lock()
-_FIELD_TABLE_CAP = 2048
-
-
-def _field_table(z: float, n_needed: int) -> HarmonicTable:
-    with _FIELD_TABLE_LOCK:
-        cached = _FIELD_TABLE_CACHE.get(z)
-    if cached is not None and cached.n_max >= n_needed:
-        return cached
-    table = harmonic_table(z, n_needed)
-    with _FIELD_TABLE_LOCK:
-        if len(_FIELD_TABLE_CACHE) >= _FIELD_TABLE_CAP:
-            _FIELD_TABLE_CACHE.clear()
-        _FIELD_TABLE_CACHE[z] = table
-    return table
-
-
 def inverse_distance_series(
     field: ToroidalCoords, src: AxialSource, g: AxialGreens
 ) -> float:
@@ -389,6 +367,6 @@ def inverse_distance_series(
             )
         return math.sqrt(a_fac * b_fac / (2.0 * gap)) / f
 
-    table = _field_table(cosh_xi, _table_size(field.xi, g.rel_tol, g.n_cap))
+    table = harmonic_table(cosh_xi, _table_size(field.xi, g.rel_tol, g.n_cap))
     sums = _cosine_series(table.q[:, None], [delta], table.q, g.rel_tol, "inverse-distance")
     return (1.0 / (math.pi * f)) * math.sqrt(a_fac * b_fac) * float(sums.values[0])

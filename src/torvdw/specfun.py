@@ -6,11 +6,16 @@ recurrence (DLMF 14.10.3)
 
     (nu + 1) y_{nu+1}(z) = (2 nu + 1) z y_nu(z) - nu y_{nu-1}(z),
 
-under which P grows like e^{n xi} (dominant direction: upward) while Q
-decays like e^{-n xi} (dominant direction: downward).  P is therefore
-built by forward recurrence from elliptic-integral seeds at n = 0, 1 and
-Q by backward (Miller) recurrence from an arbitrary start high above
-n_max, renormalized against the closed form of Q_{-1/2}(z).
+under which P grows like e^{n xi} while Q decays like e^{-n xi}.  P is
+therefore built by forward recurrence from elliptic-integral seeds at
+n = 0, 1.  The minimal solution Q then follows from P alone through the
+Casoratian P_n Q_{n+1} - P_{n+1} Q_n = -1/(n + 1/2) (Gautschi, SIAM Rev. 9,
+1967): the ratio R_n = Q_{n-1/2} / P_{n-1/2} tends to 0, so
+
+    R_n = sum_{k >= n} 1 / ((k + 1/2) P_k P_{k+1}),
+
+a tail sum of positive terms, normalized against the closed form of
+Q_{-1/2}(z).
 
 Seed closed forms, in the scipy parameter convention m = k^2, with
 emx = e^{-xi} and m1 = 1 - e^{-2 xi}:
@@ -21,11 +26,11 @@ emx = e^{-xi} and m1 = 1 - e^{-2 xi}:
 
 (equivalent to the classical sqrt(2/(z+1)) K(2/(z+1)) forms through a
 Landen transformation).  K and E are evaluated from the complementary
-parameter p = 1 - m, which the seeds pass exactly (emx^2 and m1), so that
-no precision is lost near either end of the domain:
+modulus k' = sqrt(1 - m), which the seeds pass exactly (emx and sqrt(m1)),
+so that no precision is lost near either end of the domain:
 
-    K = pi / (2 AGM(1, sqrt(p)))                          (DLMF 19.8.5)
-    E = (p / 3) (R_D(0, p, 1) + R_D(0, 1, p))             (DLMF 19.25.1)
+    K = pi / (2 AGM(1, k'))                               (DLMF 19.8.5)
+    E = (p / 3) (R_D(0, p, 1) + R_D(0, 1, p)),  p = k'^2  (DLMF 19.25.1)
 
 with R_D from Carlson's duplication algorithm (DLMF 19.36; Carlson,
 Numer. Math. 33, 1979).  Every term of the E form is positive, so unlike
@@ -57,8 +62,9 @@ Z_MIN_OFFSET = 1e-12
 #: Keep e^{+-n xi} comfortably inside float64 range (overflow near 709).
 _LOG_HORIZON = 690.0
 
-#: Miller-recurrence values are rescaled when they pass this magnitude.
-_RESCALE_LIMIT = 1e280
+#: Rows past n_max over which R_n is summed, in units of 1/xi: the dropped
+#: tail is e^{-2 xi (n_top - n_max)} <= e^{-36} of R_{n_max}.
+_TAIL_XI = 18.0
 
 #: Carlson's stopping constant (eps / 4)^(-1/6) for R_D in float64.
 _RD_STOP = (np.finfo(float).eps / 4.0) ** (-1.0 / 6.0)
@@ -69,15 +75,20 @@ _E_UNIT_BELOW = 1e-18
 
 
 def _k_complement(p: float) -> float:
-    """K(1 - p) from the complementary parameter p >= 0; +inf at p = 0.
+    """K(1 - p) from the complementary parameter p >= 0; +inf at p = 0."""
+    return _k_comodulus(math.sqrt(p))
+
+
+def _k_comodulus(kp: float) -> float:
+    """K(1 - kp^2) from the complementary modulus kp >= 0; +inf at kp = 0.
 
     The AGM converges quadratically; once a and b agree to 1e-8 the next
     mean is exact to rounding.  The loop is bounded so a 1-ulp oscillation
     of the means can never keep it running.
     """
-    if p == 0.0:
+    if kp == 0.0:
         return math.inf
-    a, b = 1.0, math.sqrt(p)
+    a, b = 1.0, kp
     for _ in range(64):
         if a - b <= 1e-8 * a:
             break
@@ -157,15 +168,26 @@ def elliptic_E(m: float) -> float:
 def toroidal_seeds(z: float) -> tuple[float, float, float]:
     """Elliptic-integral anchors (P_{-1/2}, P_{+1/2}, Q_{-1/2}) at z > 1.
 
-    All three are evaluated to machine precision across the whole domain:
-    each elliptic integral is handed its complementary parameter exactly,
-    rather than a parameter m close to 1 that has already been rounded.
+    All three are evaluated to machine precision across the whole float
+    range: each elliptic integral is handed its complementary modulus
+    exactly, rather than a parameter m close to 1 that has already been
+    rounded, and e^{-xi} is formed from e^{xi} / 2, which stays finite up to
+    the largest float.
+
+    Raises
+    ------
+    ValueError
+        For non-finite z.
     """
     z = float(z)
-    xi = math.acosh(z)
-    emx = 1.0 / (z + math.sqrt((z - 1.0) * (z + 1.0)))   # e^{-xi}
-    m1 = -math.expm1(-2.0 * xi)                          # 1 - e^{-2 xi}, no cancellation
-    p_minus = (2.0 / math.pi) * math.sqrt(emx) * _k_complement(emx * emx)
+    if not math.isfinite(z):
+        raise ValueError(f"toroidal_seeds requires a finite argument, got {z}")
+    root = math.sqrt((z - 1.0) * (z + 1.0))
+    if root == math.inf:                 # (z - 1)(z + 1) overflows above 1.34e154
+        root = math.sqrt(z - 1.0) * math.sqrt(z + 1.0)
+    emx = 0.5 / (0.5 * z + 0.5 * root)                   # e^{-xi}, finite to the largest float
+    m1 = -math.expm1(-2.0 * math.acosh(z))               # 1 - e^{-2 xi}, no cancellation
+    p_minus = (2.0 / math.pi) * math.sqrt(emx) * _k_comodulus(emx)
     p_plus = (2.0 / math.pi) * _e_complement(emx * emx) / math.sqrt(emx)
     q_minus = 2.0 * math.sqrt(emx) * _k_complement(m1)
     return p_minus, p_plus, q_minus
@@ -184,11 +206,6 @@ class HarmonicTable:
     q: np.ndarray
     ratio: np.ndarray
 
-    @property
-    def xi(self) -> float:
-        """arccosh(z), the decay scale: ratio[n] falls off like e^{-2 n xi}."""
-        return math.acosh(self.z)
-
 
 def legendre_p_half(z, n_max: int) -> np.ndarray:
     """P_{n-1/2}(z) for n = 0..n_max by forward recurrence, z >= 1.
@@ -206,8 +223,9 @@ def legendre_p_half(z, n_max: int) -> np.ndarray:
     """
     z_arr = np.asarray(z, dtype=float)
     n_max = int(n_max)
-    if z_arr.ndim > 1 or not np.all(z_arr >= 1.0):
-        raise ValueError(f"legendre_p_half requires a scalar or 1-d array of z >= 1, got {z}")
+    if z_arr.ndim > 1 or not np.all((z_arr >= 1.0) & np.isfinite(z_arr)):
+        raise ValueError(
+            f"legendre_p_half requires a scalar or 1-d array of finite z >= 1, got {z}")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
 
@@ -239,58 +257,18 @@ def _p_forward(z, n_max: int, p_minus, p_plus) -> np.ndarray:
     return p
 
 
-def _q_backward(z: float, xi: float, n_max: int, q_minus: float) -> np.ndarray:
-    """Q_{n-1/2}(z) for n = 0..n_max by Miller's backward recurrence.
-
-    Started with an arbitrary tail far enough above n_max that the
-    contaminating grown solution is suppressed below 1e-14 relative by the
-    e^{-2 xi (n_start - n_max)} damping, then normalized at n = 0 against
-    the elliptic-integral anchor.
-    """
-    # Headroom: e^{-2 xi h} <= 1e-14 needs h ~ 16/xi; the +15 covers the
-    # algebraic prefactors at moderate xi.
-    n_start = n_max + 15 + math.ceil(16.0 / xi)
-
-    q = np.empty(n_max + 1)
-    hi = 0.0     # unnormalized Q at index n+1
-    cur = 1.0    # unnormalized Q at index n
-    scale_drops = 0
-    for n in range(n_start, 0, -1):
-        lo = ((2.0 * n) * z * cur - (n + 0.5) * hi) / (n - 0.5)
-        hi, cur = cur, lo
-        if cur > _RESCALE_LIMIT:
-            hi /= _RESCALE_LIMIT
-            cur /= _RESCALE_LIMIT
-            if n - 1 <= n_max:
-                q[n - 1 + 1:] /= _RESCALE_LIMIT
-                scale_drops += 1
-        if n - 1 <= n_max:
-            q[n - 1] = cur
-
-    if n_max >= n_start:  # cannot happen with the headroom above; guard anyway
-        raise AssertionError("backward start below n_max")
-
-    scale = q_minus / q[0]
-    q *= scale
-    if scale_drops and (q[-1] == 0.0 or not np.isfinite(q[-1])):
-        n_bad = int(np.argmin(q > 0.0))
-        raise OverflowHorizonError(
-            f"Q_(n-1/2)({z}) underflows float64 before n = {n_max}; "
-            f"largest safe n is {n_bad - 1}",
-            max_safe_n=n_bad - 1,
-        )
-    return q
-
-
 def harmonic_table(z: float, n_max: int) -> HarmonicTable:
     """Build the toroidal-harmonic table at argument z >= 1 + 1e-12.
 
     P is seeded from elliptic integrals at n = 0, 1 and extended by forward
-    recurrence; Q comes from backward recurrence normalized by the
-    elliptic-integral value of Q_{-1/2}(z).
+    recurrence past n_max; the ratio R = Q/P is the Casoratian tail sum over
+    those rows, normalized by the elliptic-integral value of Q_{-1/2}(z),
+    and Q = R P.
 
     Raises
     ------
+    ValueError
+        For non-finite z or negative n_max.
     NearSingularArgumentError
         For z < 1 + 1e-12: Q_{-1/2} diverges as z -> 1 and the toroid
         degenerates there.
@@ -300,8 +278,8 @@ def harmonic_table(z: float, n_max: int) -> HarmonicTable:
     """
     z = float(z)
     n_max = int(n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    if n_max < 0 or not math.isfinite(z):
+        raise ValueError(f"harmonic_table requires finite z and n_max >= 0, got {z}, {n_max}")
     if z < 1.0 + Z_MIN_OFFSET:
         raise NearSingularArgumentError(
             f"argument z = {z} is within {Z_MIN_OFFSET} of the degenerate "
@@ -319,13 +297,19 @@ def harmonic_table(z: float, n_max: int) -> HarmonicTable:
         )
 
     p_minus, p_plus, q_minus = toroidal_seeds(z)
-    p = _p_forward(z, n_max, p_minus, p_plus)
-    if n_max == 0:
-        q = np.array([q_minus])
-    else:
-        q = _q_backward(z, xi, n_max, q_minus)
-
-    ratio = q / p
+    # At least one row past n_max, and no row where P could overflow.
+    n_top = min(n_max + 1 + math.ceil(_TAIL_XI / xi), max(n_max + 1, int(_LOG_HORIZON / xi)))
+    p = _p_forward(z, n_top, p_minus, p_plus)
+    # R_k - R_{k+1} = 1 / ((k + 1/2) P_k P_{k+1}); P_k P_{k+1} itself can
+    # overflow, so each P is divided out on its own.
+    ratio = np.arange(0.5, n_top)
+    ratio *= p[:-1]
+    np.reciprocal(ratio, out=ratio)
+    ratio /= p[1:]
+    np.cumsum(ratio[::-1], out=ratio[::-1])
+    p = p[: n_max + 1].copy()
+    ratio = ratio[: n_max + 1] * (q_minus / (ratio[0] * p[0]))
+    q = ratio * p
     for arr in (p, q, ratio):
         arr.flags.writeable = False
     return HarmonicTable(z=z, n_max=n_max, p=p, q=q, ratio=ratio)

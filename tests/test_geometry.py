@@ -9,13 +9,11 @@ from torvdw.errors import (
     CoordinateSingularityError,
     DegenerateToroidError,
     PointAtInfinityError,
-    SingularMetricError,
 )
 from torvdw.geometry import (
     ToroidalCoords,
     axis_eta_from_z,
     cartesian_to_toroidal,
-    metric_coefficient,
     surface_rz,
     toroid_from_radii,
     toroidal_to_cartesian,
@@ -139,27 +137,6 @@ class TestInverseMap:
         assert abs(x2 - x) <= 1e-12 * scale
         assert abs(y2 - y) <= 1e-12 * scale
         assert abs(z2 - z) <= 1e-12 * scale
-
-
-class TestMetric:
-    def test_on_axis_midplane(self):
-        assert metric_coefficient(
-            ToroidalCoords(xi=0.0, eta=math.pi), 4.0
-        ) == pytest.approx(2.0, rel=1e-15)
-
-    def test_outer_equator(self):
-        geom = toroid_from_radii(5.0, 3.0)
-        h = metric_coefficient(ToroidalCoords(xi=geom.xi0, eta=0.0), geom.f)
-        assert h == pytest.approx(geom.f / (geom.cosh_xi0 - 1.0), rel=1e-14)
-
-    def test_inner_equator_value(self):
-        geom = toroid_from_radii(5.0, 3.0)
-        h = metric_coefficient(ToroidalCoords(xi=geom.xi0, eta=math.pi), geom.f)
-        assert h == pytest.approx(1.5, rel=1e-14)  # 4 / (5/3 + 1)
-
-    def test_singular(self):
-        with pytest.raises(SingularMetricError):
-            metric_coefficient(ToroidalCoords(xi=0.0, eta=0.0), 1.0)
 
 
 class TestAxisEta:

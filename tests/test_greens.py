@@ -80,23 +80,6 @@ class TestInverseDistance:
         assert exc.value.bound > 0.0
         assert exc.value.n_terms == 301  # n = 0..n_cap inclusive
 
-    @pytest.mark.parametrize("xi", [0.15, 0.05, 0.02])
-    def test_field_tables_independent_of_call_order(self, geom53, greens53, xi):
-        # two field points whose cosh(xi) agree to 12 digits must not share
-        # a table: each gets its fresh-cache value whichever comes first
-        src = axial_source(0.7, geom53)
-        pts = [ToroidalCoords(xi=xi, eta=1.0),
-               ToroidalCoords(xi=math.acosh(math.cosh(xi) + 4.9e-12), eta=1.0)]
-        assert math.cosh(pts[0].xi) != math.cosh(pts[1].xi)
-        fresh = []
-        for pt in pts:
-            greens._FIELD_TABLE_CACHE.clear()
-            fresh.append(inverse_distance_series(pt, src, greens53))
-        for order in ((0, 1), (1, 0)):
-            greens._FIELD_TABLE_CACHE.clear()
-            got = {k: inverse_distance_series(pts[k], src, greens53) for k in order}
-            assert [got[0], got[1]] == fresh
-
 
 class TestVhPotential:
     def test_boundary_condition_on_surface(self, rng):

@@ -1,13 +1,15 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from oracles import legendre_p_quad, legendre_q_quad
 from torvdw.errors import NearSingularArgumentError, OverflowHorizonError
+from torvdw.greens import _table_size
 from torvdw.specfun import (
     _e_complement,
     _k_complement,
@@ -109,6 +111,39 @@ class TestSeeds:
             assert p_p == pytest.approx(legendre_p_quad(0.5, z), rel=1e-11)
             assert q_m == pytest.approx(legendre_q_quad(-0.5, z), rel=1e-11)
 
+    def test_seeds_within_8_eps_of_mpmath_up_to_the_largest_float(self):
+        # (z - 1)(z + 1) overflows above 1.34e154 and e^{-2 xi} underflows
+        # above about 2e161; neither may reach the seeds
+        for z in (1e155, 1e200, 1e300, 1.7e308):
+            with mpmath.workdps(50):
+                x = mpmath.mpf(z)
+                refs = (mpmath.legenp(-0.5, 0, x, type=3),
+                        mpmath.legenp(0.5, 0, x, type=3),
+                        mpmath.re(mpmath.legenq(-0.5, 0, x, type=3)))
+                for value, ref in zip(toroidal_seeds(z), refs):
+                    assert float(abs((mpmath.mpf(value) - ref) / ref)) <= 8.0 * EPS
+        p_m, p_p, q_m = toroidal_seeds(1e300)
+        assert p_m == pytest.approx(3.118943168586346287e-148, rel=8.0 * EPS)
+        assert p_p == pytest.approx(9.0031631615710606956e149, rel=8.0 * EPS)
+        assert q_m == pytest.approx(2.2214414690791831235e-150, rel=8.0 * EPS)
+
+    def test_largest_arguments_give_tables(self):
+        table = harmonic_table(1e155, 0)
+        assert table.p[0] == toroidal_seeds(1e155)[0]
+        assert table.q[0] == pytest.approx(toroidal_seeds(1e155)[2], rel=2.0 * EPS)
+        assert legendre_p_half(1e155, 0)[0] == toroidal_seeds(1e155)[0]
+        assert legendre_p_half(1.7e308, 1).tolist() == list(toroidal_seeds(1.7e308)[:2])
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arguments_rejected(self, z):
+        with pytest.raises(ValueError):
+            toroidal_seeds(z)
+        for n_max in (0, 3):
+            with pytest.raises(ValueError):
+                harmonic_table(z, n_max)
+            with pytest.raises(ValueError):
+                legendre_p_half(z, n_max)
+
 
 class TestHarmonicTable:
     def test_p_equals_one_at_argument_one(self):
@@ -189,7 +224,7 @@ class TestHarmonicTable:
             caso = table.p[1:] * table.q[:-1] - table.p[:-1] * table.q[1:]
             np.testing.assert_allclose(caso, 1.0 / (n - 0.5), rtol=1e-10)
 
-    def test_miller_q_matches_closed_form_q_half(self):
+    def test_q_half_matches_closed_form(self):
         # Q_{1/2}(z) = z sqrt(2/(z+1)) K(2/(z+1)) - sqrt(2 (z+1)) E(2/(z+1))
         for z in [1.2, 5.0 / 3.0, 4.0, 20.0]:
             m = 2.0 / (z + 1.0)
@@ -199,11 +234,40 @@ class TestHarmonicTable:
             table = harmonic_table(z, 6)
             assert table.q[1] == pytest.approx(q_half, rel=1e-12)
 
+    @pytest.mark.parametrize("z", [1.01, 5.0 / 3.0, 5.0, 1e8])
+    def test_q_normalized_on_the_elliptic_seed(self, z):
+        q0 = harmonic_table(z, _table_size(math.acosh(z), 1e-12, 2000)).q[0]
+        seed = toroidal_seeds(z)[2]
+        assert abs(q0 - seed) <= 2.0 * math.ulp(seed)
+
     def test_tables_are_immutable(self):
         table = harmonic_table(2.0, 10)
         for arr in (table.p, table.q, table.ratio):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+# z - 1 from near the thin-hole end to the nanoring end of the domain
+REFEREE_OFFSETS = [1e-6, 1e-4, 1e-2, 0.1, 2.0 / 3.0, 4.0, 19.0, 1e3, 1e8]
+
+
+@pytest.mark.parametrize("offset", REFEREE_OFFSETS)
+def test_tables_against_50_digit_referee(offset):
+    # rows 0, 1, n_max/2 and n_max of the table the series uses and of the
+    # largest one the horizon allows; the recurrence error grows like n
+    z = 1.0 + offset
+    xi = math.acosh(z)
+    for n_max in {min(2000, _table_size(xi, 1e-12, 2000)), min(2000, int(690.0 / (2.0 * xi)))}:
+        table = harmonic_table(z, n_max)
+        for n in {0, 1, n_max // 2, n_max}:
+            with mpmath.workdps(50):
+                nu = n - mpmath.mpf(1) / 2
+                x = mpmath.mpf(z)
+                refs = (mpmath.legenp(nu, 0, x, type=3),
+                        mpmath.re(mpmath.legenq(nu, 0, x, type=3)))
+                for value, ref in zip((table.p[n], table.q[n]), refs):
+                    err = float(abs((mpmath.mpf(value) - ref) / ref))
+                    assert err <= 32.0 * (n + 1) * EPS, (n_max, n, err)
 
 
 @st.composite
@@ -214,7 +278,25 @@ def table_args(draw):
     return z, n_max
 
 
+@st.composite
+def whole_range_args(draw):
+    z = draw(st.floats(min_value=1.0 + 1e-6, max_value=1.7e308))
+    n_max = draw(st.integers(min_value=0, max_value=min(200, int(345.0 / math.acosh(z)))))
+    return z, n_max
+
+
 class TestInvariantProperties:
+    @given(whole_range_args())
+    @example((2.4201282647943635e32, 4))  # Miller's rescaled Q once underflowed here
+    def test_finite_positive_over_the_float_range(self, args):
+        z, n_max = args
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = harmonic_table(z, n_max)
+        for arr in (table.p, table.q, table.ratio):
+            assert arr.shape == (n_max + 1,)
+            assert np.all(np.isfinite(arr)) and np.all(arr > 0.0)
+
     @given(table_args())
     def test_monotonicity_and_positivity(self, args):
         z, n_max = args
