@@ -4,8 +4,9 @@ Independent numerical route to the same electrostatics: the induced
 density on the meridian circle r = a + b cos t, z = b sin t solves
 int sigma 4 r b K(m) / R_max dt = -V_src, whose kernel is a charged ring's
 potential.  The only special function used is the complete elliptic
-integral K, so agreement with the separable series is a genuine
-cross-check rather than a shared code path.
+integral K, from Cephes' polynomial-plus-log fit rather than the AGM of
+specfun that seeds the series, so agreement with the separable series is
+a genuine cross-check rather than a shared code path.
 
 Kress's log-split Nyström rule (*Linear Integral Equations*, 3rd ed.,
 12.3) on n nodes equispaced in s and graded by tan(t/2) = tan(s/2) /
@@ -27,8 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.special import ellipk, ellipkm1
 
 from .errors import MeshError, SingularKernelError, SolverError
 from .geometry import ToroidGeometry
@@ -50,11 +49,58 @@ __all__ = [
 #: Residual gate on the solved system, relative to the source's Coulomb scale.
 RESIDUAL_LIMIT = 1e-8
 
+# Cephes ellpk (S. L. Moshier): K(1 - x) = P(x) - Q(x) ln x on (MACHEP, 1],
+# the coefficients of P and Q side by side, highest degree first; P(0) = ln 4
+# and Q(0) = 1/2.
+_ELLPK_PQ = (
+    (1.37982864606273237150e-4, 2.94078955048598507511e-5),
+    (2.28025724005875567385e-3, 9.14184723865917226571e-4),
+    (7.97404013220415179367e-3, 5.94058303753167793257e-3),
+    (9.85821379021226008714e-3, 1.54850516649762399335e-2),
+    (6.87489687449949877925e-3, 2.39089602715924892727e-2),
+    (6.18901033637687613229e-3, 3.01204715227604046988e-2),
+    (8.79078273952743772254e-3, 3.73774314173823228969e-2),
+    (1.49380448916805252718e-2, 4.88280347570998239232e-2),
+    (3.08851465246711995998e-2, 7.03124996963957469739e-2),
+    (9.65735902811690126535e-2, 1.24999999999870820058e-1),
+    (1.38629436111989062502e0, 4.99999999999999999821e-1),
+)
+_LN4 = _ELLPK_PQ[-1][0]
+_MACHEP = 1.11022302462515654042e-16
+#: Elements per piece of a large _ellpk argument: a piece and its
+#: temporaries stay in cache through the Horner pass.
+_ELLPK_CHUNK = 1 << 14
+
+
+def _ellpk(x):
+    """K(1 - x) for x >= 0, elementwise: Cephes' ellpk, the routine behind
+    scipy.special.ellipkm1, in the same operations (Horner in x; below
+    MACHEP the leading terms ln 4 - ln(x) / 2; x > 1 through K(1 - 1/x) /
+    sqrt(x)), so it agrees with it to an ulp.  x = 0 gives inf."""
+    x = np.asarray(x, dtype=float)
+    if x.size > _ELLPK_CHUNK:
+        flat = x.ravel()
+        return np.concatenate([_ellpk(flat[s:s + _ELLPK_CHUNK])
+                               for s in range(0, flat.size, _ELLPK_CHUNK)]).reshape(x.shape)
+    with np.errstate(divide="ignore"):
+        y = np.minimum(x, 1.0 / x)
+        log = np.log(y)
+    p, q = (c * y for c in _ELLPK_PQ[0])
+    for cp, cq in _ELLPK_PQ[1:-1]:
+        p += cp
+        p *= y
+        q += cq
+        q *= y
+    p += _LN4
+    q += _ELLPK_PQ[-1][1]
+    k = np.where(y > _MACHEP, p - q * log, _LN4 - 0.5 * log)
+    return k / np.sqrt(np.maximum(x, 1.0))
+
 
 def _ring_moduli(r_f, z_f, r_ring, z_ring):
     """(p, R_max) of the ring kernel, p = 1 - m: formed from ratios to
     R_max = hypot(r + r', z - z'), so nothing overflows and p does not
-    cancel.  K(m) is then ellipkm1(p) and K(1 - m) is ellipk(p)."""
+    cancel.  K(m) is then _ellpk(p) and K(1 - m) is _ellpk(1 - p)."""
     dz = z_f - z_ring
     rmax = np.hypot(r_f + r_ring, dz)
     u, v = (r_f - r_ring) / rmax, dz / rmax
@@ -66,7 +112,7 @@ def _ring_kernel(r_f, z_f, r_ring, z_ring):
     p, rmax = _ring_moduli(r_f, z_f, r_ring, z_ring)
     if np.any(p == 0.0):
         raise SingularKernelError("field point lies on a ring")
-    return (2.0 / math.pi) * ellipkm1(p) / rmax
+    return (2.0 / math.pi) * _ellpk(p) / rmax
 
 
 def ring_potential(r: float, z: float, r0: float, z0: float, charge: float) -> float:
@@ -90,7 +136,8 @@ def _log_weights(n: int) -> np.ndarray:
     """Kress's weights R_d less the log they integrate, by node offset d:
     c_d = n R_d / (2 pi) - ln(4 sin^2(pi d / n)) (no log at d = 0), where
     n R_d / (2 pi) = -2 sum_k a_k cos(2 pi k d / n), a_k = 1/k up to
-    k = (n - 1) // 2 and a_{n/2} = 1/n for even n."""
+    k = (n - 1) // 2 and a_{n/2} = 1/n for even n.  Rounding makes c_{n - d}
+    and c_d differ in their last bits; c_{n - d} is set to c_d, d < n / 2."""
     a = np.zeros(n)
     k = np.arange(1, (n + 1) // 2)
     a[k] = 1.0 / k
@@ -98,7 +145,29 @@ def _log_weights(n: int) -> np.ndarray:
         a[n // 2] = 1.0 / n
     c = -2.0 * np.fft.fft(a).real
     c[1:] -= np.log(4.0 * np.sin(np.pi * np.arange(1, n) / n) ** 2)
+    c[:n // 2:-1] = c[1:(n + 1) // 2]
     return c
+
+
+def _half_kernels(r, z, c: np.ndarray) -> np.ndarray:
+    """The same-side and the mirror kernel of the lower half, stacked,
+    (2, k, k) for its k = n - n // 2 nodes: (K(m) - K(1 - m) c_d / pi) / R_max
+    between node i and node j, respectively node j's mirror n - 1 - j, with
+    c = _log_weights(n) at the offset d = i - j, respectively i + j + 1
+    (mod n).  Both are symmetric in (i, j), since c_{n - d} = c_d, so the
+    kernel is evaluated on their upper triangles only, k (k + 1) pairs in
+    all, and scattered to both triangles.  Entries that pair a node with
+    itself (the same-side diagonal and, for odd n, the middle node with its
+    own mirror) are placeholders for the caller to replace."""
+    n, k = len(c), len(r)
+    i, j = np.triu_indices(k)
+    p, rmax = _ring_moduli(r[i], z[i], r[j], np.stack([z[j], -z[j]]))
+    p[np.stack([i == j, (i == j) & (i == n // 2)])] = 0.5
+    km, kc = _ellpk(np.stack([p, 1.0 - p]))  # K(m), K(1 - m)
+    c = c[np.stack([(i - j) % n, (i + j + 1) % n])]
+    kernels = np.empty((2, k, k))
+    kernels[:, i, j] = kernels[:, j, i] = (km - kc * c / math.pi) / rmax
+    return kernels
 
 
 @dataclass
@@ -113,7 +182,7 @@ class BemMesh:
     Nyström matrix A decouples into an even block E = A_same + A_mirror
     and an odd block O = A_same - A_mirror over the lower half, both from
     its rows alone; for odd n the middle node adds a row and column to E.
-    The blocks and their LU factorizations are built lazily and cached.
+    The blocks are built lazily and cached; each solve factors them afresh.
     """
 
     geometry: ToroidGeometry
@@ -124,36 +193,33 @@ class BemMesh:
     ds: np.ndarray    # arc weight per node, b t'(s_j) 2 pi / n
     eta: np.ndarray   # toroidal angle of the nodes
     _blocks: tuple | None = field(default=None, repr=False, compare=False)
-    _lu: tuple | None = field(default=None, repr=False, compare=False)
 
     def blocks(self) -> tuple[np.ndarray, np.ndarray]:
         """The even block E, (n - h) x (n - h), and the odd block O, h x h."""
         if self._blocks is None:
             n = self.n_panels
             h, k = n // 2, n - n // 2
-            r, z, ds = self.r, self.z, self.ds
-            p, rmax = _ring_moduli(r[:k, None], z[:k, None], r, z)
-            diag = np.arange(k)
-            p[diag, diag] = 0.5  # placeholder: the diagonal is set below
+            r, ds = self.r[:k], self.ds[:k]
             c = _log_weights(n)
-            rows = (4.0 * r * ds / rmax) * (
-                ellipkm1(p) - ellipk(p) * c[np.subtract.outer(diag, np.arange(n)) % n]
-                / math.pi)
+            # column j's weight; its mirror node n - 1 - j has the same
+            same, mirror = _half_kernels(r, self.z[:k], c) * (4.0 * r * ds)
             # k2's limit on the diagonal, 2 b t' ln(8 r / (b t')), with the
             # log part's own weight; b t' = n ds / (2 pi).
-            rows[diag, diag] = ds[:k] * (
-                2.0 * np.log(16.0 * math.pi * r[:k] / (n * ds[:k])) - c[0])
-            mirror = rows[:, ::-1][:, :h]  # column j's mirror node is n - 1 - j
-            even = rows[:, :k].copy()  # the last column is the middle node's for odd n
-            even[:, :h] += mirror
-            self._blocks = (even, rows[:h, :h] - mirror[:h])
+            diag = np.arange(k)
+            same[diag, diag] = ds * (
+                2.0 * np.log(16.0 * math.pi * r / (n * ds)) - c[0])
+            odd = same[:h, :h] - mirror[:h, :h]
+            even = same  # the last column is the middle node's for odd n
+            even[:, :h] += mirror[:, :h]
+            self._blocks = (even, odd)
         return self._blocks
 
-    def lu(self):
-        """LU factorizations of the even and odd blocks."""
-        if self._lu is None:
-            self._lu = tuple(lu_factor(block) for block in self.blocks())
-        return self._lu
+    def lu(self, parts):
+        """The block solve: the even and odd parts of a right-hand side (a
+        vector, or one column per right-hand side) solved with the even and
+        the odd block by LU with partial pivoting, np.linalg.solve, all
+        columns at once.  Nothing is cached: each call factors both blocks."""
+        return [np.linalg.solve(block, part) for block, part in zip(self.blocks(), parts)]
 
     def collocation_matrix(self) -> np.ndarray:
         """Reduced potential at node i per unit surface density at node j.
@@ -240,14 +306,14 @@ class BemSolution:
 
 def _solve(mesh: BemMesh, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve A x = rhs, a vector or one column per right-hand side, by its
-    even and odd parts, each with its block's LU.
+    even and odd parts, each with its block (one BemMesh.lu call).
 
     Returns x and the worst column's residual relative to its max |rhs|;
     raises SolverError, with the Nyström matrix's condition number, when
     that residual exceeds RESIDUAL_LIMIT or is NaN.
     """
     parts = _fold(rhs, mesh.n_panels // 2)
-    halves = [lu_solve(lu, part) for lu, part in zip(mesh.lu(), parts)]
+    halves = mesh.lu(parts)
     resid = _unfold(*(block @ x - part
                       for block, x, part in zip(mesh.blocks(), halves, parts)))
     residual = float(np.max(np.max(np.abs(resid), axis=0) / np.max(np.abs(rhs), axis=0)))

@@ -417,8 +417,8 @@ def cmd_contour(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    # Imported here: the battery's BEM oracle is the only user of scipy, and
-    # every other command runs on numpy alone.
+    # Imported here: only the battery needs the BEM oracle, so the other
+    # commands never load it.
     from .validate import run_battery
 
     if not 0.0 < args.tol <= 1e-4:

@@ -2,6 +2,7 @@ import importlib.util
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -16,6 +17,9 @@ from torvdw import (
 )
 import torvdw.bem as bem_module
 from torvdw.bem import (
+    _ellpk,
+    _half_kernels,
+    _log_weights,
     _ring_moduli,
     bem_gh_reduced,
     bem_mixed_derivative,
@@ -30,6 +34,7 @@ from torvdw.errors import MeshError, SingularKernelError, SolverError
 from torvdw.units import K_E_EV_NM
 from torvdw.validate import _exterior_points, check_bem_vs_series
 
+EPS = np.finfo(float).eps
 #: The smallest a/b with any axial repulsion (50-digit mpmath root of S0).
 THRESHOLD_RATIO = 3.2047484385699470658
 
@@ -78,6 +83,38 @@ class TestMesh:
     def test_too_few_panels(self, geom53):
         with pytest.raises(MeshError):
             build_mesh(geom53, 8)
+
+
+#: Complementary parameters p = 1 - m: a log grid down to 1e-300, the
+#: midrange, p = 1 itself and the few ulps above 1 that an on-axis field
+#: point's p can round to.
+ELLPK_GRID = np.array(sorted(set(np.geomspace(1e-300, 1.0, 4001).tolist())
+                             | {0.5, 0.9, 1.0 + 2.0**-52, 1.0 + 2.0**-50}))
+
+
+class TestEllpk:
+    def test_within_an_ulp_of_scipy(self):
+        want = scipy.special.ellipkm1(ELLPK_GRID)
+        assert np.all(np.abs(_ellpk(ELLPK_GRID) - want) <= np.spacing(want))
+        # K(1 - m) of the Kress split, which scipy computes as ellipk(p)
+        p = ELLPK_GRID[ELLPK_GRID < 1.0]
+        want = scipy.special.ellipk(p)
+        assert np.all(np.abs(_ellpk(1.0 - p) - want) <= np.spacing(want))
+
+    def test_within_4_eps_of_mpmath(self):
+        # K(1 - p) at 30 digits, plus the digits that 1 - p itself needs
+        def eps_error(p):
+            with mpmath.workdps(30 + max(0, -math.floor(math.log10(p)))):
+                ref = mpmath.ellipk(1 - mpmath.mpf(p))
+                return float(abs(mpmath.mpf(float(_ellpk(p))) - ref) / ref) / EPS
+
+        grid = ELLPK_GRID[ELLPK_GRID <= 1.0][::8]
+        assert max(eps_error(p) for p in grid) <= 4.0
+
+    def test_ends(self):
+        assert _ellpk(1.0) == pytest.approx(math.pi / 2.0, rel=1e-15)
+        assert _ellpk(np.array([0.0]))[0] == math.inf
+        assert np.ndim(_ellpk(0.5)) == 0
 
 
 class TestRingPotential:
@@ -247,8 +284,10 @@ class TestMirrorBlocks:
         mesh = build_mesh(geom53, n)
         solve_induced_density(mesh, axial_source(1.0, geom53))
         mesh.collocation_matrix()
-        # the rows of the lower half against all n nodes, once
-        assert 0 < sum(evals) <= n * n / 2 + n
+        # the upper triangles of the lower half's same-side and mirror
+        # kernels, once: k (k + 1) pairs, about a quarter of n^2
+        k = n - n // 2
+        assert sum(evals) == k * (k + 1)
 
     @pytest.mark.parametrize("n", [64, 65])
     def test_solver_error_carries_full_condition_number(self, geom53, monkeypatch, n):
@@ -260,8 +299,27 @@ class TestMirrorBlocks:
             np.linalg.cond(mesh.collocation_matrix()), rel=1e-8
         )
 
+    @pytest.mark.parametrize("n", MIRROR_PANELS)
+    def test_kernels_are_symmetric(self, geom53, n):
+        # the same-side and mirror kernels are bitwise symmetric off the
+        # diagonal; the blocks are their column-weighted sums and differences
+        mesh = build_mesh(geom53, n)
+        h, k = n // 2, n - n // 2
+        same, mirror = _half_kernels(mesh.r[:k], mesh.z[:k], _log_weights(n))
+        off = ~np.eye(k, dtype=bool)
+        for kernel in (same, mirror):
+            assert np.array_equal(kernel[off], kernel.T[off])
+        even, odd = mesh.blocks()
+        w = 4.0 * mesh.r[:k] * mesh.ds[:k]
+        expected = same * w
+        np.testing.assert_array_equal(odd[off[:h, :h]],
+                                      (expected - mirror * w)[:h, :h][off[:h, :h]])
+        expected[:, :h] += (mirror * w)[:, :h]
+        np.testing.assert_array_equal(even[off], expected[off])
+
     def test_nan_residual_fails_the_gate(self, geom53, monkeypatch):
-        monkeypatch.setattr(bem_module, "lu_solve", lambda lu, b: np.full_like(b, NAN))
+        monkeypatch.setattr(bem_module.BemMesh, "lu",
+                            lambda self, parts: [np.full_like(b, NAN) for b in parts])
         with pytest.raises(SolverError):
             solve_induced_density(build_mesh(geom53, 64), axial_source(1.0, geom53))
 
@@ -389,34 +447,26 @@ class TestMixedDerivative:
         )
 
     def test_one_block_solve_pair(self, geom51, monkeypatch):
-        factors, lu_calls, solves = [], [], []
-        lu_factor, lu_solve = bem_module.lu_factor, bem_module.lu_solve
+        block_solves, solves = [], []
+        solve = np.linalg.solve
 
-        def counting_lu_factor(a):
-            factors.append(a.shape)
-            return lu_factor(a)
-
-        def counting_lu_solve(lu, b):
-            lu_calls.append(b.shape)
-            return lu_solve(lu, b)
+        def counting_block_solve(a, b):
+            block_solves.append((a.shape, b.shape))
+            return solve(a, b)
 
         def counting_solve(*args):
             solves.append(1)
             return solve_induced_density(*args)
 
-        monkeypatch.setattr(bem_module, "lu_factor", counting_lu_factor)
-        monkeypatch.setattr(bem_module, "lu_solve", counting_lu_solve)
+        monkeypatch.setattr(bem_module.np.linalg, "solve", counting_block_solve)
         monkeypatch.setattr(bem_module, "solve_induced_density", counting_solve)
         bem_mixed_derivative(2.0, 1.0, geom51, 400)
-        assert len(factors) == 2 and len(lu_calls) == 2
-        # ten heights: still one factorization and one solve per block,
-        # with a column per height
-        factors.clear()
-        lu_calls.clear()
+        assert len(block_solves) == 2
+        # ten heights: still one solve per block, with a column per height
+        block_solves.clear()
         heights = np.linspace(0.0, 4.5, 10)
         bem_mixed_derivative(heights, heights, geom51, 400)
-        assert factors == [(200, 200), (200, 200)]
-        assert lu_calls == [(200, 10), (200, 10)]
+        assert block_solves == [((200, 200), (200, 10)), ((200, 200), (200, 10))]
         assert not solves
 
     @pytest.mark.parametrize("n", [64, 65])

@@ -13,14 +13,19 @@ _PROBE = (
 
 def _scipy_modules_after(*modules):
     """scipy* keys of sys.modules after importing `modules` in a fresh interpreter."""
+    out = subprocess.run(
+        [sys.executable, "-c", _PROBE.format(modules=", ".join(modules))],
+        capture_output=True, text=True, env=_env(), check=True,
+    )
+    return json.loads(out.stdout)
+
+
+def _env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", _PROBE.format(modules=", ".join(modules))],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    return json.loads(out.stdout)
+    return env
 
 
 def test_series_path_runs_on_numpy_alone():
@@ -30,5 +35,30 @@ def test_series_path_runs_on_numpy_alone():
 
 
 @pytest.mark.parametrize("module", ["torvdw.bem", "torvdw.validate"])
-def test_oracle_still_loads_scipy(module):
-    assert "scipy" in _scipy_modules_after(module)
+def test_oracle_runs_on_numpy_alone(module):
+    assert _scipy_modules_after(module) == []
+
+
+_NO_SCIPY = """
+import runpy, sys
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("scipy is refused")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+sys.argv = ["torvdw", "validate"]
+runpy.run_module("torvdw.cli", run_name="__main__")
+"""
+
+
+def test_validate_runs_with_scipy_refused():
+    # the same as `python -m torvdw.cli validate`, with every scipy import refused
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY],
+                         capture_output=True, text=True, env=_env())
+    assert out.returncode == 0, out.stderr
+    assert "validation: PASS" in out.stdout
