@@ -6,33 +6,30 @@ For a particle polarizable only along the axis, the interaction energy is
 
 with G_H = eps0 V_H / q the homogeneous Green's kernel of the grounded
 toroid.  On the axis G_H depends on z only through theta = arccot(z / f),
-and the mixed derivative evaluates term by term.  At coincident points
-every term collapses to an explicit rational function of z_p:
+and at coincident points every term of the mixed derivative collapses to
+a rational function of z_p.  With r = sqrt(f^2 + z_p^2), c = f / r and
+t = z_p / r, the shape then enters only through f and two moments of the
+ratio R_n = Q_{n-1/2}(a/b) / P_{n-1/2}(a/b) > 0,
 
-    d^2 G_H / dz dz' = -(f / 2 pi^2) sum_n (2 - delta_n0)
-                       R_n (z_p^2 + 4 n^2 f^2) / (f^2 + z_p^2)^3,
+    M0 = sum_n (2 - delta_n0) R_n,    M2 = sum_n (2 - delta_n0) n^2 R_n,
 
-with R_n = Q_{n-1/2}(a/b) / P_{n-1/2}(a/b) > 0 -- manifestly negative, so
-the energy is attractive-in-sign everywhere while its *gradient* can point
-either way.  The force is the term-by-term analytic derivative
+and energy and force are closed forms in them, with C' = <d_z^2> K_E / pi:
 
-    F_z = -dU/dz_p
-        = 2 C z_p sum_n (2 - delta_n0) R_n [(1 - 12 n^2) f^2 - 2 z_p^2]
-          / (f^2 + z_p^2)^4,          C = <d_z^2> K_E f / pi,
+    U   = -C' (c / r^3) (t^2 M0 + 4 c^2 M2),
+    F_z = -dU/dz_p = 2 C' (c t / r^4) (c^2 (M0 - 12 M2) - 2 t^2 M0).
 
-odd in z_p and vanishing at the origin.  The n = 0 term pushes the
-particle away from the origin; the n >= 1 terms pull it in.  Their balance
-is set by the decay rate of R_n (that is, by a/b), which is the whole
-repulsion-versus-attraction story: thin rings repel nearby axial
-particles, fat ones never do.
+U is negative and even in z_p; F_z is odd and vanishes at the origin.
+The n = 0 term pushes the particle out and the n >= 1 terms pull it in:
+the sign sum c^2 A - 2 t^2 B, with A = M0 - 12 M2 and B = M0, is linear
+in z_p^2, so thin rings (A > 0) repel nearby axial particles out to the
+zero z*^2 = f^2 A / (2 B), and fat ones (A < 0) never do.  The decay
+rate of R_n, that is a/b alone, decides which a shape is.
 
-Both sums are evaluated in the scaled variables c = f / r and t = z_p / r,
-r = sqrt(f^2 + z_p^2), so that no power of r is ever formed: the energy
-terms become R_n (t^2 + 4 n^2 c^2) / r^4 and the force terms
-R_n [(1 - 12 n^2) c^2 - 2 t^2] / r^6, and the division by r happens one
-factor at a time after the physical prefactor is applied.  Heights up to
-the float64 limit therefore give the representable U and F rather than
-an overflow.
+The two moments are summed once per shape under the package's truncation
+rule, after which each height costs a few flops.  No power of r is ever
+formed: the physical prefactor multiplies the scaled sum first and r is
+divided out one factor at a time, so heights up to the float64 limit give
+the representable U and F rather than an overflow.
 """
 
 from __future__ import annotations
@@ -46,6 +43,7 @@ from .errors import (
     NoSignChangeError,
     RangeExceededError,
     ResultOverflowError,
+    TruncationError,
     UnsupportedConfigurationError,
 )
 from .geometry import toroid_from_radii
@@ -121,8 +119,8 @@ def _scaled(z_p: np.ndarray, f: float):
     return r, f / r, z_p / r
 
 
-def _over_r(scale: np.ndarray, r: np.ndarray, power: int, what: str) -> np.ndarray:
-    """scale / r^power, dividing one factor at a time.
+def _over_r(scale, s: np.ndarray, r: np.ndarray, power: int, what: str) -> np.ndarray:
+    """scale * s / r^power, dividing one factor at a time.
 
     Raises
     ------
@@ -131,28 +129,42 @@ def _over_r(scale: np.ndarray, r: np.ndarray, power: int, what: str) -> np.ndarr
         f ~ r far below 1 nm under a large <d_z^2>.
     """
     with np.errstate(over="ignore"):
+        out = scale * s
         for _ in range(power):
-            scale = scale / r
-    if not np.all(np.isfinite(scale)):
+            out = out / r
+    if not np.all(np.isfinite(out)):
         raise ResultOverflowError(
             f"the {what} exceeds the float64 range at "
-            f"{int(np.sum(~np.isfinite(scale)))} of {scale.size} heights; "
+            f"{int(np.sum(~np.isfinite(out)))} of {out.size} heights; "
             "the toroid is too small for this <d_z^2>"
         )
-    return scale
+    return out
 
 
-def _energy_grid(z_p: np.ndarray, p: ParticleModel, g: AxialGreens):
-    """U(z_p) in eV, vectorized, with the column sums behind it."""
+def _moments(g: AxialGreens) -> tuple[float, float, int]:
+    """(M0, M2, n_used): both moments as two columns of one truncated sum,
+    n_used the later of their stop indices.  Raises TruncationError if
+    either does not converge within the term cap."""
     w = _two_minus_delta(g.table.n_max) * g.table.ratio
     n = np.arange(w.size)
-    r, c, t = _scaled(z_p, g.geometry.f)
-    terms = w[:, None] * (t[None, :] ** 2 + 4.0 * (n[:, None] * c[None, :]) ** 2)
-    sums = _sum_adaptive_grid(terms, g.table.ratio, g.rel_tol)
-    # U = pref d2G with d2G = -(f / 2 pi^2) S / r^4 = -(c / 2 pi^2) S / r^3,
-    # S the scaled sum
-    scale = -(_energy_prefactor(p) / (2.0 * math.pi**2)) * c * sums.values
-    return _over_r(scale, r, 3, "energy"), sums
+    sums = _sum_adaptive_grid(np.column_stack([w, n * n * w]), g.table.ratio, g.rel_tol)
+    _raise_unconverged(sums, "moment")
+    return float(sums.values[0]), float(sums.values[1]), int(sums.n_used.max())
+
+
+def _energy(z_p: np.ndarray, p: ParticleModel, f: float, m0: float, m2: float):
+    """U(z_p) in eV from the moments, vectorized over heights."""
+    r, c, t = _scaled(z_p, f)
+    # C' of the module docstring, as <d_z^2> / (2 eps0) over 2 pi^2
+    scale = -(_energy_prefactor(p) / (2.0 * math.pi**2)) * c
+    return _over_r(scale, t * t * m0 + 4.0 * c * c * m2, r, 3, "energy")
+
+
+def _force(z_p: np.ndarray, p: ParticleModel, f: float, m0: float, m2: float):
+    """F_z(z_p) in eV/nm from the moments, vectorized over heights."""
+    r, c, t = _scaled(z_p, f)
+    scale = 2.0 * (p.d2z * K_E_EV_NM / math.pi) * c * t
+    return _over_r(scale, c * c * (m0 - 12.0 * m2) - 2.0 * t * t * m0, r, 4, "force")
 
 
 def gh_mixed_derivative(z: float, z_prime: float, g: AxialGreens) -> float:
@@ -214,29 +226,15 @@ def vdw_energy(z_p, p: ParticleModel, g: AxialGreens):
     ValueError
         For a non-finite height.
     TruncationError
-        If the series does not converge within the term cap.
+        If the moments do not converge within the term cap.
     """
-    energy, sums = _energy_grid(_heights(z_p), p, g)
-    _raise_unconverged(sums, "energy")
-    return _like_input(z_p, energy)
-
-
-def _force_grid(z_p: np.ndarray, p: ParticleModel, g: AxialGreens):
-    """F_z(z_p) in eV/nm, vectorized, with the column sums behind it."""
-    w = _two_minus_delta(g.table.n_max) * g.table.ratio
-    n = np.arange(w.size)
-    r, c, t = _scaled(z_p, g.geometry.f)
-    terms = w[:, None] * ((1.0 - 12.0 * n[:, None] ** 2) * c[None, :] ** 2
-                          - 2.0 * t[None, :] ** 2)
-    sums = _sum_adaptive_grid(terms, g.table.ratio, g.rel_tol)
-    # F = 2 C z_p S / r^6 = 2 C' c t S / r^4 with C' = <d_z^2> K_E / pi,
-    # S the scaled sum
-    scale = 2.0 * (p.d2z * K_E_EV_NM / math.pi) * c * t * sums.values
-    return _over_r(scale, r, 4, "force"), sums
+    z = _heights(z_p)
+    m0, m2, _ = _moments(g)
+    return _like_input(z_p, _energy(z, p, g.geometry.f, m0, m2))
 
 
 def vdw_force(z_p, p: ParticleModel, g: AxialGreens):
-    """Axial force F_z = -dU/dz_p in eV/nm by term-by-term differentiation.
+    """Axial force F_z = -dU/dz_p in eV/nm, the closed-form derivative.
 
     Odd in z_p with F_z(0) = 0.  Positive values push the particle away
     from the origin (repulsion), negative pull it back.
@@ -246,11 +244,11 @@ def vdw_force(z_p, p: ParticleModel, g: AxialGreens):
     ValueError
         For a non-finite height.
     TruncationError
-        If the series does not converge within the term cap.
+        If the moments do not converge within the term cap.
     """
-    force, sums = _force_grid(_heights(z_p), p, g)
-    _raise_unconverged(sums, "force")
-    return _like_input(z_p, force)
+    z = _heights(z_p)
+    m0, m2, _ = _moments(g)
+    return _like_input(z_p, _force(z, p, g.geometry.f, m0, m2))
 
 
 @dataclass(frozen=True)
@@ -262,36 +260,27 @@ class ForceProfile:
     force: np.ndarray
     energy_scale: float   # |U| at z_p = 0, for normalized plots
     force_scale: float    # max |F| on the grid
-    n_used: np.ndarray    # series terms consumed per point (worst of U, F)
+    n_used: np.ndarray    # one stop index per shape, repeated per point
 
 
 def force_profile(z_grid, p: ParticleModel, g: AxialGreens) -> ForceProfile:
     """Evaluate U and F on a grid and record the scales of normalized plots."""
     z_grid = _heights(z_grid).copy()
-    energy, e_sums = _energy_grid(z_grid, p, g)
-    _raise_unconverged(e_sums, "energy")
-    force, f_sums = _force_grid(z_grid, p, g)
-    _raise_unconverged(f_sums, "force")
-    n_used = np.maximum(e_sums.n_used, f_sums.n_used)
+    m0, m2, stop = _moments(g)
+    f = g.geometry.f
+    energy = _energy(z_grid, p, f, m0, m2)
+    force = _force(z_grid, p, f, m0, m2)
+    n_used = np.full(z_grid.size, stop)
     for arr in (z_grid, energy, force, n_used):
         arr.flags.writeable = False
     return ForceProfile(
         z_p=z_grid,
         energy=energy,
         force=force,
-        energy_scale=abs(float(vdw_energy(0.0, p, g))),
+        energy_scale=abs(float(_energy(np.zeros(1), p, f, m0, m2)[0])),
         force_scale=float(np.max(np.abs(force))) if force.size else 0.0,
         n_used=n_used,
     )
-
-
-def _sign_sums(g: AxialGreens):
-    """(A, B) of the force's sign sum f^2 A - 2 z_p^2 B, and their weights."""
-    w = _two_minus_delta(g.table.n_max)
-    weights = np.column_stack([w * (1.0 - 12.0 * np.arange(w.size) ** 2), w])
-    sums = _sum_adaptive_grid(weights * g.table.ratio[:, None], g.table.ratio, g.rel_tol)
-    _raise_unconverged(sums, "force-zero")
-    return sums.values, weights
 
 
 def find_force_zero(
@@ -299,10 +288,10 @@ def find_force_zero(
 ) -> float:
     """The axial force zero in the bracket nearest its midpoint.
 
-    The force's sign sum f^2 A - 2 z_p^2 B, with A = sum_n (2 - delta_n0)
-    R_n (1 - 12 n^2) and B = sum_n (2 - delta_n0) R_n, is linear in z_p^2,
-    so the zeros are 0 and, when A > 0, +-z* with z*^2 = f^2 A / (2 B).
-    The zero height is independent of <d_z^2>, which only scales the force.
+    The force's sign sum f^2 A - 2 z_p^2 B, with A = M0 - 12 M2 and
+    B = M0, is linear in z_p^2, so the zeros are 0 and, when A > 0, +-z*
+    with z*^2 = f^2 A / (2 B).  The zero height is independent of
+    <d_z^2>, which only scales the force.
 
     Raises
     ------
@@ -313,14 +302,15 @@ def find_force_zero(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not -math.inf < lo < hi < math.inf:
         raise ValueError(f"bracket must be finite and ordered, got {bracket}")
-    f_lo, f_hi = vdw_force(np.array([lo, hi]), p, g)
+    m0, m2, _ = _moments(g)
+    f_lo, f_hi = _force(np.array([lo, hi]), p, g.geometry.f, m0, m2)
     if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
         raise NoSignChangeError(
             f"force does not change sign on [{lo}, {hi}] "
             f"(F = {f_lo:.3e} and {f_hi:.3e}); no repulsion zone to bound"
         )
-    (a_sum, b_sum), _ = _sign_sums(g)
-    z_star = g.geometry.f * math.sqrt(a_sum / (2.0 * b_sum)) if a_sum > 0.0 else 0.0
+    a_sum = m0 - 12.0 * m2
+    z_star = g.geometry.f * math.sqrt(a_sum / (2.0 * m0)) if a_sum > 0.0 else 0.0
     # Zeros outside a sign-changing bracket lie farther from its midpoint
     # than those inside; the clip only absorbs rounding at the ends.
     zero = min((-z_star, 0.0, z_star), key=lambda z: abs(z - (0.5 * lo + 0.5 * hi)))
@@ -358,12 +348,16 @@ def critical_ratio(
     h2 = 2.0 * (z_p / b) * (z_p / b)
 
     def sigma(z: float):
-        # sigma and d sigma / du; (z^2 - 1) dR_n/dz = -1 / P_n^2
+        # sigma and d sigma / du; (z^2 - 1) dR_n/dz = -1 / P_n^2, so
+        # (z^2 - 1) dA/dz = -(D0 - 12 D2) and (z^2 - 1) dB/dz = -D0 with
+        # D0 = sum_n (2 - delta_n0) / P_n^2 and D2 the same weighted by n^2
         g = axial_greens(toroid_from_radii(z * b, b), rel_tol=rel_tol, n_cap=n_cap)
-        (a_sum, b_sum), weights = _sign_sums(g)
-        da, db = np.sum(weights / g.table.p[:, None] ** 2, axis=0)
-        value = (z * z - 1.0) * a_sum - h2 * b_sum
-        return value, z * (2.0 * z * a_sum - da + h2 * db / (z * z - 1.0))
+        m0, m2, _ = _moments(g)
+        w = _two_minus_delta(g.table.n_max) / g.table.p ** 2
+        d0, d2 = np.sum(w), np.sum(np.arange(w.size) ** 2 * w)
+        a_sum = m0 - 12.0 * m2
+        value = (z * z - 1.0) * a_sum - h2 * m0
+        return value, z * (2.0 * z * a_sum - (d0 - 12.0 * d2) + h2 * d0 / (z * z - 1.0))
 
     if sigma(lo)[0] > 0.0:
         raise RangeExceededError(f"force already repulsive at a/b = {lo}; "
@@ -410,12 +404,13 @@ def sweep_contour(
     rel_tol: float = 1e-12,
     n_cap: int = 2000,
 ) -> SweepGrid:
-    """Force over the (a, z_p) grid; per-cell failures recorded, not fatal.
+    """Force over the (a, z_p) grid; per-column failures recorded, not fatal.
 
-    Columns reuse one evaluator per a value, and every cell is the same
-    arithmetic as a scalar vdw_force call at that point.  Cells are
-    independent pure evaluations, so columns can safely be farmed out to
-    worker threads or processes; the returned grid is immutable.
+    Each a value is one shape and one pair of moments, and its column is
+    the same arithmetic as a vdw_force call on those heights.  A shape
+    whose moments do not converge within n_cap fails as a whole: its
+    column is NaN, with one diagnostic per cell.  Columns are independent
+    pure evaluations; the returned grid is immutable.
     """
     a_values = np.asarray(a_values, dtype=float)
     z_values = np.asarray(z_values, dtype=float)
@@ -429,10 +424,12 @@ def sweep_contour(
     diags = []
     for j, a in enumerate(a_values):
         g = axial_greens(toroid_from_radii(a, b), rel_tol=rel_tol, n_cap=n_cap)
-        col, sums = _force_grid(z_values, p, g)
-        force[:, j] = np.where(sums.converged, col, np.nan)
-        for i in np.nonzero(~sums.converged)[0]:
-            diags.append((int(i), int(j), "series not converged within cap"))
+        try:
+            m0, m2, _ = _moments(g)
+        except TruncationError:
+            diags += [(i, j, "series not converged within cap") for i in range(z_values.size)]
+            continue
+        force[:, j] = _force(z_values, p, g.geometry.f, m0, m2)
     force.flags.writeable = False
     return SweepGrid(
         a_values=a_values,

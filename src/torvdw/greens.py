@@ -73,6 +73,19 @@ class AxialSource:
     charge: float
 
 
+def _source_heights(z_src, f: float) -> np.ndarray:
+    """Source heights as a float array; non-finite ones are refused, and
+    those beyond FAR_SOURCE_FACTOR f draw one FarSourceWarning."""
+    heights = np.asarray(z_src, dtype=float)
+    if not np.all(np.isfinite(heights)):
+        raise ValueError(f"source height must be finite, got {z_src}")
+    if np.any(np.abs(heights) > FAR_SOURCE_FACTOR * f):
+        warnings.warn(f"source at |z| = {np.max(np.abs(heights))} nm is beyond "
+                      f"{FAR_SOURCE_FACTOR:g} focal lengths; the induced potential "
+                      "is vanishingly small", FarSourceWarning, stacklevel=3)
+    return heights
+
+
 def axial_source(z_src: float, geom: ToroidGeometry, charge: float = 1.0) -> AxialSource:
     """Place a point charge on the axis of the given toroid.
 
@@ -81,16 +94,7 @@ def axial_source(z_src: float, geom: ToroidGeometry, charge: float = 1.0) -> Axi
     ValueError
         For a non-finite height.
     """
-    z_src = float(z_src)
-    if not math.isfinite(z_src):
-        raise ValueError(f"source height must be finite, got {z_src}")
-    if abs(z_src) > FAR_SOURCE_FACTOR * geom.f:
-        warnings.warn(
-            f"source at |z| = {abs(z_src)} nm is beyond {FAR_SOURCE_FACTOR:g} "
-            "focal lengths; the induced potential is vanishingly small",
-            FarSourceWarning,
-            stacklevel=2,
-        )
+    z_src = float(_source_heights(z_src, geom.f))
     return AxialSource(
         z_src=z_src,
         eta_src=axis_eta_from_z(z_src, geom.f),
@@ -282,22 +286,19 @@ def vh_potential(field, src: AxialSource, g: AxialGreens):
 
 def charge_interaction_energy_info(z_src, g: AxialGreens, charge: float = 1.0) -> SeriesInfo:
     """charge_interaction_energy plus the number of series terms used."""
-    heights = np.asarray(z_src, dtype=float)
-    srcs = [axial_source(z, g.geometry, charge) for z in heights.reshape(-1)]
+    f = g.geometry.f
+    heights = _source_heights(z_src, f)
     # With the field point at the source every cos[n (eta - eta')] is
     # exactly 1 (eta - eta' is 0 or the float 2 pi), so one series, the
-    # on-axis ratio sum, serves every height.
+    # on-axis ratio sum M0, serves every height; the prefactor there is
+    # -(1 / pi f) (1 - cos eta') = -2 c^2 / (pi f) with c = f / hypot(f, z').
     ratio = g.table.ratio
     sums = _cosine_series(ratio[:, None], [0.0], ratio, g.rel_tol, "charge-energy")
-    value = np.array([
-        charge * charge * K_E_EV_NM
-        * (_vh_prefactor(ToroidalCoords(xi=0.0, eta=src.eta_src), src, g.geometry.f)
-           * sums.values[0])
-        for src in srcs
-    ])
+    c = f / np.hypot(f, heights)
+    value = -(2.0 * charge * charge * K_E_EV_NM * sums.values[0] / (math.pi * f)) * c * c
     if heights.ndim == 0:
-        return SeriesInfo(value=float(value[0]), n_used=int(sums.n_used[0]))
-    return SeriesInfo(value=value, n_used=np.full(value.size, sums.n_used[0]))
+        return SeriesInfo(value=float(value), n_used=int(sums.n_used[0]))
+    return SeriesInfo(value=value, n_used=np.full(value.shape, sums.n_used[0]))
 
 
 def charge_interaction_energy(z_src, g: AxialGreens, charge: float = 1.0):

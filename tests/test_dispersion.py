@@ -4,13 +4,12 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from torvdw import axial_greens, axial_source, toroid_from_radii, ToroidalCoords
 from torvdw import dispersion as dispersion_module
 from torvdw.dispersion import (
-    _energy_grid,
-    _force_grid,
+    _moments,
     critical_ratio,
     find_force_zero,
     force_profile,
@@ -198,6 +197,17 @@ class TestMixedDerivative:
             assert u == pytest.approx(
                 particle.d2z * 2.0 * math.pi * K_E_EV_NM * d2g, rel=1e-12
             )
+
+    def test_nanoring_limit(self):
+        # a thin ring of radius a: d2G -> -a z^2 / (4 ln(8a/b) (a^2 + z^2)^3)
+        a, z = 1.0, 0.5
+        gaps = []
+        for ratio in (1e1, 1e2, 1e3, 1e4):
+            g = axial_greens(toroid_from_radii(a, a / ratio))
+            ring = -a * z * z / (4.0 * math.log(8.0 * ratio) * (a * a + z * z) ** 3)
+            gaps.append(abs(gh_mixed_derivative(z, z, g) / ring - 1.0))
+        assert all(g1 < g0 for g0, g1 in zip(gaps, gaps[1:])), gaps
+        assert gaps[-1] < 1e-5, gaps
 
 
 class TestForce:
@@ -426,6 +436,16 @@ class TestSweep:
             crossings.append(a_vals[pos[0]])
         assert all(c2 >= c1 for c1, c2 in zip(crossings, crossings[1:]))
 
+    def test_starved_shape_fails_its_whole_column(self, particle):
+        # with n_cap = 8 the moments converge at a/b = 1e3 but not at 1.01
+        z_vals = np.linspace(-3.0, 3.0, 7)
+        grid = sweep_contour([1e3, 1.01], z_vals, 1.0, particle, n_cap=8)
+        assert np.all(np.isnan(grid.force[:, 1]))
+        assert grid.diagnostics == tuple(
+            (i, 1, "series not converged within cap") for i in range(z_vals.size))
+        g = axial_greens(toroid_from_radii(1e3, 1.0), n_cap=8)
+        np.testing.assert_array_equal(grid.force[:, 0], vdw_force(z_vals, particle, g))
+
     def test_validation(self, particle):
         with pytest.raises(ValueError):
             sweep_contour([2.0], [], 1.0, particle)
@@ -455,18 +475,18 @@ class TestNonFiniteHeights:
 class TestLargeHeights:
     Z_FAR = 1e80  # (f^2 + z^2)^4 overflows float64 here
 
-    def _reference(self, g, p, z, n_energy, n_force):
-        """The truncated closed forms of U and F at 50 digits."""
+    def _reference(self, g, p, z, n_terms):
+        """The closed forms of U and F, truncated after n_terms, at 50 digits."""
         with mpmath.workdps(50):
             f, z = mpmath.mpf(g.geometry.f), mpmath.mpf(z)
             k_e, d2z = mpmath.mpf(K_E_EV_NM), mpmath.mpf(p.d2z)
             w = [mpmath.mpf(x) * (1 if n == 0 else 2) for n, x in enumerate(g.table.ratio)]
             s = f * f + z * z
             energy = -(d2z * 2 * mpmath.pi * k_e) * f / (2 * mpmath.pi**2) * sum(
-                w[n] * (z * z + 4 * n * n * f * f) for n in range(n_energy + 1)
+                w[n] * (z * z + 4 * n * n * f * f) for n in range(n_terms + 1)
             ) / s**3
             force = 2 * (d2z * k_e / mpmath.pi) * f * z * sum(
-                w[n] * ((1 - 12 * n * n) * f * f - 2 * z * z) for n in range(n_force + 1)
+                w[n] * ((1 - 12 * n * n) * f * f - 2 * z * z) for n in range(n_terms + 1)
             ) / s**4
             return energy, force
 
@@ -483,18 +503,113 @@ class TestLargeHeights:
         # a large <d_z^2> keeps U ~ z^-4 and F ~ z^-5 inside the normal
         # float64 range at z = 1e80, so the comparison is to full precision
         p = particle_model(1e200)
-        z = np.array([self.Z_FAR])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            u, energy_sums = _energy_grid(z, p, greens51)
-            force, force_sums = _force_grid(z, p, greens51)
-            assert vdw_energy(self.Z_FAR, p, greens51) == u[0]
-            assert vdw_force(self.Z_FAR, p, greens51) == force[0]
-        u_ref, f_ref = self._reference(greens51, p, self.Z_FAR,
-                                       energy_sums.n_used[0], force_sums.n_used[0])
-        assert u[0] < 0.0 and force[0] < 0.0
-        assert float(abs((u[0] - u_ref) / u_ref)) <= 1e-12
-        assert float(abs((force[0] - f_ref) / f_ref)) <= 1e-12
+            u = vdw_energy(self.Z_FAR, p, greens51)
+            force = vdw_force(self.Z_FAR, p, greens51)
+        u_ref, f_ref = self._reference(greens51, p, self.Z_FAR, _moments(greens51)[2])
+        assert u < 0.0 and force < 0.0
+        assert float(abs((u - u_ref) / u_ref)) <= 1e-12
+        assert float(abs((force - f_ref) / f_ref)) <= 1e-12
+
+
+class TestWholeRange:
+    """Every shape, height and <d_z^2>: a finite value or a typed error,
+    never a warning, with U even and F odd bit for bit."""
+
+    @given(
+        log_gap=st.floats(min_value=-5.0, max_value=6.0),  # log10(a/b - 1)
+        log_b=st.floats(min_value=-100.0, max_value=100.0),
+        log_d2z=st.floats(min_value=-300.0, max_value=307.0),
+        heights=st.lists(st.floats(min_value=-1e300, max_value=1e300), max_size=4),
+        heights_over_b=st.lists(st.floats(min_value=-100.0, max_value=100.0), max_size=4),
+    )
+    # <d_z^2> times the moment sum overflows before any division by r
+    @example(log_gap=-3.0, log_b=0.0, log_d2z=307.0, heights=[], heights_over_b=[0.0, 0.01])
+    # the moments need about 3300 terms at a/b = 1 + 1e-5, past the default cap
+    @example(log_gap=-5.0, log_b=0.0, log_d2z=0.0, heights=[1.0], heights_over_b=[])
+    def test_finite_or_typed_error(self, log_gap, log_b, log_d2z, heights, heights_over_b):
+        b = 10.0**log_b
+        g = axial_greens(toroid_from_radii((1.0 + 10.0**log_gap) * b, b))
+        p = particle_model(10.0**log_d2z)
+        z = np.array(heights + [h * b for h in heights_over_b])
+
+        def outcome(call, zs):
+            try:
+                return call(zs, p, g)
+            except (ResultOverflowError, TruncationError) as exc:
+                return type(exc)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u, u_neg = (outcome(vdw_energy, zs) for zs in (z, -z))
+            f, f_neg = (outcome(vdw_force, zs) for zs in (z, -z))
+            prof = outcome(force_profile, z)
+        if isinstance(u, np.ndarray):
+            assert np.all(np.isfinite(u)) and u.tobytes() == u_neg.tobytes()
+        else:
+            assert u is u_neg
+        if isinstance(f, np.ndarray):
+            assert np.all(np.isfinite(f)) and f.tobytes() == (-f_neg).tobytes()
+        else:
+            assert f is f_neg
+        if isinstance(prof, type):
+            assert issubclass(prof, (ResultOverflowError, TruncationError))
+        else:
+            assert prof.energy.tobytes() == u.tobytes()
+            assert prof.force.tobytes() == f.tobytes()
+            assert math.isfinite(prof.energy_scale) and math.isfinite(prof.force_scale)
+
+
+# The horn-torus limit a -> b: R_n -> K0(n xi0) / I0(n xi0), so xi0 M0 and
+# xi0^3 M2 tend to I_0 = 2 int_0^inf K0/I0 dx and I_2 = 2 int_0^inf x^2 K0/I0 dx
+# (mpmath quadrature, recomputed by test_integrals).
+HORN_I0 = 2.7353537239343278118
+HORN_I2 = 1.2937785170986032972
+# a/b - 1 down to 1e-5: below about 1e-6 the forward P recurrence itself
+# loses accuracy.
+HORN_GAPS = (1e-2, 1e-3, 1e-4, 1e-5)
+
+
+class TestHornTorus:
+    @pytest.fixture(scope="class")
+    def horns(self):
+        return [axial_greens(toroid_from_radii(1.0 + gap, 1.0), n_cap=100000)
+                for gap in HORN_GAPS]
+
+    def test_integrals(self):
+        with mpmath.workdps(20):
+            ratio = lambda x: mpmath.besselk(0, x) / mpmath.besseli(0, x)  # noqa: E731
+            i0 = 2 * mpmath.quad(ratio, [0, 1, mpmath.inf])
+            i2 = 2 * mpmath.quad(lambda x: x * x * ratio(x), [0, 1, mpmath.inf])
+            assert abs(i0 / mpmath.mpf("2.7353537239343278118") - 1) < 1e-18
+            assert abs(i2 / mpmath.mpf("1.2937785170986032972") - 1) < 1e-18
+
+    def test_moments_approach_the_integrals_like_xi0_squared(self, horns):
+        # xi0 M0 / I_0 - 1 -> +0.0371 xi0^2, xi0^3 M2 / I_2 - 1 -> -0.0881 xi0^2
+        k0, k2 = [], []
+        for g in horns:
+            m0, m2, _ = _moments(g)
+            xi = g.geometry.xi0
+            k0.append((xi * m0 / HORN_I0 - 1.0) / xi**2)
+            k2.append((xi**3 * m2 / HORN_I2 - 1.0) / xi**2)
+        assert all(abs(k - 0.0371) < 2e-4 for k in k0), k0
+        assert all(abs(k + 0.0881) < 2e-4 for k in k2), k2
+        assert abs(k0[-1] - 0.0371) < 1e-5 and abs(k2[-1] + 0.0881) < 1e-5, (k0, k2)
+
+    @pytest.mark.parametrize("z_over_b", [0.5, 1.0, 2.0, 5.0])
+    def test_energy_and_force_approach_the_horn_forms(self, horns, particle, z_over_b):
+        # U_horn = -C' (I_0 b / z^4 + 4 I_2 b^3 / z^6) and
+        # F_horn = -2 C' (2 I_0 b / z^5 + 12 I_2 b^3 / z^7), C' = <d_z^2> K_E / pi,
+        # both approached linearly in a/b - 1
+        z, c = z_over_b, particle.d2z * K_E_EV_NM / math.pi
+        u_horn = -c * (HORN_I0 / z**4 + 4.0 * HORN_I2 / z**6)
+        f_horn = -2.0 * c * (2.0 * HORN_I0 / z**5 + 12.0 * HORN_I2 / z**7)
+        for value, horn in ((vdw_energy, u_horn), (vdw_force, f_horn)):
+            gaps = [abs(value(z, particle, g) / horn - 1.0) for g in horns]
+            slopes = [math.log10(g0 / g1) for g0, g1 in zip(gaps, gaps[1:])]
+            assert all(0.9 <= s <= 1.1 for s in slopes), (value.__name__, gaps)
+            assert gaps[-1] < 1e-3
 
 
 class TestResultOverflow:
