@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .dispersion import (
     force_profile,
     particle_model,
     sweep_contour,
-    vdw_force,
 )
 from .errors import RangeExceededError, TruncationError
 from .geometry import ToroidalCoords, surface_rz, toroid_from_radii
@@ -47,50 +45,16 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated shared configuration of a table-producing command."""
-
-    b: float
-    a: float | None = None
-    d2z: float = 1.0
-    d2z_unit: str = "e2nm2"
-    tol: float = 1e-12
-    n_cap: int = 2000
-    fmt: str = "csv"
-    normalize: bool = True
-    out: str | None = None
-    grid_counts: tuple = ()
-
-    def __post_init__(self):
-        if self.a is not None and not self.a > self.b > 0.0:
-            raise ValueError(
-                f"radii must satisfy a > b > 0, got a = {self.a}, b = {self.b}"
-            )
-        if not 0.0 < self.tol <= 1e-4:
-            raise ValueError(f"--tol must lie in (0, 1e-4], got {self.tol}")
-        if self.n_cap < 8:
-            raise ValueError(f"--ncap must be at least 8, got {self.n_cap}")
-        for count in self.grid_counts:
-            if count < 2:
-                raise ValueError(f"grids need at least 2 points, got {count}")
-            if count > 100000:
-                raise ValueError(f"grid of {count} points is unreasonably large")
-
-    @classmethod
-    def from_args(cls, args, grid_attrs=()):
-        return cls(
-            b=args.b,
-            a=getattr(args, "a", None),
-            d2z=getattr(args, "d2z", 1.0),
-            d2z_unit=getattr(args, "d2z_unit", "e2nm2"),
-            tol=args.tol,
-            n_cap=args.ncap,
-            fmt=getattr(args, "format", "csv"),
-            normalize=getattr(args, "normalize", True),
-            out=getattr(args, "out", None),
-            grid_counts=tuple(getattr(args, name) for name in grid_attrs),
-        )
+def _check(args, *grid_counts) -> None:
+    """Refuse the settings the library does not bound itself: the series
+    tolerance and term cap, and the size of each grid."""
+    if not 0.0 < args.tol <= 1e-4:
+        raise ValueError(f"--tol must lie in (0, 1e-4], got {args.tol}")
+    if args.ncap < 8:
+        raise ValueError(f"--ncap must be at least 8, got {args.ncap}")
+    for count in grid_counts:
+        if not 2 <= count <= 100000:
+            raise ValueError(f"grids need 2 to 100000 points, got {count}")
 
 
 def _add_common(p: argparse.ArgumentParser, geometry: bool = True) -> None:
@@ -172,16 +136,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _emit_table(cfg: RunConfig, args, columns, rows, diagnostics, gnuplot_cols=None):
+def _emit_table(args, columns, rows, diagnostics, gnuplot_cols=None):
     """Write a table as CSV or JSON to --out (or stdout), plus a gnuplot
-    script referencing the CSV by relative path when writing to a file."""
-    if cfg.fmt == "json":
-        payload = {
-            "config": _config_echo(args),
-            "columns": columns,
-            "rows": [[_jsonify(v) for v in row] for row in rows],
-            "diagnostics": diagnostics,
-        }
+    script referencing the CSV by relative path when writing to a file;
+    it plots the 1-based columns gnuplot_cols against column 1."""
+    if args.format == "json":
+        payload = {"config": _config_echo(args), "columns": columns, "rows": rows,
+                   "diagnostics": diagnostics}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         buf = io.StringIO()
@@ -190,40 +151,28 @@ def _emit_table(cfg: RunConfig, args, columns, rows, diagnostics, gnuplot_cols=N
         w.writerows([[_fmt(v) for v in row] for row in rows])
         text = buf.getvalue()
 
-    if cfg.out is None:
+    if args.out is None:
         sys.stdout.write(text)
         return
-    with open(cfg.out, "w", newline="") as fh:
+    with open(args.out, "w", newline="") as fh:
         fh.write(text)
-    if cfg.fmt == "csv" and gnuplot_cols:
-        _write_gnuplot_script(cfg.out, columns, gnuplot_cols)
+    if args.format == "csv" and gnuplot_cols:
+        base = os.path.basename(args.out)
+        plots = [f"'{base}' using 1:{k} with lines" for k in gnuplot_cols]
+        _write_script(args.out, "set key autotitle columnhead", "set grid",
+                      f"set xlabel '{columns[0]}'", "plot " + ", \\\n     ".join(plots))
 
 
-def _write_gnuplot_script(out_path: str, columns, gnuplot_cols) -> None:
-    base = os.path.basename(out_path)
-    lines = [
-        "set datafile separator ','",
-        "set key autotitle columnhead",
-        "set grid",
-        f"set xlabel '{columns[0]}'",
-        "plot " + ", \\\n     ".join(
-            f"'{base}' using 1:{i + 1} with lines" for i in gnuplot_cols
-        ),
-    ]
-    with open(out_path + ".gp", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _write_script(path: str, *lines: str) -> None:
+    """Write the gnuplot script path.gp for the comma-separated file path."""
+    with open(path + ".gp", "w") as fh:
+        fh.write("\n".join(["set datafile separator ','", *lines]) + "\n")
 
 
 def _config_echo(args) -> dict:
     cfg = {k: v for k, v in sorted(vars(args).items()) if not k.startswith("_")}
     cfg["version"] = __version__
     return cfg
-
-
-def _jsonify(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    return v
 
 
 def _fmt(x: float) -> str:
@@ -236,20 +185,20 @@ def _grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _emit_profile(cfg: RunConfig, args, columns, grid, info, ref, ref_key) -> int:
+def _emit_profile(args, columns, grid, info, ref, ref_key) -> int:
     """Write a one-quantity profile: the grid, the values and, unless
     --no-normalize, values / ref; the diagnostics carry the per-point
     series term counts and ref under ref_key."""
-    cols_data = [grid, info.value] + ([info.value / ref] if cfg.normalize else [])
+    cols_data = [grid, info.value] + ([info.value / ref] if args.normalize else [])
     columns = columns[:len(cols_data)]
     rows = [[float(v) for v in row] for row in zip(*cols_data)]
     diagnostics = {"n_used": [int(n) for n in info.n_used], ref_key: ref}
-    _emit_table(cfg, args, columns, rows, diagnostics, gnuplot_cols=[len(columns)])
+    _emit_table(args, columns, rows, diagnostics, gnuplot_cols=[len(columns)])
     return EXIT_OK
 
 
 def cmd_geom(args) -> int:
-    RunConfig.from_args(args)
+    _check(args)
     geom = toroid_from_radii(args.a, args.b)
     etas = np.linspace(-math.pi, math.pi, 181)[1:]
     r, z = surface_rz(geom, etas)
@@ -273,14 +222,17 @@ def cmd_geom(args) -> int:
 
 
 def cmd_potential(args) -> int:
-    cfg = RunConfig.from_args(args, grid_attrs=("zpoints",))
-    geom = toroid_from_radii(cfg.a, cfg.b)
-    g = axial_greens(geom, rel_tol=cfg.tol, n_cap=cfg.n_cap)
+    _check(args, args.zpoints)
+    geom = toroid_from_radii(args.a, args.b)
+    g = axial_greens(geom, rel_tol=args.tol, n_cap=args.ncap)
     src = axial_source(args.source_z, geom)
 
     if args.cut == "axis":
         grid = _grid(args.zmin, args.zmax, args.zpoints)
-        fields = [ToroidalCoords(xi=0.0, eta=2.0 * math.atan2(geom.f, zz)) for zz in grid]
+        # eta = 2 arccot(z / f), kept in (-pi, 0] below the midplane: near
+        # 2 pi the prefactor's 2 sin^2(eta / 2) would cancel
+        etas = [math.copysign(2.0 * math.atan2(geom.f, abs(zz)), zz) for zz in grid]
+        fields = [ToroidalCoords(xi=0.0, eta=eta) for eta in etas]
         label = "z_nm"
     else:
         r_max = (geom.a - geom.b) * (1.0 - 1e-9)
@@ -294,26 +246,26 @@ def cmd_potential(args) -> int:
 
     info = vh_potential_info(fields, src, g)
     ref = abs(vh_potential_info(ToroidalCoords(xi=0.0, eta=math.pi), src, g).value)
-    return _emit_profile(cfg, args, [label, "VH_V", "VH_norm"], grid, info, ref,
+    return _emit_profile(args, [label, "VH_V", "VH_norm"], grid, info, ref,
                          "normalization_V")
 
 
 def cmd_charge_energy(args) -> int:
-    cfg = RunConfig.from_args(args, grid_attrs=("zpoints",))
-    geom = toroid_from_radii(cfg.a, cfg.b)
-    g = axial_greens(geom, rel_tol=cfg.tol, n_cap=cfg.n_cap)
+    _check(args, args.zpoints)
+    geom = toroid_from_radii(args.a, args.b)
+    g = axial_greens(geom, rel_tol=args.tol, n_cap=args.ncap)
     grid = _grid(args.zmin, args.zmax, args.zpoints)
     info = charge_interaction_energy_info(grid, g, charge=args.charge)
     ref = abs(charge_interaction_energy(0.0, g, charge=args.charge))
-    return _emit_profile(cfg, args, ["zprime_nm", "U_eV", "U_norm"], grid, info, ref,
+    return _emit_profile(args, ["zprime_nm", "U_eV", "U_norm"], grid, info, ref,
                          "normalization_eV")
 
 
 def cmd_vdw(args) -> int:
-    cfg = RunConfig.from_args(args, grid_attrs=("zpoints",))
-    geom = toroid_from_radii(cfg.a, cfg.b)
-    g = axial_greens(geom, rel_tol=cfg.tol, n_cap=cfg.n_cap)
-    p = particle_model(cfg.d2z, unit=cfg.d2z_unit)
+    _check(args, args.zpoints)
+    geom = toroid_from_radii(args.a, args.b)
+    g = axial_greens(geom, rel_tol=args.tol, n_cap=args.ncap)
+    p = particle_model(args.d2z, unit=args.d2z_unit)
     grid = _grid(args.zmin, args.zmax, args.zpoints)
     prof = force_profile(grid, p, g)
 
@@ -322,13 +274,13 @@ def cmd_vdw(args) -> int:
     if args.quantity in ("energy", "both"):
         columns.append("U_eV")
         cols_data.append(prof.energy)
-        if cfg.normalize:
+        if args.normalize:
             columns.append("U_norm")
             cols_data.append(prof.energy / prof.energy_scale)
     if args.quantity in ("force", "both"):
         columns.append("F_eV_per_nm")
         cols_data.append(prof.force)
-        if cfg.normalize:
+        if args.normalize:
             columns.append("F_norm")
             scale = prof.force_scale if prof.force_scale > 0.0 else 1.0
             cols_data.append(prof.force / scale)
@@ -339,77 +291,65 @@ def cmd_vdw(args) -> int:
         "force_scale_eV_per_nm": prof.force_scale,
         "series_terms_available": int(g.table.n_max + 1),
     }
-    _emit_table(cfg, args, columns, rows, diagnostics,
+    _emit_table(args, columns, rows, diagnostics,
                 gnuplot_cols=list(range(2, len(columns) + 1)))
     return EXIT_OK
 
 
 def cmd_sweep_ratio(args) -> int:
-    cfg = RunConfig.from_args(args, grid_attrs=("ratio_points",))
+    _check(args, args.ratio_points)
     zp_list = args.zp if args.zp else [1.0, 2.0, 3.0]
     if any(z <= 0.0 for z in zp_list):
         raise ValueError("--zp heights must be positive")
     if args.ratio_min <= 1.0 or args.ratio_max <= args.ratio_min:
         raise ValueError("need 1 < ratio-min < ratio-max")
     ratios = _grid(args.ratio_min, args.ratio_max, args.ratio_points)
-    p = particle_model(cfg.d2z, unit=cfg.d2z_unit)
+    p = particle_model(args.d2z, unit=args.d2z_unit)
 
-    series = {"rel_tol": cfg.tol, "n_cap": cfg.n_cap}
-    table = np.array([vdw_force(np.array(zp_list), p, axial_greens(
-        toroid_from_radii(r * cfg.b, cfg.b), **series)) for r in ratios])
+    series = {"rel_tol": args.tol, "n_cap": args.ncap}
+    table = sweep_contour(ratios * args.b, zp_list, args.b, p, **series).force.T
     columns = ["a_over_b"] + [f"F_zp{zp:g}_eV_per_nm" for zp in zp_list]
     rows = [[float(v) for v in row] for row in np.column_stack([ratios, table])]
     crossings = {}
     for zp in zp_list:
         try:
             crossings[f"zp={zp:g}"] = critical_ratio(
-                zp, cfg.b, p, (args.ratio_min, args.ratio_max), **series)
+                zp, args.b, p, (args.ratio_min, args.ratio_max), **series)
         except RangeExceededError:
             crossings[f"zp={zp:g}"] = None
-    _emit_table(cfg, args, columns, rows,
-                {"zero_crossings_a_over_b": crossings},
+    _emit_table(args, columns, rows, {"zero_crossings_a_over_b": crossings},
                 gnuplot_cols=list(range(2, len(columns) + 1)))
     return EXIT_OK
 
 
 def cmd_contour(args) -> int:
-    cfg = RunConfig.from_args(args, grid_attrs=("ratio_points", "zpoints"))
+    _check(args, args.ratio_points, args.zpoints)
     if args.ratio_min <= 1.0 or args.ratio_max <= args.ratio_min:
         raise ValueError("need 1 < ratio-min < ratio-max")
-    if cfg.out is None:
+    if args.out is None:
         raise ValueError("contour requires --out (matrix plus gnuplot script)")
     ratios = _grid(args.ratio_min, args.ratio_max, args.ratio_points)
     zps = _grid(args.zmin, args.zmax, args.zpoints)
-    p = particle_model(cfg.d2z, unit=cfg.d2z_unit)
-    grid = sweep_contour(ratios * cfg.b, zps * cfg.b, cfg.b, p,
-                         rel_tol=cfg.tol, n_cap=cfg.n_cap)
+    p = particle_model(args.d2z, unit=args.d2z_unit)
+    grid = sweep_contour(ratios * args.b, zps * args.b, args.b, p,
+                         rel_tol=args.tol, n_cap=args.ncap)
 
-    if cfg.fmt == "json":
-        _emit_table(cfg, args,
+    if args.format == "json":
+        _emit_table(args,
                     ["zp_over_b"] + [float(r) for r in ratios],
                     [[float(zps[i])] + list(grid.force[i]) for i in range(zps.size)],
                     {"failed_cells": list(grid.diagnostics)})
         return EXIT_OK
 
     # gnuplot "nonuniform matrix": first row is <N> then the column coords
-    with open(cfg.out, "w", newline="") as fh:
+    with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow([ratios.size] + [_fmt(r) for r in ratios])
         for i in range(zps.size):
             w.writerow([_fmt(zps[i])] + [_fmt(v) for v in grid.force[i]])
-    base = os.path.basename(cfg.out)
-    script = "\n".join(
-        [
-            "set datafile separator ','",
-            "set view map",
-            "set xlabel 'a/b'",
-            "set ylabel 'z_p/b'",
-            "set cblabel 'F_z (eV/nm)'",
-            f"splot '{base}' nonuniform matrix with pm3d notitle",
-        ]
-    )
-    with open(cfg.out + ".gp", "w") as fh:
-        fh.write(script + "\n")
+    _write_script(args.out, "set view map", "set xlabel 'a/b'", "set ylabel 'z_p/b'",
+                  "set cblabel 'F_z (eV/nm)'",
+                  f"splot '{os.path.basename(args.out)}' nonuniform matrix with pm3d notitle")
     if grid.diagnostics:
         print(f"warning: {len(grid.diagnostics)} cells failed to converge",
               file=sys.stderr)
@@ -421,8 +361,7 @@ def cmd_validate(args) -> int:
     # commands never load it.
     from .validate import run_battery
 
-    if not 0.0 < args.tol <= 1e-4:
-        raise ValueError(f"--tol must lie in (0, 1e-4], got {args.tol}")
+    _check(args)
     results = run_battery(rel_tol=args.tol, n_cap=args.ncap)
     width = max(len(r.name) for r in results)
     all_ok = True

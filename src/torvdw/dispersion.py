@@ -27,9 +27,10 @@ rate of R_n, that is a/b alone, decides which a shape is.
 
 The two moments are summed once per shape under the package's truncation
 rule, after which each height costs a few flops.  No power of r is ever
-formed: the physical prefactor multiplies the scaled sum first and r is
-divided out one factor at a time, so heights up to the float64 limit give
-the representable U and F rather than an overflow.
+formed: the physical prefactor, the scaled sum and r are split into
+mantissas and exponents, r is divided out of the mantissa one factor at
+a time and the exponents are summed exactly, so every U and F that is
+representable comes out rather than an overflow.
 """
 
 from __future__ import annotations
@@ -120,7 +121,10 @@ def _scaled(z_p: np.ndarray, f: float):
 
 
 def _over_r(scale, s: np.ndarray, r: np.ndarray, power: int, what: str) -> np.ndarray:
-    """scale * s / r^power, dividing one factor at a time.
+    """scale * s / r^power, on the mantissas and exponents apart.
+
+    The mantissa quotient stays below 16 in magnitude and its exponent is
+    an exact integer sum, so only the result itself can overflow.
 
     Raises
     ------
@@ -128,10 +132,12 @@ def _over_r(scale, s: np.ndarray, r: np.ndarray, power: int, what: str) -> np.nd
         If the quotient overflows, as it does for a toroid of focal scale
         f ~ r far below 1 nm under a large <d_z^2>.
     """
+    (m_scale, e_scale), (m_s, e_s), (m_r, e_r) = map(np.frexp, (scale, s, r))
+    out = m_scale * m_s
+    for _ in range(power):
+        out = out / m_r
     with np.errstate(over="ignore"):
-        out = scale * s
-        for _ in range(power):
-            out = out / r
+        out = np.ldexp(out, e_scale + e_s - power * e_r)
     if not np.all(np.isfinite(out)):
         raise ResultOverflowError(
             f"the {what} exceeds the float64 range at "
@@ -410,15 +416,14 @@ def sweep_contour(
     the same arithmetic as a vdw_force call on those heights.  A shape
     whose moments do not converge within n_cap fails as a whole: its
     column is NaN, with one diagnostic per cell.  Columns are independent
-    pure evaluations; the returned grid is immutable.
+    pure evaluations; the returned grid is immutable.  Each (a, b) goes
+    through toroid_from_radii, whose typed errors refuse a bad shape.
     """
     a_values = np.asarray(a_values, dtype=float)
     z_values = np.asarray(z_values, dtype=float)
     if a_values.size == 0 or z_values.size == 0:
         raise ValueError("a and z grids must be non-empty")
     z_values = _heights(z_values)
-    if not np.all(a_values > b):
-        raise ValueError("every a must exceed b")
 
     force = np.full((z_values.size, a_values.size), np.nan)
     diags = []

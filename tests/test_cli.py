@@ -1,8 +1,11 @@
 import csv
+import importlib.util
 import io
 import json
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +82,18 @@ class TestPotential:
         assert np.all(np.isfinite(cols["VH_V"]))
         assert cols["VH_norm"][0] == pytest.approx(-1.0, rel=1e-14)
         assert np.all(cols["r_nm"] < 3.0)  # restricted to r < a - b
+
+    def test_axis_cut_even_far_below_the_midplane(self, capsys):
+        # eta below the midplane is built near 0, not near 2 pi, where the
+        # prefactor's 2 sin^2(eta / 2) would cancel
+        code, out, _ = run_cli(
+            capsys, "potential", "--a", "1.01", "--b", "1",
+            "--zmin=-1e5", "--zmax=1e5", "--zpoints", "3",
+        )
+        assert code == 0
+        _, cols = read_csv(out)
+        low, high = cols["VH_V"][0], cols["VH_V"][-1]
+        assert abs(low - high) <= 4 * np.spacing(abs(high))
 
     def test_truncation_is_numerical_failure(self, capsys):
         code, _, err = run_cli(
@@ -301,6 +316,32 @@ class TestNonFiniteInputs:
         assert not (tmp_path / "unused.csv").exists()
 
 
+class TestConfigurationBounds:
+    """The bounds the front end keeps itself: series tolerance, term cap
+    and grid sizes."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["vdw", "--a", "5", "--b", "1", "--tol", "1e-3", "--out", "f.csv"],
+            ["vdw", "--a", "5", "--b", "1", "--tol", "0", "--out", "f.csv"],
+            ["vdw", "--a", "5", "--b", "1", "--zpoints", "1", "--out", "f.csv"],
+            ["contour", "--b", "1", "--zpoints", "100001", "--out", "f.csv"],
+            ["sweep-ratio", "--b", "1", "--ratio-points", "1", "--out", "f.csv"],
+            ["geom", "--a", "5", "--b", "1", "--ncap", "3"],
+            ["validate", "--tol", "1"],
+        ],
+        ids=lambda argv: "_".join(a.lstrip("-") for a in argv),
+    )
+    def test_configuration_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "configuration error" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestOutOfRangeInputs:
     @pytest.mark.parametrize(
         "argv",
@@ -351,6 +392,23 @@ class TestOutputContracts:
         assert b1 == b2
         assert b"\r\n" in b1
 
+    def test_profile_gnuplot_script(self, tmp_path, capsys):
+        out_file = tmp_path / "f.csv"
+        code, _, _ = run_cli(capsys, "vdw", "--a", "5", "--b", "1", "--zpoints", "5",
+                             "--out", str(out_file))
+        assert code == 0
+        assert out_file.read_text().splitlines()[0] == "zp_nm,U_eV,U_norm,F_eV_per_nm,F_norm"
+        assert (tmp_path / "f.csv.gp").read_text() == (
+            "set datafile separator ','\n"
+            "set key autotitle columnhead\n"
+            "set grid\n"
+            "set xlabel 'zp_nm'\n"
+            "plot 'f.csv' using 1:2 with lines, \\\n"
+            "     'f.csv' using 1:3 with lines, \\\n"
+            "     'f.csv' using 1:4 with lines, \\\n"
+            "     'f.csv' using 1:5 with lines\n"
+        )
+
     def test_json_schema(self, capsys):
         code, out, _ = run_cli(
             capsys, "potential", "--a", "5", "--b", "1", "--zpoints", "5",
@@ -393,3 +451,31 @@ class TestOutputContracts:
         loose = surface_residual(src, axial_greens(geom, rel_tol=1e-6), 32)
         tight = surface_residual(src, axial_greens(geom, rel_tol=1e-12), 32)
         assert tight < loose
+
+
+def test_make_figures_script_smoke(tmp_path, capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "make_figures.py"
+    spec = importlib.util.spec_from_file_location("make_figures", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.run(tmp_path)
+    capsys.readouterr()
+
+    tables = sorted(tmp_path.glob("*.csv"))
+    assert len(tables) == 10
+    assert sorted(tmp_path.glob("*.csv.gp")) == [t.with_name(t.name + ".gp") for t in tables]
+    for table in tables:
+        rows = list(csv.reader(table.open(newline="")))
+        script_text = table.with_name(table.name + ".gp").read_text()
+        assert f"'{table.name}'" in script_text
+        if table.name == "force_contour.csv":
+            # nonuniform matrix: <N> and the a/b values, then z_p/b and forces
+            assert int(rows[0][0]) == len(rows[0]) - 1
+            assert np.all(np.isfinite([[float(v) for v in r] for r in rows[1:]]))
+            assert "nonuniform matrix" in script_text
+            continue
+        width = len(rows[0])
+        assert np.all(np.isfinite([[float(v) for v in r] for r in rows[1:]]))
+        assert all(len(r) == width for r in rows[1:])
+        plotted = [int(k) for k in re.findall(r"using 1:(\d+)", script_text)]
+        assert plotted and all(2 <= k <= width for k in plotted)

@@ -560,6 +560,20 @@ class TestWholeRange:
             assert prof.force.tobytes() == f.tobytes()
             assert math.isfinite(prof.energy_scale) and math.isfinite(prof.force_scale)
 
+    def test_product_past_the_float_range_divides_back_into_it(self):
+        # <d_z^2> times 4 M2 overflows, but U(0) = -C' 4 M2 / f^3 does not
+        g = axial_greens(toroid_from_radii(1001.0, 1000.0))
+        p = particle_model(1e307)
+        _, m2, _ = _moments(g)
+        with mpmath.workdps(30):
+            c = mpmath.mpf(p.d2z) * mpmath.mpf(K_E_EV_NM) / mpmath.pi
+            exact = float(-c * 4 * mpmath.mpf(m2) / mpmath.mpf(g.geometry.f) ** 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = vdw_energy(0.0, p, g)
+        assert math.isfinite(exact)
+        assert u == pytest.approx(exact, rel=4e-16)
+
 
 # The horn-torus limit a -> b: R_n -> K0(n xi0) / I0(n xi0), so xi0 M0 and
 # xi0^3 M2 tend to I_0 = 2 int_0^inf K0/I0 dx and I_2 = 2 int_0^inf x^2 K0/I0 dx
