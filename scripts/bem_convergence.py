@@ -3,18 +3,28 @@
 
 Measures the worst relative deviation of the oracle's induced potential
 from the separable-series value over a fixed set of exterior points, for
-node counts doubling from 16 to 512, with the time of each rung (mesh,
-assembly, factorization, solve and field sums).  The oracle converges
-geometrically: the gain, the factor by which a doubling cuts the error,
-grows until the error reaches the rounding floor, where it falls to
-about 1.
+node counts doubling from 16 to 512, with the time of each rung split in
+two: the assembly of the even and odd blocks (BemMesh.blocks) and the
+block solve (solve_induced_density on the assembled mesh: both LU solves
+and the residual check), each the best of `repeats` runs, in ms.  The
+oracle converges geometrically: the gain, the factor by which a doubling
+cuts the error, grows until the error reaches the rounding floor, where it
+falls to about 1.
+
+Run as a script, it pins BLAS to one thread before numpy loads, as the
+benchmark does, so the solve times are a serial baseline.
 
 Usage: python scripts/bem_convergence.py [a] [b]
 """
 
 import math
+import os
 import sys
 import time
+
+if __name__ == "__main__":
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
 
 import numpy as np
 
@@ -28,7 +38,17 @@ from torvdw import (
 from torvdw.bem import bem_vh, build_mesh, solve_induced_density
 
 
-def study(a: float, b: float, panel_counts=(16, 32, 64, 128, 256, 512)) -> None:
+def _best_ms(call, repeats: int) -> float:
+    best = math.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - t0)
+    return 1e3 * best
+
+
+def study(a: float, b: float, panel_counts=(16, 32, 64, 128, 256, 512),
+          repeats: int = 5) -> None:
     geom = toroid_from_radii(a, b)
     g = axial_greens(geom)
     src = axial_source(1.3, geom)
@@ -48,16 +68,19 @@ def study(a: float, b: float, panel_counts=(16, 32, 64, 128, 256, 512)) -> None:
     r, z = np.array(pts).T
 
     print(f"a = {a} nm, b = {b} nm, source at z' = {src.z_src} nm, "
-          f"{len(pts)} exterior probe points")
-    print(f"{'nodes':>8} {'max rel err':>14} {'gain':>9} {'seconds':>9}")
+          f"{len(pts)} exterior probe points; times best of {repeats}")
+    print(f"{'nodes':>8} {'max rel err':>14} {'gain':>9} {'assembly_ms':>12} {'solve_ms':>9}")
     prev = None
     for n in panel_counts:
-        t0 = time.perf_counter()
-        sol = solve_induced_density(build_mesh(geom, n), src)
+        meshes = [build_mesh(geom, n) for _ in range(repeats)]
+        fresh = iter(meshes)
+        assembly = _best_ms(lambda: next(fresh).blocks(), repeats)
+        mesh = meshes[-1]
+        solve = _best_ms(lambda: solve_induced_density(mesh, src), repeats)
+        sol = solve_induced_density(mesh, src)
         err = float(np.max(np.abs(bem_vh(r, z, sol) - reference) / np.abs(reference)))
-        dt = time.perf_counter() - t0
         gain = f"{prev / err:9.2e}" if prev else "        -"
-        print(f"{n:8d} {err:14.3e} {gain} {dt:9.4f}")
+        print(f"{n:8d} {err:14.3e} {gain} {assembly:12.3f} {solve:9.3f}")
         prev = err
 
 

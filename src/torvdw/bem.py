@@ -24,6 +24,7 @@ lengths in nm, charges in e.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -49,8 +50,8 @@ __all__ = [
 #: Residual gate on the solved system, relative to the source's Coulomb scale.
 RESIDUAL_LIMIT = 1e-8
 
-# Cephes ellpk (S. L. Moshier): K(1 - x) = P(x) - Q(x) ln x on (MACHEP, 1],
-# the coefficients of P and Q side by side, highest degree first; P(0) = ln 4
+# Cephes ellpk (S. L. Moshier): K(1 - x) = P(x) - Q(x) ln x on [0, 1], the
+# coefficients of P and Q side by side, highest degree first; P(0) = ln 4
 # and Q(0) = 1/2.
 _ELLPK_PQ = (
     (1.37982864606273237150e-4, 2.94078955048598507511e-5),
@@ -65,54 +66,57 @@ _ELLPK_PQ = (
     (9.65735902811690126535e-2, 1.24999999999870820058e-1),
     (1.38629436111989062502e0, 4.99999999999999999821e-1),
 )
-_LN4 = _ELLPK_PQ[-1][0]
-_MACHEP = 1.11022302462515654042e-16
-#: Elements per piece of a large _ellpk argument: a piece and its
-#: temporaries stay in cache through the Horner pass.
+#: P's and Q's coefficients as (2, 1) columns, for one Horner pass on both.
+_PQ_COLUMNS = np.array(_ELLPK_PQ)[:, :, None]
+#: Elements per piece of the Horner pass: a piece and its temporaries stay
+#: in cache.
 _ELLPK_CHUNK = 1 << 14
 
 
 def _ellpk(x):
     """K(1 - x) for x >= 0, elementwise: Cephes' ellpk, the routine behind
-    scipy.special.ellipkm1, in the same operations (Horner in x; below
-    MACHEP the leading terms ln 4 - ln(x) / 2; x > 1 through K(1 - 1/x) /
-    sqrt(x)), so it agrees with it to an ulp.  x = 0 gives inf."""
+    scipy.special.ellipkm1, in the same operations (Horner in x; x > 1
+    through K(1 - 1/x) / sqrt(x)), so it agrees with it to an ulp.  x = 0
+    gives inf.  P and Q run as one (2, N) Horner pass.  Cephes' branch for
+    x <= 2^-53, ln 4 - ln(x) / 2, is not needed: there P and Q round to
+    ln 4 and 1/2, so the pass gives the same bits.  The x > 1 steps run
+    only when some entry needs them; on [0, 1] they change no bit."""
     x = np.asarray(x, dtype=float)
-    if x.size > _ELLPK_CHUNK:
-        flat = x.ravel()
-        return np.concatenate([_ellpk(flat[s:s + _ELLPK_CHUNK])
-                               for s in range(0, flat.size, _ELLPK_CHUNK)]).reshape(x.shape)
-    with np.errstate(divide="ignore"):
-        y = np.minimum(x, 1.0 / x)
-        log = np.log(y)
-    p, q = (c * y for c in _ELLPK_PQ[0])
-    for cp, cq in _ELLPK_PQ[1:-1]:
-        p += cp
-        p *= y
-        q += cq
-        q *= y
-    p += _LN4
-    q += _ELLPK_PQ[-1][1]
-    k = np.where(y > _MACHEP, p - q * log, _LN4 - 0.5 * log)
-    return k / np.sqrt(np.maximum(x, 1.0))
+    big = bool(np.any(x > 1.0))
+    with np.errstate(divide="ignore", over="ignore"):
+        y = (np.minimum(x, 1.0 / x) if big else x).ravel()
+        k = np.empty_like(y)
+        for s in range(0, y.size, _ELLPK_CHUNK):
+            piece = y[s:s + _ELLPK_CHUNK]
+            pq = _PQ_COLUMNS[0] * piece
+            for c in _PQ_COLUMNS[1:-1]:
+                pq += c
+                pq *= piece
+            pq += _PQ_COLUMNS[-1]
+            np.subtract(pq[0], pq[1] * np.log(piece), out=k[s:s + _ELLPK_CHUNK])
+    k = k.reshape(x.shape)
+    return k / np.sqrt(np.maximum(x, 1.0)) if big else k
 
 
 def _ring_moduli(r_f, z_f, r_ring, z_ring):
-    """(p, R_max) of the ring kernel, p = 1 - m: formed from ratios to
-    R_max = hypot(r + r', z - z'), so nothing overflows and p does not
-    cancel.  K(m) is then _ellpk(p) and K(1 - m) is _ellpk(1 - p)."""
-    dz = z_f - z_ring
-    rmax = np.hypot(r_f + r_ring, dz)
-    u, v = (r_f - r_ring) / rmax, dz / rmax
-    return u * u + v * v, rmax
+    """(p, R_max / 2) of the ring kernel, p = 1 - m: formed from ratios to
+    R_max = hypot(r + r', z - z'), taken as twice the hypot of the halved
+    operands (exact for normal floats), so nothing overflows even where
+    R_max itself would, and p does not cancel.  K(m) is then _ellpk(p) and
+    K(1 - m) is _ellpk(1 - p)."""
+    r_f, r_ring = 0.5 * r_f, 0.5 * r_ring
+    v = 0.5 * z_f - 0.5 * z_ring
+    half = np.hypot(r_f + r_ring, v)
+    u, v = (r_f - r_ring) / half, v / half
+    return u * u + v * v, half
 
 
 def _ring_kernel(r_f, z_f, r_ring, z_ring):
     """Reduced potential of a unit-charge ring: (2/pi) K(m) / R_max."""
-    p, rmax = _ring_moduli(r_f, z_f, r_ring, z_ring)
+    p, half = _ring_moduli(r_f, z_f, r_ring, z_ring)
     if np.any(p == 0.0):
         raise SingularKernelError("field point lies on a ring")
-    return (2.0 / math.pi) * _ellpk(p) / rmax
+    return (1.0 / math.pi) * _ellpk(p) / half  # (2/pi) K / R_max, the same bits
 
 
 def ring_potential(r: float, z: float, r0: float, z0: float, charge: float) -> float:
@@ -149,25 +153,52 @@ def _log_weights(n: int) -> np.ndarray:
     return c
 
 
-def _half_kernels(r, z, c: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=4)
+def _pair_tables(n: int):
+    """What the kernel pass on n nodes needs besides them, read-only, about
+    40 bytes a pair of the upper triangle (i, j), j >= i, in row order:
+    c = _log_weights(n); each row's length; the columns j; the flat
+    positions of (i, j) and (j, i) in a k x k plane; c at each pair's two
+    offsets; the flat positions of the self-pairs in the stacked pairs."""
+    k = n - n // 2
+    i, j = np.triu_indices(k)
+    c = _log_weights(n)
+    tables = (c, np.arange(k, 0, -1), j, i * k + j, j * k + i,
+              c.take(np.stack([(i - j) % n, (i + j + 1) % n])),
+              np.flatnonzero(np.stack([i == j, (i == j) & (i == n // 2)])))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+#: Node counts whose tables are cached (the oracle alternates two), so the
+#: cache holds at most 4 x 1.3 MB; larger meshes build theirs uncached.
+_CACHED_NODES = 512
+
+
+def _half_kernels(r, z, tables) -> np.ndarray:
     """The same-side and the mirror kernel of the lower half, stacked,
     (2, k, k) for its k = n - n // 2 nodes: (K(m) - K(1 - m) c_d / pi) / R_max
     between node i and node j, respectively node j's mirror n - 1 - j, with
     c = _log_weights(n) at the offset d = i - j, respectively i + j + 1
-    (mod n).  Both are symmetric in (i, j), since c_{n - d} = c_d, so the
-    kernel is evaluated on their upper triangles only, k (k + 1) pairs in
-    all, and scattered to both triangles.  Entries that pair a node with
-    itself (the same-side diagonal and, for odd n, the middle node with its
-    own mirror) are placeholders for the caller to replace."""
-    n, k = len(c), len(r)
-    i, j = np.triu_indices(k)
-    p, rmax = _ring_moduli(r[i], z[i], r[j], np.stack([z[j], -z[j]]))
-    p[np.stack([i == j, (i == j) & (i == n // 2)])] = 0.5
+    (mod n), from tables = _pair_tables(n).  Both are symmetric in (i, j),
+    since c_{n - d} = c_d, so the kernel is evaluated on their upper
+    triangles only, k (k + 1) pairs in all, and scattered to both
+    triangles.  Entries that pair a node with itself (the same-side
+    diagonal and, for odd n, the middle node with its own mirror) are
+    placeholders for the caller to replace."""
+    k = len(r)
+    _, rows, j, to_ij, to_ji, c_pairs, self_pairs = tables
+    z_j = z.take(j)
+    p, half = _ring_moduli(np.repeat(r, rows), np.repeat(z, rows), r.take(j),
+                           np.stack([z_j, -z_j]))
+    p.ravel()[self_pairs] = 0.5
     km, kc = _ellpk(np.stack([p, 1.0 - p]))  # K(m), K(1 - m)
-    c = c[np.stack([(i - j) % n, (i + j + 1) % n])]
-    kernels = np.empty((2, k, k))
-    kernels[:, i, j] = kernels[:, j, i] = (km - kc * c / math.pi) / rmax
-    return kernels
+    values = (km - kc * c_pairs / math.pi) * 0.5 / half  # / R_max, exactly
+    kernels = np.empty((2, k * k))
+    for plane, v in zip(kernels, values):
+        plane[to_ij] = plane[to_ji] = v
+    return kernels.reshape(2, k, k)
 
 
 @dataclass
@@ -200,14 +231,13 @@ class BemMesh:
             n = self.n_panels
             h, k = n // 2, n - n // 2
             r, ds = self.r[:k], self.ds[:k]
-            c = _log_weights(n)
+            tables = (_pair_tables if n <= _CACHED_NODES else _pair_tables.__wrapped__)(n)
             # column j's weight; its mirror node n - 1 - j has the same
-            same, mirror = _half_kernels(r, self.z[:k], c) * (4.0 * r * ds)
+            same, mirror = _half_kernels(r, self.z[:k], tables) * (4.0 * r * ds)
             # k2's limit on the diagonal, 2 b t' ln(8 r / (b t')), with the
             # log part's own weight; b t' = n ds / (2 pi).
-            diag = np.arange(k)
-            same[diag, diag] = ds * (
-                2.0 * np.log(16.0 * math.pi * r / (n * ds)) - c[0])
+            np.fill_diagonal(same, ds * (
+                2.0 * np.log(16.0 * math.pi * r / (n * ds)) - tables[0][0]))
             odd = same[:h, :h] - mirror[:h, :h]
             even = same  # the last column is the middle node's for odd n
             even[:, :h] += mirror[:, :h]

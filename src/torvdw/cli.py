@@ -143,7 +143,7 @@ def _emit_table(args, columns, rows, diagnostics, gnuplot_cols=None):
     if args.format == "json":
         payload = {"config": _config_echo(args), "columns": columns, "rows": rows,
                    "diagnostics": diagnostics}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         w = csv.writer(buf)  # RFC-4180: CRLF line endings
@@ -335,9 +335,10 @@ def cmd_contour(args) -> int:
                          rel_tol=args.tol, n_cap=args.ncap)
 
     if args.format == "json":
-        _emit_table(args,
-                    ["zp_over_b"] + [float(r) for r in ratios],
-                    [[float(zps[i])] + list(grid.force[i]) for i in range(zps.size)],
+        # a failed cell's NaN is written as null: JSON has no NaN
+        rows = [[float(z)] + [None if math.isnan(v) else v for v in row]
+                for z, row in zip(zps, grid.force.tolist())]
+        _emit_table(args, ["zp_over_b"] + [float(r) for r in ratios], rows,
                     {"failed_cells": list(grid.diagnostics)})
         return EXIT_OK
 

@@ -4,12 +4,23 @@ These deliberately avoid the production code paths: Legendre functions
 come from adaptive quadrature of their integral representations.  The
 elliptic integrals are checked against scipy.special and mpmath directly
 in test_specfun.
+
+The Nyström blocks have a reference of another kind: the straightforward
+formulation of bem's kernel pass (fancy-index gathers and scatters, one
+polynomial at a time, no cached tables), kept so that the production pass
+can be pinned to it bit for bit.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
+
+from torvdw.bem import _ELLPK_PQ, _log_weights
+
+LN4 = _ELLPK_PQ[-1][0]
+#: Cephes' MACHEP, 2^-53: below it ellpk takes K(1 - x) as ln 4 - ln(x) / 2.
+MACHEP = 1.11022302462515654042e-16
 
 
 def legendre_p_quad(nu: float, z: float) -> float:
@@ -33,3 +44,52 @@ def legendre_q_quad(nu: float, z: float) -> float:
 
     val, _ = quad(integrand, 0.0, np.inf, limit=200, epsabs=0.0, epsrel=1e-13)
     return val
+
+
+def ellpk_reference(x):
+    """K(1 - x) for x >= 0 by Cephes' ellpk, elementwise, in its plain
+    form: y = min(x, 1/x), P and Q by separate Horner loops in y, the
+    leading terms below MACHEP, and K(1 - 1/x) / sqrt(x) above 1."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):
+        y = np.minimum(x, 1.0 / x)
+        log = np.log(y)
+    p, q = (c * y for c in _ELLPK_PQ[0])
+    for cp, cq in _ELLPK_PQ[1:-1]:
+        p += cp
+        p *= y
+        q += cq
+        q *= y
+    p += LN4
+    q += _ELLPK_PQ[-1][1]
+    k = np.where(y > MACHEP, p - q * log, LN4 - 0.5 * log)
+    return k / np.sqrt(np.maximum(x, 1.0))
+
+
+def nystrom_blocks_reference(mesh):
+    """The even and odd blocks of a BemMesh, assembled as bem did before its
+    kernel pass used per-node-count tables: the same-side and mirror kernels
+    on the upper triangle of the lower half, moduli from R_max =
+    hypot(r + r', z - z'), scattered to both triangles by fancy indexing,
+    then column-weighted, the diagonal replaced and the two folded."""
+    n = mesh.n_panels
+    h, k = n // 2, n - n // 2
+    r, z, ds = mesh.r[:k], mesh.z[:k], mesh.ds[:k]
+    c = _log_weights(n)
+    i, j = np.triu_indices(k)
+    dz = z[i] - np.stack([z[j], -z[j]])
+    rmax = np.hypot(r[i] + r[j], dz)
+    u, v = (r[i] - r[j]) / rmax, dz / rmax
+    p = u * u + v * v
+    p[np.stack([i == j, (i == j) & (i == n // 2)])] = 0.5
+    km, kc = ellpk_reference(np.stack([p, 1.0 - p]))
+    cij = c[np.stack([(i - j) % n, (i + j + 1) % n])]
+    kernels = np.empty((2, k, k))
+    kernels[:, i, j] = kernels[:, j, i] = (km - kc * cij / math.pi) / rmax
+    same, mirror = kernels * (4.0 * r * ds)
+    diag = np.arange(k)
+    same[diag, diag] = ds * (2.0 * np.log(16.0 * math.pi * r / (n * ds)) - c[0])
+    odd = same[:h, :h] - mirror[:h, :h]
+    even = same
+    even[:, :h] += mirror[:, :h]
+    return even, odd

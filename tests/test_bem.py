@@ -1,11 +1,13 @@
 import importlib.util
 import math
+import warnings
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import example, given, strategies as st
 
 from torvdw import (
     axial_greens,
@@ -17,9 +19,10 @@ from torvdw import (
 )
 import torvdw.bem as bem_module
 from torvdw.bem import (
+    _CACHED_NODES,
     _ellpk,
     _half_kernels,
-    _log_weights,
+    _pair_tables,
     _ring_moduli,
     bem_gh_reduced,
     bem_mixed_derivative,
@@ -34,7 +37,10 @@ from torvdw.errors import MeshError, SingularKernelError, SolverError
 from torvdw.units import K_E_EV_NM
 from torvdw.validate import _exterior_points, check_bem_vs_series
 
+from oracles import MACHEP, ellpk_reference, nystrom_blocks_reference
+
 EPS = np.finfo(float).eps
+FLOATS_MAX = np.finfo(float).max
 #: The smallest a/b with any axial repulsion (50-digit mpmath root of S0).
 THRESHOLD_RATIO = 3.2047484385699470658
 
@@ -140,6 +146,13 @@ class TestRingPotential:
         with pytest.raises(SingularKernelError):
             ring_potential(2.0, 0.5, 2.0, 0.5, 1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_distance_past_the_float_range(self):
+        # the distance, 2.4e308, overflows; the potential K_E / distance does not
+        d_half = math.hypot(0.85e308, 0.85e308)
+        v = ring_potential(1.7e308, 1.7e308, 1.0, 0.0, 1.0)
+        assert v == pytest.approx(K_E_EV_NM / 2.0 / d_half, rel=1e-12)
+
 
 class TestSolve:
     def test_induced_charge_negative(self, geom53):
@@ -204,12 +217,33 @@ class TestFieldPoints:
         assert np.array_equal(values.ravel(), scalars)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("r, z", [(1e200, 0.0), (0.0, 1e200)])
+    @pytest.mark.parametrize("r, z", [(1e200, 0.0), (0.0, 1e200),
+                                      (1.7e308, 1.7e308), (0.0, -1.7e308)])
     def test_far_point_is_monopole_without_overflow(self, sol, r, z):
-        # R_max and the moduli are formed as ratios, so nothing overflows
+        # the moduli are ratios to R_max / 2, so nothing overflows, even where
+        # the distance does; past 1e308 the potential is subnormal
         v = bem_vh(r, z, sol)
+        distance_half = math.hypot(r / 2.0, z / 2.0)
         assert v == pytest.approx(
-            K_E_EV_NM * total_induced_charge(sol) / math.hypot(r, z), rel=1e-12)
+            K_E_EV_NM * total_induced_charge(sol) / 2.0 / distance_half, rel=1e-12)
+
+    @given(r=st.floats(min_value=0.0, max_value=FLOATS_MAX),
+           z=st.floats(min_value=-FLOATS_MAX, max_value=FLOATS_MAX))
+    @example(r=FLOATS_MAX, z=-FLOATS_MAX)
+    @example(r=5e-324, z=5e-324)
+    @example(r=2.0, z=0.5)  # on the ring_potential ring
+    def test_whole_range_finite_or_typed_error(self, sol, r, z):
+        # a point within about 1e-162 of a ring, where p underflows to 0,
+        # is reported as lying on it
+        for call in (lambda: bem_vh(r, z, sol),
+                     lambda: ring_potential(r, z, 2.0, 0.5, 1.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    value = call()
+                except SingularKernelError:
+                    continue
+            assert isinstance(value, float) and math.isfinite(value)
 
     def test_point_on_panel_ring_in_array_rejected(self, sol):
         mesh = sol.mesh
@@ -305,7 +339,7 @@ class TestMirrorBlocks:
         # diagonal; the blocks are their column-weighted sums and differences
         mesh = build_mesh(geom53, n)
         h, k = n // 2, n - n // 2
-        same, mirror = _half_kernels(mesh.r[:k], mesh.z[:k], _log_weights(n))
+        same, mirror = _half_kernels(mesh.r[:k], mesh.z[:k], _pair_tables(n))
         off = ~np.eye(k, dtype=bool)
         for kernel in (same, mirror):
             assert np.array_equal(kernel[off], kernel.T[off])
@@ -322,6 +356,41 @@ class TestMirrorBlocks:
                             lambda self, parts: [np.full_like(b, NAN) for b in parts])
         with pytest.raises(SolverError):
             solve_induced_density(build_mesh(geom53, 64), axial_source(1.0, geom53))
+
+
+class TestPinnedToReference:
+    """The kernel pass (per-node-count tables, one stacked Horner pass,
+    halved hypot operands) does the reference's arithmetic on every entry,
+    so the blocks and K are bitwise those of tests/oracles.py."""
+
+    @pytest.mark.parametrize("ratio", [1.01, 1.5, 5.0, 20.0])
+    @pytest.mark.parametrize("n", [64, 65, 100, 400])
+    def test_blocks_bitwise(self, ratio, n):
+        mesh = build_mesh(toroid_from_radii(2.0 * ratio, 2.0), n)
+        for got, want in zip(mesh.blocks(), nystrom_blocks_reference(mesh)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_uncached_tables_bitwise_and_bounded(self, geom53):
+        tables = _pair_tables.cache_info()
+        assert 2 <= tables.maxsize <= 4
+        held = sum(t.nbytes for t in _pair_tables.__wrapped__(_CACHED_NODES))
+        assert tables.maxsize * held < 6e6
+        mesh = build_mesh(geom53, _CACHED_NODES + 3)
+        for got, want in zip(mesh.blocks(), nystrom_blocks_reference(mesh)):
+            assert got.tobytes() == want.tobytes()
+        after = _pair_tables.cache_info()
+        assert (after.hits, after.misses) == (tables.hits, tables.misses)
+
+    def test_ellpk_bitwise(self):
+        grid = np.concatenate([
+            [0.0, 5e-324, 1e-310, np.finfo(float).tiny, 1e-200, 1e-17,
+             0.5 * MACHEP, MACHEP, np.nextafter(MACHEP, 1.0), 0.5, 1.0],
+            np.geomspace(5e-324, MACHEP, 300),  # Cephes' leading-terms branch
+            np.geomspace(1e-300, 1.0, 301),
+            [1.0 + 2.0**-52, 1.0 + 2.0**-50, 2.0, 1e10, 1e300, NAN]])
+        unit = grid[grid <= 1.0]  # the kernel path: no x > 1 branch
+        for x in (grid, unit, grid.reshape(-1, 2)):
+            assert _ellpk(x).tobytes() == ellpk_reference(x).tobytes()
 
 
 class TestAgainstSeries:
@@ -531,8 +600,10 @@ def test_convergence_script_smoke(capsys):
     spec = importlib.util.spec_from_file_location("bem_convergence", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    script.study(5.0, 2.0, panel_counts=(50, 100))
-    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
-    rows = [row for row in rows if row and row[0].isdigit()]
+    script.study(5.0, 2.0, panel_counts=(50, 100), repeats=2)
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert lines[1][-2:] == ["assembly_ms", "solve_ms"]
+    rows = [row for row in lines if row and row[0].isdigit()]
     assert [int(row[0]) for row in rows] == [50, 100]
     assert all(math.isfinite(float(row[1])) for row in rows)
+    assert all(float(ms) > 0.0 for row in rows for ms in row[-2:])

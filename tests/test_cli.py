@@ -286,6 +286,23 @@ class TestContour:
         assert out_file.read_text() == expected.getvalue()
 
 
+    def test_json_failed_cells_are_null(self, tmp_path, capsys):
+        # every cell's series is starved by --ncap 8; JSON has no NaN, so a
+        # failed cell is written as null and a strict parser reads the file
+        out_file = tmp_path / "g.json"
+        code, _, _ = run_cli(capsys, "contour", "--b", "1", "--ratio-min", "1.01",
+                             "--ratio-points", "3", "--zpoints", "3", "--ncap", "8",
+                             "--format", "json", "--out", str(out_file))
+        assert code == 0
+
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        payload = json.loads(out_file.read_text(), parse_constant=refuse)
+        assert [row[1:] for row in payload["rows"]] == [[None] * 3] * 3
+        assert len(payload["diagnostics"]["failed_cells"]) == 9
+
+
 class TestNonFiniteInputs:
     @pytest.mark.parametrize(
         "argv",
