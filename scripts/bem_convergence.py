@@ -6,7 +6,9 @@ from the separable-series value over a fixed set of exterior points, for
 node counts doubling from 16 to 512, with the time of each rung split in
 two: the assembly of the even and odd blocks (BemMesh.blocks) and the
 block solve (solve_induced_density on the assembled mesh: both LU solves
-and the residual check), each the best of `repeats` runs, in ms.  The
+and the residual check), each the best of `repeats` runs, in ms; and the
+time of one ring sum, bem_vh at one field point on the solution, the best
+of `repeats` runs of 100 calls, in µs.  The
 oracle converges geometrically: the gain, the factor by which a doubling
 cuts the error, grows until the error reaches the rounding floor, where it
 falls to about 1.
@@ -38,13 +40,15 @@ from torvdw import (
 from torvdw.bem import bem_vh, build_mesh, solve_induced_density
 
 
-def _best_ms(call, repeats: int) -> float:
+def _best_ms(call, repeats: int, calls: int = 1) -> float:
+    """The best of `repeats` runs of `calls` calls, in ms per call."""
     best = math.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
-        call()
+        for _ in range(calls):
+            call()
         best = min(best, time.perf_counter() - t0)
-    return 1e3 * best
+    return 1e3 * best / calls
 
 
 def study(a: float, b: float, panel_counts=(16, 32, 64, 128, 256, 512),
@@ -69,7 +73,8 @@ def study(a: float, b: float, panel_counts=(16, 32, 64, 128, 256, 512),
 
     print(f"a = {a} nm, b = {b} nm, source at z' = {src.z_src} nm, "
           f"{len(pts)} exterior probe points; times best of {repeats}")
-    print(f"{'nodes':>8} {'max rel err':>14} {'gain':>9} {'assembly_ms':>12} {'solve_ms':>9}")
+    print(f"{'nodes':>8} {'max rel err':>14} {'gain':>9} {'assembly_ms':>12} {'solve_ms':>9} "
+          f"{'field_us':>9}")
     prev = None
     for n in panel_counts:
         meshes = [build_mesh(geom, n) for _ in range(repeats)]
@@ -78,9 +83,10 @@ def study(a: float, b: float, panel_counts=(16, 32, 64, 128, 256, 512),
         mesh = meshes[-1]
         solve = _best_ms(lambda: solve_induced_density(mesh, src), repeats)
         sol = solve_induced_density(mesh, src)
+        field = 1e3 * _best_ms(lambda: bem_vh(r[0], z[0], sol), repeats, calls=100)
         err = float(np.max(np.abs(bem_vh(r, z, sol) - reference) / np.abs(reference)))
         gain = f"{prev / err:9.2e}" if prev else "        -"
-        print(f"{n:8d} {err:14.3e} {gain} {assembly:12.3f} {solve:9.3f}")
+        print(f"{n:8d} {err:14.3e} {gain} {assembly:12.3f} {solve:9.3f} {field:9.1f}")
         prev = err
 
 

@@ -66,36 +66,57 @@ _ELLPK_PQ = (
     (9.65735902811690126535e-2, 1.24999999999870820058e-1),
     (1.38629436111989062502e0, 4.99999999999999999821e-1),
 )
-#: P's and Q's coefficients as (2, 1) columns, for one Horner pass on both.
-_PQ_COLUMNS = np.array(_ELLPK_PQ)[:, :, None]
+#: P's and Q's coefficients as (11, 2, 1, 1) planes of width 1: broadcast
+#: columns, for one Horner pass on both over any shape.
+_PQ_COLUMNS = np.array(_ELLPK_PQ)[:, :, None, None]
 #: Elements per piece of the Horner pass: a piece and its temporaries stay
 #: in cache.
 _ELLPK_CHUNK = 1 << 14
 
 
-def _ellpk(x):
+def _ellpk(x, planes=_PQ_COLUMNS):
     """K(1 - x) for x >= 0, elementwise: Cephes' ellpk, the routine behind
     scipy.special.ellipkm1, in the same operations (Horner in x; x > 1
     through K(1 - 1/x) / sqrt(x)), so it agrees with it to an ulp.  x = 0
-    gives inf.  P and Q run as one (2, N) Horner pass.  Cephes' branch for
-    x <= 2^-53, ln 4 - ln(x) / 2, is not needed: there P and Q round to
-    ln 4 and 1/2, so the pass gives the same bits.  The x > 1 steps run
-    only when some entry needs them; on [0, 1] they change no bit."""
+    gives inf.  P and Q run as one stacked Horner pass on the coefficient
+    planes, (11, 2, 1, w): with w = 1 (the default) on x of any shape, in
+    pieces of _ELLPK_CHUNK entries; with w > 1, _horner_planes(w), on x's
+    rows of w entries, in pieces of whole rows, where the planes and a copy
+    of the piece per polynomial make every step contiguous.  Cephes'
+    branch for x <= 2^-53, ln 4 - ln(x) / 2, is not needed: there P and Q
+    round to ln 4 and 1/2, so the pass gives the same bits.  The x > 1
+    steps run only when some entry needs them; on [0, 1] they change no
+    bit."""
     x = np.asarray(x, dtype=float)
-    big = bool(np.any(x > 1.0))
+    big = bool((x > 1.0).any())
     with np.errstate(divide="ignore", over="ignore"):
-        y = (np.minimum(x, 1.0 / x) if big else x).ravel()
+        y = (np.minimum(x, 1.0 / x) if big else x).reshape(-1, planes.shape[-1])
         k = np.empty_like(y)
-        for s in range(0, y.size, _ELLPK_CHUNK):
-            piece = y[s:s + _ELLPK_CHUNK]
-            pq = _PQ_COLUMNS[0] * piece
-            for c in _PQ_COLUMNS[1:-1]:
+        width = y.shape[1]
+        rows = max(1, _ELLPK_CHUNK // width)
+        for s in range(0, len(y), rows):
+            piece = y[s:s + rows]
+            # on planes, a copy of the piece per polynomial: no step broadcasts
+            factor = piece if width == 1 else np.array([piece, piece])
+            pq = planes[0] * factor
+            for c in planes[1:-1]:
                 pq += c
-                pq *= piece
-            pq += _PQ_COLUMNS[-1]
-            np.subtract(pq[0], pq[1] * np.log(piece), out=k[s:s + _ELLPK_CHUNK])
+                pq *= factor
+            pq += planes[-1]
+            np.subtract(pq[0], pq[1] * np.log(piece), out=k[s:s + rows])
     k = k.reshape(x.shape)
     return k / np.sqrt(np.maximum(x, 1.0)) if big else k
+
+
+@functools.lru_cache(maxsize=4)
+def _horner_planes(n: int) -> np.ndarray:
+    """_PQ_COLUMNS repeated n times along the ring axis, (11, 2, 1, n) and
+    read-only (176 n bytes, 70 KB at 400 nodes): for _ellpk on the (M, n)
+    moduli of a ring sum, where adding a contiguous plane costs less than
+    broadcasting a column over a short row."""
+    planes = np.repeat(_PQ_COLUMNS, n, axis=-1)
+    planes.flags.writeable = False
+    return planes
 
 
 def _ring_moduli(r_f, z_f, r_ring, z_ring):
@@ -104,19 +125,32 @@ def _ring_moduli(r_f, z_f, r_ring, z_ring):
     operands (exact for normal floats), so nothing overflows even where
     R_max itself would, and p does not cancel.  K(m) is then _ellpk(p) and
     K(1 - m) is _ellpk(1 - p)."""
+    # rebinding frees the gathered radii before the heights are halved: the
+    # kernel pass's minor page faults rise by a sixth when they are held
     r_f, r_ring = 0.5 * r_f, 0.5 * r_ring
-    v = 0.5 * z_f - 0.5 * z_ring
+    return _halved_moduli(r_f, r_ring, 0.5 * z_f - 0.5 * z_ring)
+
+
+def _halved_moduli(r_f, r_ring, v):
+    """_ring_moduli from the halved radii r / 2, r' / 2 and v = z / 2 - z' / 2."""
     half = np.hypot(r_f + r_ring, v)
     u, v = (r_f - r_ring) / half, v / half
     return u * u + v * v, half
 
 
-def _ring_kernel(r_f, z_f, r_ring, z_ring):
-    """Reduced potential of a unit-charge ring: (2/pi) K(m) / R_max."""
-    p, half = _ring_moduli(r_f, z_f, r_ring, z_ring)
-    if np.any(p == 0.0):
+def _ring_sum(r_f, z_f, rings, planes):
+    """Reduced potential sum_j q_j (2/pi) K(m_j) / R_max,j of the rings in
+    the table rings = (r_j / 2, z_j / 2, q_j), with planes =
+    _horner_planes(its width), at field points given by their halved
+    coordinates r_f = |r| / 2 and z_f = z / 2: floats, or arrays of one
+    shape with a trailing axis of length 1.  Only the field points are
+    worked on per call; the table and the planes are built once."""
+    half_r, half_z, charges = rings
+    p, half = _halved_moduli(r_f, half_r, z_f - half_z)
+    if not p.all():
         raise SingularKernelError("field point lies on a ring")
-    return (1.0 / math.pi) * _ellpk(p) / half  # (2/pi) K / R_max, the same bits
+    kernel = (1.0 / math.pi) * _ellpk(p, planes) / half  # (2/pi) K / R_max, the same bits
+    return (charges * kernel).sum(axis=-1)
 
 
 def ring_potential(r: float, z: float, r0: float, z0: float, charge: float) -> float:
@@ -124,16 +158,23 @@ def ring_potential(r: float, z: float, r0: float, z0: float, charge: float) -> f
     height z0 carrying `charge` elementary charges.
 
     On the axis this collapses to charge / sqrt(r0^2 + (z - z0)^2) times
-    K_E; far away it tends to the monopole charge / distance.
+    K_E; far away it tends to the monopole charge / distance.  It is even
+    in r.
 
     Raises
     ------
+    ValueError
+        If an argument is not finite, or r0 is not positive.
     SingularKernelError
         If the field point lies on the ring itself.
     """
+    if not all(map(math.isfinite, (r, z, r0, z0, charge))):
+        raise ValueError(f"ring coordinates and charge must be finite, got "
+                         f"r={r}, z={z}, r0={r0}, z0={z0}, charge={charge}")
     if r0 <= 0.0:
         raise ValueError(f"ring radius must be positive, got {r0}")
-    return K_E_EV_NM * charge * float(_ring_kernel(float(r), float(z), r0, z0))
+    ring = (np.array([0.5 * r0]), np.array([0.5 * z0]), np.ones(1))  # width 1: _PQ_COLUMNS
+    return K_E_EV_NM * charge * float(_ring_sum(0.5 * abs(r), 0.5 * z, ring, _PQ_COLUMNS))
 
 
 def _log_weights(n: int) -> np.ndarray:
@@ -172,8 +213,15 @@ def _pair_tables(n: int):
 
 
 #: Node counts whose tables are cached (the oracle alternates two), so the
-#: cache holds at most 4 x 1.3 MB; larger meshes build theirs uncached.
+#: pair-table cache holds at most 4 x 1.3 MB and the plane cache 4 x 90 KB;
+#: larger meshes build theirs uncached.
 _CACHED_NODES = 512
+
+
+def _node_count_table(table, n: int):
+    """table(n), one of the per-node-count tables, through its cache only
+    for n <= _CACHED_NODES."""
+    return (table if n <= _CACHED_NODES else table.__wrapped__)(n)
 
 
 def _half_kernels(r, z, tables) -> np.ndarray:
@@ -231,7 +279,7 @@ class BemMesh:
             n = self.n_panels
             h, k = n // 2, n - n // 2
             r, ds = self.r[:k], self.ds[:k]
-            tables = (_pair_tables if n <= _CACHED_NODES else _pair_tables.__wrapped__)(n)
+            tables = _node_count_table(_pair_tables, n)
             # column j's weight; its mirror node n - 1 - j has the same
             same, mirror = _half_kernels(r, self.z[:k], tables) * (4.0 * r * ds)
             # k2's limit on the diagonal, 2 b t' ln(8 r / (b t')), with the
@@ -332,6 +380,9 @@ class BemSolution:
     sigma: np.ndarray   # induced density at the nodes, e / nm^2, for the source's charge
     source: AxialSource
     residual: float     # Nyström residual relative to the Coulomb scale
+    # the ring table of the field-point sums, three read-only arrays: the
+    # halved ring radii and heights and the ring charges sigma 2 pi r ds
+    rings: tuple = field(repr=False, compare=False)
 
 
 def _solve(mesh: BemMesh, rhs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -366,33 +417,41 @@ def solve_induced_density(mesh: BemMesh, src: AxialSource) -> BemSolution:
     """
     sigma, residual = _solve(mesh, -src.charge / np.hypot(mesh.r, mesh.z - src.z_src))
     sigma.flags.writeable = False
-    return BemSolution(mesh=mesh, sigma=sigma, source=src, residual=residual)
+    rings = (0.5 * mesh.r, 0.5 * mesh.z, sigma * 2.0 * math.pi * mesh.r * mesh.ds)
+    for column in rings:
+        column.flags.writeable = False
+    return BemSolution(mesh=mesh, sigma=sigma, source=src, residual=residual, rings=rings)
 
 
 def total_induced_charge(sol: BemSolution) -> float:
     """Net induced charge (e); negative for a positive source charge."""
-    return float(np.sum(sol.sigma * 2.0 * math.pi * sol.mesh.r * sol.mesh.ds))
+    return float(sol.rings[2].sum())
 
 
 def _vh_reduced_bem(r, z, sol: BemSolution):
-    """Reduced induced potential at field points (r, z), one ring sum each."""
-    r = np.asarray(r, dtype=float)[..., None]
-    z = np.asarray(z, dtype=float)[..., None]
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(z))):
+    """Reduced induced potential at field points (r, z), one ring sum each;
+    the field radius enters as |r|, since the sum is even in r."""
+    if isinstance(r, float) and isinstance(z, float):  # one point, the common call
+        finite = math.isfinite(r) and math.isfinite(z)
+        r_f, z_f = 0.5 * abs(r), 0.5 * z
+    else:
+        r, z = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(z, dtype=float))
+        finite = np.isfinite(r).all() and np.isfinite(z).all()
+        r_f, z_f = 0.5 * np.abs(r)[..., None], 0.5 * z[..., None]
+    if not finite:
         raise ValueError("field points must be finite")
-    mesh = sol.mesh
-    ring_charges = sol.sigma * 2.0 * math.pi * mesh.r * mesh.ds
-    return np.sum(ring_charges * _ring_kernel(r, z, mesh.r, mesh.z), axis=-1)
+    planes = _node_count_table(_horner_planes, sol.mesh.n_panels)
+    return _ring_sum(r_f, z_f, sol.rings, planes)
 
 
 def bem_vh(r, z, sol: BemSolution):
     """Potential (V) of the induced charge at the field point (r, z).
 
     The oracle's counterpart of the series V_H: a trapezoidal sum of ring
-    potentials over all nodes.  r and z are scalars (a float is returned)
-    or arrays of one shape (an array of that shape is returned).  A
-    non-finite coordinate raises ValueError, a point on a node ring
-    SingularKernelError.
+    potentials over all nodes, even in r.  r and z are scalars (a float is
+    returned) or arrays of one shape (an array of that shape is returned).
+    A non-finite coordinate raises ValueError, a point on a node ring or on
+    its mirror through the axis SingularKernelError.
     """
     return K_E_EV_NM * _vh_reduced_bem(r, z, sol)
 

@@ -5,10 +5,11 @@ come from adaptive quadrature of their integral representations.  The
 elliptic integrals are checked against scipy.special and mpmath directly
 in test_specfun.
 
-The Nyström blocks have a reference of another kind: the straightforward
-formulation of bem's kernel pass (fancy-index gathers and scatters, one
-polynomial at a time, no cached tables), kept so that the production pass
-can be pinned to it bit for bit.
+The Nyström blocks and the field-point ring sums have references of
+another kind: the straightforward formulations of bem's kernel pass
+(fancy-index gathers and scatters, one polynomial at a time, no cached
+tables) and of its ring sum (everything recomputed per call), kept so that
+the production paths can be pinned to them bit for bit.
 """
 
 import math
@@ -93,3 +94,20 @@ def nystrom_blocks_reference(mesh):
     even = same
     even[:, :h] += mirror[:, :h]
     return even, odd
+
+
+def vh_reference(r, z, sol):
+    """The reduced induced potential of a BemSolution at field points
+    (r, z), r >= 0, as bem summed it before its ring table: per call the
+    ring charges sigma 2 pi r ds, the moduli from the halved operands of
+    R_max, K by ellpk_reference, and the ring sum over the last axis."""
+    mesh = sol.mesh
+    r = np.asarray(r, dtype=float)[..., None]
+    z = np.asarray(z, dtype=float)[..., None]
+    r_f, r_ring = 0.5 * r, 0.5 * mesh.r
+    v = 0.5 * z - 0.5 * mesh.z
+    half = np.hypot(r_f + r_ring, v)
+    u, v = (r_f - r_ring) / half, v / half
+    kernel = (1.0 / math.pi) * ellpk_reference(u * u + v * v) / half
+    ring_charges = sol.sigma * 2.0 * math.pi * mesh.r * mesh.ds
+    return np.sum(ring_charges * kernel, axis=-1)

@@ -22,6 +22,7 @@ from torvdw.bem import (
     _CACHED_NODES,
     _ellpk,
     _half_kernels,
+    _horner_planes,
     _pair_tables,
     _ring_moduli,
     bem_gh_reduced,
@@ -37,7 +38,7 @@ from torvdw.errors import MeshError, SingularKernelError, SolverError
 from torvdw.units import K_E_EV_NM
 from torvdw.validate import _exterior_points, check_bem_vs_series
 
-from oracles import MACHEP, ellpk_reference, nystrom_blocks_reference
+from oracles import MACHEP, ellpk_reference, nystrom_blocks_reference, vh_reference
 
 EPS = np.finfo(float).eps
 FLOATS_MAX = np.finfo(float).max
@@ -153,6 +154,22 @@ class TestRingPotential:
         v = ring_potential(1.7e308, 1.7e308, 1.0, 0.0, 1.0)
         assert v == pytest.approx(K_E_EV_NM / 2.0 / d_half, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", range(5), ids=["r", "z", "r0", "z0", "charge"])
+    def test_non_finite_input_raises_value_error(self, at, value):
+        args = [1.5, 2.0, 2.0, 0.5, 1.0]
+        args[at] = value
+        with pytest.raises(ValueError, match="finite"):
+            ring_potential(*args)
+
+    @pytest.mark.filterwarnings("error")
+    def test_even_in_r(self):
+        with pytest.raises(SingularKernelError):
+            ring_potential(-1.0, 0.0, 1.0, 0.0, 1.0)  # the ring's mirror point
+        for r, z in [(1.5, 2.0), (0.3, -1.0), (7.0, 0.5), (5e-324, 0.0)]:
+            assert ring_potential(-r, z, 2.0, 0.5, 1.3) == ring_potential(r, z, 2.0, 0.5, 1.3)
+
 
 class TestSolve:
     def test_induced_charge_negative(self, geom53):
@@ -227,11 +244,13 @@ class TestFieldPoints:
         assert v == pytest.approx(
             K_E_EV_NM * total_induced_charge(sol) / 2.0 / distance_half, rel=1e-12)
 
-    @given(r=st.floats(min_value=0.0, max_value=FLOATS_MAX),
+    @given(r=st.floats(min_value=-FLOATS_MAX, max_value=FLOATS_MAX),
            z=st.floats(min_value=-FLOATS_MAX, max_value=FLOATS_MAX))
     @example(r=FLOATS_MAX, z=-FLOATS_MAX)
+    @example(r=-FLOATS_MAX, z=FLOATS_MAX)
     @example(r=5e-324, z=5e-324)
     @example(r=2.0, z=0.5)  # on the ring_potential ring
+    @example(r=-2.0, z=0.5)  # on its mirror through the axis
     def test_whole_range_finite_or_typed_error(self, sol, r, z):
         # a point within about 1e-162 of a ring, where p underflows to 0,
         # is reported as lying on it
@@ -249,6 +268,21 @@ class TestFieldPoints:
         mesh = sol.mesh
         with pytest.raises(SingularKernelError):
             bem_vh(np.array([0.0, mesh.r[3]]), np.array([1.0, mesh.z[3]]), sol)
+
+    @pytest.mark.filterwarnings("error")
+    def test_mirror_of_a_node_ring_rejected(self, sol):
+        mesh = sol.mesh
+        with pytest.raises(SingularKernelError):
+            bem_vh(-mesh.r[3], mesh.z[3], sol)
+        with pytest.raises(SingularKernelError):
+            bem_vh(np.array([1.0, -mesh.r[3]]), np.array([9.0, mesh.z[3]]), sol)
+
+    def test_even_in_r(self, sol):
+        r = np.array([[0.0, 2.0, 7.5], [1.0, 9.0, 0.3]])
+        z = np.array([[3.0, -4.0, 0.0], [-2.5, 1.0, 6.0]])
+        assert bem_vh(-r, z, sol).tobytes() == bem_vh(r, z, sol).tobytes()
+        for ri, zi in zip(r.flat, z.flat):
+            assert bem_vh(-ri, zi, sol) == bem_vh(ri, zi, sol)
 
 
 def _dense_matrix(mesh):
@@ -360,8 +394,10 @@ class TestMirrorBlocks:
 
 class TestPinnedToReference:
     """The kernel pass (per-node-count tables, one stacked Horner pass,
-    halved hypot operands) does the reference's arithmetic on every entry,
-    so the blocks and K are bitwise those of tests/oracles.py."""
+    halved hypot operands) and the field-point ring sums (ring table,
+    contiguous Horner planes) do the references' arithmetic on every entry,
+    so the blocks, K and the ring sums are bitwise those of
+    tests/oracles.py."""
 
     @pytest.mark.parametrize("ratio", [1.01, 1.5, 5.0, 20.0])
     @pytest.mark.parametrize("n", [64, 65, 100, 400])
@@ -391,6 +427,49 @@ class TestPinnedToReference:
         unit = grid[grid <= 1.0]  # the kernel path: no x > 1 branch
         for x in (grid, unit, grid.reshape(-1, 2)):
             assert _ellpk(x).tobytes() == ellpk_reference(x).tobytes()
+
+    @pytest.mark.parametrize("ratio", [1.01, 1.5, 5.0, 20.0])
+    @pytest.mark.parametrize("n", [64, 65, 100, 400])
+    def test_field_path_bitwise(self, ratio, n):
+        # the ring sums read the solution's ring table and the cached Horner
+        # planes, and do the reference's arithmetic on every entry; the axis
+        # points take _ellpk's steps for arguments above 1
+        geom = toroid_from_radii(2.0 * ratio, 2.0)
+        src = axial_source(0.3 * geom.a, geom)
+        sol = solve_induced_density(build_mesh(geom, n), src)
+        rng = np.random.default_rng(n + int(100 * ratio))
+        r = rng.uniform(0.0, 3.0 * geom.a, 400)
+        z = rng.uniform(-3.0 * geom.a, 3.0 * geom.a, 400)
+        keep = np.hypot(r - geom.a, z) > 1.05 * geom.b
+        r, z = r[keep][:100], z[keep][:100]
+        assert len(r) == 100
+        r[::10] = 0.0
+        want = K_E_EV_NM * vh_reference(r, z, sol)
+        assert bem_vh(r, z, sol).tobytes() == want.tobytes()
+        assert bem_vh(r.reshape(10, 10), z.reshape(10, 10), sol).tobytes() == want.tobytes()
+        assert np.array([bem_vh(a, b, sol) for a, b in zip(r, z)]).tobytes() == want.tobytes()
+        gh = vh_reference(0.0, z, sol) / (4.0 * math.pi * src.charge)
+        assert np.array([bem_gh_reduced(b, sol) for b in z]).tobytes() == gh.tobytes()
+        charge = np.sum(sol.sigma * 2.0 * math.pi * sol.mesh.r * sol.mesh.ds)
+        assert total_induced_charge(sol) == charge
+
+    def test_ring_table_read_only_and_planes_bounded(self, geom53):
+        planes = _horner_planes.cache_info()
+        assert planes.maxsize <= 4
+        assert _horner_planes(400).nbytes == 70400 and not _horner_planes(400).flags.writeable
+        sol = solve_induced_density(build_mesh(geom53, _CACHED_NODES + 3),
+                                    axial_source(1.0, geom53))
+        assert [column.shape for column in sol.rings] == [(_CACHED_NODES + 3,)] * 3
+        for column in sol.rings:
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.0
+        bem_vh(np.array([0.0, 9.0]), np.array([1.0, 2.0]), sol)
+        bem_vh(9.0, 2.0, sol)
+        before = _horner_planes.cache_info()
+        bem_vh(9.0, 3.0, sol)
+        after = _horner_planes.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+        assert after.currsize <= 4
 
 
 class TestAgainstSeries:
@@ -602,8 +681,8 @@ def test_convergence_script_smoke(capsys):
     spec.loader.exec_module(script)
     script.study(5.0, 2.0, panel_counts=(50, 100), repeats=2)
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert lines[1][-2:] == ["assembly_ms", "solve_ms"]
+    assert lines[1][-3:] == ["assembly_ms", "solve_ms", "field_us"]
     rows = [row for row in lines if row and row[0].isdigit()]
     assert [int(row[0]) for row in rows] == [50, 100]
     assert all(math.isfinite(float(row[1])) for row in rows)
-    assert all(float(ms) > 0.0 for row in rows for ms in row[-2:])
+    assert all(0.0 < float(t) < 1e6 for row in rows for t in row[-3:])
