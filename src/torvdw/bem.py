@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MeshError, SingularKernelError, SolverError
+from .errors import MeshError, ResultOverflowError, SingularKernelError, SolverError
 from .geometry import ToroidGeometry
 from .greens import AxialSource, axial_source
 from .units import K_E_EV_NM
@@ -164,17 +165,25 @@ def ring_potential(r: float, z: float, r0: float, z0: float, charge: float) -> f
     Raises
     ------
     ValueError
-        If an argument is not finite, or r0 is not positive.
+        If an argument is not finite, or r0 is below the smallest normal
+        float (halving a subnormal radius loses it).
     SingularKernelError
         If the field point lies on the ring itself.
+    ResultOverflowError
+        If the potential exceeds the float64 range.
     """
     if not all(map(math.isfinite, (r, z, r0, z0, charge))):
         raise ValueError(f"ring coordinates and charge must be finite, got "
                          f"r={r}, z={z}, r0={r0}, z0={z0}, charge={charge}")
-    if r0 <= 0.0:
-        raise ValueError(f"ring radius must be positive, got {r0}")
+    if r0 < sys.float_info.min:
+        raise ValueError(f"ring radius must be a positive normal float, got {r0}")
     ring = (np.array([0.5 * r0]), np.array([0.5 * z0]), np.ones(1))  # width 1: _PQ_COLUMNS
-    return K_E_EV_NM * charge * float(_ring_sum(0.5 * abs(r), 0.5 * z, ring, _PQ_COLUMNS))
+    with np.errstate(over="ignore"):
+        value = K_E_EV_NM * charge * float(_ring_sum(0.5 * abs(r), 0.5 * z, ring, _PQ_COLUMNS))
+    if not math.isfinite(value):
+        raise ResultOverflowError(f"the potential of a ring of radius {r0} nm and charge "
+                                  f"{charge} e at (r, z) = ({r}, {z}) exceeds the float64 range")
+    return value
 
 
 def _log_weights(n: int) -> np.ndarray:

@@ -50,8 +50,7 @@ from .errors import (
 from .geometry import toroid_from_radii
 from .greens import (
     AxialGreens,
-    _raise_unconverged,
-    _sum_adaptive_grid,
+    _truncated_sum,
     _two_minus_delta,
     axial_greens,
 )
@@ -153,9 +152,9 @@ def _moments(g: AxialGreens) -> tuple[float, float, int]:
     either does not converge within the term cap."""
     w = _two_minus_delta(g.table.n_max) * g.table.ratio
     n = np.arange(w.size)
-    sums = _sum_adaptive_grid(np.column_stack([w, n * n * w]), g.table.ratio, g.rel_tol)
-    _raise_unconverged(sums, "moment")
-    return float(sums.values[0]), float(sums.values[1]), int(sums.n_used.max())
+    (m0, m2), stops = _truncated_sum(np.column_stack([w, n * n * w]), g.table.ratio,
+                                     g.rel_tol, "moment")
+    return float(m0), float(m2), int(stops.max())
 
 
 def _energy(z_p: np.ndarray, p: ParticleModel, f: float, m0: float, m2: float):
@@ -208,9 +207,8 @@ def gh_mixed_derivative(z: float, z_prime: float, g: AxialGreens) -> float:
                                - u(z) * du(z_prime) * dtheta(z))
         + 4.0 * n**2 * u(z) * u(z_prime) * dtheta(z) * dtheta(z_prime) * cos_phi
     )
-    sums = _sum_adaptive_grid(terms[:, None], g.table.ratio, g.rel_tol)
-    _raise_unconverged(sums, "mixed-derivative")
-    return float(-(f / (2.0 * math.pi**2)) * sums.values[0])
+    (total,), _ = _truncated_sum(terms[:, None], g.table.ratio, g.rel_tol, "mixed-derivative")
+    return float(-(f / (2.0 * math.pi**2)) * total)
 
 
 def _energy_prefactor(p: ParticleModel) -> float:

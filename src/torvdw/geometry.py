@@ -154,6 +154,13 @@ def axis_eta_from_z(z: float, f: float) -> float:
     Inverts z = f cot(eta / 2); strictly decreasing in z with z = 0 -> pi.
     The reduction to (-pi, pi] happens when a ToroidalCoords is built; every
     potential series is 2 pi periodic in eta, so both branches agree there.
+
+    It stays on this branch because it gives axial_source its eta_src, and
+    the other would move V_H's bits for sources below the midplane.  Axis
+    field points need the branch of `potential --cut axis`,
+    math.copysign(2 atan2(f, |z|), z): from this one, the V_H prefactor's
+    2 sin^2(eta / 2) cancels near 2 pi, and at a/b = 1.01 V_H at z = +1e5
+    and -1e5 differs by 3.1e-12 relative, where the exact values are equal.
     """
     if f <= 0.0:
         raise ValueError(f"focal scale must be positive, got f = {f}")

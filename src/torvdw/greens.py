@@ -139,23 +139,19 @@ class SeriesInfo(NamedTuple):
     n_used: int
 
 
-class ColumnSums(NamedTuple):
-    """Column-wise sums of a term matrix under the truncation rule."""
-
-    values: np.ndarray     # sum at the stop; the whole column where not converged
-    n_used: np.ndarray     # index of the stopping term
-    converged: np.ndarray
-    terms: np.ndarray      # kept for the tail estimate of a failed column
-
-
-def _sum_adaptive_grid(terms: np.ndarray, decay: np.ndarray, rel_tol: float) -> ColumnSums:
-    """Truncate each column of a (n_terms x n_points) term matrix.
+def _truncated_sum(terms: np.ndarray, decay: np.ndarray, rel_tol: float,
+                   what: str) -> tuple[np.ndarray, np.ndarray]:
+    """(sums, stops): each column of a (n_terms x n_points) term matrix
+    summed to its stopping term, and that term's index.
 
     A column stops at the first n where the term magnitude has stayed below
     rel_tol * |partial sum| for 3 consecutive terms (single-term smallness
     is unreliable under the cos factors) and the monotone decay envelope
-    has fallen to decay[n] <= rel_tol * decay[0].  This is the only
-    truncation rule of the package.
+    has fallen to decay[n] <= rel_tol * decay[0].  This is the package's
+    only truncation rule.  The first column that does not stop raises
+    TruncationError, labelled by `what`, with the column's whole sum, the
+    tail estimate |t_N| rho / (1 - rho), rho = min(0.99, |t_N / t_(N-1)|)
+    (0.5 when t_(N-1) = 0), as its bound, and the number of terms summed.
     """
     acc = np.cumsum(terms, axis=0)
     scale = np.abs(acc)
@@ -166,45 +162,27 @@ def _sum_adaptive_grid(terms: np.ndarray, decay: np.ndarray, rel_tol: float) -> 
     ok[2:] &= small[:-2]
     ok &= (decay <= rel_tol * decay[0])[:, None]
     converged = ok.any(axis=0)
-    stop = np.argmax(ok, axis=0)
-    stop[~converged] = terms.shape[0] - 1
-    return ColumnSums(acc[stop, np.arange(terms.shape[1])], stop, converged, terms)
-
-
-def _raise_unconverged(sums: ColumnSums, what: str) -> None:
-    """Raise TruncationError for the first column that did not converge.
-
-    The error carries that column's partial sum, the geometric tail
-    estimate |t_N| rho / (1 - rho) with rho = min(0.99, |t_N / t_(N-1)|)
-    (0.5 when t_(N-1) = 0) as its bound, and the number of terms summed.
-    """
-    if sums.converged.all():
-        return
-    k = int(np.argmin(sums.converged))
-    n_terms = sums.terms.shape[0]
-    prev, last = np.abs(sums.terms[-2:, k])
-    rho = min(0.99, last / prev) if prev > 0.0 else 0.5
-    raise TruncationError(
-        f"{what} series not converged after {n_terms} terms",
-        partial_sum=sums.values[k],
-        bound=last * rho / (1.0 - rho),
-        n_terms=n_terms,
-    )
+    if not converged.all():
+        k = int(np.argmin(converged))
+        n_terms = terms.shape[0]
+        prev, last = np.abs(terms[-2:, k])
+        rho = min(0.99, last / prev) if prev > 0.0 else 0.5
+        raise TruncationError(f"{what} series not converged after {n_terms} terms",
+                              partial_sum=acc[-1, k], bound=last * rho / (1.0 - rho),
+                              n_terms=n_terms)
+    stops = np.argmax(ok, axis=0)
+    return acc[stops, np.arange(terms.shape[1])], stops
 
 
 def _two_minus_delta(n_max: int) -> np.ndarray:
     return np.where(np.arange(n_max + 1) == 0, 1.0, 2.0)
 
 
-def _cosine_series(radial: np.ndarray, delta: np.ndarray, decay: np.ndarray,
-                   rel_tol: float, what: str) -> ColumnSums:
-    """sum_n (2 - delta_n0) radial[n] cos(n delta) for each column of
-    radial and entry of delta, truncated by the shared rule."""
+def _cosine_terms(radial: np.ndarray, delta) -> np.ndarray:
+    """(2 - delta_n0) radial[n] cos(n delta) for each column of radial and
+    entry of delta."""
     n = np.arange(radial.shape[0])
-    terms = _two_minus_delta(n.size - 1)[:, None] * radial * np.cos(np.outer(n, delta))
-    sums = _sum_adaptive_grid(terms, decay, rel_tol)
-    _raise_unconverged(sums, what)
-    return sums
+    return _two_minus_delta(n.size - 1)[:, None] * radial * np.cos(np.outer(n, delta))
 
 
 def _one_minus_cos_eta_src(src: AxialSource, f: float) -> float:
@@ -254,11 +232,12 @@ def _vh_reduced(field, src: AxialSource, g: AxialGreens) -> SeriesInfo:
         radial[:, rest] = table.ratio[:, None] * legendre_p_half(cosh_xi[rest], table.n_max)
 
     delta = [fld.eta - src.eta_src for fld in fields]
-    sums = _cosine_series(radial, delta, table.ratio, g.rel_tol, "potential")
-    value = np.array([_vh_prefactor(fld, src, geom.f) for fld in fields]) * sums.values
+    sums, stops = _truncated_sum(_cosine_terms(radial, delta), table.ratio, g.rel_tol,
+                                 "potential")
+    value = np.array([_vh_prefactor(fld, src, geom.f) for fld in fields]) * sums
     if single:
-        return SeriesInfo(value=float(value[0]), n_used=int(sums.n_used[0]))
-    return SeriesInfo(value=value, n_used=sums.n_used)
+        return SeriesInfo(value=float(value[0]), n_used=int(stops[0]))
+    return SeriesInfo(value=value, n_used=stops)
 
 
 def vh_potential_info(field, src: AxialSource, g: AxialGreens) -> SeriesInfo:
@@ -293,12 +272,13 @@ def charge_interaction_energy_info(z_src, g: AxialGreens, charge: float = 1.0) -
     # on-axis ratio sum M0, serves every height; the prefactor there is
     # -(1 / pi f) (1 - cos eta') = -2 c^2 / (pi f) with c = f / hypot(f, z').
     ratio = g.table.ratio
-    sums = _cosine_series(ratio[:, None], [0.0], ratio, g.rel_tol, "charge-energy")
+    weighted = (_two_minus_delta(g.table.n_max) * ratio)[:, None]
+    (m0,), (stop,) = _truncated_sum(weighted, ratio, g.rel_tol, "charge-energy")
     c = f / np.hypot(f, heights)
-    value = -(2.0 * charge * charge * K_E_EV_NM * sums.values[0] / (math.pi * f)) * c * c
+    value = -(2.0 * charge * charge * K_E_EV_NM * m0 / (math.pi * f)) * c * c
     if heights.ndim == 0:
-        return SeriesInfo(value=float(value), n_used=int(sums.n_used[0]))
-    return SeriesInfo(value=value, n_used=np.full(value.shape, sums.n_used[0]))
+        return SeriesInfo(value=float(value), n_used=int(stop))
+    return SeriesInfo(value=value, n_used=np.full(value.shape, stop))
 
 
 def charge_interaction_energy(z_src, g: AxialGreens, charge: float = 1.0):
@@ -369,5 +349,6 @@ def inverse_distance_series(
         return math.sqrt(a_fac * b_fac / (2.0 * gap)) / f
 
     table = harmonic_table(cosh_xi, _table_size(field.xi, g.rel_tol, g.n_cap))
-    sums = _cosine_series(table.q[:, None], [delta], table.q, g.rel_tol, "inverse-distance")
-    return (1.0 / (math.pi * f)) * math.sqrt(a_fac * b_fac) * float(sums.values[0])
+    sums, _ = _truncated_sum(_cosine_terms(table.q[:, None], [delta]), table.q, g.rel_tol,
+                             "inverse-distance")
+    return (1.0 / (math.pi * f)) * math.sqrt(a_fac * b_fac) * float(sums[0])

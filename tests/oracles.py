@@ -9,7 +9,8 @@ The Nyström blocks and the field-point ring sums have references of
 another kind: the straightforward formulations of bem's kernel pass
 (fancy-index gathers and scatters, one polynomial at a time, no cached
 tables) and of its ring sum (everything recomputed per call), kept so that
-the production paths can be pinned to them bit for bit.
+the production paths can be pinned to them bit for bit.  The truncation
+rule of the series is pinned the same way, to its earlier two-call form.
 """
 
 import math
@@ -18,6 +19,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from torvdw.bem import _ELLPK_PQ, _log_weights
+from torvdw.errors import TruncationError
 
 LN4 = _ELLPK_PQ[-1][0]
 #: Cephes' MACHEP, 2^-53: below it ellpk takes K(1 - x) as ln 4 - ln(x) / 2.
@@ -111,3 +113,34 @@ def vh_reference(r, z, sol):
     kernel = (1.0 / math.pi) * ellpk_reference(u * u + v * v) / half
     ring_charges = sol.sigma * 2.0 * math.pi * mesh.r * mesh.ds
     return np.sum(ring_charges * kernel, axis=-1)
+
+
+def truncated_sum_reference(terms, decay, rel_tol, what):
+    """(sums, stops) of greens' truncation rule as it was once summed in
+    two calls: every column truncated (an unconverged one summed whole),
+    then a TruncationError raised for the first unconverged column, with
+    its whole sum, the capped-rho tail estimate and the number of terms."""
+    acc = np.cumsum(terms, axis=0)
+    scale = np.abs(acc)
+    scale[scale == 0.0] = np.finfo(float).tiny
+    small = np.abs(terms) <= rel_tol * scale
+    ok = small.copy()
+    ok[1:] &= small[:-1]
+    ok[2:] &= small[:-2]
+    ok &= (decay <= rel_tol * decay[0])[:, None]
+    converged = ok.any(axis=0)
+    stop = np.argmax(ok, axis=0)
+    stop[~converged] = terms.shape[0] - 1
+    values = acc[stop, np.arange(terms.shape[1])]
+    if not converged.all():
+        k = int(np.argmin(converged))
+        n_terms = terms.shape[0]
+        prev, last = np.abs(terms[-2:, k])
+        rho = min(0.99, last / prev) if prev > 0.0 else 0.5
+        raise TruncationError(
+            f"{what} series not converged after {n_terms} terms",
+            partial_sum=values[k],
+            bound=last * rho / (1.0 - rho),
+            n_terms=n_terms,
+        )
+    return values, stop

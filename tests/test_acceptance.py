@@ -5,7 +5,8 @@ Criterion 8 is encoded twice: once verbatim as a strict expected failure,
 because the demanded lambda^-4 / lambda^-5 covariance contradicts the
 closed form (each series term scales exactly as lambda^-3 for the energy,
 hence lambda^-4 for the force), and once with the exact exponents at the
-same 1e-10 tightness.
+same 1e-10 tightness, also as a property over scales, shapes and heights
+at 1e-12.
 """
 
 import math
@@ -16,6 +17,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from torvdw import (
     ToroidalCoords,
@@ -235,6 +237,25 @@ def test_criterion_08_scale_covariance_exact_law():
         f"(worst deviation {worst:.2e} <= 1e-10)",
         worst <= 1e-10,
     )
+
+
+@given(log_lam=st.floats(min_value=-20.0, max_value=20.0),
+       ratio=st.floats(min_value=1.001, max_value=1e3),
+       log_b=st.floats(min_value=-5.0, max_value=5.0),
+       z_over_b=st.floats(min_value=-10.0, max_value=10.0))
+def test_criterion_08_exact_law_over_scales_shapes_and_heights(log_lam, ratio, log_b, z_over_b):
+    # lambda^3 U(lambda z; lambda a, lambda b) = U(z; a, b) and the same with
+    # lambda^4 for F, to 1e-12 relative; F against max(|F|, |U| / f), since
+    # it vanishes at its zeros and, on thin rings, peaks at over 100 |U| / f
+    lam, b = math.exp(log_lam), math.exp(log_b)
+    p = particle_model(1.0)
+    g = axial_greens(toroid_from_radii(ratio * b, b))
+    g_lam = axial_greens(toroid_from_radii(lam * (ratio * b), lam * b))
+    z = z_over_b * b
+    u, force = vdw_energy(z, p, g), vdw_force(z, p, g)
+    assert abs(lam**3 * vdw_energy(lam * z, p, g_lam) - u) <= 1e-12 * abs(u)
+    force_scale = max(abs(force), abs(u) / g.geometry.f)
+    assert abs(lam**4 * vdw_force(lam * z, p, g_lam) - force) <= 1e-12 * force_scale
 
 
 def test_criterion_09_figure_reproduction(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from torvdw.bem import (
     total_induced_charge,
 )
 from torvdw.dispersion import gh_mixed_derivative, particle_model, vdw_force
-from torvdw.errors import MeshError, SingularKernelError, SolverError
+from torvdw.errors import MeshError, ResultOverflowError, SingularKernelError, SolverError
 from torvdw.units import K_E_EV_NM
 from torvdw.validate import _exterior_points, check_bem_vs_series
 
@@ -164,6 +165,16 @@ class TestRingPotential:
             ring_potential(*args)
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("r0, charge, error, match", [
+        (5e-324, 1.0, ValueError, "normal float"),  # halves to 0: was NaN
+        (1e-320, 1.0, ValueError, "normal float"),  # subnormal: was an overflow
+        (1e-300, 1e10, ResultOverflowError, "float64 range"),  # was a silent inf
+    ])
+    def test_tiny_ring_raises_typed_error(self, r0, charge, error, match):
+        with pytest.raises(error, match=match):
+            ring_potential(0.0, 0.0, r0, 0.0, charge)
+
+    @pytest.mark.filterwarnings("error")
     def test_even_in_r(self):
         with pytest.raises(SingularKernelError):
             ring_potential(-1.0, 0.0, 1.0, 0.0, 1.0)  # the ring's mirror point
@@ -245,22 +256,30 @@ class TestFieldPoints:
             K_E_EV_NM * total_induced_charge(sol) / 2.0 / distance_half, rel=1e-12)
 
     @given(r=st.floats(min_value=-FLOATS_MAX, max_value=FLOATS_MAX),
-           z=st.floats(min_value=-FLOATS_MAX, max_value=FLOATS_MAX))
-    @example(r=FLOATS_MAX, z=-FLOATS_MAX)
-    @example(r=-FLOATS_MAX, z=FLOATS_MAX)
-    @example(r=5e-324, z=5e-324)
-    @example(r=2.0, z=0.5)  # on the ring_potential ring
-    @example(r=-2.0, z=0.5)  # on its mirror through the axis
-    def test_whole_range_finite_or_typed_error(self, sol, r, z):
+           z=st.floats(min_value=-FLOATS_MAX, max_value=FLOATS_MAX),
+           r0=st.one_of(st.floats(min_value=0.0, max_value=1e-300, exclude_min=True),
+                        st.floats(min_value=1e-300, max_value=FLOATS_MAX)),
+           charge=st.floats(min_value=-FLOATS_MAX, max_value=FLOATS_MAX))
+    @example(r=FLOATS_MAX, z=-FLOATS_MAX, r0=2.0, charge=1.0)
+    @example(r=-FLOATS_MAX, z=FLOATS_MAX, r0=2.0, charge=1.0)
+    @example(r=5e-324, z=5e-324, r0=2.0, charge=1.0)
+    @example(r=2.0, z=0.5, r0=2.0, charge=1.0)  # on the ring_potential ring
+    @example(r=-2.0, z=0.5, r0=2.0, charge=1.0)  # on its mirror through the axis
+    @example(r=0.0, z=0.5, r0=5e-324, charge=1.0)  # a subnormal ring radius
+    @example(r=0.0, z=0.5, r0=1e-300, charge=1e10)  # a potential past the float range
+    def test_whole_range_finite_or_typed_error(self, sol, r, z, r0, charge):
         # a point within about 1e-162 of a ring, where p underflows to 0,
-        # is reported as lying on it
-        for call in (lambda: bem_vh(r, z, sol),
-                     lambda: ring_potential(r, z, 2.0, 0.5, 1.0)):
+        # is reported as lying on it; ring_potential refuses a ring radius
+        # below the smallest normal float, and a potential past the float range
+        ring_errors = ((SingularKernelError, ResultOverflowError)
+                       if r0 >= sys.float_info.min else ValueError)
+        for call, typed in ((lambda: bem_vh(r, z, sol), SingularKernelError),
+                            (lambda: ring_potential(r, z, r0, 0.5, charge), ring_errors)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 try:
                     value = call()
-                except SingularKernelError:
+                except typed:
                     continue
             assert isinstance(value, float) and math.isfinite(value)
 

@@ -30,6 +30,8 @@ from torvdw.geometry import axis_eta_from_z
 from torvdw.greens import _vh_reduced, charge_interaction_energy, vh_potential
 from torvdw.units import DEBYE2_TO_E2NM2, K_E_EV_NM
 
+from whole_range import HEIGHTS, TYPED_ERRORS
+
 # Oracle values frozen from the boundary-element route (1600 panels,
 # mixed finite differences at step 1e-3 f) before the series was built:
 # a = 5 nm, b = 1 nm, <d_z^2> = 1 (e nm)^2.
@@ -559,6 +561,65 @@ class TestWholeRange:
             assert prof.energy.tobytes() == u.tobytes()
             assert prof.force.tobytes() == f.tobytes()
             assert math.isfinite(prof.energy_scale) and math.isfinite(prof.force_scale)
+
+    @given(log_gap=st.floats(min_value=-5.0, max_value=6.0),
+           log_b=st.floats(min_value=-100.0, max_value=100.0),
+           log_d2z=st.floats(min_value=-300.0, max_value=307.0),
+           ends=st.tuples(HEIGHTS, HEIGHTS).filter(lambda ends: ends[0] != ends[1]))
+    def test_force_zero_finite_or_typed_error(self, log_gap, log_b, log_d2z, ends):
+        b = 10.0**log_b
+        g = axial_greens(toroid_from_radii((1.0 + 10.0**log_gap) * b, b))
+        p = particle_model(10.0**log_d2z)
+        lo, hi = sorted(z * b if over_b else z for z, over_b in ends)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                zero = find_force_zero(p, g, (lo, hi))
+            except TYPED_ERRORS:
+                return
+        assert isinstance(zero, float) and lo <= zero <= hi
+
+    @given(log_gaps=st.lists(st.floats(min_value=-5.0, max_value=6.0), min_size=1, max_size=3),
+           log_b=st.floats(min_value=-100.0, max_value=100.0),
+           log_d2z=st.floats(min_value=-300.0, max_value=307.0),
+           heights=st.lists(HEIGHTS, min_size=1, max_size=3),
+           n_cap=st.sampled_from([8, 60, 2000]))
+    def test_sweep_finite_or_typed_error(self, log_gaps, log_b, log_d2z, heights, n_cap):
+        b = 10.0**log_b
+        a_values = [(1.0 + 10.0**gap) * b for gap in log_gaps]
+        z_values = [z * b if over_b else z for z, over_b in heights]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                grid = sweep_contour(a_values, z_values, b, particle_model(10.0**log_d2z),
+                                     n_cap=n_cap)
+            except TYPED_ERRORS:
+                return
+        # a failed shape is NaN in every cell of its column, each with a
+        # diagnostic; every other cell is finite
+        failed = {(i, j) for i, j, _ in grid.diagnostics}
+        assert {tuple(c) for c in np.argwhere(np.isnan(grid.force))} == failed
+        assert np.isfinite(np.delete(grid.force, [j for _, j in failed], axis=1)).all()
+
+    @given(log_zp_over_b=st.floats(min_value=-50.0, max_value=50.0),
+           log_b=st.floats(min_value=-250.0, max_value=250.0),
+           log_d2z=st.floats(min_value=-300.0, max_value=307.0),
+           log_lo_gap=st.floats(min_value=-6.0, max_value=4.0),
+           log_span=st.floats(min_value=1e-3, max_value=4.0))
+    @example(log_zp_over_b=0.0, log_b=0.0, log_d2z=0.0, log_lo_gap=-2.0, log_span=2.0)
+    def test_critical_ratio_finite_or_typed_error(self, log_zp_over_b, log_b, log_d2z,
+                                                  log_lo_gap, log_span):
+        lo = 1.0 + 10.0**log_lo_gap
+        hi = lo * 10.0**log_span
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                b = 10.0**log_b
+                ratio = critical_ratio(b * 10.0**log_zp_over_b, b,
+                                       particle_model(10.0**log_d2z), search=(lo, hi))
+            except TYPED_ERRORS:
+                return
+        assert isinstance(ratio, float) and lo <= ratio <= hi
 
     def test_product_past_the_float_range_divides_back_into_it(self):
         # <d_z^2> times 4 M2 overflows, but U(0) = -C' 4 M2 / f^3 does not

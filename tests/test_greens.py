@@ -1,8 +1,10 @@
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from torvdw import (
     ToroidalCoords,
@@ -25,6 +27,21 @@ from torvdw.errors import (
 from torvdw.geometry import axis_eta_from_z
 from torvdw.greens import charge_interaction_energy_info, vh_potential_info
 from torvdw.units import K_E_EV_NM
+
+from oracles import truncated_sum_reference
+from whole_range import HEIGHTS, TYPED_ERRORS
+
+
+@st.composite
+def term_matrices(draw):
+    """(terms, decay): a term matrix of 1-9 rows and 1-5 columns and a
+    falling decay envelope, from entries of a few magnitudes and exact
+    zeros, so that columns both stop and do not."""
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 5))
+    entry = st.sampled_from([0.0, 1e-30, 1e-14, 1e-13, 1e-12, 0.5, 1.0, 3.0, 1e20])
+    sign = st.sampled_from([-1.0, 1.0])
+    terms = np.array([[draw(sign) * draw(entry) for _ in range(cols)] for _ in range(rows)])
+    return terms, np.sort([draw(entry) for _ in range(rows)])[::-1]
 
 
 def axis_point(z, f):
@@ -135,6 +152,32 @@ class TestVhPotential:
         # even in the signed transverse coordinate by axisymmetry; the
         # magnitude grows from the axis toward the inner surface
         assert np.all(np.diff(np.abs(vals)) > 0.0)
+
+    @given(log_gap=st.floats(min_value=-5.0, max_value=6.0),  # log10(a/b - 1)
+           log_b=st.floats(min_value=-100.0, max_value=100.0),
+           height=HEIGHTS,
+           points=st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.1),  # xi / xi0
+                                     st.floats(min_value=-math.pi, max_value=math.pi)),
+                           min_size=1, max_size=3),
+           n_cap=st.sampled_from([8, 60, 2000]))
+    def test_whole_range_finite_or_typed_error(self, log_gap, log_b, height, points, n_cap):
+        # finite values or a typed error; the only warning is FarSourceWarning
+        # for a source beyond FAR_SOURCE_FACTOR f
+        b = 10.0**log_b
+        geom = toroid_from_radii((1.0 + 10.0**log_gap) * b, b)
+        g = axial_greens(geom, n_cap=n_cap)
+        z_src = height[0] * b if height[1] else height[0]
+        fields = [ToroidalCoords(xi=frac * geom.xi0, eta=eta) for frac, eta in points]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                src = axial_source(z_src, geom)
+                values = [vh_potential(fields[0], src, g), *vh_potential(fields, src, g)]
+            except TYPED_ERRORS:
+                values = []
+        assert all(math.isfinite(v) for v in values)
+        assert [w.category for w in caught] == (
+            [FarSourceWarning] if abs(z_src) > greens.FAR_SOURCE_FACTOR * geom.f else [])
 
     def test_out_of_region(self, geom51, greens51):
         src = axial_source(0.0, geom51)
@@ -285,15 +328,33 @@ class TestTruncationRule:
                           [0.0, 0.25, 0.0],
                           [0.0, 0.125, 0.25]])
         decay = np.array([1.0, 1e-20, 1e-21, 1e-22])
-        sums = greens._sum_adaptive_grid(terms, decay, 1e-12)
-        assert sums.converged.tolist() == [True, False, False]
-        assert sums.values.tolist() == [1.0 + 1e-20, 1.875, 1.25]
-        with pytest.raises(TruncationError) as exc:
-            greens._raise_unconverged(sums, "test")
+        sums, stops = greens._truncated_sum(terms[:, :1], decay, 1e-12, "test")
+        assert sums.tolist() == [1.0 + 1e-20] and stops.tolist() == [3]
+        with pytest.raises(TruncationError, match="test series not converged after 4 terms") as exc:
+            greens._truncated_sum(terms, decay, 1e-12, "test")
         assert exc.value.partial_sum == 1.875
         assert exc.value.bound == 0.125  # |t_N| rho / (1 - rho), rho = 1/2
         assert exc.value.n_terms == 4
         with pytest.raises(TruncationError) as exc:
-            greens._raise_unconverged(greens._sum_adaptive_grid(terms[:, 2:], decay, 1e-12), "test")
+            greens._truncated_sum(terms[:, 2:], decay, 1e-12, "test")
+        assert exc.value.partial_sum == 1.25
         assert exc.value.bound == 0.25  # rho = 0.5 when t_(N-1) = 0
-        greens._raise_unconverged(greens._sum_adaptive_grid(terms[:, :1], decay, 1e-12), "test")
+
+    @staticmethod
+    def _outcome(call):
+        try:
+            sums, stops = call()
+        except TruncationError as exc:
+            return ("error", str(exc), repr(exc.partial_sum), repr(exc.bound), exc.n_terms)
+        except ValueError as exc:  # the tail estimate of a one-row column
+            return ("value error", str(exc))
+        return ("sums", sums.dtype.str, sums.tobytes(), stops.dtype.str, stops.tobytes())
+
+    @given(case=term_matrices(), rel_tol=st.sampled_from([1e-12, 1e-3, 0.5]))
+    @example(case=(np.array([[2.0]]), np.array([1.0])), rel_tol=1e-12)  # one row
+    @example(case=(np.array([[1.0], [-1.0], [0.0], [0.0], [0.0]]),  # zero partial sums
+                   np.array([1.0, 1e-20, 1e-21, 1e-22, 1e-23])), rel_tol=1e-12)
+    def test_same_bits_as_the_two_call_rule(self, case, rel_tol):
+        terms, decay = case
+        assert self._outcome(lambda: greens._truncated_sum(terms, decay, rel_tol, "test")) \
+            == self._outcome(lambda: truncated_sum_reference(terms, decay, rel_tol, "test"))
