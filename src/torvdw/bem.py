@@ -264,7 +264,7 @@ class BemMesh:
     mirror-symmetric about z = 0.
 
     Node ``n - 1 - j`` is the exact mirror of node j (same r and weight,
-    negated z and eta); for odd n the middle node lies on z = 0.  Nodes
+    negated z); for odd n the middle node lies on z = 0.  Nodes
     ``0 .. h - 1``, h = n // 2, are the lower half.  The kernel sees
     heights only through (z - z')^2 and the weights only |s - s'|, so the
     Nyström matrix A decouples into an even block E = A_same + A_mirror
@@ -275,11 +275,9 @@ class BemMesh:
 
     geometry: ToroidGeometry
     n_panels: int     # node count, one ring per node
-    psi: np.ndarray   # tube angle of the nodes, (-pi, pi)
     r: np.ndarray     # ring radii
     z: np.ndarray     # ring heights
     ds: np.ndarray    # arc weight per node, b t'(s_j) 2 pi / n
-    eta: np.ndarray   # toroidal angle of the nodes
     _blocks: tuple | None = field(default=None, repr=False, compare=False)
 
     def blocks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -363,22 +361,20 @@ def build_mesh(geom: ToroidGeometry, n_panels: int) -> BemMesh:
     n_panels = int(n_panels)
     if n_panels < 16:
         raise MeshError(f"need at least 16 nodes, got {n_panels}")
-    a, b, f = geom.a, geom.b, geom.f
+    a, b = geom.a, geom.b
     lam = min(1.0, math.sqrt((a - b) / b))
     h = n_panels // 2
     half_s = -0.5 * math.pi + (np.arange(n_panels - h) + 0.5) * (math.pi / n_panels)
     half_s[h:] = 0.0  # the middle node of an odd mesh
-    psi = 2.0 * np.arctan(np.tan(half_s) / lam)
+    psi = 2.0 * np.arctan(np.tan(half_s) / lam)  # tube angle, (-pi, 0]
     dt = lam / ((lam * np.cos(half_s)) ** 2 + np.sin(half_s) ** 2)  # t'(s)
     r, z = a + b * np.cos(psi), b * np.sin(psi)
-    eta = np.arctan2(2.0 * f * z, (r - f) * (r + f) + z * z)
 
     def mirrored(x, sign):
         return np.concatenate([x, sign * x[h - 1::-1]])
 
-    return BemMesh(geometry=geom, n_panels=n_panels, psi=mirrored(psi, -1.0),
-                   r=mirrored(r, 1.0), z=mirrored(z, -1.0), eta=mirrored(eta, -1.0),
-                   ds=mirrored(b * dt * (2.0 * math.pi / n_panels), 1.0))
+    return BemMesh(geometry=geom, n_panels=n_panels, r=mirrored(r, 1.0),
+                   z=mirrored(z, -1.0), ds=mirrored(b * dt * (2.0 * math.pi / n_panels), 1.0))
 
 
 @dataclass(frozen=True)

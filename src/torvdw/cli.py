@@ -180,16 +180,29 @@ def _fmt(x: float) -> str:
 
 
 def _grid(lo: float, hi: float, n: int) -> np.ndarray:
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"grid limits must be finite, got {lo} and {hi}")
-    return np.linspace(lo, hi, n)
+    if not math.isfinite(hi - lo):  # also when the span overflows
+        raise ValueError(f"grid limits must be finite with a finite span, got {lo} and {hi}")
+    # a span near the float range overflows only in (n - 1) * step, whose
+    # row linspace then sets to hi
+    with np.errstate(over="ignore"):
+        return np.linspace(lo, hi, n)
+
+
+def _normalized(values, ref: float, column: str, ref_key: str):
+    """values / ref, refused when ref is 0: --charge 0, or a reference
+    that underflows."""
+    if ref == 0.0:
+        raise ValueError(f"{column} divides by {ref_key} = 0; pass --no-normalize")
+    return values / ref
 
 
 def _emit_profile(args, columns, grid, info, ref, ref_key) -> int:
     """Write a one-quantity profile: the grid, the values and, unless
     --no-normalize, values / ref; the diagnostics carry the per-point
     series term counts and ref under ref_key."""
-    cols_data = [grid, info.value] + ([info.value / ref] if args.normalize else [])
+    cols_data = [grid, info.value]
+    if args.normalize:
+        cols_data.append(_normalized(info.value, ref, columns[2], ref_key))
     columns = columns[:len(cols_data)]
     rows = [[float(v) for v in row] for row in zip(*cols_data)]
     diagnostics = {"n_used": [int(n) for n in info.n_used], ref_key: ref}
@@ -202,15 +215,17 @@ def cmd_geom(args) -> int:
     geom = toroid_from_radii(args.a, args.b)
     etas = np.linspace(-math.pi, math.pi, 181)[1:]
     r, z = surface_rz(geom, etas)
-    surf = np.abs((r - geom.a) ** 2 + z**2 - geom.b**2) / geom.b**2
+    # each residual is a distance from a circle relative to its radius, as
+    # hypot, so that no square leaves the float range for tiny or huge radii
+    surf = np.abs(np.hypot(r - geom.a, z) - geom.b) / geom.b
     # spherical-calotte identity at eta0 = pi/2:
     # (z - f cot eta0)^2 + r^2 = (f / sin eta0)^2
     eta0 = 0.5 * math.pi
     xis = np.linspace(0.05, 4.0, 80)
     rc = geom.f * np.sinh(xis) / (np.cosh(xis) - math.cos(eta0))
     zc = geom.f * math.sin(eta0) / (np.cosh(xis) - math.cos(eta0))
-    cal = np.abs((zc - geom.f / math.tan(eta0)) ** 2 + rc**2
-                 - (geom.f / math.sin(eta0)) ** 2) / geom.f**2
+    cal = np.abs(np.hypot(zc - geom.f / math.tan(eta0), rc)
+                 - geom.f / math.sin(eta0)) / geom.f
     print(f"a         = {geom.a:.12g} nm")
     print(f"b         = {geom.b:.12g} nm")
     print(f"f         = {geom.f:.12g} nm")
@@ -276,7 +291,8 @@ def cmd_vdw(args) -> int:
         cols_data.append(prof.energy)
         if args.normalize:
             columns.append("U_norm")
-            cols_data.append(prof.energy / prof.energy_scale)
+            cols_data.append(_normalized(prof.energy, prof.energy_scale, "U_norm",
+                                         "energy_scale_eV"))
     if args.quantity in ("force", "both"):
         columns.append("F_eV_per_nm")
         cols_data.append(prof.force)
@@ -307,7 +323,9 @@ def cmd_sweep_ratio(args) -> int:
     p = particle_model(args.d2z, unit=args.d2z_unit)
 
     series = {"rel_tol": args.tol, "n_cap": args.ncap}
-    table = sweep_contour(ratios * args.b, zp_list, args.b, p, **series).force.T
+    with np.errstate(over="ignore"):  # a radius past the float range is refused
+        a_values = ratios * args.b
+    table = sweep_contour(a_values, zp_list, args.b, p, **series).force.T
     columns = ["a_over_b"] + [f"F_zp{zp:g}_eV_per_nm" for zp in zp_list]
     rows = [[float(v) for v in row] for row in np.column_stack([ratios, table])]
     crossings = {}
@@ -331,8 +349,9 @@ def cmd_contour(args) -> int:
     ratios = _grid(args.ratio_min, args.ratio_max, args.ratio_points)
     zps = _grid(args.zmin, args.zmax, args.zpoints)
     p = particle_model(args.d2z, unit=args.d2z_unit)
-    grid = sweep_contour(ratios * args.b, zps * args.b, args.b, p,
-                         rel_tol=args.tol, n_cap=args.ncap)
+    with np.errstate(over="ignore"):  # radii or heights past the float range are refused
+        a_values, heights = ratios * args.b, zps * args.b
+    grid = sweep_contour(a_values, heights, args.b, p, rel_tol=args.tol, n_cap=args.ncap)
 
     if args.format == "json":
         # a failed cell's NaN is written as null: JSON has no NaN

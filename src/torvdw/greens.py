@@ -31,6 +31,7 @@ from .errors import (
     CoincidentPointsError,
     FarSourceWarning,
     OutOfRegionError,
+    ResultOverflowError,
     TruncationError,
 )
 from .geometry import (
@@ -73,17 +74,28 @@ class AxialSource:
     charge: float
 
 
-def _source_heights(z_src, f: float) -> np.ndarray:
-    """Source heights as a float array; non-finite ones are refused, and
-    those beyond FAR_SOURCE_FACTOR f draw one FarSourceWarning."""
-    heights = np.asarray(z_src, dtype=float)
+def _checked_source(z_src, charge, f: float) -> tuple[np.ndarray, float]:
+    """(heights, charge) as a float array and a float; a non-finite height
+    or charge is refused, and heights beyond FAR_SOURCE_FACTOR f draw one
+    FarSourceWarning."""
+    heights, charge = np.asarray(z_src, dtype=float), float(charge)
+    if not math.isfinite(charge):
+        raise ValueError(f"charge must be finite, got {charge}")
     if not np.all(np.isfinite(heights)):
         raise ValueError(f"source height must be finite, got {z_src}")
     if np.any(np.abs(heights) > FAR_SOURCE_FACTOR * f):
         warnings.warn(f"source at |z| = {np.max(np.abs(heights))} nm is beyond "
                       f"{FAR_SOURCE_FACTOR:g} focal lengths; the induced potential "
                       "is vanishingly small", FarSourceWarning, stacklevel=3)
-    return heights
+    return heights, charge
+
+
+def _in_range(value, what: str):
+    """value, or ResultOverflowError if it left the float64 range."""
+    if not np.all(np.isfinite(value)):
+        raise ResultOverflowError(f"the {what} exceeds the float64 range "
+                                  "for this charge and toroid")
+    return value
 
 
 def axial_source(z_src: float, geom: ToroidGeometry, charge: float = 1.0) -> AxialSource:
@@ -92,14 +104,11 @@ def axial_source(z_src: float, geom: ToroidGeometry, charge: float = 1.0) -> Axi
     Raises
     ------
     ValueError
-        For a non-finite height.
+        For a non-finite height or charge.
     """
-    z_src = float(_source_heights(z_src, geom.f))
-    return AxialSource(
-        z_src=z_src,
-        eta_src=axis_eta_from_z(z_src, geom.f),
-        charge=float(charge),
-    )
+    heights, charge = _checked_source(z_src, charge, geom.f)
+    z_src = float(heights)
+    return AxialSource(z_src=z_src, eta_src=axis_eta_from_z(z_src, geom.f), charge=charge)
 
 
 @dataclass(frozen=True)
@@ -243,7 +252,9 @@ def _vh_reduced(field, src: AxialSource, g: AxialGreens) -> SeriesInfo:
 def vh_potential_info(field, src: AxialSource, g: AxialGreens) -> SeriesInfo:
     """vh_potential plus the number of series terms used (for diagnostics)."""
     info = _vh_reduced(field, src, g)
-    return SeriesInfo(value=info.value * K_E_EV_NM * src.charge, n_used=info.n_used)
+    with np.errstate(over="ignore"):
+        value = info.value * K_E_EV_NM * src.charge
+    return SeriesInfo(value=_in_range(value, "potential"), n_used=info.n_used)
 
 
 def vh_potential(field, src: AxialSource, g: AxialGreens):
@@ -257,6 +268,8 @@ def vh_potential(field, src: AxialSource, g: AxialGreens):
     ------
     OutOfRegionError
         For field points inside the conductor.
+    ResultOverflowError
+        For a potential past the float64 range.
     TruncationError
         If the expansion does not converge within the configured cap.
     """
@@ -266,7 +279,7 @@ def vh_potential(field, src: AxialSource, g: AxialGreens):
 def charge_interaction_energy_info(z_src, g: AxialGreens, charge: float = 1.0) -> SeriesInfo:
     """charge_interaction_energy plus the number of series terms used."""
     f = g.geometry.f
-    heights = _source_heights(z_src, f)
+    heights, charge = _checked_source(z_src, charge, f)
     # With the field point at the source every cos[n (eta - eta')] is
     # exactly 1 (eta - eta' is 0 or the float 2 pi), so one series, the
     # on-axis ratio sum M0, serves every height; the prefactor there is
@@ -274,8 +287,11 @@ def charge_interaction_energy_info(z_src, g: AxialGreens, charge: float = 1.0) -
     ratio = g.table.ratio
     weighted = (_two_minus_delta(g.table.n_max) * ratio)[:, None]
     (m0,), (stop,) = _truncated_sum(weighted, ratio, g.rel_tol, "charge-energy")
-    c = f / np.hypot(f, heights)
-    value = -(2.0 * charge * charge * K_E_EV_NM * m0 / (math.pi * f)) * c * c
+    # q c enters twice, so q^2 is never formed on its own: it may overflow
+    # where the energy does not
+    qc = charge * (f / np.hypot(f, heights))
+    with np.errstate(over="ignore"):
+        value = _in_range(-(2.0 * K_E_EV_NM * m0 / (math.pi * f) * qc) * qc, "energy")
     if heights.ndim == 0:
         return SeriesInfo(value=float(value), n_used=int(stop))
     return SeriesInfo(value=value, n_used=np.full(value.shape, stop))
@@ -287,7 +303,9 @@ def charge_interaction_energy(z_src, g: AxialGreens, charge: float = 1.0):
     This is q V_H evaluated at the charge's own position; no factor 1/2
     enters because the self-energy of the induced distribution is not part
     of this interaction term.  Negative for every source height.  A scalar
-    height gives a float, an array of heights an array.
+    height gives a float, an array of heights an array.  A non-finite
+    height or charge raises ValueError, an energy past the float64 range
+    ResultOverflowError.
     """
     return charge_interaction_energy_info(z_src, g, charge).value
 

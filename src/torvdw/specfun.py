@@ -241,10 +241,16 @@ def _p_forward(z, n_max: int, p_minus, p_plus) -> np.ndarray:
     p[0] = p_minus
     if n_max >= 1:
         p[1] = p_plus
+    prev, cur = p_minus, p_plus
+    if p.ndim == 1:
+        # one argument: Python floats round as float64 does, at a fraction
+        # of the cost per row of numpy scalars
+        z, prev, cur = float(z), float(prev), float(cur)
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, n_max):
             # nu = n - 1/2:  (nu+1) p[n+1] = (2nu+1) z p[n] - nu p[n-1]
-            p[n + 1] = ((2.0 * n) * z * p[n] - (n - 0.5) * p[n - 1]) / (n + 0.5)
+            prev, cur = cur, ((2.0 * n) * z * cur - (n - 0.5) * prev) / (n + 0.5)
+            p[n + 1] = cur
     # The first row past 1e300 (inf and nan fail the test too) marks the
     # horizon; the rows before it do not depend on it.
     bad = np.flatnonzero(~np.all(p.reshape(n_max + 1, np.size(z))[2:] <= 1e300, axis=1))

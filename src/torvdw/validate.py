@@ -39,7 +39,13 @@ __all__ = [
     "run_battery",
 ]
 
-DEFAULT_GEOMETRIES = ((5.0, 3.0), (5.0, 2.0), (5.0, 1.0))  # a/b = 5/3, 2.5, 5
+#: The battery is fixed: each check's size, seed and threshold below.
+GEOMETRIES = ((5.0, 3.0), (5.0, 2.0), (5.0, 1.0))  # a/b = 5/3, 2.5, 5
+EXPANSION_POINTS, EXPANSION_SEED, EXPANSION_THRESHOLD = 100, 20240, 1e-10
+SURFACE_THRESHOLD = 1e-8
+BEM_POINTS, BEM_SEED, BEM_THRESHOLD = 20, 77, 1e-10
+FD_POINTS, FD_SEED, FD_THRESHOLD = 10, 5150, 1e-6
+SLOPE_THRESHOLD = 0.05
 
 
 @dataclass(frozen=True)
@@ -51,19 +57,18 @@ class CheckResult:
     detail: str
 
 
-def check_expansion_identity(
-    rel_tol: float = 1e-12,
-    n_cap: int = 2000,
-    n_points: int = 100,
-    threshold: float = 1e-10,
-    seed: int = 20240,
-) -> CheckResult:
+def _result(name: str, value: float, threshold: float, detail: str) -> CheckResult:
+    return CheckResult(name=name, passed=value <= threshold, value=value,
+                       threshold=threshold, detail=detail)
+
+
+def check_expansion_identity(rel_tol: float = 1e-12, n_cap: int = 2000) -> CheckResult:
     """Truncated inverse-distance expansion against plain cartesian distance."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(EXPANSION_SEED)
     geom = toroid_from_radii(5.0, 3.0)
     g = axial_greens(geom, rel_tol=rel_tol, n_cap=n_cap)
     worst = 0.0
-    for _ in range(n_points):
+    for _ in range(EXPANSION_POINTS):
         field = ToroidalCoords(
             xi=rng.uniform(0.15, 4.0), eta=rng.uniform(-math.pi, math.pi)
         )
@@ -72,36 +77,21 @@ def check_expansion_identity(
         direct = 1.0 / math.hypot(math.hypot(x, y), z - src.z_src)
         series = inverse_distance_series(field, src, g)
         worst = max(worst, abs(series - direct) / direct)
-    return CheckResult(
-        name="expansion identity",
-        passed=worst <= threshold,
-        value=worst,
-        threshold=threshold,
-        detail=f"{n_points} random admissible field/source pairs",
-    )
+    return _result("expansion identity", worst, EXPANSION_THRESHOLD,
+                   f"{EXPANSION_POINTS} random admissible field/source pairs")
 
 
-def check_surface_residual(
-    rel_tol: float = 1e-12,
-    n_cap: int = 2000,
-    threshold: float = 1e-8,
-    geometries=DEFAULT_GEOMETRIES,
-) -> CheckResult:
+def check_surface_residual(rel_tol: float = 1e-12, n_cap: int = 2000) -> CheckResult:
     """Grounded boundary condition on the surface for the standard battery."""
     worst = 0.0
-    for a, b in geometries:
+    for a, b in GEOMETRIES:
         geom = toroid_from_radii(a, b)
         g = axial_greens(geom, rel_tol=rel_tol, n_cap=n_cap)
         for z_src in (0.0, geom.f, 3.0 * geom.f):
             res = surface_residual(axial_source(z_src, geom), g, n_samples=48)
             worst = max(worst, res)
-    return CheckResult(
-        name="grounded boundary condition",
-        passed=worst <= threshold,
-        value=worst,
-        threshold=threshold,
-        detail=f"{len(geometries)} geometries x 3 source heights",
-    )
+    return _result("grounded boundary condition", worst, SURFACE_THRESHOLD,
+                   f"{len(GEOMETRIES)} geometries x 3 source heights")
 
 
 def _exterior_points(geom, rng, count):
@@ -115,24 +105,17 @@ def _exterior_points(geom, rng, count):
     return pts
 
 
-def check_bem_vs_series(
-    rel_tol: float = 1e-12,
-    n_cap: int = 2000,
-    threshold: float = 1e-10,
-    n_points: int = 20,
-    seed: int = 77,
-    geometries=DEFAULT_GEOMETRIES,
-    series_evaluator=vh_potential,
-) -> CheckResult:
+def check_bem_vs_series(rel_tol: float = 1e-12, n_cap: int = 2000,
+                        series_evaluator=vh_potential) -> CheckResult:
     """Series V_H against the Nyström oracle at 64 and at 128 nodes: the
     oracle converges geometrically, so both must agree to the threshold."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(BEM_SEED)
     worst = {64: 0.0, 128: 0.0}
-    for a, b in geometries:
+    for a, b in GEOMETRIES:
         geom = toroid_from_radii(a, b)
         g = axial_greens(geom, rel_tol=rel_tol, n_cap=n_cap)
         src = axial_source(1.3, geom)
-        pts = _exterior_points(geom, rng, n_points)
+        pts = _exterior_points(geom, rng, BEM_POINTS)
         refs = np.array([
             series_evaluator(cartesian_to_toroidal(r, 0.0, z, geom.f), src, g)
             for r, z in pts
@@ -142,52 +125,31 @@ def check_bem_vs_series(
             sol = solve_induced_density(build_mesh(geom, n), src)
             err = float(np.max(np.abs(bem_vh(r, z, sol) - refs) / np.abs(refs)))
             worst[n] = max(worst[n], err)
-    value = max(worst.values())
-    return CheckResult(
-        name="series vs boundary elements",
-        passed=value <= threshold,
-        value=value,
-        threshold=threshold,
-        detail=f"max rel err over {n_points} exterior points per geometry: "
-               + ", ".join(f"{err:.1e} at {n} nodes" for n, err in worst.items()),
-    )
+    return _result("series vs boundary elements", max(worst.values()), BEM_THRESHOLD,
+                   f"max rel err over {BEM_POINTS} exterior points per geometry: "
+                   + ", ".join(f"{err:.1e} at {n} nodes" for n, err in worst.items()))
 
 
-def check_force_vs_finite_difference(
-    rel_tol: float = 1e-12,
-    n_cap: int = 2000,
-    threshold: float = 1e-6,
-    n_points: int = 10,
-    seed: int = 5150,
-) -> CheckResult:
+def check_force_vs_finite_difference(rel_tol: float = 1e-12, n_cap: int = 2000) -> CheckResult:
     """Analytic force against central differences of the energy."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(FD_SEED)
     geom = toroid_from_radii(5.0, 1.0)
     g = axial_greens(geom, rel_tol=rel_tol, n_cap=n_cap)
     p = particle_model(1.0)
     worst = 0.0
     h = 1e-4 * geom.f
-    for _ in range(n_points):
+    for _ in range(FD_POINTS):
         z_p = rng.uniform(0.3, 8.0)
         if abs(vdw_force(z_p, p, g)) < 1e-7:  # keep clear of the force zero
             z_p += 1.0
         fd = -(vdw_energy(z_p + h, p, g) - vdw_energy(z_p - h, p, g)) / (2.0 * h)
         fa = vdw_force(z_p, p, g)
         worst = max(worst, abs(fa - fd) / abs(fa))
-    return CheckResult(
-        name="force vs finite difference",
-        passed=worst <= threshold,
-        value=worst,
-        threshold=threshold,
-        detail=f"{n_points} heights, step {h:g} nm",
-    )
+    return _result("force vs finite difference", worst, FD_THRESHOLD,
+                   f"{FD_POINTS} heights, step {h:g} nm")
 
 
-def check_far_field_slope(
-    rel_tol: float = 1e-12,
-    n_cap: int = 2000,
-    threshold: float = 0.05,
-) -> CheckResult:
+def check_far_field_slope(rel_tol: float = 1e-12, n_cap: int = 2000) -> CheckResult:
     """Monopole response of the grounded conductor: |U| ~ z^-4 far out."""
     geom = toroid_from_radii(5.0, 1.0)
     g = axial_greens(geom, rel_tol=rel_tol, n_cap=n_cap)
@@ -195,13 +157,8 @@ def check_far_field_slope(
     z = np.geomspace(50.0 * geom.a, 500.0 * geom.a, 40)
     u = np.abs(vdw_energy(z, p, g))
     slope = float(np.polyfit(np.log(z), np.log(u), 1)[0])
-    return CheckResult(
-        name="far-field power law",
-        passed=abs(slope + 4.0) <= threshold,
-        value=abs(slope + 4.0),
-        threshold=threshold,
-        detail=f"fitted log-log slope {slope:.4f} over z in [50a, 500a]",
-    )
+    return _result("far-field power law", abs(slope + 4.0), SLOPE_THRESHOLD,
+                   f"fitted log-log slope {slope:.4f} over z in [50a, 500a]")
 
 
 def run_battery(rel_tol: float = 1e-12, n_cap: int = 2000) -> list[CheckResult]:

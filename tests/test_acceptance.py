@@ -54,9 +54,10 @@ def report(number, description, passed):
 
 def test_criterion_01_expansion_identity():
     t0 = time.perf_counter()
-    result = check_expansion_identity(n_points=100, threshold=1e-10)
+    result = check_expansion_identity()
     elapsed = time.perf_counter() - t0
-    ok = result.passed and elapsed < 5.0
+    ok = (result.passed and result.threshold == 1e-10 and elapsed < 5.0
+          and result.detail.startswith("100 random"))
     assert report(
         1,
         f"inverse-distance expansion vs cartesian distance "
@@ -67,9 +68,10 @@ def test_criterion_01_expansion_identity():
 
 def test_criterion_02_grounded_boundary_condition():
     t0 = time.perf_counter()
-    result = check_surface_residual(threshold=1e-8)
+    result = check_surface_residual()
     elapsed = time.perf_counter() - t0
-    ok = result.passed and elapsed < 5.0
+    ok = (result.passed and result.threshold == 1e-8 and elapsed < 5.0
+          and result.detail == "3 geometries x 3 source heights")
     assert report(
         2,
         f"surface residual over a/b in (5/3, 2.5, 5), z' in (0, f, 3f) "
@@ -80,9 +82,10 @@ def test_criterion_02_grounded_boundary_condition():
 
 def test_criterion_03_oracle_equivalence():
     t0 = time.perf_counter()
-    result = check_bem_vs_series(threshold=1e-10, n_points=20)
+    result = check_bem_vs_series()
     elapsed = time.perf_counter() - t0
-    ok = result.passed and elapsed < 60.0
+    ok = (result.passed and result.threshold == 1e-10 and elapsed < 60.0
+          and "over 20 exterior points per geometry" in result.detail)
     assert report(
         3,
         f"series vs Nyström oracle at 64 and 128 nodes "
@@ -186,11 +189,12 @@ def test_criterion_06_repulsion_phenomenology():
 
 
 def test_criterion_07_far_field_power_law():
-    result = check_far_field_slope(threshold=0.05)
+    result = check_far_field_slope()
     assert report(
         7,
         f"far-field log-log slope within -4 +- 0.05 ({result.detail})",
-        result.passed,
+        result.passed and result.threshold == 0.05
+        and result.detail.endswith("over z in [50a, 500a]"),
     )
 
 

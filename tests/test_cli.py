@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import importlib.util
 import io
@@ -9,9 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from torvdw.cli import _config_echo, build_parser, main
 from torvdw.dispersion import critical_ratio, particle_model, sweep_contour
+from torvdw.errors import FarSourceWarning
+from torvdw.geometry import toroid_from_radii
+from torvdw.greens import FAR_SOURCE_FACTOR
 
 
 def run_cli(capsys, *argv):
@@ -496,3 +501,136 @@ def test_make_figures_script_smoke(tmp_path, capsys):
         assert all(len(r) == width for r in rows[1:])
         plotted = [int(k) for k in re.findall(r"using 1:(\d+)", script_text)]
         assert plotted and all(2 <= k <= width for k in plotted)
+
+
+
+FLOATS_MAX = float(np.finfo(float).max)
+FINITE = st.floats(min_value=-FLOATS_MAX, max_value=FLOATS_MAX)
+#: a factor 1 + 10^e, e in [-5, 6]: from thin holes to thin rings
+ONE_PLUS_GAP = st.floats(min_value=-5.0, max_value=6.0).map(lambda e: 1.0 + 10.0**e)
+#: the numeric options of each command, in the order they are drawn
+OPTIONS = {
+    "geom": ["b", "a"],
+    "potential": ["b", "a", "zmin", "zmax", "zpoints", "source-z"],
+    "charge-energy": ["b", "a", "zmin", "zmax", "zpoints", "charge"],
+    "vdw": ["b", "a", "zmin", "zmax", "zpoints", "d2z"],
+    "sweep-ratio": ["b", "ratio-min", "ratio-max", "ratio-points", "d2z", "zp"],
+    "contour": ["b", "ratio-min", "ratio-max", "ratio-points", "zmin", "zmax", "zpoints",
+                "d2z"],
+}
+
+
+@st.composite
+def cli_runs(draw):
+    """(command, options, flags): one command with every numeric option
+    drawn on its own scale, and up to two of them anywhere in their type's
+    range instead; the grids have at most 4 points unless out of bounds."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    names = OPTIONS[command] + ["tol", "ncap"]
+    wild = draw(st.sets(st.sampled_from(names), max_size=2))
+    opts = {}
+    height = st.floats(-20.0, 20.0).map(lambda s: s * abs(opts["b"]))
+    typical = {
+        "b": st.floats(-100.0, 100.0).map(lambda e: 10.0**e),
+        "a": ONE_PLUS_GAP.map(lambda x: min(abs(opts["b"]) * x, FLOATS_MAX)),
+        "zmin": height, "zmax": height, "source-z": height,
+        "charge": st.floats(-3.0, 3.0),
+        "d2z": st.floats(1e-3, 1e3),
+        "ratio-min": ONE_PLUS_GAP,
+        "ratio-max": ONE_PLUS_GAP.map(lambda x: x * opts["ratio-min"]),
+        "zp": st.lists(st.floats(0.1, 10.0), min_size=1, max_size=3),
+        "tol": st.floats(1e-14, 1e-4),
+        "ncap": st.integers(8, 3000),
+    }
+    for name in names:
+        if name.endswith("points"):
+            strategy = st.sampled_from([-1, 0, 1, 100001]) if name in wild else st.integers(2, 4)
+        elif name == "ncap" and name in wild:
+            strategy = st.integers(-2**63, 2**63)
+        elif name == "zp" and name in wild:
+            strategy = st.lists(FINITE, min_size=1, max_size=3)
+        else:
+            strategy = FINITE if name in wild else typical[name]
+        opts[name] = draw(strategy)
+    flags = [f"--zp={z!r}" for z in opts.pop("zp", [])]
+    flags.append(draw(st.sampled_from(["--normalize", "--no-normalize"])))
+    opts["format"] = draw(st.sampled_from(["csv", "json"]))
+    if command == "potential":
+        opts["cut"] = draw(st.sampled_from(["axis", "plane"]))
+    elif command == "vdw":
+        opts["quantity"] = draw(st.sampled_from(["energy", "force", "both"]))
+    elif command in ("sweep-ratio", "contour"):
+        opts["d2z-unit"] = draw(st.sampled_from(["e2nm2", "debye2", "C2m2"]))
+    return command, opts, flags
+
+
+def far_source(argv) -> bool:
+    """Whether the run places a source beyond FAR_SOURCE_FACTOR f, the only
+    case that may warn."""
+    args = build_parser().parse_args(argv)
+    heights = {"potential": ["source_z"], "charge-energy": ["zmin", "zmax"]}
+    try:
+        f = toroid_from_radii(args.a, args.b).f
+    except (AttributeError, ValueError):
+        return False
+    return max((abs(vars(args)[k]) for k in heights.get(args.command, [])),
+               default=0.0) > FAR_SOURCE_FACTOR * f
+
+
+def run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue(), [w.category for w in caught]
+
+
+def non_finite_cells(text, fmt):
+    """The non-finite numbers of a CSV table, or of a JSON payload (where
+    a failed contour cell is null); JSON's NaN tokens are refused."""
+    if fmt == "json":
+        def refuse(token):
+            raise AssertionError(f"not JSON: {token}")
+        rows = json.loads(text, parse_constant=refuse)["rows"]
+    else:
+        rows = list(csv.reader(io.StringIO(text)))[1:]
+    return sum(v is not None and not math.isfinite(float(v)) for row in rows for v in row)
+
+
+class TestWholeRange:
+    @given(run=cli_runs())
+    @example(run=("charge-energy", {"a": 5.0, "b": 1.0, "charge": 0.0, "format": "csv"}, []))
+    @example(run=("charge-energy", {"a": 5.0, "b": 1.0, "charge": 0.0, "format": "json"}, []))
+    @example(run=("potential", {"a": 5.0, "b": 1.0, "zmin": -1e308, "zmax": 1e308,
+                                "format": "csv"}, []))
+    @example(run=("vdw", {"a": 2.0, "b": 1.0, "zmin": 0.0, "zmax": FLOATS_MAX, "zpoints": 4,
+                          "format": "csv"}, []))
+    @example(run=("contour", {"b": 2.0, "zmax": 1e308, "format": "csv"}, []))
+    @example(run=("sweep-ratio", {"b": 1e300, "ratio-max": 1e10, "format": "csv"}, []))
+    @example(run=("geom", {"a": 1.0, "b": 1e-242, "format": "csv"}, []))
+    def test_exit_code_no_warning_and_finite_rows(self, tmp_path_factory, run):
+        # exit 0, 2 or 3 for extreme but finite options, no warning but a far
+        # source's, and no NaN or infinity in any row except contour's
+        # failed cells, which its stderr counts
+        command, opts, flags = run
+        out_file = tmp_path_factory.getbasetemp() / "whole-range-contour"
+        argv = ([command] + [f"--{k}={v!r}" if isinstance(v, float) else f"--{k}={v}"
+                             for k, v in opts.items()] + flags
+                + (["--out", str(out_file)] if command == "contour" else []))
+        code, out, err, caught = run_in_process(argv)
+        assert code in (0, 2, 3), err
+        assert caught == [] or caught == [FarSourceWarning] and far_source(argv)
+        if code != 0:
+            assert out == "" and err.count("\n") == 1
+            return
+        if command == "geom":
+            assert not re.search(r"\b(nan|inf)\b", out)
+            return
+        failed = 0
+        if command == "contour":
+            out = out_file.read_text()
+            if opts["format"] == "csv":
+                reported = re.match(r"warning: (\d+) cells failed", err)
+                failed = int(reported.group(1)) if reported else 0
+        assert non_finite_cells(out, opts["format"]) == failed

@@ -22,6 +22,7 @@ from torvdw.errors import (
     CoincidentPointsError,
     FarSourceWarning,
     OutOfRegionError,
+    ResultOverflowError,
     TruncationError,
 )
 from torvdw.geometry import axis_eta_from_z
@@ -29,7 +30,7 @@ from torvdw.greens import charge_interaction_energy_info, vh_potential_info
 from torvdw.units import K_E_EV_NM
 
 from oracles import truncated_sum_reference
-from whole_range import HEIGHTS, TYPED_ERRORS
+from whole_range import FLOATS_MAX, HEIGHTS, TYPED_ERRORS
 
 
 @st.composite
@@ -159,25 +160,37 @@ class TestVhPotential:
            points=st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.1),  # xi / xi0
                                      st.floats(min_value=-math.pi, max_value=math.pi)),
                            min_size=1, max_size=3),
-           n_cap=st.sampled_from([8, 60, 2000]))
-    def test_whole_range_finite_or_typed_error(self, log_gap, log_b, height, points, n_cap):
-        # finite values or a typed error; the only warning is FarSourceWarning
-        # for a source beyond FAR_SOURCE_FACTOR f
+           n_cap=st.sampled_from([8, 60, 2000]),
+           charge=st.one_of(st.just(1.0), st.floats(-FLOATS_MAX, FLOATS_MAX)))
+    @example(log_gap=0.6, log_b=-3.0, height=(0.0, False), points=[(0.0, 3.0)], n_cap=2000,
+             charge=1e308)
+    def test_whole_range_finite_or_typed_error(self, log_gap, log_b, height, points, n_cap,
+                                               charge):
+        # finite values or a typed error, for the potential and the charge
+        # energy; the only warning is FarSourceWarning for a source beyond
+        # FAR_SOURCE_FACTOR f, once per call
         b = 10.0**log_b
         geom = toroid_from_radii((1.0 + 10.0**log_gap) * b, b)
         g = axial_greens(geom, n_cap=n_cap)
         z_src = height[0] * b if height[1] else height[0]
         fields = [ToroidalCoords(xi=frac * geom.xi0, eta=eta) for frac, eta in points]
+        values, calls = [], [
+            lambda: [vh_potential(fields[0], src, g), *vh_potential(fields, src, g)],
+            lambda: [charge_interaction_energy(z_src, g, charge)]]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                src = axial_source(z_src, geom)
-                values = [vh_potential(fields[0], src, g), *vh_potential(fields, src, g)]
+                src = axial_source(z_src, geom, charge)
             except TYPED_ERRORS:
-                values = []
+                calls = []
+            for call in calls:
+                try:
+                    values += call()
+                except TYPED_ERRORS:
+                    pass
         assert all(math.isfinite(v) for v in values)
-        assert [w.category for w in caught] == (
-            [FarSourceWarning] if abs(z_src) > greens.FAR_SOURCE_FACTOR * geom.f else [])
+        far = abs(z_src) > greens.FAR_SOURCE_FACTOR * geom.f
+        assert [w.category for w in caught] == [FarSourceWarning] * (2 if far else 0)
 
     def test_out_of_region(self, geom51, greens51):
         src = axial_source(0.0, geom51)
@@ -223,6 +236,31 @@ class TestChargeEnergy:
         u1 = charge_interaction_energy(2.0, greens51, charge=1.0)
         u3 = charge_interaction_energy(2.0, greens51, charge=3.0)
         assert u3 == pytest.approx(9.0 * u1, rel=1e-14)
+
+    @pytest.mark.parametrize("charge", [math.nan, math.inf, -math.inf])
+    def test_non_finite_charge_rejected(self, geom51, greens51, charge):
+        with pytest.raises(ValueError, match="charge must be finite"):
+            axial_source(1.0, geom51, charge=charge)
+        with pytest.raises(ValueError, match="charge must be finite"):
+            charge_interaction_energy(1.0, greens51, charge=charge)
+
+    def test_charge_past_the_square_root_of_the_float_range(self):
+        # q^2 = 1e320 overflows, the energy -1.17e170 does not
+        g = axial_greens(toroid_from_radii(2e150, 1e150))
+        u = charge_interaction_energy(0.0, g, charge=1e160)
+        assert u == pytest.approx(charge_interaction_energy(0.0, g) * 1e160 * 1e160,
+                                  rel=1e-15)
+        assert u == pytest.approx(-1.1671730611993e170, rel=1e-13)
+
+    def test_results_past_the_float_range_raise(self):
+        g = axial_greens(toroid_from_radii(5e-3, 1e-3))
+        src = axial_source(0.0, g.geometry, charge=1e308)
+        with pytest.raises(ResultOverflowError, match="potential"):
+            vh_potential(ToroidalCoords(0.0, 3.0), src, g)
+        with pytest.raises(ResultOverflowError, match="potential"):
+            vh_potential([ToroidalCoords(0.0, 3.0)], src, g)
+        with pytest.raises(ResultOverflowError, match="energy"):
+            charge_interaction_energy(np.array([0.0, 1.0]), g, charge=-1e308)
 
 
 class TestSurfaceResidual:

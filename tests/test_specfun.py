@@ -159,6 +159,20 @@ class TestHarmonicTable:
         assert legendre_p_half(zs[:0], 60).shape == (61, 0)
         assert legendre_p_half(5.0, 35).tolist() == harmonic_table(5.0, 35).p.tolist()
 
+    @pytest.mark.parametrize("z_minus_1", [1e-6, 1e-3, 1e-2, 4.0, 1e3])
+    def test_scalar_recurrence_matches_one_element_array(self, z_minus_1):
+        # the scalar path runs on Python floats, the array path on numpy
+        # rows: the same rows byte for byte, or the same horizon, which
+        # 6000 rows reach from z - 1 = 1e-2 up
+        outcomes = []
+        for z in (1.0 + z_minus_1, np.array([1.0 + z_minus_1])):
+            try:
+                outcomes.append(legendre_p_half(z, 6000).reshape(-1).tobytes())
+            except OverflowHorizonError as exc:
+                outcomes.append(exc.max_safe_n)
+        assert outcomes[0] == outcomes[1]
+        assert isinstance(outcomes[0], int) == (z_minus_1 >= 1e-2)
+
     def test_legendre_p_half_array_overflow_matches_scalar(self):
         with pytest.raises(OverflowHorizonError) as scalar:
             legendre_p_half(100.0, 200)
