@@ -81,13 +81,13 @@ def _ellpk(x, planes=_PQ_COLUMNS):
     through K(1 - 1/x) / sqrt(x)), so it agrees with it to an ulp.  x = 0
     gives inf.  P and Q run as one stacked Horner pass on the coefficient
     planes, (11, 2, 1, w): with w = 1 (the default) on x of any shape, in
-    pieces of _ELLPK_CHUNK entries; with w > 1, _horner_planes(w), on x's
-    rows of w entries, in pieces of whole rows, where the planes and a copy
-    of the piece per polynomial make every step contiguous.  Cephes'
-    branch for x <= 2^-53, ln 4 - ln(x) / 2, is not needed: there P and Q
-    round to ln 4 and 1/2, so the pass gives the same bits.  The x > 1
-    steps run only when some entry needs them; on [0, 1] they change no
-    bit."""
+    pieces of _ELLPK_CHUNK entries; with w > 1, _PQ_COLUMNS repeated w
+    times (a solution's ring table holds them), on x's rows of w entries,
+    in pieces of whole rows, where the planes and a copy of the piece per
+    polynomial make every step contiguous.  Cephes' branch for x <= 2^-53,
+    ln 4 - ln(x) / 2, is not needed: there P and Q round to ln 4 and 1/2,
+    so the pass gives the same bits.  The x > 1 steps run only when some
+    entry needs them; on [0, 1] they change no bit."""
     x = np.asarray(x, dtype=float)
     big = bool((x > 1.0).any())
     with np.errstate(divide="ignore", over="ignore"):
@@ -109,17 +109,6 @@ def _ellpk(x, planes=_PQ_COLUMNS):
     return k / np.sqrt(np.maximum(x, 1.0)) if big else k
 
 
-@functools.lru_cache(maxsize=4)
-def _horner_planes(n: int) -> np.ndarray:
-    """_PQ_COLUMNS repeated n times along the ring axis, (11, 2, 1, n) and
-    read-only (176 n bytes, 70 KB at 400 nodes): for _ellpk on the (M, n)
-    moduli of a ring sum, where adding a contiguous plane costs less than
-    broadcasting a column over a short row."""
-    planes = np.repeat(_PQ_COLUMNS, n, axis=-1)
-    planes.flags.writeable = False
-    return planes
-
-
 def _ring_moduli(r_f, z_f, r_ring, z_ring):
     """(p, R_max / 2) of the ring kernel, p = 1 - m: formed from ratios to
     R_max = hypot(r + r', z - z'), taken as twice the hypot of the halved
@@ -139,14 +128,14 @@ def _halved_moduli(r_f, r_ring, v):
     return u * u + v * v, half
 
 
-def _ring_sum(r_f, z_f, rings, planes):
+def _ring_sum(r_f, z_f, rings):
     """Reduced potential sum_j q_j (2/pi) K(m_j) / R_max,j of the rings in
-    the table rings = (r_j / 2, z_j / 2, q_j), with planes =
-    _horner_planes(its width), at field points given by their halved
-    coordinates r_f = |r| / 2 and z_f = z / 2: floats, or arrays of one
-    shape with a trailing axis of length 1.  Only the field points are
-    worked on per call; the table and the planes are built once."""
-    half_r, half_z, charges = rings
+    the table rings = (r_j / 2, z_j / 2, q_j, planes), planes being
+    _ellpk's Horner planes of the table's width, at field points given by
+    their halved coordinates r_f = |r| / 2 and z_f = z / 2: floats, or
+    arrays of one shape with a trailing axis of length 1.  Only the field
+    points are worked on per call; the table is built once."""
+    half_r, half_z, charges, planes = rings
     p, half = _halved_moduli(r_f, half_r, z_f - half_z)
     if not p.all():
         raise SingularKernelError("field point lies on a ring")
@@ -177,9 +166,9 @@ def ring_potential(r: float, z: float, r0: float, z0: float, charge: float) -> f
                          f"r={r}, z={z}, r0={r0}, z0={z0}, charge={charge}")
     if r0 < sys.float_info.min:
         raise ValueError(f"ring radius must be a positive normal float, got {r0}")
-    ring = (np.array([0.5 * r0]), np.array([0.5 * z0]), np.ones(1))  # width 1: _PQ_COLUMNS
+    ring = (np.array([0.5 * r0]), np.array([0.5 * z0]), np.ones(1), _PQ_COLUMNS)
     with np.errstate(over="ignore"):
-        value = K_E_EV_NM * charge * float(_ring_sum(0.5 * abs(r), 0.5 * z, ring, _PQ_COLUMNS))
+        value = K_E_EV_NM * charge * float(_ring_sum(0.5 * abs(r), 0.5 * z, ring))
     if not math.isfinite(value):
         raise ResultOverflowError(f"the potential of a ring of radius {r0} nm and charge "
                                   f"{charge} e at (r, z) = ({r}, {z}) exceeds the float64 range")
@@ -221,16 +210,9 @@ def _pair_tables(n: int):
     return tables
 
 
-#: Node counts whose tables are cached (the oracle alternates two), so the
-#: pair-table cache holds at most 4 x 1.3 MB and the plane cache 4 x 90 KB;
-#: larger meshes build theirs uncached.
+#: Node counts whose pair tables are cached (the oracle alternates two), so
+#: the cache holds at most 4 x 1.3 MB; larger meshes build theirs uncached.
 _CACHED_NODES = 512
-
-
-def _node_count_table(table, n: int):
-    """table(n), one of the per-node-count tables, through its cache only
-    for n <= _CACHED_NODES."""
-    return (table if n <= _CACHED_NODES else table.__wrapped__)(n)
 
 
 def _half_kernels(r, z, tables) -> np.ndarray:
@@ -286,7 +268,7 @@ class BemMesh:
             n = self.n_panels
             h, k = n // 2, n - n // 2
             r, ds = self.r[:k], self.ds[:k]
-            tables = _node_count_table(_pair_tables, n)
+            tables = (_pair_tables if n <= _CACHED_NODES else _pair_tables.__wrapped__)(n)
             # column j's weight; its mirror node n - 1 - j has the same
             same, mirror = _half_kernels(r, self.z[:k], tables) * (4.0 * r * ds)
             # k2's limit on the diagonal, 2 b t' ln(8 r / (b t')), with the
@@ -385,8 +367,9 @@ class BemSolution:
     sigma: np.ndarray   # induced density at the nodes, e / nm^2, for the source's charge
     source: AxialSource
     residual: float     # Nyström residual relative to the Coulomb scale
-    # the ring table of the field-point sums, three read-only arrays: the
-    # halved ring radii and heights and the ring charges sigma 2 pi r ds
+    # the ring table of the field-point sums, four read-only arrays: the
+    # halved ring radii and heights, the ring charges sigma 2 pi r ds and
+    # _ellpk's Horner planes of width n
     rings: tuple = field(repr=False, compare=False)
 
 
@@ -422,9 +405,10 @@ def solve_induced_density(mesh: BemMesh, src: AxialSource) -> BemSolution:
     """
     sigma, residual = _solve(mesh, -src.charge / np.hypot(mesh.r, mesh.z - src.z_src))
     sigma.flags.writeable = False
-    rings = (0.5 * mesh.r, 0.5 * mesh.z, sigma * 2.0 * math.pi * mesh.r * mesh.ds)
-    for column in rings:
-        column.flags.writeable = False
+    rings = (0.5 * mesh.r, 0.5 * mesh.z, sigma * 2.0 * math.pi * mesh.r * mesh.ds,
+             np.repeat(_PQ_COLUMNS, mesh.n_panels, axis=-1))
+    for entry in rings:
+        entry.flags.writeable = False
     return BemSolution(mesh=mesh, sigma=sigma, source=src, residual=residual, rings=rings)
 
 
@@ -445,8 +429,7 @@ def _vh_reduced_bem(r, z, sol: BemSolution):
         r_f, z_f = 0.5 * np.abs(r)[..., None], 0.5 * z[..., None]
     if not finite:
         raise ValueError("field points must be finite")
-    planes = _node_count_table(_horner_planes, sol.mesh.n_panels)
-    return _ring_sum(r_f, z_f, sol.rings, planes)
+    return _ring_sum(r_f, z_f, sol.rings)
 
 
 def bem_vh(r, z, sol: BemSolution):
@@ -485,6 +468,9 @@ def bem_mixed_derivative(z, z_prime, geom: ToroidGeometry, n_panels: int = 400):
         For a non-finite height.
     SolverError
         As solve_induced_density, for the derivative system.
+    ResultOverflowError
+        If the derivative exceeds the float64 range (a toroid far below
+        1 nm).
     """
     z, z_prime = np.broadcast_arrays(np.asarray(z, dtype=float),
                                      np.asarray(z_prime, dtype=float))
@@ -500,5 +486,9 @@ def bem_mixed_derivative(z, z_prime, geom: ToroidGeometry, n_panels: int = 400):
     rho = np.hypot(mesh.r, dz)
     dkern = -(dz / rho) / rho / rho
     ring_charges = sigma_prime.T * (2.0 * math.pi * mesh.r * mesh.ds)
-    out = np.sum(ring_charges * dkern, axis=-1) / d_min / d_min / (4.0 * math.pi)
+    with np.errstate(over="ignore"):
+        out = np.sum(ring_charges * dkern, axis=-1) / d_min / d_min / (4.0 * math.pi)
+    if not np.all(np.isfinite(out)):
+        raise ResultOverflowError(f"the mixed derivative exceeds the float64 range "
+                                  f"for a toroid of tube radius {geom.b} nm")
     return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)

@@ -119,29 +119,30 @@ def _scaled(z_p: np.ndarray, f: float):
     return r, f / r, z_p / r
 
 
-def _over_r(scale, s: np.ndarray, r: np.ndarray, power: int, what: str) -> np.ndarray:
-    """scale * s / r^power, on the mantissas and exponents apart.
+def _over_r(scale, s: np.ndarray, radii, what: str,
+            cause: str = "the toroid is too small for this <d_z^2>") -> np.ndarray:
+    """scale * s / prod(radii), on the mantissas and exponents apart.
 
-    The mantissa quotient stays below 16 in magnitude and its exponent is
-    an exact integer sum, so only the result itself can overflow.
+    The mantissa quotient stays below 2^len(radii) in magnitude and its
+    exponent is an exact integer sum, so only the result itself can
+    overflow or underflow.
 
     Raises
     ------
     ResultOverflowError
         If the quotient overflows, as it does for a toroid of focal scale
-        f ~ r far below 1 nm under a large <d_z^2>.
+        f ~ r far below 1 nm; the message ends in `cause`.
     """
-    (m_scale, e_scale), (m_s, e_s), (m_r, e_r) = map(np.frexp, (scale, s, r))
-    out = m_scale * m_s
-    for _ in range(power):
-        out = out / m_r
+    (m_scale, e_scale), (m_s, e_s) = np.frexp(scale), np.frexp(s)
+    out, exponent = m_scale * m_s, e_scale + e_s
+    for m_r, e_r in map(np.frexp, radii):
+        out, exponent = out / m_r, exponent - e_r
     with np.errstate(over="ignore"):
-        out = np.ldexp(out, e_scale + e_s - power * e_r)
+        out = np.ldexp(out, exponent)
     if not np.all(np.isfinite(out)):
         raise ResultOverflowError(
             f"the {what} exceeds the float64 range at "
-            f"{int(np.sum(~np.isfinite(out)))} of {out.size} heights; "
-            "the toroid is too small for this <d_z^2>"
+            f"{int(np.sum(~np.isfinite(out)))} of {out.size} heights; {cause}"
         )
     return out
 
@@ -162,53 +163,46 @@ def _energy(z_p: np.ndarray, p: ParticleModel, f: float, m0: float, m2: float):
     r, c, t = _scaled(z_p, f)
     # C' of the module docstring, as <d_z^2> / (2 eps0) over 2 pi^2
     scale = -(_energy_prefactor(p) / (2.0 * math.pi**2)) * c
-    return _over_r(scale, t * t * m0 + 4.0 * c * c * m2, r, 3, "energy")
+    return _over_r(scale, t * t * m0 + 4.0 * c * c * m2, (r,) * 3, "energy")
 
 
 def _force(z_p: np.ndarray, p: ParticleModel, f: float, m0: float, m2: float):
     """F_z(z_p) in eV/nm from the moments, vectorized over heights."""
     r, c, t = _scaled(z_p, f)
     scale = 2.0 * (p.d2z * K_E_EV_NM / math.pi) * c * t
-    return _over_r(scale, c * c * (m0 - 12.0 * m2) - 2.0 * t * t * m0, r, 4, "force")
+    return _over_r(scale, c * c * (m0 - 12.0 * m2) - 2.0 * t * t * m0, (r,) * 4, "force")
 
 
 def gh_mixed_derivative(z: float, z_prime: float, g: AxialGreens) -> float:
     """d^2 G_H / dz dz' at two axis heights (1/nm^3), term-by-term analytic.
 
     Symmetric in (z, z'); at z = z' it reduces to the rational closed form
-    used by vdw_energy.
+    used by vdw_energy.  Term n is w_n [(s s' + 4 n^2 c c') cos phi_n +
+    2 n (s c' - s' c) sin phi_n], (r, c, s) being _scaled at z and z', and
+    the sum is scaled by -f / (2 pi^2 r^2 r'^2) as _over_r does.
 
     Raises
     ------
+    ValueError
+        For a non-finite height.
     TruncationError
         If the differentiated series does not converge within the cap.
+    ResultOverflowError
+        If the derivative exceeds the float64 range (a toroid far below
+        1 nm).
     """
     f = g.geometry.f
     if not (math.isfinite(z) and math.isfinite(z_prime)):
         raise ValueError(f"axis heights must be finite, got z = {z}, z' = {z_prime}")
     w = _two_minus_delta(g.table.n_max) * g.table.ratio
     n = np.arange(w.size)
-
-    def u(t):
-        return 1.0 / math.sqrt(f * f + t * t)
-
-    def du(t):
-        return -t * (f * f + t * t) ** -1.5
-
-    def dtheta(t):
-        return -f / (f * f + t * t)
-
+    (r, c, s), (r_p, c_p, s_p) = _scaled(z, f), _scaled(z_prime, f)
     phi = 2.0 * n * (math.atan2(f, z) - math.atan2(f, z_prime))
-    cos_phi = np.cos(phi)
-    sin_phi = np.sin(phi)
-    terms = w * (
-        du(z) * du(z_prime) * cos_phi
-        + 2.0 * n * sin_phi * (du(z) * u(z_prime) * dtheta(z_prime)
-                               - u(z) * du(z_prime) * dtheta(z))
-        + 4.0 * n**2 * u(z) * u(z_prime) * dtheta(z) * dtheta(z_prime) * cos_phi
-    )
+    terms = w * ((s * s_p + 4.0 * n * n * c * c_p) * np.cos(phi)
+                 + 2.0 * n * (s * c_p - s_p * c) * np.sin(phi))
     (total,), _ = _truncated_sum(terms[:, None], g.table.ratio, g.rel_tol, "mixed-derivative")
-    return float(-(f / (2.0 * math.pi**2)) * total)
+    return float(_over_r(-f / (2.0 * math.pi**2), total, (r, r, r_p, r_p),
+                         "mixed derivative", "the toroid is too small"))
 
 
 def _energy_prefactor(p: ParticleModel) -> float:

@@ -64,8 +64,8 @@ def toroid_from_radii(a: float, b: float) -> ToroidGeometry:
         If a <= b (the focal scale vanishes or turns imaginary).
     ValueError
         For non-positive or non-finite radii, and for radii whose focal
-        scale f, xi0 or cosh(xi0) leaves the float range (f not finite or
-        below the smallest normal float).
+        scale f, xi0 or cosh(xi0) leaves the float range (f^2 = (a - b)(a + b)
+        not finite or below the smallest normal float, where f loses digits).
     """
     a = float(a)
     b = float(b)
@@ -77,14 +77,16 @@ def toroid_from_radii(a: float, b: float) -> ToroidGeometry:
         raise DegenerateToroidError(
             f"need a > b for a toroidal surface, got a = {a}, b = {b}"
         )
-    f = math.sqrt((a - b) * (a + b))
+    f2 = (a - b) * (a + b)
+    f = math.sqrt(f2)
     # e^{xi0} = cosh + sinh = (a + f)/b, exact in the same arithmetic that
     # makes f/sinh(xi0) = b round-trip to machine precision.
     xi0 = math.log((a + f) / b)
     cosh_xi0 = a / b
-    if not (sys.float_info.min <= f < math.inf and xi0 < math.inf and cosh_xi0 < math.inf):
-        raise ValueError(f"radii a = {a}, b = {b} give a focal scale f = {f}, xi0 = {xi0}, "
-                         f"cosh xi0 = {cosh_xi0} outside the finite, normal float range")
+    if not (sys.float_info.min <= f2 < math.inf and xi0 < math.inf and cosh_xi0 < math.inf):
+        raise ValueError(f"radii a = {a}, b = {b} give a squared focal scale f^2 = {f2}, "
+                         f"xi0 = {xi0}, cosh xi0 = {cosh_xi0} outside the finite, "
+                         "normal float range")
     return ToroidGeometry(a=a, b=b, f=f, xi0=xi0, cosh_xi0=cosh_xi0)
 
 

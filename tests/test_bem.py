@@ -22,8 +22,8 @@ import torvdw.bem as bem_module
 from torvdw.bem import (
     _CACHED_NODES,
     _ellpk,
+    _PQ_COLUMNS,
     _half_kernels,
-    _horner_planes,
     _pair_tables,
     _ring_moduli,
     bem_gh_reduced,
@@ -40,6 +40,7 @@ from torvdw.units import K_E_EV_NM
 from torvdw.validate import _exterior_points, check_bem_vs_series
 
 from oracles import MACHEP, ellpk_reference, nystrom_blocks_reference, vh_reference
+from whole_range import assert_scaled_by_inverse_cube
 
 EPS = np.finfo(float).eps
 FLOATS_MAX = np.finfo(float).max
@@ -448,8 +449,8 @@ class TestPinnedToReference:
     @pytest.mark.parametrize("ratio", [1.01, 1.5, 5.0, 20.0])
     @pytest.mark.parametrize("n", [64, 65, 100, 400])
     def test_field_path_bitwise(self, ratio, n):
-        # the ring sums read the solution's ring table and the cached Horner
-        # planes, and do the reference's arithmetic on every entry; the axis
+        # the ring sums read the solution's ring table, its Horner planes
+        # included, and do the reference's arithmetic on every entry; the axis
         # points take _ellpk's steps for arguments above 1
         geom = toroid_from_radii(2.0 * ratio, 2.0)
         src = axial_source(0.3 * geom.a, geom)
@@ -471,22 +472,19 @@ class TestPinnedToReference:
         assert total_induced_charge(sol) == charge
 
     def test_ring_table_read_only_and_planes_bounded(self, geom53):
-        planes = _horner_planes.cache_info()
-        assert planes.maxsize <= 4
-        assert _horner_planes(400).nbytes == 70400 and not _horner_planes(400).flags.writeable
-        sol = solve_induced_density(build_mesh(geom53, _CACHED_NODES + 3),
-                                    axial_source(1.0, geom53))
-        assert [column.shape for column in sol.rings] == [(_CACHED_NODES + 3,)] * 3
-        for column in sol.rings:
+        # the Horner planes live on the solution, 176 bytes a node, built
+        # once per solve; no cache outlives it
+        n = _CACHED_NODES + 3
+        sol = solve_induced_density(build_mesh(geom53, n), axial_source(1.0, geom53))
+        *columns, planes = sol.rings
+        assert [column.shape for column in columns] == [(n,)] * 3
+        assert planes.shape == (11, 2, 1, n) and planes.nbytes == 176 * n
+        assert planes.tobytes() == np.repeat(_PQ_COLUMNS, n, axis=-1).tobytes()
+        for entry in sol.rings:
             with pytest.raises(ValueError, match="read-only"):
-                column[0] = 0.0
-        bem_vh(np.array([0.0, 9.0]), np.array([1.0, 2.0]), sol)
-        bem_vh(9.0, 2.0, sol)
-        before = _horner_planes.cache_info()
-        bem_vh(9.0, 3.0, sol)
-        after = _horner_planes.cache_info()
-        assert (after.hits, after.misses) == (before.hits, before.misses)
-        assert after.currsize <= 4
+                entry.flat[0] = 0.0
+        cached = [name for name, obj in vars(bem_module).items() if hasattr(obj, "cache_info")]
+        assert cached == ["_pair_tables"]
 
 
 class TestAgainstSeries:
@@ -679,6 +677,19 @@ class TestMixedDerivative:
         np.testing.assert_allclose(
             bem_mixed_derivative(heights, heights, geom, 64),
             [gh_mixed_derivative(z, z, g) for z in heights], rtol=1e-10)
+
+    @given(log_lam=st.floats(min_value=-150.0, max_value=150.0),
+           ratio=st.floats(min_value=1.5, max_value=50.0),
+           z=st.floats(min_value=-5.0, max_value=5.0),
+           z_prime=st.floats(min_value=-5.0, max_value=5.0))
+    # the final quotient overflowed to -inf with a warning
+    @example(log_lam=-110.0, ratio=3.0, z=0.5, z_prime=0.35)
+    def test_scale_law_over_the_float_range(self, log_lam, ratio, z, z_prime):
+        lam = 10.0**log_lam
+        at_one = bem_mixed_derivative(z, z_prime, toroid_from_radii(ratio, 1.0), 64)
+        geom = toroid_from_radii(ratio * lam, lam)
+        assert_scaled_by_inverse_cube(
+            lambda: bem_mixed_derivative(z * lam, z_prime * lam, geom, 64), at_one, lam, 1e-12)
 
     def test_gh_reduced_units(self, geom51):
         # eps0 V_H / q relates to the reduced potential by 1/(4 pi)

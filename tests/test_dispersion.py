@@ -30,7 +30,7 @@ from torvdw.geometry import axis_eta_from_z
 from torvdw.greens import _vh_reduced, charge_interaction_energy, vh_potential
 from torvdw.units import DEBYE2_TO_E2NM2, K_E_EV_NM
 
-from whole_range import HEIGHTS, TYPED_ERRORS
+from whole_range import HEIGHTS, TYPED_ERRORS, assert_scaled_by_inverse_cube
 
 # Oracle values frozen from the boundary-element route (1600 panels,
 # mixed finite differences at step 1e-3 f) before the series was built:
@@ -210,6 +210,26 @@ class TestMixedDerivative:
             gaps.append(abs(gh_mixed_derivative(z, z, g) / ring - 1.0))
         assert all(g1 < g0 for g0, g1 in zip(gaps, gaps[1:])), gaps
         assert gaps[-1] < 1e-5, gaps
+
+
+    @given(log_lam=st.floats(min_value=-150.0, max_value=150.0),
+           ratio=st.floats(min_value=1.5, max_value=50.0),
+           z=st.floats(min_value=-5.0, max_value=5.0),
+           z_prime=st.floats(min_value=-5.0, max_value=5.0))
+    # silently 4.9% off, -0.0, a TruncationError with an overflow warning, and
+    # a bare OverflowError, where raw powers of f^2 + z^2 were formed
+    @example(log_lam=80.0, ratio=3.0, z=0.5, z_prime=0.35)
+    @example(log_lam=100.0, ratio=3.0, z=0.5, z_prime=0.35)
+    @example(log_lam=-90.0, ratio=3.0, z=0.5, z_prime=0.35)
+    @example(log_lam=-104.0, ratio=3.0, z=0.5, z_prime=0.35)
+    def test_scale_law_over_the_float_range(self, log_lam, ratio, z, z_prime):
+        # d^2 G_H / dz dz' has dimension 1/nm^3: scaling every length by
+        # lam scales it by lam^-3, down to subnormals and up to the overflow
+        lam = 10.0**log_lam
+        at_one = gh_mixed_derivative(z, z_prime, axial_greens(toroid_from_radii(ratio, 1.0)))
+        g = axial_greens(toroid_from_radii(ratio * lam, lam))
+        assert_scaled_by_inverse_cube(lambda: gh_mixed_derivative(z * lam, z_prime * lam, g),
+                                      at_one, lam, 1e-13)
 
 
 class TestForce:

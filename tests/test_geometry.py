@@ -51,16 +51,20 @@ class TestToroidFromRadii:
             toroid_from_radii(a, b)
 
     @pytest.mark.parametrize(
-        "a,b", [(2e-200, 1e-200), (1e200, 1.0), (1e300, 1e-10), (1.0, 1e-310)]
+        "a,b", [(2e-200, 1e-200), (1e200, 1.0), (1e300, 1e-10), (1.0, 1e-310),
+                (2e-162, 1e-162), (1e-160, 5e-161)]
     )
     def test_focal_scale_out_of_range(self, a, b):
-        # f underflows to 0 or overflows (with xi0), or cosh xi0 = a/b overflows
+        # f underflows to 0 or overflows (with xi0), cosh xi0 = a/b overflows,
+        # or f^2 = (a - b)(a + b) is subnormal, so f has lost digits
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="focal scale"):
                 toroid_from_radii(a, b)
 
-    @pytest.mark.parametrize("a,b", [(2e-150, 1e-150), (1e150, 1.0), (1e153, 1e-150)])
+    @pytest.mark.parametrize(
+        "a,b", [(2e-150, 1e-150), (1e150, 1.0), (1e153, 1e-150), (2e-154, 1e-154)]
+    )
     def test_extreme_in_range_radii_unchanged(self, a, b):
         geom = toroid_from_radii(a, b)
         assert geom.f == math.sqrt((a - b) * (a + b))
