@@ -46,30 +46,29 @@ EXIT_NUMERICAL = 3
 
 
 def _check(args, *grid_counts) -> None:
-    """Refuse the settings the library does not bound itself: the series
-    tolerance and term cap, and the size of each grid."""
+    """Refuse the settings the library does not bound itself: a series
+    tolerance above 1e-4, and the size of each grid."""
     if not 0.0 < args.tol <= 1e-4:
         raise ValueError(f"--tol must lie in (0, 1e-4], got {args.tol}")
-    if args.ncap < 8:
-        raise ValueError(f"--ncap must be at least 8, got {args.ncap}")
     for count in grid_counts:
         if not 2 <= count <= 100000:
             raise ValueError(f"grids need 2 to 100000 points, got {count}")
 
 
-def _add_common(p: argparse.ArgumentParser, geometry: bool = True) -> None:
-    if geometry:
+def _add_common(p: argparse.ArgumentParser, a: bool = True, table: bool = True,
+                normalize: bool = True) -> None:
+    """The radii and, for a command that writes a table, its options."""
+    if a:
         p.add_argument("--a", type=float, required=True, help="center-circle radius (nm)")
     p.add_argument("--b", type=float, required=True, help="tube radius (nm)")
+    if not table:
+        return
     p.add_argument("--tol", type=float, default=1e-12, help="series truncation tolerance")
     p.add_argument("--ncap", type=int, default=2000, help="series term cap")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument(
-        "--normalize",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="emit normalized columns alongside raw values",
-    )
+    if normalize:
+        p.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=True,
+                       help="emit normalized columns alongside raw values")
     p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
 
 
@@ -93,13 +92,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("geom", help="derived geometry report")
-    _add_common(p)
+    _add_common(p, table=False)
 
     p = sub.add_parser("potential", help="induced-charge potential profile")
     _add_common(p)
     _add_zgrid(p, -20.0, 20.0, 201)
     p.add_argument("--source-z", type=float, default=0.0, help="source height (nm)")
-    p.add_argument("--cut", choices=("axis", "plane"), default="axis")
+    p.add_argument("--cut", choices=("axis", "plane"), default="axis",
+                   help="plane: r in [0, (a - b)(1 - 1e-9)]; ignores --zmin/--zmax")
 
     p = sub.add_parser("charge-energy", help="charge / induced-charge energy profile")
     _add_common(p)
@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantity", choices=("energy", "force", "both"), default="both")
 
     p = sub.add_parser("sweep-ratio", help="force vs a/b at fixed heights")
-    _add_common(p, geometry=False)
+    _add_common(p, a=False, normalize=False)
     _add_particle(p)
     p.add_argument("--zp", type=float, action="append", default=None,
                    help="particle height (nm); repeatable (default 1 2 3)")
@@ -122,16 +122,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio-points", type=int, default=96)
 
     p = sub.add_parser("contour", help="force over the (a/b, z_p/b) grid")
-    _add_common(p, geometry=False)
+    _add_common(p, a=False, normalize=False)
     _add_particle(p)
     p.add_argument("--ratio-min", type=float, default=1.5)
     p.add_argument("--ratio-max", type=float, default=10.0)
     p.add_argument("--ratio-points", type=int, default=48)
     _add_zgrid(p, 0.0, 10.0, 49)
 
-    p = sub.add_parser("validate", help="run the full cross-check battery")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--ncap", type=int, default=2000)
+    sub.add_parser("validate", help="run the full cross-check battery")
 
     return ap
 
@@ -211,7 +209,6 @@ def _emit_profile(args, columns, grid, info, ref, ref_key) -> int:
 
 
 def cmd_geom(args) -> int:
-    _check(args)
     geom = toroid_from_radii(args.a, args.b)
     etas = np.linspace(-math.pi, math.pi, 181)[1:]
     r, z = surface_rz(geom, etas)
@@ -298,8 +295,8 @@ def cmd_vdw(args) -> int:
         cols_data.append(prof.force)
         if args.normalize:
             columns.append("F_norm")
-            scale = prof.force_scale if prof.force_scale > 0.0 else 1.0
-            cols_data.append(prof.force / scale)
+            cols_data.append(_normalized(prof.force, prof.force_scale, "F_norm",
+                                         "force_scale_eV_per_nm"))
     rows = [[float(col[i]) for col in cols_data] for i in range(grid.size)]
     diagnostics = {
         "n_used": [int(n) for n in prof.n_used],
@@ -312,14 +309,19 @@ def cmd_vdw(args) -> int:
     return EXIT_OK
 
 
+def _ratios(args) -> np.ndarray:
+    """The a/b grid of sweep-ratio and contour."""
+    if args.ratio_min <= 1.0 or args.ratio_max <= args.ratio_min:
+        raise ValueError("need 1 < ratio-min < ratio-max")
+    return _grid(args.ratio_min, args.ratio_max, args.ratio_points)
+
+
 def cmd_sweep_ratio(args) -> int:
     _check(args, args.ratio_points)
     zp_list = args.zp if args.zp else [1.0, 2.0, 3.0]
     if any(z <= 0.0 for z in zp_list):
         raise ValueError("--zp heights must be positive")
-    if args.ratio_min <= 1.0 or args.ratio_max <= args.ratio_min:
-        raise ValueError("need 1 < ratio-min < ratio-max")
-    ratios = _grid(args.ratio_min, args.ratio_max, args.ratio_points)
+    ratios = _ratios(args)
     p = particle_model(args.d2z, unit=args.d2z_unit)
 
     series = {"rel_tol": args.tol, "n_cap": args.ncap}
@@ -342,11 +344,9 @@ def cmd_sweep_ratio(args) -> int:
 
 def cmd_contour(args) -> int:
     _check(args, args.ratio_points, args.zpoints)
-    if args.ratio_min <= 1.0 or args.ratio_max <= args.ratio_min:
-        raise ValueError("need 1 < ratio-min < ratio-max")
+    ratios = _ratios(args)
     if args.out is None:
         raise ValueError("contour requires --out (matrix plus gnuplot script)")
-    ratios = _grid(args.ratio_min, args.ratio_max, args.ratio_points)
     zps = _grid(args.zmin, args.zmax, args.zpoints)
     p = particle_model(args.d2z, unit=args.d2z_unit)
     with np.errstate(over="ignore"):  # radii or heights past the float range are refused
@@ -381,8 +381,7 @@ def cmd_validate(args) -> int:
     # commands never load it.
     from .validate import run_battery
 
-    _check(args)
-    results = run_battery(rel_tol=args.tol, n_cap=args.ncap)
+    results = run_battery()
     width = max(len(r.name) for r in results)
     all_ok = True
     for r in results:

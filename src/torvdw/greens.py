@@ -333,7 +333,7 @@ def inverse_distance_series(
 
     For the expansion with an on-axis source, Q is evaluated at the field
     point's cosh(xi) and every P factor collapses to P_{n-1/2}(1) = 1.
-    Field points on (or within 1e-12 of) the axis sit outside the
+    Field points on the axis, or with cosh(xi) - 1 < 1e-12, sit outside the
     harmonic-table domain -- there each Q term diverges logarithmically
     while the summed series stays finite -- so that branch evaluates the
     closed form of the summed expansion,

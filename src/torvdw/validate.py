@@ -39,7 +39,8 @@ __all__ = [
     "run_battery",
 ]
 
-#: The battery is fixed: each check's size, seed and threshold below.
+#: The battery is fixed: each check's size, seed and threshold below, and
+#: every evaluator at axial_greens' defaults, for which the thresholds are set.
 GEOMETRIES = ((5.0, 3.0), (5.0, 2.0), (5.0, 1.0))  # a/b = 5/3, 2.5, 5
 EXPANSION_POINTS, EXPANSION_SEED, EXPANSION_THRESHOLD = 100, 20240, 1e-10
 SURFACE_THRESHOLD = 1e-8
@@ -62,11 +63,11 @@ def _result(name: str, value: float, threshold: float, detail: str) -> CheckResu
                        threshold=threshold, detail=detail)
 
 
-def check_expansion_identity(rel_tol: float = 1e-12, n_cap: int = 2000) -> CheckResult:
+def check_expansion_identity() -> CheckResult:
     """Truncated inverse-distance expansion against plain cartesian distance."""
     rng = np.random.default_rng(EXPANSION_SEED)
     geom = toroid_from_radii(5.0, 3.0)
-    g = axial_greens(geom, rel_tol=rel_tol, n_cap=n_cap)
+    g = axial_greens(geom)
     worst = 0.0
     for _ in range(EXPANSION_POINTS):
         field = ToroidalCoords(
@@ -81,12 +82,12 @@ def check_expansion_identity(rel_tol: float = 1e-12, n_cap: int = 2000) -> Check
                    f"{EXPANSION_POINTS} random admissible field/source pairs")
 
 
-def check_surface_residual(rel_tol: float = 1e-12, n_cap: int = 2000) -> CheckResult:
+def check_surface_residual() -> CheckResult:
     """Grounded boundary condition on the surface for the standard battery."""
     worst = 0.0
     for a, b in GEOMETRIES:
         geom = toroid_from_radii(a, b)
-        g = axial_greens(geom, rel_tol=rel_tol, n_cap=n_cap)
+        g = axial_greens(geom)
         for z_src in (0.0, geom.f, 3.0 * geom.f):
             res = surface_residual(axial_source(z_src, geom), g, n_samples=48)
             worst = max(worst, res)
@@ -105,15 +106,14 @@ def _exterior_points(geom, rng, count):
     return pts
 
 
-def check_bem_vs_series(rel_tol: float = 1e-12, n_cap: int = 2000,
-                        series_evaluator=vh_potential) -> CheckResult:
+def check_bem_vs_series(series_evaluator=vh_potential) -> CheckResult:
     """Series V_H against the Nyström oracle at 64 and at 128 nodes: the
     oracle converges geometrically, so both must agree to the threshold."""
     rng = np.random.default_rng(BEM_SEED)
     worst = {64: 0.0, 128: 0.0}
     for a, b in GEOMETRIES:
         geom = toroid_from_radii(a, b)
-        g = axial_greens(geom, rel_tol=rel_tol, n_cap=n_cap)
+        g = axial_greens(geom)
         src = axial_source(1.3, geom)
         pts = _exterior_points(geom, rng, BEM_POINTS)
         refs = np.array([
@@ -130,11 +130,11 @@ def check_bem_vs_series(rel_tol: float = 1e-12, n_cap: int = 2000,
                    + ", ".join(f"{err:.1e} at {n} nodes" for n, err in worst.items()))
 
 
-def check_force_vs_finite_difference(rel_tol: float = 1e-12, n_cap: int = 2000) -> CheckResult:
+def check_force_vs_finite_difference() -> CheckResult:
     """Analytic force against central differences of the energy."""
     rng = np.random.default_rng(FD_SEED)
     geom = toroid_from_radii(5.0, 1.0)
-    g = axial_greens(geom, rel_tol=rel_tol, n_cap=n_cap)
+    g = axial_greens(geom)
     p = particle_model(1.0)
     worst = 0.0
     h = 1e-4 * geom.f
@@ -149,10 +149,10 @@ def check_force_vs_finite_difference(rel_tol: float = 1e-12, n_cap: int = 2000) 
                    f"{FD_POINTS} heights, step {h:g} nm")
 
 
-def check_far_field_slope(rel_tol: float = 1e-12, n_cap: int = 2000) -> CheckResult:
+def check_far_field_slope() -> CheckResult:
     """Monopole response of the grounded conductor: |U| ~ z^-4 far out."""
     geom = toroid_from_radii(5.0, 1.0)
-    g = axial_greens(geom, rel_tol=rel_tol, n_cap=n_cap)
+    g = axial_greens(geom)
     p = particle_model(1.0)
     z = np.geomspace(50.0 * geom.a, 500.0 * geom.a, 40)
     u = np.abs(vdw_energy(z, p, g))
@@ -161,12 +161,12 @@ def check_far_field_slope(rel_tol: float = 1e-12, n_cap: int = 2000) -> CheckRes
                    f"fitted log-log slope {slope:.4f} over z in [50a, 500a]")
 
 
-def run_battery(rel_tol: float = 1e-12, n_cap: int = 2000) -> list[CheckResult]:
+def run_battery() -> list[CheckResult]:
     """The full cross-check battery in its canonical order."""
     return [
-        check_expansion_identity(rel_tol, n_cap),
-        check_surface_residual(rel_tol, n_cap),
-        check_bem_vs_series(rel_tol, n_cap),
-        check_force_vs_finite_difference(rel_tol, n_cap),
-        check_far_field_slope(rel_tol, n_cap),
+        check_expansion_identity(),
+        check_surface_residual(),
+        check_bem_vs_series(),
+        check_force_vs_finite_difference(),
+        check_far_field_slope(),
     ]

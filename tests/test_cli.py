@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import importlib.util
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from torvdw.cli import _config_echo, build_parser, main
+from torvdw.cli import _COMMANDS, _config_echo, build_parser, main
 from torvdw.dispersion import critical_ratio, particle_model, sweep_contour
 from torvdw.errors import FarSourceWarning
 from torvdw.geometry import toroid_from_radii
@@ -339,8 +340,8 @@ class TestNonFiniteInputs:
 
 
 class TestConfigurationBounds:
-    """The bounds the front end keeps itself: series tolerance, term cap
-    and grid sizes."""
+    """The bounds the front end keeps: series tolerance, term cap, grid
+    sizes and a normalized column's nonzero reference."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -350,8 +351,9 @@ class TestConfigurationBounds:
             ["vdw", "--a", "5", "--b", "1", "--zpoints", "1", "--out", "f.csv"],
             ["contour", "--b", "1", "--zpoints", "100001", "--out", "f.csv"],
             ["sweep-ratio", "--b", "1", "--ratio-points", "1", "--out", "f.csv"],
-            ["geom", "--a", "5", "--b", "1", "--ncap", "3"],
-            ["validate", "--tol", "1"],
+            ["vdw", "--a", "5", "--b", "1", "--ncap", "3", "--out", "f.csv"],
+            ["vdw", "--a", "5", "--b", "1", "--zmin", "0", "--zmax", "0", "--zpoints", "2"],
+            ["vdw", "--a", "5", "--b", "1", "--zmin=1e80", "--zmax=2e80", "--quantity", "force"],
         ],
         ids=lambda argv: "_".join(a.lstrip("-") for a in argv),
     )
@@ -362,6 +364,51 @@ class TestConfigurationBounds:
         assert "configuration error" in err
         assert out == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["geom", "--a", "5", "--b", "1", "--out", "x.csv"],
+            ["geom", "--a", "5", "--b", "1", "--format", "json"],
+            ["sweep-ratio", "--b", "1", "--no-normalize"],
+            ["contour", "--b", "1", "--normalize", "--out", "x.csv"],
+            ["validate", "--tol", "1e-14"],
+        ],
+        ids=lambda argv: "_".join(a.lstrip("-") for a in argv),
+    )
+    def test_option_not_taken(self, tmp_path, monkeypatch, capsys, argv):
+        # a command takes only the options it reads
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["geom", "--a", "5", "--b", "1"],
+    ["potential", "--a", "5", "--b", "1"],
+    ["charge-energy", "--a", "5", "--b", "1"],
+    ["vdw", "--a", "5", "--b", "1"],
+    ["sweep-ratio", "--b", "1"],
+    ["contour", "--b", "1", "--out", "grid.csv"],
+    ["validate"],
+], ids=lambda argv: argv[0])
+def test_every_option_is_read(tmp_path, monkeypatch, capsys, argv):
+    # at its defaults, a command reads every option it accepts
+    monkeypatch.chdir(tmp_path)
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    args = build_parser().parse_args(argv, namespace=Recording())
+    read.clear()
+    assert _COMMANDS[args.command](args) == 0
+    assert set(vars(args)) - {"command"} - read == set()
 
 
 class TestOutOfRangeInputs:
@@ -526,7 +573,7 @@ def cli_runs(draw):
     drawn on its own scale, and up to two of them anywhere in their type's
     range instead; the grids have at most 4 points unless out of bounds."""
     command = draw(st.sampled_from(sorted(OPTIONS)))
-    names = OPTIONS[command] + ["tol", "ncap"]
+    names = OPTIONS[command] + ([] if command == "geom" else ["tol", "ncap"])
     wild = draw(st.sets(st.sampled_from(names), max_size=2))
     opts = {}
     height = st.floats(-20.0, 20.0).map(lambda s: s * abs(opts["b"]))
@@ -553,8 +600,10 @@ def cli_runs(draw):
             strategy = FINITE if name in wild else typical[name]
         opts[name] = draw(strategy)
     flags = [f"--zp={z!r}" for z in opts.pop("zp", [])]
-    flags.append(draw(st.sampled_from(["--normalize", "--no-normalize"])))
-    opts["format"] = draw(st.sampled_from(["csv", "json"]))
+    if command in ("potential", "charge-energy", "vdw"):
+        flags.append(draw(st.sampled_from(["--normalize", "--no-normalize"])))
+    if command != "geom":
+        opts["format"] = draw(st.sampled_from(["csv", "json"]))
     if command == "potential":
         opts["cut"] = draw(st.sampled_from(["axis", "plane"]))
     elif command == "vdw":
@@ -608,7 +657,7 @@ class TestWholeRange:
                           "format": "csv"}, []))
     @example(run=("contour", {"b": 2.0, "zmax": 1e308, "format": "csv"}, []))
     @example(run=("sweep-ratio", {"b": 1e300, "ratio-max": 1e10, "format": "csv"}, []))
-    @example(run=("geom", {"a": 1.0, "b": 1e-242, "format": "csv"}, []))
+    @example(run=("geom", {"a": 1.0, "b": 1e-242}, []))
     def test_exit_code_no_warning_and_finite_rows(self, tmp_path_factory, run):
         # exit 0, 2 or 3 for extreme but finite options, no warning but a far
         # source's, and no NaN or infinity in any row except contour's
