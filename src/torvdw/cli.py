@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -134,10 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _emit_table(args, columns, rows, diagnostics, gnuplot_cols=None):
-    """Write a table as CSV or JSON to --out (or stdout), plus a gnuplot
-    script referencing the CSV by relative path when writing to a file;
-    it plots the 1-based columns gnuplot_cols against column 1."""
+def _emit_table(args, columns, rows, diagnostics, script) -> int:
+    """Write a table as CSV or JSON to --out (or stdout).  A CSV file also
+    gets FILE.gp, the gnuplot script of the lines script, in which {data}
+    stands for the quoted name of the CSV file, relative to the script."""
     if args.format == "json":
         payload = {"config": _config_echo(args), "columns": columns, "rows": rows,
                    "diagnostics": diagnostics}
@@ -151,20 +152,21 @@ def _emit_table(args, columns, rows, diagnostics, gnuplot_cols=None):
 
     if args.out is None:
         sys.stdout.write(text)
-        return
+        return EXIT_OK
     with open(args.out, "w", newline="") as fh:
         fh.write(text)
-    if args.format == "csv" and gnuplot_cols:
-        base = os.path.basename(args.out)
-        plots = [f"'{base}' using 1:{k} with lines" for k in gnuplot_cols]
-        _write_script(args.out, "set key autotitle columnhead", "set grid",
-                      f"set xlabel '{columns[0]}'", "plot " + ", \\\n     ".join(plots))
+    if args.format == "csv":
+        lines = "\n".join(["set datafile separator ','", *script]) + "\n"
+        with open(args.out + ".gp", "w") as fh:
+            fh.write(lines.format(data=f"'{os.path.basename(args.out)}'"))
+    return EXIT_OK
 
 
-def _write_script(path: str, *lines: str) -> None:
-    """Write the gnuplot script path.gp for the comma-separated file path."""
-    with open(path + ".gp", "w") as fh:
-        fh.write("\n".join(["set datafile separator ','", *lines]) + "\n")
+def _plot(columns, plotted) -> list:
+    """gnuplot lines plotting the 1-based columns plotted against column 1."""
+    plots = [f"{{data}} using 1:{k} with lines" for k in plotted]
+    return ["set key autotitle columnhead", "set grid", f"set xlabel '{columns[0]}'",
+            "plot " + ", \\\n     ".join(plots)]
 
 
 def _config_echo(args) -> dict:
@@ -186,26 +188,16 @@ def _grid(lo: float, hi: float, n: int) -> np.ndarray:
         return np.linspace(lo, hi, n)
 
 
-def _normalized(values, ref: float, column: str, ref_key: str):
-    """values / ref, refused when ref is 0: --charge 0, or a reference
-    that underflows."""
+def _normalized(args, name: str, values, ref: float, ref_key: str) -> dict:
+    """{name: values} and, unless --no-normalize, values / ref named after
+    the quantity (U_eV -> U_norm); ref 0 is refused: --charge 0, or a
+    reference that underflows."""
+    if not args.normalize:
+        return {name: values}
+    norm = name.split("_")[0] + "_norm"
     if ref == 0.0:
-        raise ValueError(f"{column} divides by {ref_key} = 0; pass --no-normalize")
-    return values / ref
-
-
-def _emit_profile(args, columns, grid, info, ref, ref_key) -> int:
-    """Write a one-quantity profile: the grid, the values and, unless
-    --no-normalize, values / ref; the diagnostics carry the per-point
-    series term counts and ref under ref_key."""
-    cols_data = [grid, info.value]
-    if args.normalize:
-        cols_data.append(_normalized(info.value, ref, columns[2], ref_key))
-    columns = columns[:len(cols_data)]
-    rows = [[float(v) for v in row] for row in zip(*cols_data)]
-    diagnostics = {"n_used": [int(n) for n in info.n_used], ref_key: ref}
-    _emit_table(args, columns, rows, diagnostics, gnuplot_cols=[len(columns)])
-    return EXIT_OK
+        raise ValueError(f"{norm} divides by {ref_key} = 0; pass --no-normalize")
+    return {name: values, norm: values / ref}
 
 
 def cmd_geom(args) -> int:
@@ -258,8 +250,10 @@ def cmd_potential(args) -> int:
 
     info = vh_potential_info(fields, src, g)
     ref = abs(vh_potential_info(ToroidalCoords(xi=0.0, eta=math.pi), src, g).value)
-    return _emit_profile(args, [label, "VH_V", "VH_norm"], grid, info, ref,
-                         "normalization_V")
+    table = {label: grid, **_normalized(args, "VH_V", info.value, ref, "normalization_V")}
+    return _emit_table(args, [*table], np.column_stack([*table.values()]).tolist(),
+                       {"n_used": info.n_used.tolist(), "normalization_V": ref},
+                       _plot([*table], [len(table)]))
 
 
 def cmd_charge_energy(args) -> int:
@@ -269,8 +263,10 @@ def cmd_charge_energy(args) -> int:
     grid = _grid(args.zmin, args.zmax, args.zpoints)
     info = charge_interaction_energy_info(grid, g, charge=args.charge)
     ref = abs(charge_interaction_energy(0.0, g, charge=args.charge))
-    return _emit_profile(args, ["zprime_nm", "U_eV", "U_norm"], grid, info, ref,
-                         "normalization_eV")
+    table = {"zprime_nm": grid, **_normalized(args, "U_eV", info.value, ref, "normalization_eV")}
+    return _emit_table(args, [*table], np.column_stack([*table.values()]).tolist(),
+                       {"n_used": info.n_used.tolist(), "normalization_eV": ref},
+                       _plot([*table], [len(table)]))
 
 
 def cmd_vdw(args) -> int:
@@ -280,33 +276,21 @@ def cmd_vdw(args) -> int:
     p = particle_model(args.d2z, unit=args.d2z_unit)
     grid = _grid(args.zmin, args.zmax, args.zpoints)
     prof = force_profile(grid, p, g)
-
-    columns = ["zp_nm"]
-    cols_data = [grid]
+    table = {"zp_nm": grid}
     if args.quantity in ("energy", "both"):
-        columns.append("U_eV")
-        cols_data.append(prof.energy)
-        if args.normalize:
-            columns.append("U_norm")
-            cols_data.append(_normalized(prof.energy, prof.energy_scale, "U_norm",
-                                         "energy_scale_eV"))
+        table.update(_normalized(args, "U_eV", prof.energy, prof.energy_scale,
+                                 "energy_scale_eV"))
     if args.quantity in ("force", "both"):
-        columns.append("F_eV_per_nm")
-        cols_data.append(prof.force)
-        if args.normalize:
-            columns.append("F_norm")
-            cols_data.append(_normalized(prof.force, prof.force_scale, "F_norm",
-                                         "force_scale_eV_per_nm"))
-    rows = [[float(col[i]) for col in cols_data] for i in range(grid.size)]
+        table.update(_normalized(args, "F_eV_per_nm", prof.force, prof.force_scale,
+                                 "force_scale_eV_per_nm"))
     diagnostics = {
-        "n_used": [int(n) for n in prof.n_used],
+        "n_used": prof.n_used.tolist(),
         "energy_scale_eV": prof.energy_scale,
         "force_scale_eV_per_nm": prof.force_scale,
         "series_terms_available": int(g.table.n_max + 1),
     }
-    _emit_table(args, columns, rows, diagnostics,
-                gnuplot_cols=list(range(2, len(columns) + 1)))
-    return EXIT_OK
+    return _emit_table(args, [*table], np.column_stack([*table.values()]).tolist(),
+                       diagnostics, _plot([*table], range(2, len(table) + 1)))
 
 
 def _ratios(args) -> np.ndarray:
@@ -329,7 +313,6 @@ def cmd_sweep_ratio(args) -> int:
         a_values = ratios * args.b
     table = sweep_contour(a_values, zp_list, args.b, p, **series).force.T
     columns = ["a_over_b"] + [f"F_zp{zp:g}_eV_per_nm" for zp in zp_list]
-    rows = [[float(v) for v in row] for row in np.column_stack([ratios, table])]
     crossings = {}
     for zp in zp_list:
         try:
@@ -337,9 +320,9 @@ def cmd_sweep_ratio(args) -> int:
                 zp, args.b, p, (args.ratio_min, args.ratio_max), **series)
         except RangeExceededError:
             crossings[f"zp={zp:g}"] = None
-    _emit_table(args, columns, rows, {"zero_crossings_a_over_b": crossings},
-                gnuplot_cols=list(range(2, len(columns) + 1)))
-    return EXIT_OK
+    return _emit_table(args, columns, np.column_stack([ratios, table]).tolist(),
+                       {"zero_crossings_a_over_b": crossings},
+                       _plot(columns, range(2, len(columns) + 1)))
 
 
 def cmd_contour(args) -> int:
@@ -353,26 +336,20 @@ def cmd_contour(args) -> int:
         a_values, heights = ratios * args.b, zps * args.b
     grid = sweep_contour(a_values, heights, args.b, p, rel_tol=args.tol, n_cap=args.ncap)
 
+    force = grid.force.tolist()
     if args.format == "json":
         # a failed cell's NaN is written as null: JSON has no NaN
-        rows = [[float(z)] + [None if math.isnan(v) else v for v in row]
-                for z, row in zip(zps, grid.force.tolist())]
-        _emit_table(args, ["zp_over_b"] + [float(r) for r in ratios], rows,
-                    {"failed_cells": list(grid.diagnostics)})
-        return EXIT_OK
-
-    # gnuplot "nonuniform matrix": first row is <N> then the column coords
-    with open(args.out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([ratios.size] + [_fmt(r) for r in ratios])
-        for i in range(zps.size):
-            w.writerow([_fmt(zps[i])] + [_fmt(v) for v in grid.force[i]])
-    _write_script(args.out, "set view map", "set xlabel 'a/b'", "set ylabel 'z_p/b'",
-                  "set cblabel 'F_z (eV/nm)'",
-                  f"splot '{os.path.basename(args.out)}' nonuniform matrix with pm3d notitle")
-    if grid.diagnostics:
-        print(f"warning: {len(grid.diagnostics)} cells failed to converge",
-              file=sys.stderr)
+        force = [[None if math.isnan(v) else v for v in row] for row in force]
+        header = ["zp_over_b"]
+    else:
+        # gnuplot "nonuniform matrix": first row is <N> then the column coords
+        header = [ratios.size]
+    rows = [[z] + row for z, row in zip(zps.tolist(), force)]
+    _emit_table(args, header + ratios.tolist(), rows, {"failed_cells": list(grid.diagnostics)},
+                ["set view map", "set xlabel 'a/b'", "set ylabel 'z_p/b'",
+                 "set cblabel 'F_z (eV/nm)'", "splot {data} nonuniform matrix with pm3d notitle"])
+    if args.format == "csv" and grid.diagnostics:  # JSON lists them in its diagnostics
+        print(f"warning: {len(grid.diagnostics)} cells failed to converge", file=sys.stderr)
     return EXIT_OK
 
 
@@ -405,6 +382,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a warning shown on stderr is one line, "warning: <message>"
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         return _COMMANDS[args.command](args)
     except TruncationError as exc:
@@ -413,6 +392,12 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        warnings.formatwarning = formatwarning
+
+
+def _warning_line(message, *_) -> str:
+    return f"warning: {message}\n"
 
 
 if __name__ == "__main__":

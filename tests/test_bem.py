@@ -498,12 +498,12 @@ class TestAgainstSeries:
     def test_series_evaluated_once_per_probe(self):
         calls = []
 
-        def counting(field, src, g):
-            calls.append(field)
-            return vh_potential(field, src, g)
+        def counting(fields, src, g):
+            calls.append(len(fields))
+            return vh_potential(fields, src, g)
 
         assert check_bem_vs_series(series_evaluator=counting).passed
-        assert len(calls) == 3 * 20  # geometries x probes, not x panel counts
+        assert calls == [20] * 3  # one array call per geometry, not per panel count
 
     def test_known_point_a5_b1(self, geom51, greens51):
         # source at the origin, field on the axis at 2 nm
@@ -556,7 +556,10 @@ class TestAgainstSeries:
     def test_mutation_detected(self, geom51):
         # a deliberately corrupted series (n = 0 term sign flipped) must
         # fail the oracle comparison
-        def corrupted_vh(field, src, g):
+        def corrupted_vh(fields, src, g):
+            return np.array([corrupted_point(field, src, g) for field in fields])
+
+        def corrupted_point(field, src, g):
             n0 = g.table.ratio[0]
             import torvdw.greens as gr
 

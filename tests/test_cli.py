@@ -5,7 +5,10 @@ import importlib.util
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import torvdw
 from torvdw.cli import _COMMANDS, _config_echo, build_parser, main
 from torvdw.dispersion import critical_ratio, particle_model, sweep_contour
 from torvdw.errors import FarSourceWarning
@@ -219,6 +223,14 @@ class TestSweepRatio:
         for zp in (1.0, 2.0, 3.0):
             assert crossings[f"zp={zp:g}"] == critical_ratio(zp, 1.0, p, search=(1.5, 10.0))
 
+    def test_crossing_outside_the_range_is_null(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep-ratio", "--b", "1", "--zp", "1", "--ratio-min", "1.5",
+            "--ratio-max", "3", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["zero_crossings_a_over_b"] == {"zp=1": None}
+
     def test_every_column_turns_repulsive(self, capsys):
         code, out, _ = run_cli(
             capsys, "sweep-ratio", "--b", "1", "--zp", "1", "--zp", "4",
@@ -354,6 +366,8 @@ class TestConfigurationBounds:
             ["vdw", "--a", "5", "--b", "1", "--ncap", "3", "--out", "f.csv"],
             ["vdw", "--a", "5", "--b", "1", "--zmin", "0", "--zmax", "0", "--zpoints", "2"],
             ["vdw", "--a", "5", "--b", "1", "--zmin=1e80", "--zmax=2e80", "--quantity", "force"],
+            ["sweep-ratio", "--b", "1", "--ratio-min", "1"],
+            ["sweep-ratio", "--b", "1", "--zp", "0"],
         ],
         ids=lambda argv: "_".join(a.lstrip("-") for a in argv),
     )
@@ -477,6 +491,24 @@ class TestOutputContracts:
             "     'f.csv' using 1:4 with lines, \\\n"
             "     'f.csv' using 1:5 with lines\n"
         )
+
+    @pytest.mark.parametrize("argv, stderr", [
+        (["potential", "--a", "5", "--b", "1", "--source-z", "1e7", "--zpoints", "3"],
+         "warning: source at |z| = 10000000.0 nm is beyond 1e+06 focal lengths; "
+         "the induced potential is vanishingly small\n"),
+        (["charge-energy", "--a", "5", "--b", "1", "--zmin=2e80", "--zmax=3e80",
+          "--zpoints", "2"],
+         "warning: source at |z| = 3e+80 nm is beyond 1e+06 focal lengths; "
+         "the induced potential is vanishingly small\n"),
+    ], ids=["potential", "charge-energy"])
+    def test_warning_is_one_stderr_line(self, tmp_path, argv, stderr):
+        # run as a user does, under Python's default warning filters
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = str(Path(torvdw.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "torvdw.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stderr == stderr
 
     def test_json_schema(self, capsys):
         code, out, _ = run_cli(

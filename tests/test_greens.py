@@ -358,6 +358,11 @@ class TestArrayCalls:
 
 
 class TestTruncationRule:
+    @pytest.mark.parametrize("policy", [{"rel_tol": 0.0}, {"rel_tol": 1.0}, {"n_cap": 7}])
+    def test_policy_out_of_bounds_refused(self, geom51, policy):
+        with pytest.raises(ValueError, match=next(iter(policy))):
+            axial_greens(geom51, **policy)
+
     def test_tail_estimate_of_failed_column(self):
         # column 0 converges; column 1 has ratio 1/2 at its end, column 2 a
         # zero before its last term

@@ -183,6 +183,11 @@ class TestHarmonicTable:
         with pytest.raises(ValueError):
             legendre_p_half(np.array([2.0, 0.5]), 10)
 
+    @pytest.mark.parametrize("z, n_max", [(2.0, -1), (np.full((2, 2), 2.0), 3)])
+    def test_legendre_p_half_bad_arguments_rejected(self, z, n_max):
+        with pytest.raises(ValueError):
+            legendre_p_half(z, n_max)
+
     def test_near_singular_argument_rejected(self):
         with pytest.raises(NearSingularArgumentError):
             harmonic_table(1.0 + 1e-13, 10)
