@@ -9,10 +9,10 @@ specfun that seeds the series, so agreement with the separable series is
 a genuine cross-check rather than a shared code path.
 
 Kress's log-split Nyström rule (*Linear Integral Equations*, 3rd ed.,
-12.3) on n nodes equispaced in s and graded by tan(t/2) = tan(s/2) /
-lambda, lambda = min(1, sqrt(a/b - 1)): a Möbius map of the circle that
-packs nodes at the inner equator by 1/lambda (Boyd, *Chebyshev and Fourier
-Spectral Methods*, ch. 16).  On the circle 1 - m is the squared chord over
+12.3) on an even number n of nodes equispaced in s and graded by
+tan(t/2) = tan(s/2) / lambda, lambda = min(1, sqrt(a/b - 1)): a Möbius
+map of the circle that packs nodes at the inner equator by 1/lambda (Boyd,
+*Chebyshev and Fourier Spectral Methods*, ch. 16).  On the circle 1 - m is the squared chord over
 R_max^2 and K(m) = -K(1 - m) ln(1 - m) / pi + (analytic in 1 - m; DLMF
 19.12), so the kernel is k1 ln(4 sin^2((s - s')/2)) + k2 with k1, k2
 smooth.  Kress's weights integrate the log part and the trapezoidal rule
@@ -178,17 +178,16 @@ def ring_potential(r: float, z: float, r0: float, z0: float, charge: float) -> f
 def _log_weights(n: int) -> np.ndarray:
     """Kress's weights R_d less the log they integrate, by node offset d:
     c_d = n R_d / (2 pi) - ln(4 sin^2(pi d / n)) (no log at d = 0), where
-    n R_d / (2 pi) = -2 sum_k a_k cos(2 pi k d / n), a_k = 1/k up to
-    k = (n - 1) // 2 and a_{n/2} = 1/n for even n.  Rounding makes c_{n - d}
-    and c_d differ in their last bits; c_{n - d} is set to c_d, d < n / 2."""
+    n R_d / (2 pi) = -2 sum_k a_k cos(2 pi k d / n), a_k = 1/k for
+    0 < k < n / 2 and a_{n/2} = 1/n, n even.  Rounding makes c_{n - d} and
+    c_d differ in their last bits; c_{n - d} is set to c_d, d < n / 2."""
     a = np.zeros(n)
-    k = np.arange(1, (n + 1) // 2)
+    k = np.arange(1, n // 2)
     a[k] = 1.0 / k
-    if n % 2 == 0:
-        a[n // 2] = 1.0 / n
+    a[n // 2] = 1.0 / n
     c = -2.0 * np.fft.fft(a).real
     c[1:] -= np.log(4.0 * np.sin(np.pi * np.arange(1, n) / n) ** 2)
-    c[:n // 2:-1] = c[1:(n + 1) // 2]
+    c[:n // 2:-1] = c[1:n // 2]
     return c
 
 
@@ -198,13 +197,13 @@ def _pair_tables(n: int):
     40 bytes a pair of the upper triangle (i, j), j >= i, in row order:
     c = _log_weights(n); each row's length; the columns j; the flat
     positions of (i, j) and (j, i) in a k x k plane; c at each pair's two
-    offsets; the flat positions of the self-pairs in the stacked pairs."""
-    k = n - n // 2
+    offsets; the flat positions of the self-pairs (i, i) of the same-side
+    kernel."""
+    k = n // 2
     i, j = np.triu_indices(k)
     c = _log_weights(n)
     tables = (c, np.arange(k, 0, -1), j, i * k + j, j * k + i,
-              c.take(np.stack([(i - j) % n, (i + j + 1) % n])),
-              np.flatnonzero(np.stack([i == j, (i == j) & (i == n // 2)])))
+              c.take(np.stack([(i - j) % n, (i + j + 1) % n])), np.flatnonzero(i == j))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -217,15 +216,14 @@ _CACHED_NODES = 512
 
 def _half_kernels(r, z, tables) -> np.ndarray:
     """The same-side and the mirror kernel of the lower half, stacked,
-    (2, k, k) for its k = n - n // 2 nodes: (K(m) - K(1 - m) c_d / pi) / R_max
+    (2, k, k) for its k = n / 2 nodes: (K(m) - K(1 - m) c_d / pi) / R_max
     between node i and node j, respectively node j's mirror n - 1 - j, with
     c = _log_weights(n) at the offset d = i - j, respectively i + j + 1
     (mod n), from tables = _pair_tables(n).  Both are symmetric in (i, j),
     since c_{n - d} = c_d, so the kernel is evaluated on their upper
     triangles only, k (k + 1) pairs in all, and scattered to both
-    triangles.  Entries that pair a node with itself (the same-side
-    diagonal and, for odd n, the middle node with its own mirror) are
-    placeholders for the caller to replace."""
+    triangles.  The same-side diagonal, where a node meets itself, is a
+    placeholder for the caller to replace."""
     k = len(r)
     _, rows, j, to_ij, to_ji, c_pairs, self_pairs = tables
     z_j = z.take(j)
@@ -242,16 +240,15 @@ def _half_kernels(r, z, tables) -> np.ndarray:
 
 @dataclass
 class BemMesh:
-    """Graded Nyström nodes at s_j = -pi + 2 pi (j + 1/2) / n,
+    """Graded Nyström nodes at s_j = -pi + 2 pi (j + 1/2) / n, n even,
     mirror-symmetric about z = 0.
 
     Node ``n - 1 - j`` is the exact mirror of node j (same r and weight,
-    negated z); for odd n the middle node lies on z = 0.  Nodes
-    ``0 .. h - 1``, h = n // 2, are the lower half.  The kernel sees
-    heights only through (z - z')^2 and the weights only |s - s'|, so the
-    Nyström matrix A decouples into an even block E = A_same + A_mirror
-    and an odd block O = A_same - A_mirror over the lower half, both from
-    its rows alone; for odd n the middle node adds a row and column to E.
+    negated z), so no node lies on z = 0.  Nodes ``0 .. h - 1``,
+    h = n / 2, are the lower half.  The kernel sees heights only through
+    (z - z')^2 and the weights only |s - s'|, so the Nyström matrix A
+    decouples into an even block E = A_same + A_mirror and an odd block
+    O = A_same - A_mirror over the lower half, both from its rows alone.
     The blocks are built lazily and cached; each solve factors them afresh.
     """
 
@@ -263,22 +260,20 @@ class BemMesh:
     _blocks: tuple | None = field(default=None, repr=False, compare=False)
 
     def blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """The even block E, (n - h) x (n - h), and the odd block O, h x h."""
+        """The even block E and the odd block O, h x h each."""
         if self._blocks is None:
-            n = self.n_panels
-            h, k = n // 2, n - n // 2
-            r, ds = self.r[:k], self.ds[:k]
+            n, h = self.n_panels, self.n_panels // 2
+            r, ds = self.r[:h], self.ds[:h]
             tables = (_pair_tables if n <= _CACHED_NODES else _pair_tables.__wrapped__)(n)
             # column j's weight; its mirror node n - 1 - j has the same
-            same, mirror = _half_kernels(r, self.z[:k], tables) * (4.0 * r * ds)
+            same, mirror = _half_kernels(r, self.z[:h], tables) * (4.0 * r * ds)
             # k2's limit on the diagonal, 2 b t' ln(8 r / (b t')), with the
             # log part's own weight; b t' = n ds / (2 pi).
             np.fill_diagonal(same, ds * (
                 2.0 * np.log(16.0 * math.pi * r / (n * ds)) - tables[0][0]))
-            odd = same[:h, :h] - mirror[:h, :h]
-            even = same  # the last column is the middle node's for odd n
-            even[:, :h] += mirror[:, :h]
-            self._blocks = (even, odd)
+            odd = same - mirror
+            same += mirror  # in place: a third h x h array costs page faults
+            self._blocks = (same, odd)
         return self._blocks
 
     def lu(self, parts):
@@ -296,64 +291,50 @@ class BemMesh:
         at its mirror node the odd part changes sign.
         """
         even, odd = self.blocks()
-        h = odd.shape[0]
-        lower = _unfold(0.5 * even[:, :h], 0.5 * odd)
-        middle = _unfold(even[:, h:], np.zeros((h, even.shape[0] - h)))
-        upper = _unfold(0.5 * even[:, :h], -0.5 * odd)
-        return np.hstack([lower, middle, upper[:, ::-1]])
+        lower = _unfold(0.5 * even, 0.5 * odd)
+        upper = _unfold(0.5 * even, -0.5 * odd)
+        return np.hstack([lower, upper[:, ::-1]])
 
 
-def _fold(v: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
+def _fold(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Even and odd parts of a node vector (or of each column) over the
-    lower half; the even part carries the middle node of an odd mesh."""
-    upper = v[::-1][:h]
-    even = v[:len(v) - h].copy()
-    even[:h] = 0.5 * (v[:h] + upper)
-    return even, 0.5 * (v[:h] - upper)
+    lower half."""
+    lower, upper = np.split(v, 2)
+    upper = upper[::-1]
+    return 0.5 * (lower + upper), 0.5 * (lower - upper)
 
 
 def _unfold(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
     """The node vector whose even and odd parts are given (inverse of
     _fold); 2-d parts are unfolded column by column."""
-    k, h = len(even), len(odd)
-    v = np.empty((k + h,) + even.shape[1:])
-    v[:k] = even
-    v[:h] += odd
-    v[::-1][:h] = even[:h] - odd
-    return v
+    return np.concatenate([even + odd, (even - odd)[::-1]])
 
 
 def _condition(mesh: BemMesh) -> float:
-    """2-norm condition number of the Nyström matrix, from its blocks: with
-    the middle node's row and column rescaled by sqrt(2) they are the matrix
-    in an orthonormal even/odd basis, so their singular values are its own."""
-    even, odd = mesh.blocks()
-    h = odd.shape[0]
-    even = even.copy()
-    even[:h, h:] *= math.sqrt(2.0)
-    even[h:, :h] /= math.sqrt(2.0)
-    s = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in (even, odd)])
+    """2-norm condition number of the Nyström matrix, from its blocks: they
+    are the matrix in an orthonormal even/odd basis, so their singular
+    values are its own."""
+    s = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in mesh.blocks()])
     return float(s.max() / s.min())
 
 
 def build_mesh(geom: ToroidGeometry, n_panels: int) -> BemMesh:
     """Place n_panels graded Nyström nodes on the meridian circle, the upper
     half the exact mirror image of the lower, so that the even/odd split of
-    the system is exact.  Fewer than 16 nodes raise MeshError."""
+    the system is exact.  An odd count, or fewer than 16 nodes, raises
+    MeshError."""
     n_panels = int(n_panels)
-    if n_panels < 16:
-        raise MeshError(f"need at least 16 nodes, got {n_panels}")
+    if n_panels < 16 or n_panels % 2:
+        raise MeshError(f"need an even node count of at least 16, got {n_panels}")
     a, b = geom.a, geom.b
     lam = min(1.0, math.sqrt((a - b) / b))
-    h = n_panels // 2
-    half_s = -0.5 * math.pi + (np.arange(n_panels - h) + 0.5) * (math.pi / n_panels)
-    half_s[h:] = 0.0  # the middle node of an odd mesh
-    psi = 2.0 * np.arctan(np.tan(half_s) / lam)  # tube angle, (-pi, 0]
+    half_s = -0.5 * math.pi + (np.arange(n_panels // 2) + 0.5) * (math.pi / n_panels)
+    psi = 2.0 * np.arctan(np.tan(half_s) / lam)  # tube angle, (-pi, 0)
     dt = lam / ((lam * np.cos(half_s)) ** 2 + np.sin(half_s) ** 2)  # t'(s)
     r, z = a + b * np.cos(psi), b * np.sin(psi)
 
     def mirrored(x, sign):
-        return np.concatenate([x, sign * x[h - 1::-1]])
+        return np.concatenate([x, sign * x[::-1]])
 
     return BemMesh(geometry=geom, n_panels=n_panels, r=mirrored(r, 1.0),
                    z=mirrored(z, -1.0), ds=mirrored(b * dt * (2.0 * math.pi / n_panels), 1.0))
@@ -381,7 +362,7 @@ def _solve(mesh: BemMesh, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     raises SolverError, with the Nyström matrix's condition number, when
     that residual exceeds RESIDUAL_LIMIT or is NaN.
     """
-    parts = _fold(rhs, mesh.n_panels // 2)
+    parts = _fold(rhs)
     halves = mesh.lu(parts)
     resid = _unfold(*(block @ x - part
                       for block, x, part in zip(mesh.blocks(), halves, parts)))

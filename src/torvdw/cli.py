@@ -305,6 +305,10 @@ def cmd_sweep_ratio(args) -> int:
     zp_list = args.zp if args.zp else [1.0, 2.0, 3.0]
     if any(z <= 0.0 for z in zp_list):
         raise ValueError("--zp heights must be positive")
+    # each height names a column and a crossing by its six significant digits
+    labels = [f"{zp:g}" for zp in zp_list]
+    if len(set(labels)) < len(labels):
+        raise ValueError(f"--zp heights must differ in six significant digits, got {labels}")
     ratios = _ratios(args)
     p = particle_model(args.d2z, unit=args.d2z_unit)
 
@@ -312,14 +316,14 @@ def cmd_sweep_ratio(args) -> int:
     with np.errstate(over="ignore"):  # a radius past the float range is refused
         a_values = ratios * args.b
     table = sweep_contour(a_values, zp_list, args.b, p, **series).force.T
-    columns = ["a_over_b"] + [f"F_zp{zp:g}_eV_per_nm" for zp in zp_list]
+    columns = ["a_over_b"] + [f"F_zp{label}_eV_per_nm" for label in labels]
     crossings = {}
-    for zp in zp_list:
+    for zp, label in zip(zp_list, labels):
         try:
-            crossings[f"zp={zp:g}"] = critical_ratio(
+            crossings[f"zp={label}"] = critical_ratio(
                 zp, args.b, p, (args.ratio_min, args.ratio_max), **series)
         except RangeExceededError:
-            crossings[f"zp={zp:g}"] = None
+            crossings[f"zp={label}"] = None
     return _emit_table(args, columns, np.column_stack([ratios, table]).tolist(),
                        {"zero_crossings_a_over_b": crossings},
                        _plot(columns, range(2, len(columns) + 1)))

@@ -337,6 +337,14 @@ def critical_ratio(
     RangeExceededError
         If the force is already repulsive at the low end or never becomes
         repulsive by the high end; carries the bound that was hit.
+    TruncationError
+        If the moment series at a shape in the search range does not
+        converge within n_cap terms (a thin-hole low end such as 1.00001
+        at the default cap).
+    ValueError
+        For z_p or b not finite and positive, a search range not ordered
+        as 1 < lo < hi < inf, or an end whose toroid leaves the float range
+        (search = (1.5, 1e200) at b = 1).
     """
     if not (0.0 < z_p < math.inf and 0.0 < b < math.inf):
         raise ValueError(f"need finite z_p > 0 and b > 0, got z_p = {z_p}, b = {b}")

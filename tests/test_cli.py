@@ -368,6 +368,9 @@ class TestConfigurationBounds:
             ["vdw", "--a", "5", "--b", "1", "--zmin=1e80", "--zmax=2e80", "--quantity", "force"],
             ["sweep-ratio", "--b", "1", "--ratio-min", "1"],
             ["sweep-ratio", "--b", "1", "--zp", "0"],
+            # heights that share a column name
+            ["sweep-ratio", "--b", "1", "--zp", "1", "--zp", "1.0000001"],
+            ["sweep-ratio", "--b", "1", "--zp", "1", "--zp", "1"],
         ],
         ids=lambda argv: "_".join(a.lstrip("-") for a in argv),
     )

@@ -415,6 +415,9 @@ class TestCriticalRatio:
         with pytest.raises(RangeExceededError) as exc:
             critical_ratio(1.0, 1.0, particle, search=(6.0, 1000.0))
         assert exc.value.bound == pytest.approx(6.0)
+        # a thin-hole low end is not bracketed: its moment series runs past n_cap
+        with pytest.raises(TruncationError, match="after 2001 terms"):
+            critical_ratio(1.0, 1.0, particle, search=(1.00001, 10.0))
 
     def test_input_validation(self, particle):
         with pytest.raises(ValueError):
@@ -422,7 +425,8 @@ class TestCriticalRatio:
         with pytest.raises(ValueError):
             critical_ratio(1.0, 1.0, particle, search=(0.5, 10.0))
 
-    @pytest.mark.parametrize("search", [(1.01, math.inf), (math.nan, 10.0)])
+    # the last range is finite, but a/b = 1e200 gives a toroid past the float range
+    @pytest.mark.parametrize("search", [(1.01, math.inf), (math.nan, 10.0), (1.5, 1e200)])
     def test_nonfinite_search_rejected(self, particle, search):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
