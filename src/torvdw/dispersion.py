@@ -332,6 +332,10 @@ def critical_ratio(
     bisection) finds the root in u = log(a/b) to |du| <= 1e-14, with
     dR_n/dz = 1 / ((1 - z^2) P_n^2) from the Wronskian (DLMF 14.2(iv)).
 
+    p is never read: <d_z^2> only scales the force, so its sign and the
+    root do not depend on it.  It stays a parameter because callers pass
+    it positionally, and every particle model gives the same root.
+
     Raises
     ------
     RangeExceededError

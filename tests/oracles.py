@@ -70,32 +70,30 @@ def ellpk_reference(x):
 
 
 def nystrom_blocks_reference(mesh):
-    """The even and odd blocks of a BemMesh, assembled as bem did before its
-    kernel pass used per-node-count tables: the same-side and mirror kernels
-    on the upper triangle of the lower half, moduli from R_max =
-    hypot(r + r', z - z'), scattered to both triangles by fancy indexing,
-    then column-weighted, the diagonal replaced and the two folded."""
+    """The even and odd blocks of a BemMesh (n nodes, n even), assembled as
+    bem did before its kernel pass used per-node-count tables: the
+    same-side and mirror kernels on the upper triangle of the lower half,
+    moduli from R_max = hypot(r + r', z - z'), scattered to both triangles
+    by fancy indexing, then column-weighted, the diagonal replaced and the
+    two folded."""
     n = mesh.n_panels
-    h, k = n // 2, n - n // 2
-    r, z, ds = mesh.r[:k], mesh.z[:k], mesh.ds[:k]
+    h = n // 2
+    r, z, ds = mesh.r[:h], mesh.z[:h], mesh.ds[:h]
     c = _log_weights(n)
-    i, j = np.triu_indices(k)
+    i, j = np.triu_indices(h)
     dz = z[i] - np.stack([z[j], -z[j]])
     rmax = np.hypot(r[i] + r[j], dz)
     u, v = (r[i] - r[j]) / rmax, dz / rmax
     p = u * u + v * v
-    p[np.stack([i == j, (i == j) & (i == n // 2)])] = 0.5
+    p[0, i == j] = 0.5
     km, kc = ellpk_reference(np.stack([p, 1.0 - p]))
     cij = c[np.stack([(i - j) % n, (i + j + 1) % n])]
-    kernels = np.empty((2, k, k))
+    kernels = np.empty((2, h, h))
     kernels[:, i, j] = kernels[:, j, i] = (km - kc * cij / math.pi) / rmax
     same, mirror = kernels * (4.0 * r * ds)
-    diag = np.arange(k)
+    diag = np.arange(h)
     same[diag, diag] = ds * (2.0 * np.log(16.0 * math.pi * r / (n * ds)) - c[0])
-    odd = same[:h, :h] - mirror[:h, :h]
-    even = same
-    even[:, :h] += mirror[:, :h]
-    return even, odd
+    return same + mirror, same - mirror
 
 
 def vh_reference(r, z, sol):

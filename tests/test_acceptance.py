@@ -39,6 +39,8 @@ from torvdw.errors import NoSignChangeError
 from torvdw.geometry import axis_eta_from_z
 from torvdw.greens import _vh_reduced, inverse_distance_series, surface_residual
 from torvdw.validate import (
+    _far_field_samples,
+    _slope,
     check_bem_vs_series,
     check_expansion_identity,
     check_far_field_slope,
@@ -196,6 +198,12 @@ def test_criterion_07_far_field_power_law():
         result.passed and result.threshold == 0.05
         and result.detail.endswith("over z in [50a, 500a]"),
     )
+
+
+def test_criterion_07_closed_form_slope_is_polyfit():
+    # the check fits the slope in closed form; polyfit's least squares agree
+    x, y = _far_field_samples()
+    assert _slope(x, y) == pytest.approx(np.polyfit(x, y, 1)[0], rel=1e-12, abs=0.0)
 
 
 @pytest.mark.xfail(

@@ -338,6 +338,13 @@ class TestCriticalRatio:
             assert v == pytest.approx(CRITICAL_RATIOS_B1[z_p], rel=1e-12)
         assert values[0] < values[1] < values[2]
 
+    def test_root_does_not_depend_on_the_particle(self, particle):
+        # <d_z^2> scales the force, not its sign
+        other = particle_model(1e3, unit="debye2")
+        assert other.d2z != particle.d2z
+        for z_p in (0.5, 2.0):
+            assert critical_ratio(z_p, 1.0, other) == critical_ratio(z_p, 1.0, particle)
+
     @pytest.mark.parametrize("z_p", [1.0, 3.0])
     def test_root_is_a_sign_change_at_40_digits(self, particle, z_p):
         ratio = critical_ratio(z_p, 1.0, particle)

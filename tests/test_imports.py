@@ -62,3 +62,51 @@ def test_validate_runs_with_scipy_refused():
                          capture_output=True, text=True, env=_env())
     assert out.returncode == 0, out.stderr
     assert "validation: PASS" in out.stdout
+
+
+_RUN = """
+import contextlib, io, json, runpy, sys
+
+sys.argv, code = ["torvdw", *json.loads(sys.argv[1])], 0
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("torvdw.cli", run_name="__main__")
+    except SystemExit as stop:
+        code = stop.code or 0
+print(json.dumps([code, "numpy.random" in sys.modules]))
+"""
+
+
+def _run_fresh(argv):
+    """(exit code, numpy.random loaded) after `python -m torvdw.cli argv`
+    in a fresh interpreter."""
+    out = subprocess.run([sys.executable, "-c", _RUN, json.dumps(argv)],
+                         capture_output=True, text=True, env=_env())
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+@pytest.fixture(scope="module")
+def numpy_loads_random():
+    # numpy 1.x imports numpy.random with numpy itself; 2.x loads it lazily
+    out = subprocess.run(
+        [sys.executable, "-c", "import numpy, sys; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    return out.stdout.strip() == "True"
+
+
+@pytest.mark.parametrize("argv", [
+    ["geom", "--a", "5", "--b", "1"],
+    ["potential", "--a", "5", "--b", "1"],
+    ["charge-energy", "--a", "5", "--b", "1"],
+    ["vdw", "--a", "5", "--b", "1"],
+    ["sweep-ratio", "--b", "1"],
+    ["contour", "--b", "1", "--out"],
+    ["validate"],
+], ids=lambda argv: argv[0])
+def test_commands_load_numpy_random_only_with_numpy(argv, tmp_path, numpy_loads_random):
+    if argv[-1] == "--out":
+        argv = [*argv, str(tmp_path / "contour")]
+    code, loaded = _run_fresh(argv)
+    assert code == 0
+    assert numpy_loads_random or not loaded
