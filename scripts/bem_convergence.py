@@ -4,14 +4,14 @@
 Measures the worst relative deviation of the oracle's induced potential
 from the separable-series value over a fixed set of exterior points, for
 node counts doubling from 16 to 512, with the time of each rung split in
-two: the assembly of the even and odd blocks (BemMesh.blocks) and the
-block solve (solve_induced_density on the assembled mesh: both LU solves
-and the residual check), each the best of `repeats` runs, in ms; and the
-time of one ring sum, bem_vh at one field point on the solution, the best
-of `repeats` runs of 100 calls, in µs.  The
-oracle converges geometrically: the gain, the factor by which a doubling
-cuts the error, grows until the error reaches the rounding floor, where it
-falls to about 1.
+two: build_mesh, which places the nodes and assembles the even and odd
+blocks, and the block solve (solve_induced_density on the mesh: both LU
+solves and the residual check), each the best of `repeats` runs, in ms;
+and the time of one ring sum, bem_vh at one field point on the solution,
+the best of `repeats` runs of 100 calls, in µs.  The oracle converges
+geometrically: the gain, the factor by which a doubling cuts the error,
+grows until the error reaches the rounding floor, where it falls to
+about 1.
 
 Run as a script, it pins BLAS to one thread before numpy loads, as the
 benchmark does, so the solve times are a serial baseline.
@@ -77,10 +77,8 @@ def study(a: float, b: float, panel_counts=(16, 32, 64, 128, 256, 512),
           f"{'field_us':>9}")
     prev = None
     for n in panel_counts:
-        meshes = [build_mesh(geom, n) for _ in range(repeats)]
-        fresh = iter(meshes)
-        assembly = _best_ms(lambda: next(fresh).blocks(), repeats)
-        mesh = meshes[-1]
+        assembly = _best_ms(lambda: build_mesh(geom, n), repeats)
+        mesh = build_mesh(geom, n)
         solve = _best_ms(lambda: solve_induced_density(mesh, src), repeats)
         sol = solve_induced_density(mesh, src)
         field = 1e3 * _best_ms(lambda: bem_vh(r[0], z[0], sol), repeats, calls=100)

@@ -241,7 +241,7 @@ def _half_kernels(r, z, tables) -> np.ndarray:
 @dataclass
 class BemMesh:
     """Graded Nyström nodes at s_j = -pi + 2 pi (j + 1/2) / n, n even,
-    mirror-symmetric about z = 0.
+    mirror-symmetric about z = 0, and the blocks of their system.
 
     Node ``n - 1 - j`` is the exact mirror of node j (same r and weight,
     negated z), so no node lies on z = 0.  Nodes ``0 .. h - 1``,
@@ -249,7 +249,7 @@ class BemMesh:
     (z - z')^2 and the weights only |s - s'|, so the Nyström matrix A
     decouples into an even block E = A_same + A_mirror and an odd block
     O = A_same - A_mirror over the lower half, both from its rows alone.
-    The blocks are built lazily and cached; each solve factors them afresh.
+    build_mesh assembles both; each solve factors them afresh.
     """
 
     geometry: ToroidGeometry
@@ -257,31 +257,14 @@ class BemMesh:
     r: np.ndarray     # ring radii
     z: np.ndarray     # ring heights
     ds: np.ndarray    # arc weight per node, b t'(s_j) 2 pi / n
-    _blocks: tuple | None = field(default=None, repr=False, compare=False)
-
-    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """The even block E and the odd block O, h x h each."""
-        if self._blocks is None:
-            n, h = self.n_panels, self.n_panels // 2
-            r, ds = self.r[:h], self.ds[:h]
-            tables = (_pair_tables if n <= _CACHED_NODES else _pair_tables.__wrapped__)(n)
-            # column j's weight; its mirror node n - 1 - j has the same
-            same, mirror = _half_kernels(r, self.z[:h], tables) * (4.0 * r * ds)
-            # k2's limit on the diagonal, 2 b t' ln(8 r / (b t')), with the
-            # log part's own weight; b t' = n ds / (2 pi).
-            np.fill_diagonal(same, ds * (
-                2.0 * np.log(16.0 * math.pi * r / (n * ds)) - tables[0][0]))
-            odd = same - mirror
-            same += mirror  # in place: a third h x h array costs page faults
-            self._blocks = (same, odd)
-        return self._blocks
+    blocks: tuple = field(repr=False, compare=False)  # (E, O), h x h each
 
     def lu(self, parts):
         """The block solve: the even and odd parts of a right-hand side (a
         vector, or one column per right-hand side) solved with the even and
         the odd block by LU with partial pivoting, np.linalg.solve, all
         columns at once.  Nothing is cached: each call factors both blocks."""
-        return [np.linalg.solve(block, part) for block, part in zip(self.blocks(), parts)]
+        return [np.linalg.solve(block, part) for block, part in zip(self.blocks, parts)]
 
     def collocation_matrix(self) -> np.ndarray:
         """Reduced potential at node i per unit surface density at node j.
@@ -290,7 +273,7 @@ class BemMesh:
         a density at lower node j has even and odd parts of half its size,
         at its mirror node the odd part changes sign.
         """
-        even, odd = self.blocks()
+        even, odd = self.blocks
         lower = _unfold(0.5 * even, 0.5 * odd)
         upper = _unfold(0.5 * even, -0.5 * odd)
         return np.hstack([lower, upper[:, ::-1]])
@@ -314,30 +297,39 @@ def _condition(mesh: BemMesh) -> float:
     """2-norm condition number of the Nyström matrix, from its blocks: they
     are the matrix in an orthonormal even/odd basis, so their singular
     values are its own."""
-    s = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in mesh.blocks()])
+    s = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in mesh.blocks])
     return float(s.max() / s.min())
 
 
 def build_mesh(geom: ToroidGeometry, n_panels: int) -> BemMesh:
     """Place n_panels graded Nyström nodes on the meridian circle, the upper
     half the exact mirror image of the lower, so that the even/odd split of
-    the system is exact.  An odd count, or fewer than 16 nodes, raises
-    MeshError."""
+    the system is exact, and assemble the even and odd blocks from the
+    lower half.  An odd count, or fewer than 16 nodes, raises MeshError."""
     n_panels = int(n_panels)
     if n_panels < 16 or n_panels % 2:
         raise MeshError(f"need an even node count of at least 16, got {n_panels}")
-    a, b = geom.a, geom.b
+    a, b, h = geom.a, geom.b, n_panels // 2
     lam = min(1.0, math.sqrt((a - b) / b))
-    half_s = -0.5 * math.pi + (np.arange(n_panels // 2) + 0.5) * (math.pi / n_panels)
+    half_s = -0.5 * math.pi + (np.arange(h) + 0.5) * (math.pi / n_panels)
     psi = 2.0 * np.arctan(np.tan(half_s) / lam)  # tube angle, (-pi, 0)
     dt = lam / ((lam * np.cos(half_s)) ** 2 + np.sin(half_s) ** 2)  # t'(s)
-    r, z = a + b * np.cos(psi), b * np.sin(psi)
+    r, z, ds = a + b * np.cos(psi), b * np.sin(psi), b * dt * (2.0 * math.pi / n_panels)
 
-    def mirrored(x, sign):
+    def mirrored(x, sign=1.0):
         return np.concatenate([x, sign * x[::-1]])
 
-    return BemMesh(geometry=geom, n_panels=n_panels, r=mirrored(r, 1.0),
-                   z=mirrored(z, -1.0), ds=mirrored(b * dt * (2.0 * math.pi / n_panels), 1.0))
+    r, z, ds = mirrored(r), mirrored(z, -1.0), mirrored(ds)
+    tables = (_pair_tables if n_panels <= _CACHED_NODES else _pair_tables.__wrapped__)(n_panels)
+    # column j's weight; its mirror node n - 1 - j has the same
+    same, mirror = _half_kernels(r[:h], z[:h], tables) * (4.0 * r[:h] * ds[:h])
+    # k2's limit on the diagonal, 2 b t' ln(8 r / (b t')), with the log
+    # part's own weight; b t' = n ds / (2 pi).
+    np.fill_diagonal(same, ds[:h] * (
+        2.0 * np.log(16.0 * math.pi * r[:h] / (n_panels * ds[:h])) - tables[0][0]))
+    odd = same - mirror
+    same += mirror  # in place: a third h x h array costs page faults
+    return BemMesh(geometry=geom, n_panels=n_panels, r=r, z=z, ds=ds, blocks=(same, odd))
 
 
 @dataclass(frozen=True)
@@ -365,7 +357,7 @@ def _solve(mesh: BemMesh, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     parts = _fold(rhs)
     halves = mesh.lu(parts)
     resid = _unfold(*(block @ x - part
-                      for block, x, part in zip(mesh.blocks(), halves, parts)))
+                      for block, x, part in zip(mesh.blocks, halves, parts)))
     residual = float(np.max(np.max(np.abs(resid), axis=0) / np.max(np.abs(rhs), axis=0)))
     if not residual <= RESIDUAL_LIMIT:
         raise SolverError(

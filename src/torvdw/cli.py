@@ -32,6 +32,8 @@ from .dispersion import (
 from .errors import RangeExceededError, TruncationError
 from .geometry import ToroidalCoords, surface_rz, toroid_from_radii
 from .greens import (
+    N_CAP,
+    REL_TOL,
     axial_greens,
     axial_source,
     charge_interaction_energy,
@@ -64,8 +66,8 @@ def _add_common(p: argparse.ArgumentParser, a: bool = True, table: bool = True,
     p.add_argument("--b", type=float, required=True, help="tube radius (nm)")
     if not table:
         return
-    p.add_argument("--tol", type=float, default=1e-12, help="series truncation tolerance")
-    p.add_argument("--ncap", type=int, default=2000, help="series term cap")
+    p.add_argument("--tol", type=float, default=REL_TOL, help="series truncation tolerance")
+    p.add_argument("--ncap", type=int, default=N_CAP, help="series term cap")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     if normalize:
         p.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=True,

@@ -49,6 +49,8 @@ from .errors import (
 )
 from .geometry import toroid_from_radii
 from .greens import (
+    N_CAP,
+    REL_TOL,
     AxialGreens,
     _truncated_sum,
     _two_minus_delta,
@@ -320,8 +322,8 @@ def critical_ratio(
     b: float,
     p: ParticleModel,
     search: tuple[float, float] = (1.01, 1000.0),
-    rel_tol: float = 1e-12,
-    n_cap: int = 2000,
+    rel_tol: float = REL_TOL,
+    n_cap: int = N_CAP,
 ) -> float:
     """Smallest a/b at which the force at height z_p turns repulsive.
 
@@ -411,8 +413,8 @@ def sweep_contour(
     z_values,
     b: float,
     p: ParticleModel,
-    rel_tol: float = 1e-12,
-    n_cap: int = 2000,
+    rel_tol: float = REL_TOL,
+    n_cap: int = N_CAP,
 ) -> SweepGrid:
     """Force over the (a, z_p) grid; per-column failures recorded, not fatal.
 

@@ -56,6 +56,10 @@ __all__ = [
     "vh_potential_info",
 ]
 
+#: The default truncation of every series: relative tolerance and term cap.
+REL_TOL = 1e-12
+N_CAP = 2000
+
 #: |z_src| beyond this multiple of f is physically a detached source; the
 #: (1 - cos eta') factor then underflows toward zero.
 FAR_SOURCE_FACTOR = 1e6
@@ -130,8 +134,8 @@ def _table_size(xi: float, rel_tol: float, n_cap: int) -> int:
     return max(4, min(n_cap, need, horizon))
 
 
-def axial_greens(geom: ToroidGeometry, rel_tol: float = 1e-12,
-                 n_cap: int = 2000) -> AxialGreens:
+def axial_greens(geom: ToroidGeometry, rel_tol: float = REL_TOL,
+                 n_cap: int = N_CAP) -> AxialGreens:
     """Build the evaluator for the given toroid and truncation policy."""
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")

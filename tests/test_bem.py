@@ -370,12 +370,15 @@ class TestMirrorBlocks:
 
         monkeypatch.setattr(bem_module, "_ring_moduli", counting)
         mesh = build_mesh(geom53, n)
+        assembly = sum(evals)
         solve_induced_density(mesh, axial_source(1.0, geom53))
         mesh.collocation_matrix()
-        # the upper triangles of the lower half's same-side and mirror
-        # kernels, once: k (k + 1) pairs, about a quarter of n^2
-        k = n - n // 2
-        assert sum(evals) == k * (k + 1)
+        # build_mesh evaluates the upper triangles of the lower half's
+        # same-side and mirror kernels, k (k + 1) pairs, about a quarter of
+        # n^2; the solve and the dense matrix evaluate none
+        k = n // 2
+        assert assembly == k * (k + 1)
+        assert sum(evals) - assembly == 0
 
     @pytest.mark.parametrize("n", [64, 66])
     def test_solver_error_carries_full_condition_number(self, geom53, monkeypatch, n):
@@ -392,18 +395,15 @@ class TestMirrorBlocks:
         # the same-side and mirror kernels are bitwise symmetric off the
         # diagonal; the blocks are their column-weighted sums and differences
         mesh = build_mesh(geom53, n)
-        h, k = n // 2, n - n // 2
-        same, mirror = _half_kernels(mesh.r[:k], mesh.z[:k], _pair_tables(n))
-        off = ~np.eye(k, dtype=bool)
+        h = n // 2
+        same, mirror = _half_kernels(mesh.r[:h], mesh.z[:h], _pair_tables(n))
+        off = ~np.eye(h, dtype=bool)
         for kernel in (same, mirror):
             assert np.array_equal(kernel[off], kernel.T[off])
-        even, odd = mesh.blocks()
-        w = 4.0 * mesh.r[:k] * mesh.ds[:k]
-        expected = same * w
-        np.testing.assert_array_equal(odd[off[:h, :h]],
-                                      (expected - mirror * w)[:h, :h][off[:h, :h]])
-        expected[:, :h] += (mirror * w)[:, :h]
-        np.testing.assert_array_equal(even[off], expected[off])
+        even, odd = mesh.blocks
+        w = 4.0 * mesh.r[:h] * mesh.ds[:h]
+        np.testing.assert_array_equal(odd[off], (same * w - mirror * w)[off])
+        np.testing.assert_array_equal(even[off], (same * w + mirror * w)[off])
 
     def test_nan_residual_fails_the_gate(self, geom53, monkeypatch):
         monkeypatch.setattr(bem_module.BemMesh, "lu",
@@ -423,7 +423,7 @@ class TestPinnedToReference:
     @pytest.mark.parametrize("n", [64, 66, 100, 400])
     def test_blocks_bitwise(self, ratio, n):
         mesh = build_mesh(toroid_from_radii(2.0 * ratio, 2.0), n)
-        for got, want in zip(mesh.blocks(), nystrom_blocks_reference(mesh)):
+        for got, want in zip(mesh.blocks, nystrom_blocks_reference(mesh)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_uncached_tables_bitwise_and_bounded(self, geom53):
@@ -432,7 +432,7 @@ class TestPinnedToReference:
         held = sum(t.nbytes for t in _pair_tables.__wrapped__(_CACHED_NODES))
         assert tables.maxsize * held < 6e6
         mesh = build_mesh(geom53, _CACHED_NODES + 2)
-        for got, want in zip(mesh.blocks(), nystrom_blocks_reference(mesh)):
+        for got, want in zip(mesh.blocks, nystrom_blocks_reference(mesh)):
             assert got.tobytes() == want.tobytes()
         after = _pair_tables.cache_info()
         assert (after.hits, after.misses) == (tables.hits, tables.misses)
