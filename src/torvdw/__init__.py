@@ -23,8 +23,6 @@ from .greens import (
 )
 from .specfun import (
     HarmonicTable,
-    elliptic_E,
-    elliptic_K,
     harmonic_table,
     legendre_p_half,
 )
@@ -40,8 +38,6 @@ __all__ = [
     "axis_eta_from_z",
     "cartesian_to_toroidal",
     "charge_interaction_energy",
-    "elliptic_E",
-    "elliptic_K",
     "harmonic_table",
     "inverse_distance_series",
     "legendre_p_half",

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +42,6 @@ __all__ = [
     "bem_mixed_derivative",
     "bem_vh",
     "build_mesh",
-    "ring_potential",
     "solve_induced_density",
     "total_induced_charge",
 ]
@@ -141,38 +139,6 @@ def _ring_sum(r_f, z_f, rings):
         raise SingularKernelError("field point lies on a ring")
     kernel = (1.0 / math.pi) * _ellpk(p, planes) / half  # (2/pi) K / R_max, the same bits
     return (charges * kernel).sum(axis=-1)
-
-
-def ring_potential(r: float, z: float, r0: float, z0: float, charge: float) -> float:
-    """Potential (V) at (r, z) of a uniformly charged ring of radius r0 at
-    height z0 carrying `charge` elementary charges.
-
-    On the axis this collapses to charge / sqrt(r0^2 + (z - z0)^2) times
-    K_E; far away it tends to the monopole charge / distance.  It is even
-    in r.
-
-    Raises
-    ------
-    ValueError
-        If an argument is not finite, or r0 is below the smallest normal
-        float (halving a subnormal radius loses it).
-    SingularKernelError
-        If the field point lies on the ring itself.
-    ResultOverflowError
-        If the potential exceeds the float64 range.
-    """
-    if not all(map(math.isfinite, (r, z, r0, z0, charge))):
-        raise ValueError(f"ring coordinates and charge must be finite, got "
-                         f"r={r}, z={z}, r0={r0}, z0={z0}, charge={charge}")
-    if r0 < sys.float_info.min:
-        raise ValueError(f"ring radius must be a positive normal float, got {r0}")
-    ring = (np.array([0.5 * r0]), np.array([0.5 * z0]), np.ones(1), _PQ_COLUMNS)
-    with np.errstate(over="ignore"):
-        value = K_E_EV_NM * charge * float(_ring_sum(0.5 * abs(r), 0.5 * z, ring))
-    if not math.isfinite(value):
-        raise ResultOverflowError(f"the potential of a ring of radius {r0} nm and charge "
-                                  f"{charge} e at (r, z) = ({r}, {z}) exceeds the float64 range")
-    return value
 
 
 def _log_weights(n: int) -> np.ndarray:
@@ -358,7 +324,8 @@ def _solve(mesh: BemMesh, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     halves = mesh.lu(parts)
     resid = _unfold(*(block @ x - part
                       for block, x, part in zip(mesh.blocks, halves, parts)))
-    residual = float(np.max(np.max(np.abs(resid), axis=0) / np.max(np.abs(rhs), axis=0)))
+    residual = float(np.max(np.max(np.abs(resid), axis=0) / np.max(np.abs(rhs), axis=0),
+                            initial=0.0))  # 0 for no columns
     if not residual <= RESIDUAL_LIMIT:
         raise SolverError(
             f"Nyström residual {residual:.2e} exceeds {RESIDUAL_LIMIT:g}",

@@ -423,12 +423,13 @@ def sweep_contour(
     whose moments do not converge within n_cap fails as a whole: its
     column is NaN, with one diagnostic per cell.  Columns are independent
     pure evaluations; the returned grid is immutable.  Each (a, b) goes
-    through toroid_from_radii, whose typed errors refuse a bad shape.
+    through toroid_from_radii, whose typed errors refuse a bad shape.  A
+    grid that is empty or not 1-d raises ValueError.
     """
     a_values = np.asarray(a_values, dtype=float)
     z_values = np.asarray(z_values, dtype=float)
-    if a_values.size == 0 or z_values.size == 0:
-        raise ValueError("a and z grids must be non-empty")
+    if not (a_values.ndim == z_values.ndim == 1 and a_values.size and z_values.size):
+        raise ValueError("a and z grids must be non-empty 1-d arrays")
     z_values = _heights(z_values)
 
     force = np.full((z_values.size, a_values.size), np.nan)

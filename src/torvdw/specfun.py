@@ -48,8 +48,6 @@ from .errors import NearSingularArgumentError, OverflowHorizonError
 
 __all__ = [
     "HarmonicTable",
-    "elliptic_K",
-    "elliptic_E",
     "harmonic_table",
     "legendre_p_half",
     "toroidal_seeds",
@@ -130,39 +128,6 @@ def _e_complement(p: float) -> float:
     if p < _E_UNIT_BELOW:
         return 1.0
     return (p / 3.0) * (_carlson_rd(0.0, p, 1.0) + _carlson_rd(0.0, 1.0, p))
-
-
-def elliptic_K(m: float) -> float:
-    """Complete elliptic integral of the first kind, parameter convention.
-
-    Parameters
-    ----------
-    m:
-        Parameter (the squared modulus), 0 <= m < 1.
-
-    Raises
-    ------
-    ValueError
-        Outside [0, 1); K diverges logarithmically at m = 1.
-    """
-    m = float(m)
-    if not 0.0 <= m < 1.0:
-        raise ValueError(f"elliptic_K parameter must satisfy 0 <= m < 1, got {m}")
-    return _k_complement(1.0 - m)
-
-
-def elliptic_E(m: float) -> float:
-    """Complete elliptic integral of the second kind, parameter convention.
-
-    Parameters
-    ----------
-    m:
-        Parameter (the squared modulus), 0 <= m <= 1.
-    """
-    m = float(m)
-    if not 0.0 <= m <= 1.0:
-        raise ValueError(f"elliptic_E parameter must satisfy 0 <= m <= 1, got {m}")
-    return _e_complement(1.0 - m)
 
 
 def toroidal_seeds(z: float) -> tuple[float, float, float]:

@@ -27,7 +27,12 @@ from torvdw.errors import (
     UnsupportedConfigurationError,
 )
 from torvdw.geometry import axis_eta_from_z
-from torvdw.greens import _vh_reduced, charge_interaction_energy, vh_potential
+from torvdw.greens import (
+    _vh_reduced,
+    charge_interaction_energy,
+    charge_interaction_energy_info,
+    vh_potential,
+)
 from torvdw.units import DEBYE2_TO_E2NM2, K_E_EV_NM
 
 from whole_range import HEIGHTS, TYPED_ERRORS, assert_scaled_by_inverse_cube
@@ -484,6 +489,12 @@ class TestSweep:
             sweep_contour([2.0], [], 1.0, particle)
         with pytest.raises(ValueError):
             sweep_contour([0.5], [1.0], 1.0, particle)
+        # grids that are not 1-d: one ValueError, not numpy's TypeError or
+        # broadcast message
+        with pytest.raises(ValueError, match="1-d"):
+            sweep_contour(3.0, [1.0], 1.0, particle)
+        with pytest.raises(ValueError, match="1-d"):
+            sweep_contour([3.0], [[1.0, 2.0], [3.0, 4.0]], 1.0, particle)
 
 
 class TestNonFiniteHeights:
@@ -790,3 +801,21 @@ def test_truncation_error_contract(name):
     assert math.isfinite(exc.value.partial_sum)
     assert math.isfinite(exc.value.bound) and exc.value.bound > 0.0
     assert exc.value.n_terms == 9  # n = 0..n_cap
+
+
+def test_charge_energy_needs_no_m2_terms():
+    # The charge energy sums M0 alone.  At a/b = 1.01 M0 stops before M2, so
+    # at every cap from M0's stop up to M2's the charge energy converges, to
+    # the bits of the default cap, while the moments, and U with them, raise
+    # TruncationError: charge_interaction_energy_info keeps its own M0 sum.
+    geom, particle = toroid_from_radii(1.01, 1.0), particle_model(1.0)
+    g = axial_greens(geom)
+    want = charge_interaction_energy(0.4, g)
+    m0_stop = charge_interaction_energy_info(0.4, g).n_used
+    moments_stop = int(force_profile([0.0], particle, g).n_used[0])
+    assert m0_stop < moments_stop
+    for n_cap in range(m0_stop, moments_stop):
+        starved = axial_greens(geom, n_cap=n_cap)
+        assert charge_interaction_energy(0.4, starved) == want
+        with pytest.raises(TruncationError):
+            vdw_energy(0.4, particle, starved)

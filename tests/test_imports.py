@@ -1,5 +1,8 @@
+import ast
+import importlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -110,3 +113,26 @@ def test_commands_load_numpy_random_only_with_numpy(argv, tmp_path, numpy_loads_
     code, loaded = _run_fresh(argv)
     assert code == 0
     assert numpy_loads_random or not loaded
+
+
+_MODULES = sorted(path.stem for path in
+                  (pathlib.Path(__file__).resolve().parent.parent / "src" / "torvdw").glob("*.py"))
+
+
+@pytest.mark.parametrize("stem", _MODULES)
+def test_exports_resolve_and_imports_are_used(stem):
+    # each name in a module's __all__ exists, and each name a module imports
+    # is read in it; __init__ imports to re-export, so only its __all__ counts
+    module = importlib.import_module("torvdw" if stem == "__init__" else f"torvdw.{stem}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+    if stem == "__init__":
+        return
+    tree = ast.parse(pathlib.Path(module.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - read) == []
