@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MeshError, ResultOverflowError, SingularKernelError, SolverError
-from .geometry import ToroidGeometry
-from .greens import AxialSource, axial_source
+from .geometry import ToroidGeometry, _axis_heights
+from .greens import AxialSource, _checked_source
 from .units import K_E_EV_NM
 
 __all__ = [
@@ -400,7 +400,8 @@ def bem_mixed_derivative(z, z_prime, geom: ToroidGeometry, n_panels: int = 400):
 
     z and z_prime are scalars (a float is returned) or broadcastable arrays
     (an array of their shape): one mesh, one factorization and one solve
-    with a column per source height.
+    with a column per source height.  Far sources draw one FarSourceWarning
+    per call.
 
     Raises
     ------
@@ -412,11 +413,9 @@ def bem_mixed_derivative(z, z_prime, geom: ToroidGeometry, n_panels: int = 400):
         If the derivative exceeds the float64 range (a toroid far below
         1 nm).
     """
-    z, z_prime = np.broadcast_arrays(np.asarray(z, dtype=float),
-                                     np.asarray(z_prime, dtype=float))
-    if not np.all(np.isfinite(z)):
-        raise ValueError(f"field heights must be finite, got {z}")
-    z_src = np.array([axial_source(zp, geom).z_src for zp in z_prime.flat])
+    z_prime, _ = _checked_source(z_prime, 1.0, geom.f)
+    z, z_prime = np.broadcast_arrays(_axis_heights(z, "field heights"), z_prime)
+    z_src = z_prime.ravel()
     mesh = build_mesh(geom, n_panels)
     dz_src = mesh.z[:, None] - z_src
     dist = np.hypot(mesh.r[:, None], dz_src)

@@ -45,9 +45,8 @@ from .errors import (
     RangeExceededError,
     ResultOverflowError,
     TruncationError,
-    UnsupportedConfigurationError,
 )
-from .geometry import toroid_from_radii
+from .geometry import _axis_heights, toroid_from_radii
 from .greens import (
     N_CAP,
     REL_TOL,
@@ -87,32 +86,10 @@ class ParticleModel:
                              "prefactor; it must stay finite")
 
 
-def particle_model(
-    d2z: float,
-    unit: str = "e2nm2",
-    d2x: float = 0.0,
-    d2y: float = 0.0,
-) -> ParticleModel:
-    """Build the particle model.
-
-    Only the axial fluctuation enters the on-axis interaction; transverse
-    components would need the off-axis derivative machinery this model
-    does not carry, so nonzero d2x/d2y are rejected rather than ignored.
-    """
-    if d2x != 0.0 or d2y != 0.0:
-        raise UnsupportedConfigurationError(
-            "only axially polarizable particles are supported; "
-            f"got <d_x^2> = {d2x}, <d_y^2> = {d2y}"
-        )
+def particle_model(d2z: float, unit: str = "e2nm2") -> ParticleModel:
+    """Build the axially polarizable particle model: only the axial
+    fluctuation enters the on-axis interaction."""
     return ParticleModel(d2z=d2z_to_e2nm2(float(d2z), unit))
-
-
-def _heights(z_p) -> np.ndarray:
-    """Particle heights as a 1-d float array; non-finite heights are refused."""
-    z_arr = np.atleast_1d(np.asarray(z_p, dtype=float))
-    if not np.all(np.isfinite(z_arr)):
-        raise ValueError("particle heights must be finite")
-    return z_arr
 
 
 def _scaled(z_p: np.ndarray, f: float):
@@ -186,7 +163,7 @@ def gh_mixed_derivative(z: float, z_prime: float, g: AxialGreens) -> float:
     Raises
     ------
     ValueError
-        For a non-finite height.
+        For a non-finite height, or an array of them.
     TruncationError
         If the differentiated series does not converge within the cap.
     ResultOverflowError
@@ -194,8 +171,9 @@ def gh_mixed_derivative(z: float, z_prime: float, g: AxialGreens) -> float:
         1 nm).
     """
     f = g.geometry.f
-    if not (math.isfinite(z) and math.isfinite(z_prime)):
-        raise ValueError(f"axis heights must be finite, got z = {z}, z' = {z_prime}")
+    z, z_prime = _axis_heights(z, "axis heights"), _axis_heights(z_prime, "axis heights")
+    if z.ndim or z_prime.ndim:
+        raise ValueError("gh_mixed_derivative takes one pair of axis heights, not arrays")
     w = _two_minus_delta(g.table.n_max) * g.table.ratio
     n = np.arange(w.size)
     (r, c, s), (r_p, c_p, s_p) = _scaled(z, f), _scaled(z_prime, f)
@@ -212,8 +190,8 @@ def _energy_prefactor(p: ParticleModel) -> float:
     return p.d2z * 2.0 * math.pi * K_E_EV_NM
 
 
-def _like_input(z_p, out: np.ndarray):
-    return float(out[0]) if np.isscalar(z_p) or np.asarray(z_p).ndim == 0 else out
+def _like_input(z: np.ndarray, out: np.ndarray):
+    return float(out) if z.ndim == 0 else out
 
 
 def vdw_energy(z_p, p: ParticleModel, g: AxialGreens):
@@ -228,9 +206,9 @@ def vdw_energy(z_p, p: ParticleModel, g: AxialGreens):
     TruncationError
         If the moments do not converge within the term cap.
     """
-    z = _heights(z_p)
+    z = _axis_heights(z_p, "particle heights")
     m0, m2, _ = _moments(g)
-    return _like_input(z_p, _energy(z, p, g.geometry.f, m0, m2))
+    return _like_input(z, _energy(z, p, g.geometry.f, m0, m2))
 
 
 def vdw_force(z_p, p: ParticleModel, g: AxialGreens):
@@ -246,9 +224,9 @@ def vdw_force(z_p, p: ParticleModel, g: AxialGreens):
     TruncationError
         If the moments do not converge within the term cap.
     """
-    z = _heights(z_p)
+    z = _axis_heights(z_p, "particle heights")
     m0, m2, _ = _moments(g)
-    return _like_input(z_p, _force(z, p, g.geometry.f, m0, m2))
+    return _like_input(z, _force(z, p, g.geometry.f, m0, m2))
 
 
 @dataclass(frozen=True)
@@ -265,12 +243,12 @@ class ForceProfile:
 
 def force_profile(z_grid, p: ParticleModel, g: AxialGreens) -> ForceProfile:
     """Evaluate U and F on a grid and record the scales of normalized plots."""
-    z_grid = _heights(z_grid).copy()
+    z_grid = np.array(_axis_heights(z_grid, "particle heights"), ndmin=1)
     m0, m2, stop = _moments(g)
     f = g.geometry.f
     energy = _energy(z_grid, p, f, m0, m2)
     force = _force(z_grid, p, f, m0, m2)
-    n_used = np.full(z_grid.size, stop)
+    n_used = np.full(z_grid.shape, stop)
     for arr in (z_grid, energy, force, n_used):
         arr.flags.writeable = False
     return ForceProfile(
@@ -299,7 +277,7 @@ def find_force_zero(
         If the force has the same sign at both ends (the all-attractive
         regime of fat toroids).
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
+    lo, hi = map(float, bracket)
     if not -math.inf < lo < hi < math.inf:
         raise ValueError(f"bracket must be finite and ordered, got {bracket}")
     m0, m2, _ = _moments(g)
@@ -354,7 +332,7 @@ def critical_ratio(
     """
     if not (0.0 < z_p < math.inf and 0.0 < b < math.inf):
         raise ValueError(f"need finite z_p > 0 and b > 0, got z_p = {z_p}, b = {b}")
-    lo, hi = float(search[0]), float(search[1])
+    lo, hi = map(float, search)
     if not 1.0 < lo < hi < math.inf:
         raise ValueError(f"search range must be finite with 1 < lo < hi, got {search}")
     h2 = 2.0 * (z_p / b) * (z_p / b)
@@ -427,10 +405,9 @@ def sweep_contour(
     grid that is empty or not 1-d raises ValueError.
     """
     a_values = np.asarray(a_values, dtype=float)
-    z_values = np.asarray(z_values, dtype=float)
+    z_values = _axis_heights(z_values, "particle heights")
     if not (a_values.ndim == z_values.ndim == 1 and a_values.size and z_values.size):
         raise ValueError("a and z grids must be non-empty 1-d arrays")
-    z_values = _heights(z_values)
 
     force = np.full((z_values.size, a_values.size), np.nan)
     diags = []

@@ -63,10 +63,6 @@ class TruncationError(ArithmeticError):
         self.n_terms = int(n_terms)
 
 
-class UnsupportedConfigurationError(ValueError):
-    """Particle polarizability configuration outside the axial-only model."""
-
-
 class NoSignChangeError(ValueError):
     """Root bracket does not straddle a sign change (all-attractive regime)."""
 

@@ -169,6 +169,15 @@ def axis_eta_from_z(z: float, f: float) -> float:
     return 2.0 * math.atan2(f, z)
 
 
+def _axis_heights(z, what: str) -> np.ndarray:
+    """Heights on the symmetry axis as a float array of z's own shape, 0-d
+    for a scalar; a non-finite entry raises ValueError naming `what`."""
+    heights = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(heights)):
+        raise ValueError(f"{what} must be finite")
+    return heights
+
+
 def surface_rz(geom: ToroidGeometry, eta):
     """(r, z) of the surface point(s) at angle eta on xi = xi0; vectorized."""
     eta = np.asarray(eta, dtype=float)

@@ -37,6 +37,7 @@ from .errors import (
 from .geometry import (
     ToroidGeometry,
     ToroidalCoords,
+    _axis_heights,
     axis_eta_from_z,
     surface_rz,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "axial_greens",
     "axial_source",
     "charge_interaction_energy",
+    "charge_interaction_energy_info",
     "inverse_distance_series",
     "surface_residual",
     "vh_potential",
@@ -82,11 +84,9 @@ def _checked_source(z_src, charge, f: float) -> tuple[np.ndarray, float]:
     """(heights, charge) as a float array and a float; a non-finite height
     or charge is refused, and heights beyond FAR_SOURCE_FACTOR f draw one
     FarSourceWarning."""
-    heights, charge = np.asarray(z_src, dtype=float), float(charge)
+    heights, charge = _axis_heights(z_src, "source height"), float(charge)
     if not math.isfinite(charge):
         raise ValueError(f"charge must be finite, got {charge}")
-    if not np.all(np.isfinite(heights)):
-        raise ValueError(f"source height must be finite, got {z_src}")
     if np.any(np.abs(heights) > FAR_SOURCE_FACTOR * f):
         warnings.warn(f"source at |z| = {np.max(np.abs(heights))} nm is beyond "
                       f"{FAR_SOURCE_FACTOR:g} focal lengths; the induced potential "
@@ -108,9 +108,11 @@ def axial_source(z_src: float, geom: ToroidGeometry, charge: float = 1.0) -> Axi
     Raises
     ------
     ValueError
-        For a non-finite height or charge.
+        For a non-finite height or charge, or an array of heights.
     """
     heights, charge = _checked_source(z_src, charge, geom.f)
+    if heights.ndim:
+        raise ValueError("axial_source places one charge; got an array of heights")
     z_src = float(heights)
     return AxialSource(z_src=z_src, eta_src=axis_eta_from_z(z_src, geom.f), charge=charge)
 

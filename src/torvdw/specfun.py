@@ -142,11 +142,11 @@ def toroidal_seeds(z: float) -> tuple[float, float, float]:
     Raises
     ------
     ValueError
-        For non-finite z.
+        For z outside (1, inf).
     """
     z = float(z)
-    if not math.isfinite(z):
-        raise ValueError(f"toroidal_seeds requires a finite argument, got {z}")
+    if not 1.0 < z < math.inf:
+        raise ValueError(f"toroidal_seeds requires a finite argument above 1, got {z}")
     root = math.sqrt((z - 1.0) * (z + 1.0))
     if root == math.inf:                 # (z - 1)(z + 1) overflows above 1.34e154
         root = math.sqrt(z - 1.0) * math.sqrt(z + 1.0)

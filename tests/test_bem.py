@@ -34,7 +34,7 @@ from torvdw.bem import (
     total_induced_charge,
 )
 from torvdw.dispersion import gh_mixed_derivative, particle_model, vdw_force
-from torvdw.errors import MeshError, SingularKernelError, SolverError
+from torvdw.errors import FarSourceWarning, MeshError, SingularKernelError, SolverError
 from torvdw.units import K_E_EV_NM
 from torvdw.validate import _exterior_points, check_bem_vs_series
 
@@ -642,6 +642,14 @@ class TestMixedDerivative:
         out = bem_mixed_derivative(np.zeros(shape), np.zeros(shape), geom51, 64)
         assert isinstance(out, np.ndarray) and out.shape == shape
         assert bem_mixed_derivative(np.zeros(shape), 1.0, geom51, 64).shape == shape
+
+    def test_far_sources_warn_once_per_call(self, geom51):
+        # one FarSourceWarning for the whole call, at the caller's line
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bem_mixed_derivative(0.5, [1e7, 2e7], geom51, 64)
+        assert [w.category for w in caught] == [FarSourceWarning]
+        assert caught[0].filename == __file__
 
     def test_oracle_confirms_repulsion_threshold(self):
         # Near z_p = 0 the axial force has the sign of -(D(h) - D(0)), with

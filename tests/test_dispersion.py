@@ -8,6 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from torvdw import axial_greens, axial_source, toroid_from_radii, ToroidalCoords
 from torvdw import dispersion as dispersion_module
+from torvdw.bem import bem_mixed_derivative
 from torvdw.dispersion import (
     _moments,
     critical_ratio,
@@ -24,7 +25,6 @@ from torvdw.errors import (
     RangeExceededError,
     ResultOverflowError,
     TruncationError,
-    UnsupportedConfigurationError,
 )
 from torvdw.geometry import axis_eta_from_z
 from torvdw.greens import (
@@ -108,10 +108,6 @@ class TestParticleModel:
     def test_unknown_unit(self):
         with pytest.raises(ValueError):
             particle_model(1.0, unit="statC2cm2")
-
-    def test_isotropic_rejected(self):
-        with pytest.raises(UnsupportedConfigurationError):
-            particle_model(1.0, d2x=1.0, d2y=1.0)
 
 
 class TestEnergy:
@@ -324,6 +320,12 @@ class TestForceZero:
         z_star = find_force_zero(particle, greens51, bracket)
         assert z_star == pytest.approx(sign * FORCE_ZERO_A5_B1, rel=1e-12)
 
+    @pytest.mark.parametrize("bracket", [(1.0,), (0.1, 5.0, 9.0), (5.0, 0.1)])
+    def test_bracket_validation(self, particle, greens51, bracket):
+        # a bracket is two ordered ends; a third entry is refused, not dropped
+        with pytest.raises(ValueError):
+            find_force_zero(particle, greens51, bracket)
+
     def test_nanoring_limit(self, particle):
         # a thin ring of radius a puts the zero at a / sqrt(2), approached
         # from below like (b / a)^2
@@ -436,6 +438,9 @@ class TestCriticalRatio:
             critical_ratio(-1.0, 1.0, particle)
         with pytest.raises(ValueError):
             critical_ratio(1.0, 1.0, particle, search=(0.5, 10.0))
+        for search in [(1.5,), (1.5, 10.0, 20.0)]:
+            with pytest.raises(ValueError):
+                critical_ratio(1.0, 1.0, particle, search=search)
 
     # the last range is finite, but a/b = 1e200 gives a toroid past the float range
     @pytest.mark.parametrize("search", [(1.01, math.inf), (math.nan, 10.0), (1.5, 1e200)])
@@ -801,6 +806,43 @@ def test_truncation_error_contract(name):
     assert math.isfinite(exc.value.partial_sum)
     assert math.isfinite(exc.value.bound) and exc.value.bound > 0.0
     assert exc.value.n_terms == 9  # n = 0..n_cap
+
+
+# Each entry point that reads heights on the axis, as a call on the heights
+# alone, and what it takes: any shape of heights, one height, or a non-empty
+# 1-d grid.
+AXIS_CALLS = {
+    "vdw_energy": (lambda z, g: vdw_energy(z, particle_model(1.0), g), "any"),
+    "vdw_force": (lambda z, g: vdw_force(z, particle_model(1.0), g), "any"),
+    "force_profile": (lambda z, g: force_profile(z, particle_model(1.0), g).force, "any"),
+    "charge_interaction_energy": (charge_interaction_energy, "any"),
+    "gh_mixed_derivative": (lambda z, g: gh_mixed_derivative(z, z, g), "one"),
+    "axial_source": (lambda z, g: axial_source(z, g.geometry).z_src, "one"),
+    "bem_mixed_derivative": (lambda z, g: bem_mixed_derivative(z, z, g.geometry, 64), "any"),
+    "sweep_contour": (
+        lambda z, g: sweep_contour([5.0], z, 1.0, particle_model(1.0)).force[:, 0], "1-d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AXIS_CALLS))
+@pytest.mark.parametrize("z", [math.nan, [0.5, math.nan]], ids=["scalar", "array"])
+def test_axis_heights_refuse_non_finite(name, z, greens51):
+    with pytest.raises(ValueError, match="finite"):
+        AXIS_CALLS[name][0](z, greens51)
+
+
+@pytest.mark.parametrize("name", sorted(AXIS_CALLS))
+@pytest.mark.parametrize("shape", [(2, 3), (0,), (4,)], ids=str)
+def test_axis_heights_keep_their_shape(name, shape, greens51):
+    # an array of heights gives an array of its shape, or a ValueError
+    # where the call takes other input; never numpy's TypeError or IndexError
+    call, takes = AXIS_CALLS[name]
+    z = np.linspace(-2.0, 3.0, math.prod(shape)).reshape(shape)
+    if takes == "any" or takes == "1-d" and shape == (4,):
+        assert np.shape(call(z, greens51)) == shape
+    else:
+        with pytest.raises(ValueError):
+            call(z, greens51)
 
 
 def test_charge_energy_needs_no_m2_terms():

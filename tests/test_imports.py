@@ -136,3 +136,26 @@ def test_exports_resolve_and_imports_are_used(stem):
             imported |= {alias.asname or alias.name for alias in node.names}
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - read) == []
+
+
+def _name(node) -> str:
+    return ast.unparse(node).rsplit(".", 1)[-1]
+
+
+def test_every_error_class_is_raised():
+    # each exception or warning class of errors.py is raised, or passed to
+    # warnings.warn, by some other module of the package
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "torvdw"
+    defined = {node.name for node in ast.parse((src / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    used = set()
+    for path in src.glob("*.py"):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                used.add(_name(getattr(node.exc, "func", node.exc)))
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "warnings.warn":
+                used |= {_name(arg) for arg in [*node.args, *(k.value for k in node.keywords)]}
+    assert len(defined) > 10
+    assert sorted(defined - used) == []

@@ -126,13 +126,19 @@ class TestSeeds:
 
     @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
     def test_non_finite_arguments_rejected(self, z):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="finite"):
             toroidal_seeds(z)
         for n_max in (0, 3):
             with pytest.raises(ValueError):
                 harmonic_table(z, n_max)
             with pytest.raises(ValueError):
                 legendre_p_half(z, n_max)
+
+    @pytest.mark.parametrize("z", [1.0, 0.5, -3.0])
+    def test_seeds_need_z_above_one(self, z):
+        # at z = 1 Q_{-1/2} is infinite, below it the seeds are undefined
+        with pytest.raises(ValueError, match="finite argument above 1"):
+            toroidal_seeds(z)
 
 
 class TestHarmonicTable:
