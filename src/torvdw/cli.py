@@ -305,6 +305,8 @@ def _ratios(args) -> np.ndarray:
 def cmd_sweep_ratio(args) -> int:
     _check(args, args.ratio_points)
     zp_list = args.zp if args.zp else [1.0, 2.0, 3.0]
+    if any(z <= 0.0 for z in zp_list):
+        raise ValueError("--zp heights must be positive")
     # each height names a column and a crossing by its six significant digits
     labels = [f"{zp:g}" for zp in zp_list]
     if len(set(labels)) < len(labels):

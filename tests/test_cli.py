@@ -368,6 +368,8 @@ class TestConfigurationBounds:
             ["vdw", "--a", "5", "--b", "1", "--zmin=1e80", "--zmax=2e80", "--quantity", "force"],
             ["sweep-ratio", "--b", "1", "--ratio-min", "1"],
             ["sweep-ratio", "--b", "1", "--zp", "0"],
+            # refused before any crossing search, whose first height would fail first
+            ["sweep-ratio", "--b", "1", "--zp", "1", "--zp", "0", "--ratio-min", "1.00001"],
             # heights that share a column name
             ["sweep-ratio", "--b", "1", "--zp", "1", "--zp", "1.0000001"],
             ["sweep-ratio", "--b", "1", "--zp", "1", "--zp", "1"],
