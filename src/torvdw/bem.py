@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,7 +219,6 @@ class BemMesh:
     build_mesh assembles both; each solve factors them afresh.
     """
 
-    geometry: ToroidGeometry
     n_panels: int     # node count, one ring per node
     r: np.ndarray     # ring radii
     z: np.ndarray     # ring heights
@@ -271,8 +271,9 @@ def build_mesh(geom: ToroidGeometry, n_panels: int) -> BemMesh:
     """Place n_panels graded Nyström nodes on the meridian circle, the upper
     half the exact mirror image of the lower, so that the even/odd split of
     the system is exact, and assemble the even and odd blocks from the
-    lower half.  An odd count, or fewer than 16 nodes, raises MeshError."""
-    n_panels = int(n_panels)
+    lower half.  An odd count, or fewer than 16 nodes, raises MeshError; a
+    count that is not an integer, TypeError."""
+    n_panels = operator.index(n_panels)
     if n_panels < 16 or n_panels % 2:
         raise MeshError(f"need an even node count of at least 16, got {n_panels}")
     a, b, h = geom.a, geom.b, n_panels // 2
@@ -295,7 +296,7 @@ def build_mesh(geom: ToroidGeometry, n_panels: int) -> BemMesh:
         2.0 * np.log(16.0 * math.pi * r[:h] / (n_panels * ds[:h])) - tables[0][0]))
     odd = same - mirror
     same += mirror  # in place: a third h x h array costs page faults
-    return BemMesh(geometry=geom, n_panels=n_panels, r=r, z=z, ds=ds, blocks=(same, odd))
+    return BemMesh(n_panels=n_panels, r=r, z=z, ds=ds, blocks=(same, odd))
 
 
 @dataclass(frozen=True)

@@ -326,10 +326,12 @@ def critical_ratio(
         converge within n_cap terms (a thin-hole low end such as 1.00001
         at the default cap).
     ValueError
-        For z_p or b not finite and positive, a search range not ordered
-        as 1 < lo < hi < inf, or an end whose toroid leaves the float range
-        (search = (1.5, 1e200) at b = 1).
+        For z_p or b an array or not finite and positive, a search range
+        not ordered as 1 < lo < hi < inf, or an end whose toroid leaves the
+        float range (search = (1.5, 1e200) at b = 1).
     """
+    if np.ndim(z_p) or np.ndim(b):
+        raise ValueError("critical_ratio takes one height z_p and one b, not arrays")
     if not (0.0 < z_p < math.inf and 0.0 < b < math.inf):
         raise ValueError(f"need finite z_p > 0 and b > 0, got z_p = {z_p}, b = {b}")
     lo, hi = map(float, search)
@@ -379,9 +381,6 @@ def critical_ratio(
 class SweepGrid:
     """F_z over an (a, z_p) grid at fixed b; failed cells are NaN."""
 
-    a_values: np.ndarray
-    z_values: np.ndarray
-    b: float
     force: np.ndarray               # shape (len(z_values), len(a_values))
     diagnostics: tuple              # (i_z, j_a, message) per failed cell
 
@@ -420,10 +419,4 @@ def sweep_contour(
             continue
         force[:, j] = _force(z_values, p, g.geometry.f, m0, m2)
     force.flags.writeable = False
-    return SweepGrid(
-        a_values=a_values,
-        z_values=z_values,
-        b=float(b),
-        force=force,
-        diagnostics=tuple(diags),
-    )
+    return SweepGrid(force=force, diagnostics=tuple(diags))

@@ -1,14 +1,12 @@
 """Toroidal coordinates and the toroid parameterized by its two radii.
 
-The map to cartesian coordinates is
+The problem is axisymmetric, so a point is (xi, eta), xi >= 0 and eta in
+(-pi, pi], of the meridian half-plane phi = 0, at radius r and height z
 
-    x = f sinh(xi) cos(phi) / (cosh(xi) - cos(eta))
-    y = f sinh(xi) sin(phi) / (cosh(xi) - cos(eta))
-    z = f sin(eta)          / (cosh(xi) - cos(eta))
+    r = f sinh(xi) / (cosh(xi) - cos(eta)),  z = f sin(eta) / (same).
 
-with xi >= 0, eta in (-pi, pi], phi in [0, 2 pi).  Surfaces of constant xi
-are tori centered on the origin; the surface xi = xi0 has center-circle
-radius a = f coth(xi0) and tube radius b = f csch(xi0), so that
+Surfaces of constant xi are tori centered on the origin; the surface
+xi = xi0 has center radius a = f coth(xi0) and tube radius b = f csch(xi0):
 
     f = sqrt(a^2 - b^2),    cosh(xi0) = a / b.
 
@@ -92,29 +90,26 @@ def toroid_from_radii(a: float, b: float) -> ToroidGeometry:
 
 @dataclass(frozen=True)
 class ToroidalCoords:
-    """A point (xi, eta, phi); eta and phi are normalized on construction."""
+    """A point (xi, eta) of the half-plane phi = 0; eta is reduced to
+    (-pi, pi] on construction."""
 
     xi: float
     eta: float
-    phi: float = 0.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.xi, self.eta, self.phi))):
-            raise ValueError(
-                f"coordinates must be finite, got ({self.xi}, {self.eta}, {self.phi})"
-            )
+        if not (math.isfinite(self.xi) and math.isfinite(self.eta)):
+            raise ValueError(f"coordinates must be finite, got ({self.xi}, {self.eta})")
         if self.xi < 0.0:
             raise ValueError(f"xi must be >= 0, got {self.xi}")
         eta = math.remainder(self.eta, _TWO_PI)
         if eta <= -math.pi:
             eta += _TWO_PI
-        phi = self.phi % _TWO_PI
         object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "phi", phi)
 
 
 def toroidal_to_cartesian(c: ToroidalCoords, f: float) -> tuple[float, float, float]:
-    """Map (xi, eta, phi) to (x, y, z), lengths in the scale of f.
+    """Map (xi, eta) to the point (x, 0, z) of the half-plane phi = 0,
+    lengths in the scale of f.
 
     Raises
     ------
@@ -125,12 +120,12 @@ def toroidal_to_cartesian(c: ToroidalCoords, f: float) -> tuple[float, float, fl
     denom = 2.0 * math.sinh(0.5 * c.xi) ** 2 + 2.0 * math.sin(0.5 * c.eta) ** 2
     if denom == 0.0:
         raise PointAtInfinityError("(xi, eta) = (0, 0) is the point at infinity")
-    r = f * math.sinh(c.xi) / denom
-    return r * math.cos(c.phi), r * math.sin(c.phi), f * math.sin(c.eta) / denom
+    return f * math.sinh(c.xi) / denom, 0.0, f * math.sin(c.eta) / denom
 
 
 def cartesian_to_toroidal(x: float, y: float, z: float, f: float) -> ToroidalCoords:
-    """Inverse map; the input must not lie on the focal ring r = f, z = 0.
+    """Inverse map to the (xi, eta) of r = hypot(x, y); the azimuth is
+    dropped.  The input must not lie on the focal ring r = f, z = 0.
 
     eta comes from atan2(2 f z, r^2 + z^2 - f^2), which is exact for the
     forward map and keeps full precision where arccos-based inversions
@@ -146,8 +141,7 @@ def cartesian_to_toroidal(x: float, y: float, z: float, f: float) -> ToroidalCoo
     t = 2.0 * f * r / (r * r + z * z + f * f)
     xi = math.atanh(t) if t < 0.999 else math.log(d1 / d2)
     eta = math.atan2(2.0 * f * z, (r - f) * (r + f) + z * z)
-    phi = math.atan2(y, x)
-    return ToroidalCoords(xi=xi, eta=eta, phi=phi)
+    return ToroidalCoords(xi=xi, eta=eta)
 
 
 def axis_eta_from_z(z: float, f: float) -> float:

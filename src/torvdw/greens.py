@@ -21,6 +21,7 @@ Everything internal works in reduced potential V / (K_E q), units 1/nm.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -138,13 +139,15 @@ def _table_size(xi: float, rel_tol: float, n_cap: int) -> int:
 
 def axial_greens(geom: ToroidGeometry, rel_tol: float = REL_TOL,
                  n_cap: int = N_CAP) -> AxialGreens:
-    """Build the evaluator for the given toroid and truncation policy."""
+    """Build the evaluator for the given toroid and truncation policy; an
+    n_cap that is not an integer raises TypeError."""
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
+    n_cap = operator.index(n_cap)
     if n_cap < 8:
         raise ValueError(f"n_cap must be at least 8, got {n_cap}")
     table = harmonic_table(geom.cosh_xi0, _table_size(geom.xi0, rel_tol, n_cap))
-    return AxialGreens(geometry=geom, table=table, rel_tol=float(rel_tol), n_cap=int(n_cap))
+    return AxialGreens(geometry=geom, table=table, rel_tol=float(rel_tol), n_cap=n_cap)
 
 
 class SeriesInfo(NamedTuple):
@@ -320,8 +323,10 @@ def surface_residual(src: AxialSource, g: AxialGreens, n_samples: int = 64) -> f
     """Max over sampled surface points of |Coulomb + V_H| / |Coulomb|.
 
     The grounded boundary condition makes the exact sum vanish on
-    xi = xi0; what remains measures series truncation.
+    xi = xi0; what remains measures series truncation.  Fewer than 8
+    samples raise ValueError, a count that is not an integer TypeError.
     """
+    n_samples = operator.index(n_samples)
     if n_samples < 8:
         raise ValueError(f"need at least 8 samples, got {n_samples}")
     etas = -math.pi + (np.arange(n_samples) + 0.5) * (2.0 * math.pi / n_samples)

@@ -40,6 +40,7 @@ R_F - (m/3) R_D or the AGM c_n sum it does not cancel as m -> 1.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,9 +186,11 @@ def legendre_p_half(z, n_max: int) -> np.ndarray:
     OverflowHorizonError
         If P_{n-1/2}(z) exceeds float64 range before n_max; the error
         carries the largest safe degree index.
+    TypeError
+        For an n_max that is not an integer.
     """
     z_arr = np.asarray(z, dtype=float)
-    n_max = int(n_max)
+    n_max = operator.index(n_max)
     if z_arr.ndim > 1 or not np.all((z_arr >= 1.0) & np.isfinite(z_arr)):
         raise ValueError(
             f"legendre_p_half requires a scalar or 1-d array of finite z >= 1, got {z}")
@@ -246,9 +249,11 @@ def harmonic_table(z: float, n_max: int) -> HarmonicTable:
     OverflowHorizonError
         If n_max lies beyond the float64 horizon e^{+-n xi}; the error
         reports the largest safe n.
+    TypeError
+        For an n_max that is not an integer.
     """
     z = float(z)
-    n_max = int(n_max)
+    n_max = operator.index(n_max)
     if n_max < 0 or not math.isfinite(z):
         raise ValueError(f"harmonic_table requires finite z and n_max >= 0, got {z}, {n_max}")
     if z < 1.0 + Z_MIN_OFFSET:

@@ -96,6 +96,10 @@ class TestMesh:
             build_mesh(geom53, 65)
         with pytest.raises(MeshError, match="even"):
             bem_mixed_derivative(2.0, 1.0, geom53, n_panels=65)
+        # a count is an integer: 64.7 is not truncated to 64, nor "64" parsed
+        for n in (64.7, "64"):
+            with pytest.raises(TypeError):
+                build_mesh(geom53, n)
 
 
 #: Complementary parameters p = 1 - m: a log grid down to 1e-300, the

@@ -436,6 +436,10 @@ class TestCriticalRatio:
     def test_input_validation(self, particle):
         with pytest.raises(ValueError):
             critical_ratio(-1.0, 1.0, particle)
+        # arrays are refused before any table is built, whatever their size
+        for z_p, b in [(np.array([1.0]), 1.0), (1.0, np.array([1.0, 2.0]))]:
+            with pytest.raises(ValueError, match="not arrays"):
+                critical_ratio(z_p, b, particle)
         with pytest.raises(ValueError):
             critical_ratio(1.0, 1.0, particle, search=(0.5, 10.0))
         for search in [(1.5,), (1.5, 10.0, 20.0)]:

@@ -133,14 +133,19 @@ class TestInverseMap:
     )
     def test_round_trip(self, xi, eta, phi):
         f = 3.0
-        c0 = ToroidalCoords(xi=xi, eta=eta, phi=phi)
-        x, y, z = toroidal_to_cartesian(c0, f)
-        c1 = cartesian_to_toroidal(x, y, z, f)
-        x2, y2, z2 = toroidal_to_cartesian(c1, f)
-        scale = max(abs(x), abs(y), abs(z), f)
-        assert abs(x2 - x) <= 1e-12 * scale
-        assert abs(y2 - y) <= 1e-12 * scale
+        r, y, z = toroidal_to_cartesian(ToroidalCoords(xi=xi, eta=eta), f)
+        assert y == 0.0
+        c1 = cartesian_to_toroidal(r, y, z, f)
+        r2, y2, z2 = toroidal_to_cartesian(c1, f)
+        scale = max(r, abs(z), f)
+        assert abs(r2 - r) <= 1e-12 * scale
+        assert y2 == 0.0
         assert abs(z2 - z) <= 1e-12 * scale
+        # the azimuth is dropped: a turned point maps to the same (xi, eta)
+        turned = cartesian_to_toroidal(r * math.cos(phi), r * math.sin(phi), z, f)
+        r3, _, z3 = toroidal_to_cartesian(turned, f)
+        assert abs(r3 - r) <= 1e-12 * scale
+        assert abs(z3 - z) <= 1e-12 * scale
 
 
 class TestAxisEta:
@@ -202,18 +207,11 @@ class TestCoordNormalization:
         c = ToroidalCoords(xi=0.0, eta=2.0 * math.pi - 0.25)
         assert c.eta == pytest.approx(-0.25, abs=1e-12)
 
-    def test_phi_wrapped(self):
-        assert ToroidalCoords(xi=1.0, eta=1.0, phi=-0.5).phi == pytest.approx(
-            2.0 * math.pi - 0.5
-        )
-
     def test_negative_xi_rejected(self):
         with pytest.raises(ValueError):
             ToroidalCoords(xi=-0.1, eta=0.0)
 
-    @pytest.mark.parametrize(
-        "xi,eta,phi", [(math.nan, 0.0, 0.0), (0.0, math.nan, 0.0), (1.0, 1.0, math.inf)]
-    )
-    def test_nonfinite_rejected(self, xi, eta, phi):
+    @pytest.mark.parametrize("xi,eta", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 1.0)])
+    def test_nonfinite_rejected(self, xi, eta):
         with pytest.raises(ValueError, match="finite"):
-            ToroidalCoords(xi=xi, eta=eta, phi=phi)
+            ToroidalCoords(xi=xi, eta=eta)

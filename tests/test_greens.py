@@ -285,6 +285,9 @@ class TestSurfaceResidual:
     def test_sample_count_validated(self, geom53, greens53):
         with pytest.raises(ValueError):
             surface_residual(axial_source(0.0, geom53), greens53, 4)
+        # 8.5 would sample 9 points at a spacing of 2 pi / 8.5
+        with pytest.raises(TypeError):
+            surface_residual(axial_source(0.0, geom53), greens53, n_samples=8.5)
 
 
 class TestConcurrency:
@@ -362,6 +365,12 @@ class TestTruncationRule:
     def test_policy_out_of_bounds_refused(self, geom51, policy):
         with pytest.raises(ValueError, match=next(iter(policy))):
             axial_greens(geom51, **policy)
+
+    @pytest.mark.parametrize("n_cap", [8.5, math.inf, "8"])
+    def test_cap_not_an_integer_refused(self, geom51, n_cap):
+        # not truncated to 8, and no OverflowError from int(inf)
+        with pytest.raises(TypeError):
+            axial_greens(geom51, n_cap=n_cap)
 
     def test_tail_estimate_of_failed_column(self):
         # column 0 converges; column 1 has ratio 1/2 at its end, column 2 a

@@ -159,3 +159,36 @@ def test_every_error_class_is_raised():
                 used |= {_name(arg) for arg in [*node.args, *(k.value for k in node.keywords)]}
     assert len(defined) > 10
     assert sorted(defined - used) == []
+
+
+def _is_record(node) -> bool:
+    return isinstance(node, ast.ClassDef) and (
+        "NamedTuple" in map(_name, node.bases)
+        or "dataclass" in (_name(getattr(d, "func", d)) for d in node.decorator_list))
+
+
+def test_every_record_field_is_read():
+    # each field of a dataclass or NamedTuple in the package is read as
+    # `.field` by the package, perfbench/, scripts/ or tests/oracles.py,
+    # outside its own class body.  Names only: a field that shares its name
+    # with a read field of another record (SweepGrid.b and ToroidGeometry.b
+    # would have) slips past.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    paths = [*(root / "src" / "torvdw").glob("*.py"), *(root / "perfbench").glob("*.py"),
+             *(root / "scripts").glob("*.py"), root / "tests" / "oracles.py"]
+    fields, reads = {}, {}  # reads: (path, enclosing record or None) -> names
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for record in filter(_is_record, ast.walk(tree)):
+            fields[record.name] = [s.target.id for s in record.body
+                                   if isinstance(s, ast.AnnAssign)]
+            owner.update((id(node), record.name) for node in ast.walk(record))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault((path, owner.get(id(node))), set()).add(node.attr)
+    assert len(fields) > 5
+    unread = [f"{record}.{name}" for record, names in sorted(fields.items())
+              for name in names
+              if not any(name in got for (_, where), got in reads.items() if where != record)]
+    assert unread == []

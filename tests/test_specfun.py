@@ -184,6 +184,12 @@ class TestHarmonicTable:
         with pytest.raises(ValueError):
             legendre_p_half(z, n_max)
 
+    def test_degree_not_an_integer_refused(self):
+        # n_max = 3.7 is not truncated to 3
+        for build in (harmonic_table, legendre_p_half):
+            with pytest.raises(TypeError):
+                build(2.0, 3.7)
+
     def test_near_singular_argument_rejected(self):
         with pytest.raises(NearSingularArgumentError):
             harmonic_table(1.0 + 1e-13, 10)
