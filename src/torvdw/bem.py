@@ -12,11 +12,13 @@ Kress's log-split Nyström rule (*Linear Integral Equations*, 3rd ed.,
 12.3) on an even number n of nodes equispaced in s and graded by
 tan(t/2) = tan(s/2) / lambda, lambda = min(1, sqrt(a/b - 1)): a Möbius
 map of the circle that packs nodes at the inner equator by 1/lambda (Boyd,
-*Chebyshev and Fourier Spectral Methods*, ch. 16).  On the circle 1 - m is the squared chord over
-R_max^2 and K(m) = -K(1 - m) ln(1 - m) / pi + (analytic in 1 - m; DLMF
-19.12), so the kernel is k1 ln(4 sin^2((s - s')/2)) + k2 with k1, k2
-smooth.  Kress's weights integrate the log part and the trapezoidal rule
-the rest: the error falls geometrically with n.
+*Chebyshev and Fourier Spectral Methods*, ch. 16).  On the circle p = 1 - m
+is the squared chord over R_max^2, and Cephes' fit K(m) = P(p) - Q(p) ln p
+splits off the log: the kernel is k1 ln(4 sin^2((s - s')/2)) + k2 with
+k1 = -Q(p) and k2 smooth, one polynomial pass and one log a node pair.
+Kress's weights integrate the log part and the trapezoidal rule the rest:
+the error falls geometrically with n.  p and R_max come from squares of
+the coordinates in units of a power of two L >= max r, an exact scaling.
 
 Reduced units as in the rest of the package: potentials per K_E q,
 lengths in nm, charges in e.
@@ -69,24 +71,32 @@ _ELLPK_PQ = (
 #: P's and Q's coefficients as (11, 2, 1, 1) planes of width 1: broadcast
 #: columns, for one Horner pass on both over any shape.
 _PQ_COLUMNS = np.array(_ELLPK_PQ)[:, :, None, None]
-#: Elements per piece of the Horner pass: a piece and its temporaries stay
-#: in cache.
+#: Elements per piece of _ellpk's Horner pass: a piece stays in cache.
 _ELLPK_CHUNK = 1 << 14
+
+
+def _horner(planes, x):
+    """P and Q of Cephes' fit at x, stacked on a new leading axis: one Horner
+    pass on the coefficient planes, which broadcast against x."""
+    pq = planes[0] * x
+    for c in planes[1:-1]:
+        pq += c
+        pq *= x
+    pq += planes[-1]
+    return pq
 
 
 def _ellpk(x, planes=_PQ_COLUMNS):
     """K(1 - x) for x >= 0, elementwise: Cephes' ellpk, the routine behind
     scipy.special.ellipkm1, in the same operations (Horner in x; x > 1
     through K(1 - 1/x) / sqrt(x)), so it agrees with it to an ulp.  x = 0
-    gives inf.  P and Q run as one stacked Horner pass on the coefficient
-    planes, (11, 2, 1, w): with w = 1 (the default) on x of any shape, in
-    pieces of _ELLPK_CHUNK entries; with w > 1, _PQ_COLUMNS repeated w
-    times (a solution's ring table holds them), on x's rows of w entries,
-    in pieces of whole rows, where the planes and a copy of the piece per
-    polynomial make every step contiguous.  Cephes' branch for x <= 2^-53,
-    ln 4 - ln(x) / 2, is not needed: there P and Q round to ln 4 and 1/2,
-    so the pass gives the same bits.  The x > 1 steps run only when some
-    entry needs them; on [0, 1] they change no bit."""
+    gives inf.  The Horner planes are (11, 2, 1, w): with w = 1 (the
+    default) x may have any shape and runs in pieces of _ELLPK_CHUNK
+    entries; with w > 1, _PQ_COLUMNS repeated w times (a solution's ring
+    table holds them), x runs in pieces of whole rows of w entries, and a
+    copy of the piece per polynomial makes every step contiguous.  Cephes'
+    branch for x <= 2^-53, ln 4 - ln(x) / 2, is not needed: there P and Q
+    round to ln 4 and 1/2.  The x > 1 steps change no bit on [0, 1]."""
     x = np.asarray(x, dtype=float)
     big = bool((x > 1.0).any())
     with np.errstate(divide="ignore", over="ignore"):
@@ -97,34 +107,10 @@ def _ellpk(x, planes=_PQ_COLUMNS):
         for s in range(0, len(y), rows):
             piece = y[s:s + rows]
             # on planes, a copy of the piece per polynomial: no step broadcasts
-            factor = piece if width == 1 else np.array([piece, piece])
-            pq = planes[0] * factor
-            for c in planes[1:-1]:
-                pq += c
-                pq *= factor
-            pq += planes[-1]
+            pq = _horner(planes, piece if width == 1 else np.array([piece, piece]))
             np.subtract(pq[0], pq[1] * np.log(piece), out=k[s:s + rows])
     k = k.reshape(x.shape)
     return k / np.sqrt(np.maximum(x, 1.0)) if big else k
-
-
-def _ring_moduli(r_f, z_f, r_ring, z_ring):
-    """(p, R_max / 2) of the ring kernel, p = 1 - m: formed from ratios to
-    R_max = hypot(r + r', z - z'), taken as twice the hypot of the halved
-    operands (exact for normal floats), so nothing overflows even where
-    R_max itself would, and p does not cancel.  K(m) is then _ellpk(p) and
-    K(1 - m) is _ellpk(1 - p)."""
-    # rebinding frees the gathered radii before the heights are halved: the
-    # kernel pass's minor page faults rise by a sixth when they are held
-    r_f, r_ring = 0.5 * r_f, 0.5 * r_ring
-    return _halved_moduli(r_f, r_ring, 0.5 * z_f - 0.5 * z_ring)
-
-
-def _halved_moduli(r_f, r_ring, v):
-    """_ring_moduli from the halved radii r / 2, r' / 2 and v = z / 2 - z' / 2."""
-    half = np.hypot(r_f + r_ring, v)
-    u, v = (r_f - r_ring) / half, v / half
-    return u * u + v * v, half
 
 
 def _ring_sum(r_f, z_f, rings):
@@ -135,7 +121,11 @@ def _ring_sum(r_f, z_f, rings):
     arrays of one shape with a trailing axis of length 1.  Only the field
     points are worked on per call; the table is built once."""
     half_r, half_z, charges, planes = rings
-    p, half = _halved_moduli(r_f, half_r, z_f - half_z)
+    # p = 1 - m from ratios to R_max / 2: nothing overflows
+    v = z_f - half_z
+    half = np.hypot(r_f + half_r, v)
+    u, v = (r_f - half_r) / half, v / half
+    p = u * u + v * v
     if not p.all():
         raise SingularKernelError("field point lies on a ring")
     kernel = (1.0 / math.pi) * _ellpk(p, planes) / half  # (2/pi) K / R_max, the same bits
@@ -161,16 +151,22 @@ def _log_weights(n: int) -> np.ndarray:
 @functools.lru_cache(maxsize=4)
 def _pair_tables(n: int):
     """What the kernel pass on n nodes needs besides them, read-only, about
-    40 bytes a pair of the upper triangle (i, j), j >= i, in row order:
-    c = _log_weights(n); each row's length; the columns j; the flat
-    positions of (i, j) and (j, i) in a k x k plane; c at each pair's two
-    offsets; the flat positions of the self-pairs (i, i) of the same-side
-    kernel."""
+    40 bytes a pair (i, j), j > i, of the strict upper triangle, in row
+    order: c = _log_weights(n); each row's length; the first row and pair
+    of each piece, whole rows of at most _PAIR_CHUNK pairs (or one row);
+    the columns j; the flat positions of (i, j) and (j, i) in a k x k
+    plane; c at the offsets j - i and i + j + 1 (c_{n - d} = c_d)."""
     k = n // 2
-    i, j = np.triu_indices(k)
+    i, j = np.triu_indices(k, 1)
     c = _log_weights(n)
-    tables = (c, np.arange(k, 0, -1), j, i * k + j, j * k + i,
-              c.take(np.stack([(i - j) % n, (i + j + 1) % n])), np.flatnonzero(i == j))
+    rows = np.arange(k - 1, -1, -1)
+    starts = np.concatenate([[0], np.cumsum(rows)])
+    cuts = [0]
+    while cuts[-1] < k:
+        last = starts.searchsorted(starts[cuts[-1]] + _PAIR_CHUNK, "right") - 1
+        cuts.append(max(cuts[-1] + 1, last))
+    tables = (c, rows, np.stack([cuts, starts[cuts]], axis=1), j, i * k + j, j * k + i,
+              c.take(np.stack([j - i, i + j + 1])))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -179,30 +175,47 @@ def _pair_tables(n: int):
 #: Node counts whose pair tables are cached (the oracle alternates two), so
 #: the cache holds at most 4 x 1.3 MB; larger meshes build theirs uncached.
 _CACHED_NODES = 512
+#: Pairs per piece of the kernel pass: its temporaries stay in cache and
+#: below glibc's 128 KB mmap threshold, so they fault no fresh pages.
+_PAIR_CHUNK = 1 << 12
 
 
-def _half_kernels(r, z, tables) -> np.ndarray:
-    """The same-side and the mirror kernel of the lower half, stacked,
-    (2, k, k) for its k = n / 2 nodes: (K(m) - K(1 - m) c_d / pi) / R_max
-    between node i and node j, respectively node j's mirror n - 1 - j, with
-    c = _log_weights(n) at the offset d = i - j, respectively i + j + 1
-    (mod n), from tables = _pair_tables(n).  Both are symmetric in (i, j),
-    since c_{n - d} = c_d, so the kernel is evaluated on their upper
-    triangles only, k (k + 1) pairs in all, and scattered to both
-    triangles.  The same-side diagonal, where a node meets itself, is a
-    placeholder for the caller to replace."""
+def _ring_kernels(r_i, r_j, dz, c):
+    """Kress's kernel (K(m) - Q(p) c) / R_max between nodes at radii r_i
+    and rings at radii r_j, dz apart in height (a leading axis of dz stacks
+    ring sets), with the log weight c of each pair, in units of a power of
+    two L >= every radius.  K(m) = P(p) - Q(p) ln p, p = 1 - m, is Cephes'
+    fit, its Q(p) the log coefficient: one Horner pass and one log a pair.
+    p and R_max^2 = (r_i + r_j)^2 + dz^2 come from squares, finite in L."""
+    r_max = dz * dz
+    p = (r_i - r_j) ** 2 + r_max
+    r_max += (r_i + r_j) ** 2
+    p /= r_max
+    pq = _horner(_PQ_COLUMNS, p)
+    return (pq[0] - pq[1] * (np.log(p) + c)) / np.sqrt(r_max)
+
+
+def _folded_kernels(r, z, tables) -> np.ndarray:
+    """The even and odd kernels of the lower half's k = n / 2 nodes at (r,
+    z), (2, k, k), unweighted, in units of L: the same-side kernel, from
+    node i to node j, plus and minus the mirror kernel, from node i to node
+    j's mirror.  Both are symmetric, as c_{n - d} = c_d: they are evaluated
+    on the strict upper triangle piece by piece, folded there and scattered
+    to both triangles.  The diagonal holds the mirror kernel, + and -, at
+    node i's offset 2 i + 1 from its own mirror."""
     k = len(r)
-    _, rows, j, to_ij, to_ji, c_pairs, self_pairs = tables
-    z_j = z.take(j)
-    p, half = _ring_moduli(np.repeat(r, rows), np.repeat(z, rows), r.take(j),
-                           np.stack([z_j, -z_j]))
-    p.ravel()[self_pairs] = 0.5
-    km, kc = _ellpk(np.stack([p, 1.0 - p]))  # K(m), K(1 - m)
-    values = (km - kc * c_pairs / math.pi) * 0.5 / half  # / R_max, exactly
-    kernels = np.empty((2, k * k))
-    for plane, v in zip(kernels, values):
-        plane[to_ij] = plane[to_ji] = v
-    return kernels.reshape(2, k, k)
+    c, rows, pieces, j, to_ij, to_ji, c_pairs = tables
+    folded = np.empty((2, k * k))
+    folded[:, ::k + 1] = _ring_kernels(r, r, 2.0 * z[None], c[None, 1::2]) * [[1.0], [-1.0]]
+    rz = np.stack([r, z])
+    bounds = pieces.tolist()
+    for (i0, s), (i1, e) in zip(bounds, bounds[1:]):
+        r_i, z_i = np.repeat(rz[:, i0:i1], rows[i0:i1], axis=1)
+        r_j, z_j = rz.take(j[s:e], axis=1)
+        same, mirror = _ring_kernels(r_i, r_j, np.stack([z_i - z_j, z_i + z_j]), c_pairs[:, s:e])
+        for plane, values in zip(folded, (same + mirror, same - mirror)):
+            plane[to_ij[s:e]] = plane[to_ji[s:e]] = values
+    return folded.reshape(2, k, k)
 
 
 @dataclass
@@ -288,15 +301,14 @@ def build_mesh(geom: ToroidGeometry, n_panels: int) -> BemMesh:
 
     r, z, ds = mirrored(r), mirrored(z, -1.0), mirrored(ds)
     tables = (_pair_tables if n_panels <= _CACHED_NODES else _pair_tables.__wrapped__)(n_panels)
-    # column j's weight; its mirror node n - 1 - j has the same
-    same, mirror = _half_kernels(r[:h], z[:h], tables) * (4.0 * r[:h] * ds[:h])
+    scale = math.ldexp(1.0, -math.frexp(r.max())[1])  # 1 / L, L = 2^e > max r: exact
+    blocks = _folded_kernels(scale * r[:h], scale * z[:h], tables)
+    blocks *= (4.0 * scale) * r[:h] * ds[:h]  # column j's weight, and its mirror's, over L
     # k2's limit on the diagonal, 2 b t' ln(8 r / (b t')), with the log
     # part's own weight; b t' = n ds / (2 pi).
-    np.fill_diagonal(same, ds[:h] * (
-        2.0 * np.log(16.0 * math.pi * r[:h] / (n_panels * ds[:h])) - tables[0][0]))
-    odd = same - mirror
-    same += mirror  # in place: a third h x h array costs page faults
-    return BemMesh(n_panels=n_panels, r=r, z=z, ds=ds, blocks=(same, odd))
+    blocks.reshape(2, -1)[:, ::h + 1] += ds[:h] * (
+        2.0 * np.log(16.0 * math.pi * r[:h] / (n_panels * ds[:h])) - tables[0][0])
+    return BemMesh(n_panels=n_panels, r=r, z=z, ds=ds, blocks=tuple(blocks))
 
 
 @dataclass(frozen=True)

@@ -61,10 +61,12 @@ def toroid_from_radii(a: float, b: float) -> ToroidGeometry:
     DegenerateToroidError
         If a <= b (the focal scale vanishes or turns imaginary).
     ValueError
-        For non-positive or non-finite radii, and for radii whose focal
-        scale f, xi0 or cosh(xi0) leaves the float range (f^2 = (a - b)(a + b)
-        not finite or below the smallest normal float, where f loses digits).
+        For radii that are not scalars, not positive or not finite, and whose
+        focal scale f, xi0 or cosh(xi0) leaves the float range (f^2 = (a - b)
+        (a + b) not finite or below the smallest normal float: f loses digits).
     """
+    if np.ndim(a) or np.ndim(b):
+        raise ValueError(f"radii must be scalars, got shapes {np.shape(a)} and {np.shape(b)}")
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)):

@@ -8,9 +8,12 @@ in test_specfun.
 The Nyström blocks and the field-point ring sums have references of
 another kind: the straightforward formulations of bem's kernel pass
 (fancy-index gathers and scatters, one polynomial at a time, no cached
-tables) and of its ring sum (everything recomputed per call), kept so that
-the production paths can be pinned to them bit for bit.  The truncation
-rule of the series is pinned the same way, to its earlier two-call form.
+tables, one piece) and of its ring sum (everything recomputed per call),
+kept so that the production paths can be pinned to them bit for bit.  The
+truncation rule of the series is pinned the same way, to its earlier
+two-call form.  The Nyström blocks of Kress's other log split, with
+K(1 - m) / pi as the log coefficient, are kept to check that both splits
+give the same answer.
 """
 
 import math
@@ -49,14 +52,9 @@ def legendre_q_quad(nu: float, z: float) -> float:
     return val
 
 
-def ellpk_reference(x):
-    """K(1 - x) for x >= 0 by Cephes' ellpk, elementwise, in its plain
-    form: y = min(x, 1/x), P and Q by separate Horner loops in y, the
-    leading terms below MACHEP, and K(1 - 1/x) / sqrt(x) above 1."""
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
-        y = np.minimum(x, 1.0 / x)
-        log = np.log(y)
+def cephes_pq(y):
+    """Cephes' P(y) and Q(y), K(1 - y) = P(y) - Q(y) ln y, by separate
+    Horner loops."""
     p, q = (c * y for c in _ELLPK_PQ[0])
     for cp, cq in _ELLPK_PQ[1:-1]:
         p += cp
@@ -65,14 +63,62 @@ def ellpk_reference(x):
         q *= y
     p += LN4
     q += _ELLPK_PQ[-1][1]
+    return p, q
+
+
+def ellpk_reference(x):
+    """K(1 - x) for x >= 0 by Cephes' ellpk, elementwise, in its plain
+    form: y = min(x, 1/x), P and Q by separate Horner loops in y, the
+    leading terms below MACHEP, and K(1 - 1/x) / sqrt(x) above 1."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):
+        y = np.minimum(x, 1.0 / x)
+        log = np.log(y)
+    p, q = cephes_pq(y)
     k = np.where(y > MACHEP, p - q * log, LN4 - 0.5 * log)
     return k / np.sqrt(np.maximum(x, 1.0))
 
 
 def nystrom_blocks_reference(mesh):
     """The even and odd blocks of a BemMesh (n nodes, n even), assembled as
-    bem did before its kernel pass used per-node-count tables: the
-    same-side and mirror kernels on the upper triangle of the lower half,
+    bem's kernel pass does, in one piece: coordinates in units of the power
+    of two L > max r, the moduli from squares, the kernel (P(p) - Q(p)
+    (ln p + c_d)) / R_max on the strict upper triangle of the lower half,
+    the same-side and mirror kernels folded into even and odd ones there
+    and scattered to both triangles by fancy indexing, the mirror kernel
+    alone on the diagonal; then column-weighted and the diagonal's limit
+    added."""
+    n = mesh.n_panels
+    h = n // 2
+    scale = math.ldexp(1.0, -math.frexp(mesh.r.max())[1])
+    r, z, ds = mesh.r[:h], mesh.z[:h], mesh.ds[:h]
+    rs, zs = scale * r, scale * z
+    c = _log_weights(n)
+    i, j = np.triu_indices(h, 1)
+    d = np.arange(h)
+
+    def kernel(ri, rj, dz, cd):
+        rmax2 = dz * dz + (ri + rj) ** 2
+        p = (dz * dz + (ri - rj) ** 2) / rmax2
+        pp, qq = cephes_pq(p)
+        return (pp - qq * (np.log(p) + cd)) / np.sqrt(rmax2)
+
+    same = kernel(rs[i], rs[j], zs[i] - zs[j], c[j - i])
+    mirror = kernel(rs[i], rs[j], zs[i] + zs[j], c[i + j + 1])
+    self_mirror = kernel(rs, rs, 2.0 * zs, c[2 * d + 1])
+    blocks = np.empty((2, h, h))
+    blocks[:, i, j] = blocks[:, j, i] = np.stack([same + mirror, same - mirror])
+    blocks[:, d, d] = np.stack([self_mirror, -self_mirror])
+    blocks *= 4.0 * scale * r * ds
+    blocks[:, d, d] += ds * (2.0 * np.log(16.0 * math.pi * r / (n * ds)) - c[0])
+    return blocks[0], blocks[1]
+
+
+def nystrom_blocks_k_prime_split(mesh):
+    """The even and odd blocks of a BemMesh by Kress's split with K(1 - m)
+    / pi as the log coefficient (DLMF 19.12), as bem assembled them before
+    its kernel took Cephes' Q(p): the same-side and mirror kernels (K(m) -
+    K(1 - m) c_d / pi) / R_max on the upper triangle of the lower half,
     moduli from R_max = hypot(r + r', z - z'), scattered to both triangles
     by fancy indexing, then column-weighted, the diagonal replaced and the
     two folded."""

@@ -1,5 +1,7 @@
+import dataclasses
 import importlib.util
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -20,11 +22,12 @@ from torvdw import (
 import torvdw.bem as bem_module
 from torvdw.bem import (
     _CACHED_NODES,
+    _ELLPK_PQ,
     _ellpk,
     _PQ_COLUMNS,
-    _half_kernels,
+    _folded_kernels,
     _pair_tables,
-    _ring_moduli,
+    _ring_kernels,
     _ring_sum,
     bem_gh_reduced,
     bem_mixed_derivative,
@@ -38,7 +41,13 @@ from torvdw.errors import FarSourceWarning, MeshError, SingularKernelError, Solv
 from torvdw.units import K_E_EV_NM
 from torvdw.validate import _exterior_points, check_bem_vs_series
 
-from oracles import MACHEP, ellpk_reference, nystrom_blocks_reference, vh_reference
+from oracles import (
+    MACHEP,
+    ellpk_reference,
+    nystrom_blocks_k_prime_split,
+    nystrom_blocks_reference,
+    vh_reference,
+)
 from whole_range import assert_scaled_by_inverse_cube
 
 EPS = np.finfo(float).eps
@@ -292,7 +301,8 @@ class TestFieldPoints:
 
 def _dense_matrix(mesh):
     """The full Nyström matrix assembled entry by entry, as a reference:
-    the moduli from plain squares, Kress's weights summed term by term."""
+    the moduli from plain squares, Kress's weights summed term by term,
+    the log coefficient Cephes' Q(p) and K(m) from scipy."""
     n, r, z = mesh.n_panels, mesh.r, mesh.z
     bt = mesh.ds * n / (2.0 * math.pi)  # b t'(s_j)
     diff = 2.0 * math.pi * np.subtract.outer(np.arange(n), np.arange(n)) / n
@@ -302,7 +312,7 @@ def _dense_matrix(mesh):
     rmax2 = (r[:, None] + r) ** 2 + (z[:, None] - z) ** 2
     chord2 = (r[:, None] - r) ** 2 + (z[:, None] - z) ** 2
     pref = 4.0 * r * bt / np.sqrt(rmax2)
-    k1 = -pref * scipy.special.ellipkm1(4.0 * r[:, None] * r / rmax2) / math.pi
+    k1 = -pref * np.polyval([q for _, q in _ELLPK_PQ], chord2 / rmax2)
     with np.errstate(divide="ignore", invalid="ignore"):
         k2 = pref * scipy.special.ellipkm1(chord2 / rmax2) - k1 * np.log(
             4.0 * np.sin(diff / 2.0) ** 2)
@@ -311,6 +321,9 @@ def _dense_matrix(mesh):
 
 
 MIRROR_PANELS = [64, 66, 128, 130]
+#: The benchmark's fixed oracle panel, (a/b, b, z'/b, z/b of the mixed
+#: derivative at z = z').
+ORACLE_PANEL = [(2.0, 1.0, 0.5, 1.0), (5.0, 1.0, -1.0, 0.5), (12.0, 0.8, 1.5, 2.0)]
 
 
 class TestMirrorBlocks:
@@ -346,18 +359,19 @@ class TestMirrorBlocks:
 
         def counting(*args):
             evals.append(np.broadcast(*args).size)
-            return _ring_moduli(*args)
+            return _ring_kernels(*args)
 
-        monkeypatch.setattr(bem_module, "_ring_moduli", counting)
+        monkeypatch.setattr(bem_module, "_ring_kernels", counting)
         mesh = build_mesh(geom53, n)
         assembly = sum(evals)
         solve_induced_density(mesh, axial_source(1.0, geom53))
         mesh.collocation_matrix()
-        # build_mesh evaluates the upper triangles of the lower half's
-        # same-side and mirror kernels, k (k + 1) pairs, about a quarter of
-        # n^2; the solve and the dense matrix evaluate none
+        # build_mesh evaluates the strict upper triangles of the lower
+        # half's same-side and mirror kernels and the mirror kernel's
+        # diagonal, k^2 pairs, a quarter of n^2; the solve and the dense
+        # matrix evaluate none
         k = n // 2
-        assert assembly == k * (k + 1)
+        assert assembly == k * k
         assert sum(evals) - assembly == 0
 
     @pytest.mark.parametrize("n", [64, 66])
@@ -372,18 +386,32 @@ class TestMirrorBlocks:
 
     @pytest.mark.parametrize("n", MIRROR_PANELS)
     def test_kernels_are_symmetric(self, geom53, n):
-        # the same-side and mirror kernels are bitwise symmetric off the
-        # diagonal; the blocks are their column-weighted sums and differences
+        # the even and odd kernels, folded before the column weights, are
+        # bitwise symmetric; the blocks are them column-weighted, in units
+        # of the power of two L > max r
         mesh = build_mesh(geom53, n)
         h = n // 2
-        same, mirror = _half_kernels(mesh.r[:h], mesh.z[:h], _pair_tables(n))
+        scale = 2.0 ** -math.frexp(mesh.r.max())[1]
+        r, z = scale * mesh.r[:h], scale * mesh.z[:h]
+        folded = _folded_kernels(r, z, _pair_tables(n))
         off = ~np.eye(h, dtype=bool)
-        for kernel in (same, mirror):
-            assert np.array_equal(kernel[off], kernel.T[off])
-        even, odd = mesh.blocks
-        w = 4.0 * mesh.r[:h] * mesh.ds[:h]
-        np.testing.assert_array_equal(odd[off], (same * w - mirror * w)[off])
-        np.testing.assert_array_equal(even[off], (same * w + mirror * w)[off])
+        for kernel in folded:
+            assert np.array_equal(kernel, kernel.T)
+        w = 4.0 * scale * mesh.r[:h] * mesh.ds[:h]
+        for block, kernel in zip(mesh.blocks, folded):
+            np.testing.assert_array_equal(block[off], (kernel * w)[off])
+
+    def test_assembly_peak_within_three_blocks(self, geom53):
+        # the kernel pass works in pieces: with the pair tables warm, nothing
+        # it allocates comes near the size of the blocks it returns
+        build_mesh(geom53, 400)
+        tracemalloc.start()
+        try:
+            mesh = build_mesh(geom53, 400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * sum(block.nbytes for block in mesh.blocks)
 
     def test_nan_residual_fails_the_gate(self, geom53, monkeypatch):
         monkeypatch.setattr(bem_module.BemMesh, "lu",
@@ -393,8 +421,8 @@ class TestMirrorBlocks:
 
 
 class TestPinnedToReference:
-    """The kernel pass (per-node-count tables, one stacked Horner pass,
-    halved hypot operands) and the field-point ring sums (ring table,
+    """The kernel pass (per-node-count tables, pieces, one stacked Horner
+    pass, squares in units of L) and the field-point ring sums (ring table,
     contiguous Horner planes) do the references' arithmetic on every entry,
     so the blocks, K and the ring sums are bitwise those of
     tests/oracles.py."""
@@ -525,6 +553,36 @@ class TestAgainstSeries:
         np.testing.assert_allclose(
             bem_mixed_derivative(heights, heights, geom, n),
             [gh_mixed_derivative(h, h, g) for h in heights], rtol=1e-10)
+
+    @pytest.mark.parametrize("ratio", [1.1, 1.5, 5.0, 20.0])
+    def test_both_log_splits_agree(self, ratio):
+        # Q(p) and K(1 - m) / pi are both log coefficients of K(m): the two
+        # Nyström rules differ at the quadrature error, which at 256 nodes is
+        # below rounding
+        geom = toroid_from_radii(ratio, 1.0)
+        src = axial_source(0.5 * geom.f, geom)
+        mesh = build_mesh(geom, 256)
+        other = dataclasses.replace(mesh, blocks=nystrom_blocks_k_prime_split(mesh))
+        r, z = np.array(_exterior_points(geom, np.random.default_rng(5), 20)).T
+        np.testing.assert_allclose(bem_vh(r, z, solve_induced_density(mesh, src)),
+                                   bem_vh(r, z, solve_induced_density(other, src)),
+                                   rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("ratio, b, src_b, mixed_b", ORACLE_PANEL)
+    def test_benchmark_oracle_panel(self, ratio, b, src_b, mixed_b):
+        # the shapes behind the benchmark's oracle_rel_err: V_H at 100 nodes
+        # and the mixed derivative at 400 stay at the rounding floor
+        geom = toroid_from_radii(ratio * b, b)
+        g = axial_greens(geom)
+        src = axial_source(src_b * b, geom)
+        pts = _exterior_points(geom, np.random.default_rng(11), 20)
+        refs = vh_potential([cartesian_to_toroidal(r, 0.0, z, geom.f) for r, z in pts], src, g)
+        r, z = np.array(pts).T
+        sol = solve_induced_density(build_mesh(geom, 100), src)
+        np.testing.assert_allclose(bem_vh(r, z, sol), refs, rtol=3e-14, atol=0.0)
+        height = mixed_b * b
+        assert bem_mixed_derivative(height, height, geom, 400) == pytest.approx(
+            gh_mixed_derivative(height, height, g), rel=3e-14, abs=0.0)
 
     def test_far_field_is_monopole_of_induced_charge(self, geom53):
         src = axial_source(0.5, geom53)
@@ -710,8 +768,11 @@ def test_convergence_script_smoke(capsys):
     spec.loader.exec_module(script)
     script.study(5.0, 2.0, panel_counts=(50, 100), repeats=2)
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert lines[1][-3:] == ["assembly_ms", "solve_ms", "field_us"]
+    assert lines[1][-4:] == ["assembly_ms", "faults", "solve_ms", "field_us"]
     rows = [row for row in lines if row and row[0].isdigit()]
     assert [int(row[0]) for row in rows] == [50, 100]
     assert all(math.isfinite(float(row[1])) for row in rows)
-    assert all(0.0 < float(t) < 1e6 for row in rows for t in row[-3:])
+    for row in rows:
+        assembly, faults, *times = row[-4:]
+        assert all(0.0 < float(t) < 1e6 for t in [assembly, *times])
+        assert int(faults) >= 0  # minor page faults across the best build_mesh

@@ -504,6 +504,10 @@ class TestSweep:
             sweep_contour(3.0, [1.0], 1.0, particle)
         with pytest.raises(ValueError, match="1-d"):
             sweep_contour([3.0], [[1.0, 2.0], [3.0, 4.0]], 1.0, particle)
+        # an array tube radius: toroid_from_radii's ValueError, not numpy's
+        # TypeError
+        with pytest.raises(ValueError, match="scalars"):
+            sweep_contour([2.0, 3.0], [1.0], np.array([1.0]), particle)
 
 
 class TestNonFiniteHeights:

@@ -43,6 +43,16 @@ class TestToroidFromRadii:
         with pytest.raises(ValueError):
             toroid_from_radii(a, b)
 
+    @pytest.mark.parametrize("a,b", [(np.array([2.0, 3.0]), 1.0), (2.0, np.array([1.0])),
+                                     ([2.0], 1.0), (2.0, np.ones((1, 1)))])
+    def test_array_radius_refused(self, a, b):
+        # one ValueError, not numpy's TypeError from float() of an array
+        with pytest.raises(ValueError, match="scalars"):
+            toroid_from_radii(a, b)
+
+    def test_zero_dimensional_radii_accepted(self):
+        assert toroid_from_radii(np.array(5.0), np.float64(3.0)) == toroid_from_radii(5.0, 3.0)
+
     @pytest.mark.parametrize(
         "a,b", [(math.nan, 1.0), (math.inf, 1.0), (5.0, math.nan), (math.inf, math.inf)]
     )
