@@ -19,6 +19,9 @@ k1 = -Q(p) and k2 smooth, one polynomial pass and one log a node pair.
 Kress's weights integrate the log part and the trapezoidal rule the rest:
 the error falls geometrically with n.  p and R_max come from squares of
 the coordinates in units of a power of two L >= max r, an exact scaling.
+The field-point sums use the same kernel with log weight 0, K(m) / R_max,
+in units of a power of two L per point above the point's coordinates and
+every ring radius: no field point overflows, and on the axis p is 1.
 
 Reduced units as in the rest of the package: potentials per K_E q,
 lengths in nm, charges in e.
@@ -68,68 +71,21 @@ _ELLPK_PQ = (
     (9.65735902811690126535e-2, 1.24999999999870820058e-1),
     (1.38629436111989062502e0, 4.99999999999999999821e-1),
 )
-#: P's and Q's coefficients as (11, 2, 1, 1) planes of width 1: broadcast
-#: columns, for one Horner pass on both over any shape.
-_PQ_COLUMNS = np.array(_ELLPK_PQ)[:, :, None, None]
-#: Elements per piece of _ellpk's Horner pass: a piece stays in cache.
-_ELLPK_CHUNK = 1 << 14
 
-
-def _horner(planes, x):
-    """P and Q of Cephes' fit at x, stacked on a new leading axis: one Horner
-    pass on the coefficient planes, which broadcast against x."""
-    pq = planes[0] * x
-    for c in planes[1:-1]:
-        pq += c
-        pq *= x
-    pq += planes[-1]
-    return pq
-
-
-def _ellpk(x, planes=_PQ_COLUMNS):
-    """K(1 - x) for x >= 0, elementwise: Cephes' ellpk, the routine behind
-    scipy.special.ellipkm1, in the same operations (Horner in x; x > 1
-    through K(1 - 1/x) / sqrt(x)), so it agrees with it to an ulp.  x = 0
-    gives inf.  The Horner planes are (11, 2, 1, w): with w = 1 (the
-    default) x may have any shape and runs in pieces of _ELLPK_CHUNK
-    entries; with w > 1, _PQ_COLUMNS repeated w times (a solution's ring
-    table holds them), x runs in pieces of whole rows of w entries, and a
-    copy of the piece per polynomial makes every step contiguous.  Cephes'
-    branch for x <= 2^-53, ln 4 - ln(x) / 2, is not needed: there P and Q
-    round to ln 4 and 1/2.  The x > 1 steps change no bit on [0, 1]."""
-    x = np.asarray(x, dtype=float)
-    big = bool((x > 1.0).any())
-    with np.errstate(divide="ignore", over="ignore"):
-        y = (np.minimum(x, 1.0 / x) if big else x).reshape(-1, planes.shape[-1])
-        k = np.empty_like(y)
-        width = y.shape[1]
-        rows = max(1, _ELLPK_CHUNK // width)
-        for s in range(0, len(y), rows):
-            piece = y[s:s + rows]
-            # on planes, a copy of the piece per polynomial: no step broadcasts
-            pq = _horner(planes, piece if width == 1 else np.array([piece, piece]))
-            np.subtract(pq[0], pq[1] * np.log(piece), out=k[s:s + rows])
-    k = k.reshape(x.shape)
-    return k / np.sqrt(np.maximum(x, 1.0)) if big else k
-
-
-def _ring_sum(r_f, z_f, rings):
-    """Reduced potential sum_j q_j (2/pi) K(m_j) / R_max,j of the rings in
-    the table rings = (r_j / 2, z_j / 2, q_j, planes), planes being
-    _ellpk's Horner planes of the table's width, at field points given by
-    their halved coordinates r_f = |r| / 2 and z_f = z / 2: floats, or
-    arrays of one shape with a trailing axis of length 1.  Only the field
-    points are worked on per call; the table is built once."""
-    half_r, half_z, charges, planes = rings
-    # p = 1 - m from ratios to R_max / 2: nothing overflows
-    v = z_f - half_z
-    half = np.hypot(r_f + half_r, v)
-    u, v = (r_f - half_r) / half, v / half
-    p = u * u + v * v
-    if not p.all():
-        raise SingularKernelError("field point lies on a ring")
-    kernel = (1.0 / math.pi) * _ellpk(p, planes) / half  # (2/pi) K / R_max, the same bits
-    return (charges * kernel).sum(axis=-1)
+def _cephes_pq(x):
+    """P(x) and Q(x) of Cephes' fit, by one Horner loop each in x, a float
+    or an array.  Below 2^-53 they round to ln 4 and 1/2, so Cephes'
+    separate branch there, K(1 - x) = ln 4 - ln(x) / 2, is not needed."""
+    (p, q), *middle, (p_end, q_end) = _ELLPK_PQ
+    p, q = p * x, q * x
+    for cp, cq in middle:
+        p += cp
+        p *= x
+        q += cq
+        q *= x
+    p += p_end
+    q += q_end
+    return p, q
 
 
 def _log_weights(n: int) -> np.ndarray:
@@ -185,14 +141,16 @@ def _ring_kernels(r_i, r_j, dz, c):
     and rings at radii r_j, dz apart in height (a leading axis of dz stacks
     ring sets), with the log weight c of each pair, in units of a power of
     two L >= every radius.  K(m) = P(p) - Q(p) ln p, p = 1 - m, is Cephes'
-    fit, its Q(p) the log coefficient: one Horner pass and one log a pair.
-    p and R_max^2 = (r_i + r_j)^2 + dz^2 come from squares, finite in L."""
+    fit, its Q(p) the log coefficient: one Horner loop each for P and Q
+    and one log a pair.  p and R_max^2 = (r_i + r_j)^2 + dz^2 come from
+    squares, finite in L.  With c = 0 it is a charged ring's K(m) / R_max,
+    which the field-point sums take."""
     r_max = dz * dz
     p = (r_i - r_j) ** 2 + r_max
     r_max += (r_i + r_j) ** 2
     p /= r_max
-    pq = _horner(_PQ_COLUMNS, p)
-    return (pq[0] - pq[1] * (np.log(p) + c)) / np.sqrt(r_max)
+    p_fit, q_fit = _cephes_pq(p)
+    return (p_fit - q_fit * (np.log(p) + c)) / np.sqrt(r_max)
 
 
 def _folded_kernels(r, z, tables) -> np.ndarray:
@@ -319,10 +277,8 @@ class BemSolution:
     sigma: np.ndarray   # induced density at the nodes, e / nm^2, for the source's charge
     source: AxialSource
     residual: float     # Nyström residual relative to the Coulomb scale
-    # the ring table of the field-point sums, four read-only arrays: the
-    # halved ring radii and heights, the ring charges sigma 2 pi r ds and
-    # _ellpk's Horner planes of width n
-    rings: tuple = field(repr=False, compare=False)
+    # the ring charges sigma 2 pi r ds of the field-point sums, read-only
+    charges: np.ndarray = field(repr=False, compare=False)
 
 
 def _solve(mesh: BemMesh, rhs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -357,32 +313,44 @@ def solve_induced_density(mesh: BemMesh, src: AxialSource) -> BemSolution:
         scale; carries the Nyström matrix's condition number.
     """
     sigma, residual = _solve(mesh, -src.charge / np.hypot(mesh.r, mesh.z - src.z_src))
-    sigma.flags.writeable = False
-    rings = (0.5 * mesh.r, 0.5 * mesh.z, sigma * 2.0 * math.pi * mesh.r * mesh.ds,
-             np.repeat(_PQ_COLUMNS, mesh.n_panels, axis=-1))
-    for entry in rings:
-        entry.flags.writeable = False
-    return BemSolution(mesh=mesh, sigma=sigma, source=src, residual=residual, rings=rings)
+    charges = sigma * 2.0 * math.pi * mesh.r * mesh.ds
+    sigma.flags.writeable = charges.flags.writeable = False
+    return BemSolution(mesh=mesh, sigma=sigma, source=src, residual=residual, charges=charges)
 
 
 def total_induced_charge(sol: BemSolution) -> float:
     """Net induced charge (e); negative for a positive source charge."""
-    return float(sol.rings[2].sum())
+    return float(sol.charges.sum())
 
 
-def _vh_reduced_bem(r, z, sol: BemSolution):
-    """Reduced induced potential at field points (r, z), one ring sum each;
-    the field radius enters as |r|, since the sum is even in r."""
+def _ring_sum(r, z, ring_r, ring_z, charges):
+    """Reduced potential sum_j q_j (2/pi) K(m_j) / R_max,j at field points
+    (r, z) of the rings at radii ring_r and heights ring_z with charges q_j,
+    by _ring_kernels with log weight 0, in units of a power of two
+    L > max(|r|, |z|, max ring_r) per point: nothing overflows, and on the
+    axis p is exactly 1.  r and z are floats, worked on with math for one
+    point, or arrays of one shape; the field radius enters as |r|, since
+    the sum is even in r.  A point on a ring raises SingularKernelError."""
+    top = ring_r.max()
     if isinstance(r, float) and isinstance(z, float):  # one point, the common call
-        finite = math.isfinite(r) and math.isfinite(z)
-        r_f, z_f = 0.5 * abs(r), 0.5 * z
+        if not (math.isfinite(r) and math.isfinite(z)):
+            raise ValueError("field points must be finite")
+        r = abs(r)
+        scale = math.ldexp(1.0, -math.frexp(max(r, abs(z), top))[1])
+        unit = scale
     else:
         r, z = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(z, dtype=float))
-        finite = np.isfinite(r).all() and np.isfinite(z).all()
-        r_f, z_f = 0.5 * np.abs(r)[..., None], 0.5 * z[..., None]
-    if not finite:
-        raise ValueError("field points must be finite")
-    return _ring_sum(r_f, z_f, sol.rings)
+        if not (np.isfinite(r).all() and np.isfinite(z).all()):
+            raise ValueError("field points must be finite")
+        r = np.abs(r)
+        scale = np.ldexp(1.0, -np.frexp(np.maximum(np.maximum(r, np.abs(z)), top))[1])
+        unit, r, z = scale[..., None], r[..., None], z[..., None]
+    with np.errstate(divide="raise"):  # ln p at p = 0
+        try:
+            kernel = _ring_kernels(unit * r, unit * ring_r, unit * z - unit * ring_z, 0.0)
+        except FloatingPointError:
+            raise SingularKernelError("field point lies on a ring") from None
+    return (2.0 / math.pi) * (charges * kernel).sum(axis=-1) * scale
 
 
 def bem_vh(r, z, sol: BemSolution):
@@ -394,12 +362,13 @@ def bem_vh(r, z, sol: BemSolution):
     A non-finite coordinate raises ValueError, a point on a node ring or on
     its mirror through the axis SingularKernelError.
     """
-    return K_E_EV_NM * _vh_reduced_bem(r, z, sol)
+    return K_E_EV_NM * _ring_sum(r, z, sol.mesh.r, sol.mesh.z, sol.charges)
 
 
 def bem_gh_reduced(z_field: float, sol: BemSolution) -> float:
     """eps0 V_H / q on the axis, in 1/nm: the Green's-kernel counterpart."""
-    return _vh_reduced_bem(0.0, z_field, sol) / (4.0 * math.pi * sol.source.charge)
+    return (_ring_sum(0.0, z_field, sol.mesh.r, sol.mesh.z, sol.charges)
+            / (4.0 * math.pi * sol.source.charge))
 
 
 def bem_mixed_derivative(z, z_prime, geom: ToroidGeometry, n_panels: int = 400):

@@ -73,11 +73,6 @@ _RD_STOP = (np.finfo(float).eps / 4.0) ** (-1.0 / 6.0)
 _E_UNIT_BELOW = 1e-18
 
 
-def _k_complement(p: float) -> float:
-    """K(1 - p) from the complementary parameter p >= 0; +inf at p = 0."""
-    return _k_comodulus(math.sqrt(p))
-
-
 def _k_comodulus(kp: float) -> float:
     """K(1 - kp^2) from the complementary modulus kp >= 0; +inf at kp = 0.
 
@@ -155,7 +150,7 @@ def toroidal_seeds(z: float) -> tuple[float, float, float]:
     m1 = -math.expm1(-2.0 * math.acosh(z))               # 1 - e^{-2 xi}, no cancellation
     p_minus = (2.0 / math.pi) * math.sqrt(emx) * _k_comodulus(emx)
     p_plus = (2.0 / math.pi) * _e_complement(emx * emx) / math.sqrt(emx)
-    q_minus = 2.0 * math.sqrt(emx) * _k_complement(m1)
+    q_minus = 2.0 * math.sqrt(emx) * _k_comodulus(math.sqrt(m1))
     return p_minus, p_plus, q_minus
 
 

@@ -8,12 +8,12 @@ in test_specfun.
 The Nyström blocks and the field-point ring sums have references of
 another kind: the straightforward formulations of bem's kernel pass
 (fancy-index gathers and scatters, one polynomial at a time, no cached
-tables, one piece) and of its ring sum (everything recomputed per call),
-kept so that the production paths can be pinned to them bit for bit.  The
-truncation rule of the series is pinned the same way, to its earlier
-two-call form.  The Nyström blocks of Kress's other log split, with
-K(1 - m) / pi as the log coefficient, are kept to check that both splits
-give the same answer.
+tables, one piece) and of its ring sum (the same kernel, everything
+recomputed per call), kept so that the production paths can be pinned to
+them bit for bit.  The truncation rule of the series is pinned the same
+way, to its earlier two-call form.  The Nyström blocks of Kress's other
+log split, with K(1 - m) / pi as the log coefficient, are kept to check
+that both splits give the same answer.
 """
 
 import math
@@ -67,16 +67,24 @@ def cephes_pq(y):
 
 
 def ellpk_reference(x):
-    """K(1 - x) for x >= 0 by Cephes' ellpk, elementwise, in its plain
-    form: y = min(x, 1/x), P and Q by separate Horner loops in y, the
-    leading terms below MACHEP, and K(1 - 1/x) / sqrt(x) above 1."""
+    """K(1 - x) for 0 <= x <= 1 by Cephes' ellpk, elementwise, in its plain
+    form: P and Q by separate Horner loops in x, and the leading terms
+    below MACHEP."""
     x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
-        y = np.minimum(x, 1.0 / x)
-        log = np.log(y)
-    p, q = cephes_pq(y)
-    k = np.where(y > MACHEP, p - q * log, LN4 - 0.5 * log)
-    return k / np.sqrt(np.maximum(x, 1.0))
+    with np.errstate(divide="ignore"):
+        log = np.log(x)
+    p, q = cephes_pq(x)
+    return np.where(x > MACHEP, p - q * log, LN4 - 0.5 * log)
+
+
+def ring_kernel_reference(ri, rj, dz, cd):
+    """bem's ring kernel (P(p) - Q(p) (ln p + c_d)) / R_max, the moduli from
+    squares of coordinates in units of a power of two; c_d = 0 is a charged
+    ring's K(m) / R_max."""
+    rmax2 = dz * dz + (ri + rj) ** 2
+    p = (dz * dz + (ri - rj) ** 2) / rmax2
+    pp, qq = cephes_pq(p)
+    return (pp - qq * (np.log(p) + cd)) / np.sqrt(rmax2)
 
 
 def nystrom_blocks_reference(mesh):
@@ -96,16 +104,9 @@ def nystrom_blocks_reference(mesh):
     c = _log_weights(n)
     i, j = np.triu_indices(h, 1)
     d = np.arange(h)
-
-    def kernel(ri, rj, dz, cd):
-        rmax2 = dz * dz + (ri + rj) ** 2
-        p = (dz * dz + (ri - rj) ** 2) / rmax2
-        pp, qq = cephes_pq(p)
-        return (pp - qq * (np.log(p) + cd)) / np.sqrt(rmax2)
-
-    same = kernel(rs[i], rs[j], zs[i] - zs[j], c[j - i])
-    mirror = kernel(rs[i], rs[j], zs[i] + zs[j], c[i + j + 1])
-    self_mirror = kernel(rs, rs, 2.0 * zs, c[2 * d + 1])
+    same = ring_kernel_reference(rs[i], rs[j], zs[i] - zs[j], c[j - i])
+    mirror = ring_kernel_reference(rs[i], rs[j], zs[i] + zs[j], c[i + j + 1])
+    self_mirror = ring_kernel_reference(rs, rs, 2.0 * zs, c[2 * d + 1])
     blocks = np.empty((2, h, h))
     blocks[:, i, j] = blocks[:, j, i] = np.stack([same + mirror, same - mirror])
     blocks[:, d, d] = np.stack([self_mirror, -self_mirror])
@@ -144,19 +145,19 @@ def nystrom_blocks_k_prime_split(mesh):
 
 def vh_reference(r, z, sol):
     """The reduced induced potential of a BemSolution at field points
-    (r, z), r >= 0, as bem summed it before its ring table: per call the
-    ring charges sigma 2 pi r ds, the moduli from the halved operands of
-    R_max, K by ellpk_reference, and the ring sum over the last axis."""
+    (r, z), r >= 0, as bem sums it, with everything recomputed per call: the
+    ring charges sigma 2 pi r ds; per point the power of two L > max(r,
+    |z|, max r_j); ring_kernel_reference with c_d = 0 in units of L; the
+    ring sum over the last axis, times 2 / pi and 1 / L."""
     mesh = sol.mesh
-    r = np.asarray(r, dtype=float)[..., None]
-    z = np.asarray(z, dtype=float)[..., None]
-    r_f, r_ring = 0.5 * r, 0.5 * mesh.r
-    v = 0.5 * z - 0.5 * mesh.z
-    half = np.hypot(r_f + r_ring, v)
-    u, v = (r_f - r_ring) / half, v / half
-    kernel = (1.0 / math.pi) * ellpk_reference(u * u + v * v) / half
+    r, z = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(z, dtype=float))
+    top = np.maximum(np.maximum(r, np.abs(z)), mesh.r.max())
+    scale = np.ldexp(1.0, -np.frexp(top)[1])
+    unit = scale[..., None]
+    kernel = ring_kernel_reference(unit * r[..., None], unit * mesh.r,
+                                   unit * z[..., None] - unit * mesh.z, 0.0)
     ring_charges = sol.sigma * 2.0 * math.pi * mesh.r * mesh.ds
-    return np.sum(ring_charges * kernel, axis=-1)
+    return (2.0 / math.pi) * np.sum(ring_charges * kernel, axis=-1) * scale
 
 
 def truncated_sum_reference(terms, decay, rel_tol, what):

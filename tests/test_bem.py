@@ -23,8 +23,7 @@ import torvdw.bem as bem_module
 from torvdw.bem import (
     _CACHED_NODES,
     _ELLPK_PQ,
-    _ellpk,
-    _PQ_COLUMNS,
+    _cephes_pq,
     _folded_kernels,
     _pair_tables,
     _ring_kernels,
@@ -43,6 +42,7 @@ from torvdw.validate import _exterior_points, check_bem_vs_series
 
 from oracles import (
     MACHEP,
+    cephes_pq,
     ellpk_reference,
     nystrom_blocks_k_prime_split,
     nystrom_blocks_reference,
@@ -112,42 +112,48 @@ class TestMesh:
 
 
 #: Complementary parameters p = 1 - m: a log grid down to 1e-300, the
-#: midrange, p = 1 itself and the few ulps above 1 that an on-axis field
-#: point's p can round to.
-ELLPK_GRID = np.array(sorted(set(np.geomspace(1e-300, 1.0, 4001).tolist())
-                             | {0.5, 0.9, 1.0 + 2.0**-52, 1.0 + 2.0**-50}))
+#: midrange and p = 1 itself, which an on-axis field point's p is.
+ELLPK_GRID = np.array(sorted(set(np.geomspace(1e-300, 1.0, 4001).tolist()) | {0.5, 0.9}))
+
+
+def cephes_k(x):
+    """K(1 - x) = P(x) - Q(x) ln x by bem's _cephes_pq; inf at x = 0."""
+    p, q = _cephes_pq(x)
+    with np.errstate(divide="ignore"):
+        return p - q * np.log(x)
 
 
 class TestEllpk:
+    """K from Cephes' ellpk fit on [0, 1], P and Q by bem's _cephes_pq."""
+
     def test_within_an_ulp_of_scipy(self):
         want = scipy.special.ellipkm1(ELLPK_GRID)
-        assert np.all(np.abs(_ellpk(ELLPK_GRID) - want) <= np.spacing(want))
+        assert np.all(np.abs(cephes_k(ELLPK_GRID) - want) <= np.spacing(want))
         # K(1 - m) of the Kress split, which scipy computes as ellipk(p)
         p = ELLPK_GRID[ELLPK_GRID < 1.0]
         want = scipy.special.ellipk(p)
-        assert np.all(np.abs(_ellpk(1.0 - p) - want) <= np.spacing(want))
+        assert np.all(np.abs(cephes_k(1.0 - p) - want) <= np.spacing(want))
 
     def test_within_4_eps_of_mpmath(self):
         # K(1 - p) at 30 digits, plus the digits that 1 - p itself needs
         def eps_error(p):
             with mpmath.workdps(30 + max(0, -math.floor(math.log10(p)))):
                 ref = mpmath.ellipk(1 - mpmath.mpf(p))
-                return float(abs(mpmath.mpf(float(_ellpk(p))) - ref) / ref) / EPS
+                return float(abs(mpmath.mpf(float(cephes_k(p))) - ref) / ref) / EPS
 
-        grid = ELLPK_GRID[ELLPK_GRID <= 1.0][::8]
-        assert max(eps_error(p) for p in grid) <= 4.0
+        assert max(eps_error(p) for p in ELLPK_GRID[::8]) <= 4.0
 
     def test_ends(self):
-        assert _ellpk(1.0) == pytest.approx(math.pi / 2.0, rel=1e-15)
-        assert _ellpk(np.array([0.0]))[0] == math.inf
-        assert np.ndim(_ellpk(0.5)) == 0
+        assert cephes_k(1.0) == pytest.approx(math.pi / 2.0, rel=1e-15)
+        assert cephes_k(np.array([0.0]))[0] == math.inf
+        # floats in, floats out
+        assert all(type(c) is float for c in _cephes_pq(0.5))
 
 
 def one_ring_potential(r, z, r0, z0, charge):
     """Potential (V) at (r, z) of one charged ring of radius r0 at height z0,
-    by bem's ring sum on a one-ring table; the field radius enters as |r|."""
-    ring = (np.array([0.5 * r0]), np.array([0.5 * z0]), np.array([charge]), _PQ_COLUMNS)
-    return K_E_EV_NM * float(_ring_sum(0.5 * abs(r), 0.5 * z, ring))
+    by bem's ring sum over one ring; the field radius enters as |r|."""
+    return K_E_EV_NM * float(_ring_sum(r, z, np.array([r0]), np.array([z0]), np.array([charge])))
 
 
 class TestRingPotential:
@@ -255,8 +261,9 @@ class TestFieldPoints:
     @pytest.mark.parametrize("r, z", [(1e200, 0.0), (0.0, 1e200),
                                       (1.7e308, 1.7e308), (0.0, -1.7e308)])
     def test_far_point_is_monopole_without_overflow(self, sol, r, z):
-        # the moduli are ratios to R_max / 2, so nothing overflows, even where
-        # the distance does; past 1e308 the potential is subnormal
+        # the moduli come from coordinates in units of a power of two above
+        # the point's, so nothing overflows, even where the distance does;
+        # past 1e308 the potential is subnormal
         v = bem_vh(r, z, sol)
         distance_half = math.hypot(r / 2.0, z / 2.0)
         assert v == pytest.approx(
@@ -297,6 +304,36 @@ class TestFieldPoints:
         assert bem_vh(-r, z, sol).tobytes() == bem_vh(r, z, sol).tobytes()
         for ri, zi in zip(r.flat, z.flat):
             assert bem_vh(-ri, zi, sol) == bem_vh(ri, zi, sol)
+
+
+def scaled_vh(lam):
+    """lam bem_vh on the toroid a = 5 lam, b = lam with its source at 1.3 lam,
+    at the exterior points (r, z) lam of test_even_in_r, with an axis point
+    and a far one: by one array call, and by one scalar call per point."""
+    r = lam * np.array([0.0, 2.0, 7.5, 1.0, 9.0, 0.3, 0.0, 3e5])
+    z = lam * np.array([3.0, -4.0, 0.0, -2.5, 1.0, 6.0, -40.0, 2e5])
+    geom = toroid_from_radii(5.0 * lam, lam)
+    sol = solve_induced_density(build_mesh(geom, 64), axial_source(1.3 * lam, geom))
+    return lam * bem_vh(r, z, sol), lam * np.array([bem_vh(a, b, sol) for a, b in zip(r, z)])
+
+
+class TestFieldScaleLaw:
+    """V_H has dimension 1/length: scaling the toroid, the source and the
+    points by lam scales bem_vh by 1 / lam."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam", [2.0**-400, 2.0**400])
+    def test_powers_of_two_bit_for_bit(self, lam):
+        for got, want in zip(scaled_vh(lam), scaled_vh(1.0)):
+            assert got.tobytes() == want.tobytes()
+
+    @given(log_lam=st.floats(min_value=math.log(1e-150), max_value=math.log(1e150)))
+    def test_within_8_eps_over_the_float_range(self, log_lam):
+        want, _ = scaled_vh(1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for got in scaled_vh(math.exp(log_lam)):
+                assert np.all(np.abs(got - want) <= 8.0 * EPS * np.abs(want))
 
 
 def _dense_matrix(mesh):
@@ -421,11 +458,10 @@ class TestMirrorBlocks:
 
 
 class TestPinnedToReference:
-    """The kernel pass (per-node-count tables, pieces, one stacked Horner
-    pass, squares in units of L) and the field-point ring sums (ring table,
-    contiguous Horner planes) do the references' arithmetic on every entry,
-    so the blocks, K and the ring sums are bitwise those of
-    tests/oracles.py."""
+    """The kernel pass (per-node-count tables, pieces, squares in units of
+    L) and the field-point ring sums (the same kernel, in units of L per
+    point) do the references' arithmetic on every entry, so the blocks, P
+    and Q, K and the ring sums are bitwise those of tests/oracles.py."""
 
     @pytest.mark.parametrize("ratio", [1.01, 1.5, 5.0, 20.0])
     @pytest.mark.parametrize("n", [64, 66, 100, 400])
@@ -450,18 +486,21 @@ class TestPinnedToReference:
             [0.0, 5e-324, 1e-310, np.finfo(float).tiny, 1e-200, 1e-17,
              0.5 * MACHEP, MACHEP, np.nextafter(MACHEP, 1.0), 0.5, 1.0],
             np.geomspace(5e-324, MACHEP, 300),  # Cephes' leading-terms branch
-            np.geomspace(1e-300, 1.0, 301),
-            [1.0 + 2.0**-52, 1.0 + 2.0**-50, 2.0, 1e10, 1e300, NAN]])
-        unit = grid[grid <= 1.0]  # the kernel path: no x > 1 branch
-        for x in (grid, unit, grid.reshape(-1, 2)):
-            assert _ellpk(x).tobytes() == ellpk_reference(x).tobytes()
+            np.geomspace(1e-300, 1.0, 301)])
+        for x in (grid, grid.reshape(-1, 2), np.append(grid, NAN)):
+            for got, want in zip(_cephes_pq(x), cephes_pq(x)):
+                assert got.tobytes() == want.tobytes()
+        assert [_cephes_pq(x) for x in grid.tolist()] == [cephes_pq(x) for x in grid.tolist()]
+        # below 2^-53 P and Q round to their constant terms, so K needs no
+        # branch of its own there
+        assert cephes_k(grid).tobytes() == ellpk_reference(grid).tobytes()
 
     @pytest.mark.parametrize("ratio", [1.01, 1.5, 5.0, 20.0])
     @pytest.mark.parametrize("n", [64, 66, 100, 400])
     def test_field_path_bitwise(self, ratio, n):
-        # the ring sums read the solution's ring table, its Horner planes
-        # included, and do the reference's arithmetic on every entry; the axis
-        # points take _ellpk's steps for arguments above 1
+        # the ring sums read the solution's ring charges and do the
+        # reference's arithmetic on every entry, the axis points (p = 1)
+        # included
         geom = toroid_from_radii(2.0 * ratio, 2.0)
         src = axial_source(0.3 * geom.a, geom)
         sol = solve_induced_density(build_mesh(geom, n), src)
@@ -481,18 +520,16 @@ class TestPinnedToReference:
         charge = np.sum(sol.sigma * 2.0 * math.pi * sol.mesh.r * sol.mesh.ds)
         assert total_induced_charge(sol) == charge
 
-    def test_ring_table_read_only_and_planes_bounded(self, geom53):
-        # the Horner planes live on the solution, 176 bytes a node, built
+    def test_ring_charges_read_only_and_one_cache(self, geom53):
+        # the field sums keep only the ring charges on the solution, built
         # once per solve; no cache outlives it
-        n = _CACHED_NODES + 2
-        sol = solve_induced_density(build_mesh(geom53, n), axial_source(1.0, geom53))
-        *columns, planes = sol.rings
-        assert [column.shape for column in columns] == [(n,)] * 3
-        assert planes.shape == (11, 2, 1, n) and planes.nbytes == 176 * n
-        assert planes.tobytes() == np.repeat(_PQ_COLUMNS, n, axis=-1).tobytes()
-        for entry in sol.rings:
+        sol = solve_induced_density(build_mesh(geom53, 64), axial_source(1.0, geom53))
+        mesh = sol.mesh
+        want = sol.sigma * 2.0 * math.pi * mesh.r * mesh.ds
+        assert sol.charges.shape == (64,) and sol.charges.tobytes() == want.tobytes()
+        for entry in (sol.sigma, sol.charges):
             with pytest.raises(ValueError, match="read-only"):
-                entry.flat[0] = 0.0
+                entry[0] = 0.0
         cached = [name for name, obj in vars(bem_module).items() if hasattr(obj, "cache_info")]
         assert cached == ["_pair_tables"]
 
