@@ -47,15 +47,21 @@ EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
+#: Cells of the largest grid (a contour's force matrix is 8 MB there).
+MAX_CELLS = 10**6
+
 
 def _check(args, *grid_counts) -> None:
     """Refuse the settings the library does not bound itself: a series
-    tolerance above 1e-4, and the size of each grid."""
+    tolerance above 1e-4, and the size of each grid and of their product."""
     if not 0.0 < args.tol <= 1e-4:
         raise ValueError(f"--tol must lie in (0, 1e-4], got {args.tol}")
     for count in grid_counts:
         if not 2 <= count <= 100000:
             raise ValueError(f"grids need 2 to 100000 points, got {count}")
+    if math.prod(grid_counts) > MAX_CELLS:
+        raise ValueError(f"a grid of {' x '.join(map(str, grid_counts))} = "
+                         f"{math.prod(grid_counts)} cells exceeds {MAX_CELLS}")
 
 
 def _add_common(p: argparse.ArgumentParser, a: bool = True, table: bool = True,

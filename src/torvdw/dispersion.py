@@ -44,17 +44,18 @@ from .errors import (
     NoSignChangeError,
     RangeExceededError,
     ResultOverflowError,
-    TruncationError,
 )
 from .geometry import _axis_heights, toroid_from_radii
 from .greens import (
     N_CAP,
     REL_TOL,
     AxialGreens,
+    _table_size,
     _truncated_sum,
     _two_minus_delta,
     axial_greens,
 )
+from .specfun import _ratio_groups, _table_column
 from .units import K_E_EV_NM, d2z_to_e2nm2
 
 __all__ = [
@@ -118,22 +119,32 @@ def _over_r(scale, s: np.ndarray, radii, what: str,
         out, exponent = out / m_r, exponent - e_r
     with np.errstate(over="ignore"):
         out = np.ldexp(out, exponent)
-    if not np.all(np.isfinite(out)):
-        raise ResultOverflowError(
-            f"the {what} exceeds the float64 range at "
-            f"{int(np.sum(~np.isfinite(out)))} of {out.size} heights; {cause}"
-        )
+    bad = ~np.isfinite(out)
+    if bad.any():
+        if bad.ndim == 2:  # heights x shapes: the first shape that overflows
+            bad = bad[:, np.argmax(bad.any(axis=0))]
+        raise ResultOverflowError(f"the {what} exceeds the float64 range at "
+                                  f"{int(bad.sum())} of {bad.size} heights; {cause}")
     return out
+
+
+def _moment_sums(ratio: np.ndarray, rel_tol: float, what):
+    """(M, stops), rows for M0 and M2, of each column of ratio (rows x
+    shapes): both moments as columns of one truncated sum, ratio being
+    their decay envelope."""
+    w = 2.0 * ratio
+    w[0] = ratio[0]  # (2 - delta_n0) R_n
+    n = np.arange(len(ratio))[:, None]
+    sums, stops = _truncated_sum(np.concatenate([w, n * n * w], axis=1),
+                                 np.concatenate([ratio, ratio], axis=1), rel_tol, what)
+    return sums.reshape(2, -1), stops.reshape(2, -1)
 
 
 def _moments(g: AxialGreens) -> tuple[float, float, int]:
     """(M0, M2, n_used): both moments as two columns of one truncated sum,
     n_used the later of their stop indices.  Raises TruncationError if
     either does not converge within the term cap."""
-    w = _two_minus_delta(g.table.n_max) * g.table.ratio
-    n = np.arange(w.size)
-    (m0, m2), stops = _truncated_sum(np.column_stack([w, n * n * w]), g.table.ratio,
-                                     g.rel_tol, "moment")
+    ((m0,), (m2,)), stops = _moment_sums(g.table.ratio[:, None], g.rel_tol, "moment")
     return float(m0), float(m2), int(stops.max())
 
 
@@ -395,28 +406,32 @@ def sweep_contour(
 ) -> SweepGrid:
     """Force over the (a, z_p) grid; per-column failures recorded, not fatal.
 
-    Each a value is one shape and one pair of moments, and its column is
-    the same arithmetic as a vdw_force call on those heights.  A shape
-    whose moments do not converge within n_cap fails as a whole: its
-    column is NaN, with one diagnostic per cell.  Columns are independent
-    pure evaluations; the returned grid is immutable.  Each (a, b) goes
-    through toroid_from_radii, whose typed errors refuse a bad shape.  A
-    grid that is empty or not 1-d raises ValueError.
+    Each a value is one shape and one pair of moments, and its column has
+    the bits of a vdw_force call on those heights.  Only the checks and
+    seeds run shape by shape (toroid_from_radii's typed errors refuse a bad
+    shape before any force is evaluated); tables and moments are built in
+    groups of bounded size, and one force call covers all shapes.  A shape
+    whose moments do not converge within n_cap gives a NaN column, with
+    one diagnostic per cell.  The returned grid is immutable.  A grid that
+    is empty or not 1-d raises ValueError.
     """
     a_values = np.asarray(a_values, dtype=float)
     z_values = _axis_heights(z_values, "particle heights")
     if not (a_values.ndim == z_values.ndim == 1 and a_values.size and z_values.size):
         raise ValueError("a and z grids must be non-empty 1-d arrays")
 
-    force = np.full((z_values.size, a_values.size), np.nan)
-    diags = []
+    f, columns = np.empty(a_values.size), []
     for j, a in enumerate(a_values):
-        g = axial_greens(toroid_from_radii(a, b), rel_tol=rel_tol, n_cap=n_cap)
-        try:
-            m0, m2, _ = _moments(g)
-        except TruncationError:
-            diags += [(i, j, "series not converged within cap") for i in range(z_values.size)]
-            continue
-        force[:, j] = _force(z_values, p, g.geometry.f, m0, m2)
+        geom = toroid_from_radii(a, b)
+        f[j] = geom.f
+        columns.append(_table_column(geom.cosh_xi0, _table_size(geom.xi0, rel_tol, n_cap)))
+    moments, stops = np.empty((2, a_values.size)), np.empty((2, a_values.size), dtype=int)
+    for run, ratio in _ratio_groups(columns):
+        moments[:, run], stops[:, run] = _moment_sums(ratio, rel_tol, None)
+    (m0, m2), ok = moments, stops.min(axis=0) >= 0
+    force = np.full((z_values.size, a_values.size), np.nan)
+    force[:, ok] = _force(z_values[:, None], p, f[ok], m0[ok], m2[ok])
     force.flags.writeable = False
-    return SweepGrid(force=force, diagnostics=tuple(diags))
+    return SweepGrid(force=force, diagnostics=tuple(
+        (i, j, "series not converged within cap")
+        for j in np.flatnonzero(~ok).tolist() for i in range(z_values.size)))

@@ -129,6 +129,12 @@ class AxialGreens:
 
 
 def _table_size(xi: float, rel_tol: float, n_cap: int) -> int:
+    """n_max at xi for the truncation policy, refused here if out of bounds."""
+    if not 0.0 < rel_tol < 1.0:
+        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
+    n_cap = operator.index(n_cap)
+    if n_cap < 8:
+        raise ValueError(f"n_cap must be at least 8, got {n_cap}")
     # Terms decay like e^{-n xi} at worst (on the surface); size the table
     # so the triple-small-term stop can always trigger within it, but never
     # past the float64 horizon of the ratio entries.
@@ -141,13 +147,8 @@ def axial_greens(geom: ToroidGeometry, rel_tol: float = REL_TOL,
                  n_cap: int = N_CAP) -> AxialGreens:
     """Build the evaluator for the given toroid and truncation policy; an
     n_cap that is not an integer raises TypeError."""
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    n_cap = operator.index(n_cap)
-    if n_cap < 8:
-        raise ValueError(f"n_cap must be at least 8, got {n_cap}")
     table = harmonic_table(geom.cosh_xi0, _table_size(geom.xi0, rel_tol, n_cap))
-    return AxialGreens(geometry=geom, table=table, rel_tol=float(rel_tol), n_cap=n_cap)
+    return AxialGreens(geom, table, float(rel_tol), operator.index(n_cap))
 
 
 class SeriesInfo(NamedTuple):
@@ -158,7 +159,7 @@ class SeriesInfo(NamedTuple):
 
 
 def _truncated_sum(terms: np.ndarray, decay: np.ndarray, rel_tol: float,
-                   what: str) -> tuple[np.ndarray, np.ndarray]:
+                   what: str | None) -> tuple[np.ndarray, np.ndarray]:
     """(sums, stops): each column of a (n_terms x n_points) term matrix
     summed to its stopping term, and that term's index.
 
@@ -166,10 +167,13 @@ def _truncated_sum(terms: np.ndarray, decay: np.ndarray, rel_tol: float,
     rel_tol * |partial sum| for 3 consecutive terms (single-term smallness
     is unreliable under the cos factors) and the monotone decay envelope
     has fallen to decay[n] <= rel_tol * decay[0].  This is the package's
-    only truncation rule.  The first column that does not stop raises
-    TruncationError, labelled by `what`, with the column's whole sum, the
-    tail estimate |t_N| rho / (1 - rho), rho = min(0.99, |t_N / t_(N-1)|)
-    (0.5 when t_(N-1) = 0), as its bound, and the number of terms summed.
+    only truncation rule.  decay is one envelope or one per column; no
+    column stops on a NaN, so columns of many shapes, padded with NaN, are
+    summed at once with the bits each has alone.  The first column that
+    does not stop raises TruncationError, labelled by `what`, with the
+    column's whole sum, the tail estimate |t_N| rho / (1 - rho), rho =
+    min(0.99, |t_N / t_(N-1)|) (0.5 when t_(N-1) = 0), as its bound, and
+    the number of terms summed; with `what` None its stop is -1 instead.
     """
     acc = np.cumsum(terms, axis=0)
     scale = np.abs(acc)
@@ -178,9 +182,9 @@ def _truncated_sum(terms: np.ndarray, decay: np.ndarray, rel_tol: float,
     ok = small.copy()
     ok[1:] &= small[:-1]
     ok[2:] &= small[:-2]
-    ok &= (decay <= rel_tol * decay[0])[:, None]
+    ok &= decay.reshape(len(decay), -1) <= rel_tol * decay[0]
     converged = ok.any(axis=0)
-    if not converged.all():
+    if what is not None and not converged.all():
         k = int(np.argmin(converged))
         n_terms = terms.shape[0]
         prev, last = np.abs(terms[-2:, k])
@@ -188,7 +192,7 @@ def _truncated_sum(terms: np.ndarray, decay: np.ndarray, rel_tol: float,
         raise TruncationError(f"{what} series not converged after {n_terms} terms",
                               partial_sum=acc[-1, k], bound=last * rho / (1.0 - rho),
                               n_terms=n_terms)
-    stops = np.argmax(ok, axis=0)
+    stops = np.where(converged, np.argmax(ok, axis=0), -1)
     return acc[stops, np.arange(terms.shape[1])], stops
 
 

@@ -65,6 +65,10 @@ _LOG_HORIZON = 690.0
 #: tail is e^{-2 xi (n_top - n_max)} <= e^{-36} of R_{n_max}.
 _TAIL_XI = 18.0
 
+#: Rows times columns of a group of tables built at once: it bounds the
+#: memory of a sweep over many shapes.
+_GROUP_ENTRIES = 2**13
+
 #: Carlson's stopping constant (eps / 4)^(-1/6) for R_D in float64.
 _RD_STOP = (np.finfo(float).eps / 4.0) ** (-1.0 / 6.0)
 
@@ -204,21 +208,21 @@ def _p_forward(z, n_max: int, p_minus, p_plus) -> np.ndarray:
     p[0] = p_minus
     if n_max >= 1:
         p[1] = p_plus
-    prev, cur = p_minus, p_plus
-    if p.ndim == 1:
-        # one argument: Python floats round as float64 does, at a fraction
-        # of the cost per row of numpy scalars
-        z, prev, cur = float(z), float(prev), float(cur)
+    x, prev, cur = z, p_minus, p_plus
+    if p.size == n_max + 1:
+        # one argument, or a column of one: Python floats round as float64
+        # does, at a fraction of the cost per row of numpy arrays
+        x, prev, cur = np.ravel((z, prev, cur)).tolist()
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, n_max):
             # nu = n - 1/2:  (nu+1) p[n+1] = (2nu+1) z p[n] - nu p[n-1]
-            prev, cur = cur, ((2.0 * n) * z * cur - (n - 0.5) * prev) / (n + 0.5)
+            prev, cur = cur, ((2.0 * n) * x * cur - (n - 0.5) * prev) / (n + 0.5)
             p[n + 1] = cur
     # The first row past 1e300 (inf and nan fail the test too) marks the
     # horizon; the rows before it do not depend on it.
-    bad = np.flatnonzero(~np.all(p.reshape(n_max + 1, np.size(z))[2:] <= 1e300, axis=1))
-    if bad.size:
-        n = int(bad[0]) + 1
+    fine = p[2:] <= 1e300
+    if not fine.all():
+        n = int(np.argmin(fine.reshape(n_max - 1, -1).all(axis=1))) + 1
         raise OverflowHorizonError(
             f"P_(n-1/2)({z}) overflows float64 at n = {n + 1}; largest safe n is {n}",
             max_safe_n=n,
@@ -247,6 +251,18 @@ def harmonic_table(z: float, n_max: int) -> HarmonicTable:
     TypeError
         For an n_max that is not an integer.
     """
+    z, n_max, n_top, _, *seeds = _table_column(z, n_max)
+    p, ratio = _ratio_rows(z, n_max, n_top, n_top, *seeds)
+    p = p[: n_max + 1].copy()
+    q = ratio * p
+    for arr in (p, q, ratio):
+        arr.flags.writeable = False
+    return HarmonicTable(z=z, n_max=n_max, p=p, q=q, ratio=ratio)
+
+
+def _table_column(z: float, n_max: int) -> tuple:
+    """(z, n_max, n_top, horizon, *toroidal_seeds(z)), checked as
+    harmonic_table documents; P stays in range up to row horizon."""
     z = float(z)
     n_max = operator.index(n_max)
     if n_max < 0 or not math.isfinite(z):
@@ -266,21 +282,42 @@ def harmonic_table(z: float, n_max: int) -> HarmonicTable:
             f"largest safe n is {int(_LOG_HORIZON / (2.0 * xi))}",
             max_safe_n=int(_LOG_HORIZON / (2.0 * xi)),
         )
-
-    p_minus, p_plus, q_minus = toroidal_seeds(z)
+    horizon = int(_LOG_HORIZON / xi)
     # At least one row past n_max, and no row where P could overflow.
-    n_top = min(n_max + 1 + math.ceil(_TAIL_XI / xi), max(n_max + 1, int(_LOG_HORIZON / xi)))
+    n_top = min(n_max + 1 + math.ceil(_TAIL_XI / xi), max(n_max + 1, horizon))
+    return (z, n_max, n_top, horizon, *toroidal_seeds(z))
+
+
+def _ratio_rows(z, n_max: int, n_top: int, ends, p_minus, p_plus, q_minus):
+    """(P, R) for rows 0..n_top and 0..n_max of one column (scalars) or of
+    one column per entry of 1-d arrays, each column's Casoratian sum ending
+    at its own row `ends` <= n_top, so that it has the bits it has alone."""
     p = _p_forward(z, n_top, p_minus, p_plus)
-    # R_k - R_{k+1} = 1 / ((k + 1/2) P_k P_{k+1}); P_k P_{k+1} itself can
-    # overflow, so each P is divided out on its own.
-    ratio = np.arange(0.5, n_top)
-    ratio *= p[:-1]
-    np.reciprocal(ratio, out=ratio)
-    ratio /= p[1:]
-    np.cumsum(ratio[::-1], out=ratio[::-1])
-    p = p[: n_max + 1].copy()
-    ratio = ratio[: n_max + 1] * (q_minus / (ratio[0] * p[0]))
-    q = ratio * p
-    for arr in (p, q, ratio):
-        arr.flags.writeable = False
-    return HarmonicTable(z=z, n_max=n_max, p=p, q=q, ratio=ratio)
+    half = np.arange(0.5, n_top).reshape((n_top,) + (1,) * (p.ndim - 1))
+    # R_k - R_{k+1} = 1 / ((k + 1/2) P_k P_{k+1}), each P divided out on its
+    # own (the product can overflow); an infinite k + 1/2 past a column's
+    # end makes its terms there zero.
+    ratio = 1.0 / (np.where(half < ends, half, np.inf) * p[:-1]) / p[1:]
+    np.cumsum(ratio[::-1], axis=0, out=ratio[::-1])
+    return p, ratio[: n_max + 1] * (q_minus / (ratio[0] * p[0]))
+
+
+def _ratio_groups(columns):
+    """(index, R) of each group of table columns, given as the tuples of
+    _table_column, R from _ratio_rows and NaN past each column's own n_max.
+    A group's top row stays inside every member's horizon, which falls
+    along the order taken, so no P overflows, and it holds at most
+    _GROUP_ENTRIES values."""
+    columns = np.array(columns, dtype=float)
+    n_max, n_top, horizon = columns[:, 1:4].T.astype(int)
+    order = np.argsort(-horizon, kind="stable")
+    while order.size:
+        top = np.maximum.accumulate(n_top[order[:_GROUP_ENTRIES]])
+        fits = ((top <= horizon[order[:top.size]])
+                & (top * np.arange(1, top.size + 1) <= _GROUP_ENTRIES))
+        # the first member that does not fit ends the group; one alone fits
+        run, order = np.split(order, [max(1, np.append(fits, False).argmin())])
+        _, ratio = _ratio_rows(columns[run, 0], n_max[run].max(), top[run.size - 1], n_top[run],
+                               *columns[run, 4:].T)
+        ratio[np.arange(len(ratio))[:, None] > n_max[run]] = np.nan
+        yield run, ratio

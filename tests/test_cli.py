@@ -362,6 +362,9 @@ class TestConfigurationBounds:
             ["vdw", "--a", "5", "--b", "1", "--tol", "0", "--out", "f.csv"],
             ["vdw", "--a", "5", "--b", "1", "--zpoints", "1", "--out", "f.csv"],
             ["contour", "--b", "1", "--zpoints", "100001", "--out", "f.csv"],
+            # each count is in range, their product is not
+            ["contour", "--b", "1", "--ratio-points", "1000", "--zpoints", "1001",
+             "--out", "f.csv"],
             ["sweep-ratio", "--b", "1", "--ratio-points", "1", "--out", "f.csv"],
             ["vdw", "--a", "5", "--b", "1", "--ncap", "3", "--out", "f.csv"],
             ["vdw", "--a", "5", "--b", "1", "--zmin", "0", "--zmax", "0", "--zpoints", "2"],

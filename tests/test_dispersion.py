@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -492,6 +493,51 @@ class TestSweep:
             (i, 1, "series not converged within cap") for i in range(z_vals.size))
         g = axial_greens(toroid_from_radii(1e3, 1.0), n_cap=8)
         np.testing.assert_array_equal(grid.force[:, 0], vdw_force(z_vals, particle, g))
+
+    @given(log_gaps=st.lists(st.floats(min_value=-4.0, max_value=6.0), min_size=1, max_size=40),
+           log_b=st.floats(min_value=-2.0, max_value=2.0),
+           heights_over_b=st.lists(st.floats(min_value=-20.0, max_value=20.0), min_size=1,
+                                   max_size=5),
+           rel_tol=st.sampled_from([1e-12, 1e-6, 1e-300]),
+           n_cap=st.sampled_from([8, 60, 2000]))
+    # at rel_tol 1e-300 no shape converges within its own rows, but most
+    # would within the taller rows of the group they are built in
+    @example(log_gaps=np.linspace(-0.3, 4.0, 30).tolist(), log_b=0.0, heights_over_b=[1.0],
+             rel_tol=1e-300, n_cap=2000)
+    def test_every_column_is_its_own_vdw_force(self, particle, log_gaps, log_b,
+                                                heights_over_b, rel_tol, n_cap):
+        # shapes from a/b - 1 = 1e-4 to 1e6 fall into many groups of columns:
+        # every converged column has the bytes of its own vdw_force call, and
+        # the NaN columns are the shapes whose moments do not converge
+        b = 10.0**log_b
+        a_values = [(1.0 + 10.0**gap) * b for gap in log_gaps]
+        z_values = np.array(heights_over_b) * b
+        grid = sweep_contour(a_values, z_values, b, particle, rel_tol=rel_tol, n_cap=n_cap)
+        failed = []
+        for j, a in enumerate(a_values):
+            g = axial_greens(toroid_from_radii(a, b), rel_tol=rel_tol, n_cap=n_cap)
+            try:
+                _moments(g)
+            except TruncationError:
+                failed.append(j)
+                continue
+            assert grid.force[:, j].tobytes() == vdw_force(z_values, particle, g).tobytes()
+        assert np.flatnonzero(np.isnan(grid.force).any(axis=0)).tolist() == failed
+        assert np.isnan(grid.force[:, failed]).all()
+        assert grid.diagnostics == tuple((i, j, "series not converged within cap")
+                                         for j in failed for i in range(z_values.size))
+
+    def test_memory_does_not_grow_with_the_number_of_shapes(self, particle):
+        # 2000 shapes from a/b = 1.001, whose table alone has 1351 rows: the
+        # tables and moments are built a bounded group of columns at a time
+        a_values = np.geomspace(1.001, 1e4, 2000)
+        tracemalloc.start()
+        try:
+            sweep_contour(a_values, [1.0, 2.0, 3.0], 1.0, particle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_validation(self, particle):
         with pytest.raises(ValueError):

@@ -13,6 +13,8 @@ from torvdw.greens import _table_size
 from torvdw.specfun import (
     _e_complement,
     _k_comodulus,
+    _ratio_groups,
+    _table_column,
     harmonic_table,
     legendre_p_half,
     toroidal_seeds,
@@ -159,16 +161,16 @@ class TestHarmonicTable:
 
     @pytest.mark.parametrize("z_minus_1", [1e-6, 1e-3, 1e-2, 4.0, 1e3])
     def test_scalar_recurrence_matches_one_element_array(self, z_minus_1):
-        # the scalar path runs on Python floats, the array path on numpy
-        # rows: the same rows byte for byte, or the same horizon, which
-        # 6000 rows reach from z - 1 = 1e-2 up
+        # one argument, alone or as a column of one, runs on Python floats,
+        # more columns on numpy rows: the same rows byte for byte, or the
+        # same horizon, which 6000 rows reach from z - 1 = 1e-2 up
         outcomes = []
-        for z in (1.0 + z_minus_1, np.array([1.0 + z_minus_1])):
+        for z in (1.0 + z_minus_1, np.array([1.0 + z_minus_1]), np.full(2, 1.0 + z_minus_1)):
             try:
-                outcomes.append(legendre_p_half(z, 6000).reshape(-1).tobytes())
+                outcomes.append(legendre_p_half(z, 6000).reshape(6001, -1)[:, 0].tobytes())
             except OverflowHorizonError as exc:
                 outcomes.append(exc.max_safe_n)
-        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
         assert isinstance(outcomes[0], int) == (z_minus_1 >= 1e-2)
 
     def test_legendre_p_half_array_overflow_matches_scalar(self):
@@ -268,6 +270,24 @@ class TestHarmonicTable:
         for arr in (table.p, table.q, table.ratio):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+    @given(log_gaps=st.lists(st.floats(min_value=-4.0, max_value=6.0), min_size=1, max_size=40),
+           rel_tol=st.sampled_from([1e-12, 1e-300]),
+           n_cap=st.sampled_from([8, 60, 2000]))
+    def test_groups_of_columns_have_the_bits_of_one_table_each(self, log_gaps, rel_tol, n_cap):
+        # a sweep's tables are built in groups of columns with many tops
+        # and horizons: every column has the ratio bytes of its own table up
+        # to its n_max, and NaN past it
+        args = [(z, _table_size(math.acosh(z), rel_tol, n_cap))
+                for z in (1.0 + 10.0**gap for gap in log_gaps)]
+        built = []
+        for run, ratio in _ratio_groups([_table_column(*arg) for arg in args]):
+            for k, j in enumerate(run.tolist()):
+                z, n_max = args[j]
+                assert ratio[:n_max + 1, k].tobytes() == harmonic_table(z, n_max).ratio.tobytes()
+                assert np.isnan(ratio[n_max + 1:, k]).all()
+            built += run.tolist()
+        assert sorted(built) == list(range(len(args)))
 
 
 # z - 1 from near the thin-hole end to the nanoring end of the domain
