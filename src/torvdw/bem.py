@@ -106,22 +106,15 @@ def _log_weights(n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _pair_tables(n: int):
-    """What the kernel pass on n nodes needs besides them, read-only, about
-    40 bytes a pair (i, j), j > i, of the strict upper triangle, in row
-    order: c = _log_weights(n); each row's length; the first row and pair
-    of each piece, whole rows of at most _PAIR_CHUNK pairs (or one row);
-    the columns j; the flat positions of (i, j) and (j, i) in a k x k
+    """What the kernel pass on n nodes needs besides them, read-only, 40
+    bytes a pair (i, j), j > i, of the strict upper triangle of k = n / 2
+    rows, in row order: c = _log_weights(n); the rows i and columns j, 32-bit
+    (they only gather); the flat positions of (i, j) and (j, i) in a k x k
     plane; c at the offsets j - i and i + j + 1 (c_{n - d} = c_d)."""
     k = n // 2
     i, j = np.triu_indices(k, 1)
     c = _log_weights(n)
-    rows = np.arange(k - 1, -1, -1)
-    starts = np.concatenate([[0], np.cumsum(rows)])
-    cuts = [0]
-    while cuts[-1] < k:
-        last = starts.searchsorted(starts[cuts[-1]] + _PAIR_CHUNK, "right") - 1
-        cuts.append(max(cuts[-1] + 1, last))
-    tables = (c, rows, np.stack([cuts, starts[cuts]], axis=1), j, i * k + j, j * k + i,
+    tables = (c, np.array([i, j], dtype=np.int32), np.stack([i * k + j, j * k + i]),
               c.take(np.stack([j - i, i + j + 1])))
     for table in tables:
         table.flags.writeable = False
@@ -131,7 +124,7 @@ def _pair_tables(n: int):
 #: Node counts whose pair tables are cached (the oracle alternates two), so
 #: the cache holds at most 4 x 1.3 MB; larger meshes build theirs uncached.
 _CACHED_NODES = 512
-#: Pairs per piece of the kernel pass: its temporaries stay in cache and
+#: Pairs per run of the kernel pass: its temporaries stay in cache and
 #: below glibc's 128 KB mmap threshold, so they fault no fresh pages.
 _PAIR_CHUNK = 1 << 12
 
@@ -158,21 +151,21 @@ def _folded_kernels(r, z, tables) -> np.ndarray:
     z), (2, k, k), unweighted, in units of L: the same-side kernel, from
     node i to node j, plus and minus the mirror kernel, from node i to node
     j's mirror.  Both are symmetric, as c_{n - d} = c_d: they are evaluated
-    on the strict upper triangle piece by piece, folded there and scattered
-    to both triangles.  The diagonal holds the mirror kernel, + and -, at
-    node i's offset 2 i + 1 from its own mirror."""
+    on the strict upper triangle in runs of _PAIR_CHUNK pairs, folded there
+    and scattered to both triangles.  The diagonal holds the mirror kernel,
+    + and -, at node i's offset 2 i + 1 from its own mirror."""
     k = len(r)
-    c, rows, pieces, j, to_ij, to_ji, c_pairs = tables
+    c, pairs, to, c_pairs = tables
     folded = np.empty((2, k * k))
     folded[:, ::k + 1] = _ring_kernels(r, r, 2.0 * z[None], c[None, 1::2]) * [[1.0], [-1.0]]
     rz = np.stack([r, z])
-    bounds = pieces.tolist()
-    for (i0, s), (i1, e) in zip(bounds, bounds[1:]):
-        r_i, z_i = np.repeat(rz[:, i0:i1], rows[i0:i1], axis=1)
-        r_j, z_j = rz.take(j[s:e], axis=1)
-        same, mirror = _ring_kernels(r_i, r_j, np.stack([z_i - z_j, z_i + z_j]), c_pairs[:, s:e])
+    for start in range(0, pairs.shape[1], _PAIR_CHUNK):
+        run = slice(start, start + _PAIR_CHUNK)
+        (r_i, r_j), (z_i, z_j) = rz.take(pairs[:, run], axis=1)
+        same, mirror = _ring_kernels(r_i, r_j, np.stack([z_i - z_j, z_i + z_j]), c_pairs[:, run])
+        to_ij, to_ji = to[:, run]
         for plane, values in zip(folded, (same + mirror, same - mirror)):
-            plane[to_ij[s:e]] = plane[to_ji[s:e]] = values
+            plane[to_ij] = plane[to_ji] = values
     return folded.reshape(2, k, k)
 
 
@@ -187,46 +180,41 @@ class BemMesh:
     (z - z')^2 and the weights only |s - s'|, so the Nyström matrix A
     decouples into an even block E = A_same + A_mirror and an odd block
     O = A_same - A_mirror over the lower half, both from its rows alone.
-    build_mesh assembles both; each solve factors them afresh.
+    build_mesh assembles both as one stack; each solve factors them afresh.
     """
 
     n_panels: int     # node count, one ring per node
     r: np.ndarray     # ring radii
     z: np.ndarray     # ring heights
     ds: np.ndarray    # arc weight per node, b t'(s_j) 2 pi / n
-    blocks: tuple = field(repr=False, compare=False)  # (E, O), h x h each
+    blocks: np.ndarray = field(repr=False, compare=False)  # E and O, (2, h, h)
 
     def lu(self, parts):
-        """The block solve: the even and odd parts of a right-hand side (a
-        vector, or one column per right-hand side) solved with the even and
-        the odd block by LU with partial pivoting, np.linalg.solve, all
-        columns at once.  Nothing is cached: each call factors both blocks."""
-        return [np.linalg.solve(block, part) for block, part in zip(self.blocks, parts)]
+        """The block solve: the even and odd parts of the right-hand sides,
+        (2, h, m), by LU with partial pivoting of the even and the odd block,
+        one np.linalg.solve over the stack that factors both on each call."""
+        return np.linalg.solve(self.blocks, parts)
 
     def collocation_matrix(self) -> np.ndarray:
-        """Reduced potential at node i per unit surface density at node j.
-
-        Rebuilt from the even and odd blocks, with no kernel evaluations:
-        a density at lower node j has even and odd parts of half its size,
-        at its mirror node the odd part changes sign.
-        """
-        even, odd = self.blocks
-        lower = _unfold(0.5 * even, 0.5 * odd)
-        upper = _unfold(0.5 * even, -0.5 * odd)
-        return np.hstack([lower, upper[:, ::-1]])
+        """Reduced potential at node i per unit surface density at node j,
+        rebuilt from the even and odd blocks with no kernel evaluations: a
+        density at lower node j has even and odd parts of half its size, at
+        its mirror node the odd part changes sign."""
+        lower = _unfold(0.5 * self.blocks)  # the upper columns: rows reversed
+        return np.hstack([lower, lower[::-1, ::-1]])
 
 
-def _fold(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Even and odd parts of a node vector (or of each column) over the
-    lower half."""
+def _fold(v: np.ndarray) -> np.ndarray:
+    """Even and odd parts of node vectors, one per column, over the lower
+    half: (2, h, m) for (n, m)."""
     lower, upper = np.split(v, 2)
-    upper = upper[::-1]
-    return 0.5 * (lower + upper), 0.5 * (lower - upper)
+    return 0.5 * np.stack([lower + upper[::-1], lower - upper[::-1]])
 
 
-def _unfold(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """The node vector whose even and odd parts are given (inverse of
-    _fold); 2-d parts are unfolded column by column."""
+def _unfold(parts: np.ndarray) -> np.ndarray:
+    """The node vectors whose even and odd parts are given (inverse of
+    _fold), column by column."""
+    even, odd = parts
     return np.concatenate([even + odd, (even - odd)[::-1]])
 
 
@@ -234,7 +222,7 @@ def _condition(mesh: BemMesh) -> float:
     """2-norm condition number of the Nyström matrix, from its blocks: they
     are the matrix in an orthonormal even/odd basis, so their singular
     values are its own."""
-    s = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in mesh.blocks])
+    s = np.linalg.svd(mesh.blocks, compute_uv=False)
     return float(s.max() / s.min())
 
 
@@ -253,11 +241,7 @@ def build_mesh(geom: ToroidGeometry, n_panels: int) -> BemMesh:
     psi = 2.0 * np.arctan(np.tan(half_s) / lam)  # tube angle, (-pi, 0)
     dt = lam / ((lam * np.cos(half_s)) ** 2 + np.sin(half_s) ** 2)  # t'(s)
     r, z, ds = a + b * np.cos(psi), b * np.sin(psi), b * dt * (2.0 * math.pi / n_panels)
-
-    def mirrored(x, sign=1.0):
-        return np.concatenate([x, sign * x[::-1]])
-
-    r, z, ds = mirrored(r), mirrored(z, -1.0), mirrored(ds)
+    r, z, ds = (np.concatenate([x, s * x[::-1]]) for x, s in ((r, 1.0), (z, -1.0), (ds, 1.0)))
     tables = (_pair_tables if n_panels <= _CACHED_NODES else _pair_tables.__wrapped__)(n_panels)
     scale = math.ldexp(1.0, -math.frexp(r.max())[1])  # 1 / L, L = 2^e > max r: exact
     blocks = _folded_kernels(scale * r[:h], scale * z[:h], tables)
@@ -266,7 +250,7 @@ def build_mesh(geom: ToroidGeometry, n_panels: int) -> BemMesh:
     # part's own weight; b t' = n ds / (2 pi).
     blocks.reshape(2, -1)[:, ::h + 1] += ds[:h] * (
         2.0 * np.log(16.0 * math.pi * r[:h] / (n_panels * ds[:h])) - tables[0][0])
-    return BemMesh(n_panels=n_panels, r=r, z=z, ds=ds, blocks=tuple(blocks))
+    return BemMesh(n_panels=n_panels, r=r, z=z, ds=ds, blocks=blocks)
 
 
 @dataclass(frozen=True)
@@ -277,50 +261,63 @@ class BemSolution:
     sigma: np.ndarray   # induced density at the nodes, e / nm^2, for the source's charge
     source: AxialSource
     residual: float     # Nyström residual relative to the Coulomb scale
-    # the ring charges sigma 2 pi r ds of the field-point sums, read-only
+    # the field-point sums' ring charges sigma 2 pi r ds at unit charge, read-only
     charges: np.ndarray = field(repr=False, compare=False)
 
 
 def _solve(mesh: BemMesh, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve A x = rhs, a vector or one column per right-hand side, by its
-    even and odd parts, each with its block (one BemMesh.lu call).
+    """Solve A x = rhs, one column per right-hand side, by its even and odd
+    parts, with their blocks (one BemMesh.lu call).
 
-    Returns x and the worst column's residual relative to its max |rhs|;
-    raises SolverError, with the Nyström matrix's condition number, when
-    that residual exceeds RESIDUAL_LIMIT or is NaN.
+    Returns x and the worst column's residual relative to its max |rhs|
+    (0 for no columns); raises SolverError, with the Nyström matrix's
+    condition number, when that residual exceeds RESIDUAL_LIMIT or is NaN.
     """
     parts = _fold(rhs)
     halves = mesh.lu(parts)
-    resid = _unfold(*(block @ x - part
-                      for block, x, part in zip(mesh.blocks, halves, parts)))
-    residual = float(np.max(np.max(np.abs(resid), axis=0) / np.max(np.abs(rhs), axis=0),
-                            initial=0.0))  # 0 for no columns
+    resid = np.max(np.abs(_unfold(mesh.blocks @ halves - parts)), axis=0)
+    residual = float(np.max(resid / np.max(np.abs(rhs), axis=0), initial=0.0))
     if not residual <= RESIDUAL_LIMIT:
         raise SolverError(
             f"Nyström residual {residual:.2e} exceeds {RESIDUAL_LIMIT:g}",
             condition=_condition(mesh),
         )
-    return _unfold(*halves), residual
+    return _unfold(halves), residual
+
+
+def _at_charge(value, charge: float):
+    """value (numpy) for a unit source charge, at the given one, or ResultOverflowError."""
+    with np.errstate(over="raise"):
+        try:
+            return value * charge
+        except FloatingPointError:
+            raise ResultOverflowError(
+                f"result beyond the float64 range at a charge of {charge:g} e") from None
 
 
 def solve_induced_density(mesh: BemMesh, src: AxialSource) -> BemSolution:
     """Solve the Nyström system for the induced surface density.
+
+    Solved, and its ring charges kept, for a unit charge; sigma and the
+    sums over the ring charges take the source's charge as a factor.
 
     Raises
     ------
     SolverError
         If the full system's residual exceeds 1e-8 of the source Coulomb
         scale; carries the Nyström matrix's condition number.
+    ResultOverflowError
+        If sigma exceeds the float64 range (a huge charge on a small toroid).
     """
-    sigma, residual = _solve(mesh, -src.charge / np.hypot(mesh.r, mesh.z - src.z_src))
-    charges = sigma * 2.0 * math.pi * mesh.r * mesh.ds
+    x, residual = _solve(mesh, -1.0 / np.hypot(mesh.r, mesh.z - src.z_src)[:, None])
+    sigma, charges = _at_charge(x[:, 0], src.charge), x[:, 0] * 2.0 * math.pi * mesh.r * mesh.ds
     sigma.flags.writeable = charges.flags.writeable = False
     return BemSolution(mesh=mesh, sigma=sigma, source=src, residual=residual, charges=charges)
 
 
 def total_induced_charge(sol: BemSolution) -> float:
     """Net induced charge (e); negative for a positive source charge."""
-    return float(sol.charges.sum())
+    return float(_at_charge(sol.charges.sum(), sol.source.charge))
 
 
 def _ring_sum(r, z, ring_r, ring_z, charges):
@@ -336,8 +333,7 @@ def _ring_sum(r, z, ring_r, ring_z, charges):
         if not (math.isfinite(r) and math.isfinite(z)):
             raise ValueError("field points must be finite")
         r = abs(r)
-        scale = math.ldexp(1.0, -math.frexp(max(r, abs(z), top))[1])
-        unit = scale
+        scale = unit = math.ldexp(1.0, -math.frexp(max(r, abs(z), top))[1])
     else:
         r, z = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(z, dtype=float))
         if not (np.isfinite(r).all() and np.isfinite(z).all()):
@@ -362,13 +358,16 @@ def bem_vh(r, z, sol: BemSolution):
     A non-finite coordinate raises ValueError, a point on a node ring or on
     its mirror through the axis SingularKernelError.
     """
-    return K_E_EV_NM * _ring_sum(r, z, sol.mesh.r, sol.mesh.z, sol.charges)
+    vh = K_E_EV_NM * _ring_sum(r, z, sol.mesh.r, sol.mesh.z, sol.charges)
+    return _at_charge(vh, sol.source.charge)
 
 
 def bem_gh_reduced(z_field: float, sol: BemSolution) -> float:
-    """eps0 V_H / q on the axis, in 1/nm: the Green's-kernel counterpart."""
-    return (_ring_sum(0.0, z_field, sol.mesh.r, sol.mesh.z, sol.charges)
-            / (4.0 * math.pi * sol.source.charge))
+    """eps0 V_H / q on the axis, in 1/nm: the Green's-kernel counterpart.
+    A solution for a zero charge raises ValueError."""
+    if not sol.source.charge:
+        raise ValueError("eps0 V_H / q needs a nonzero source charge")
+    return _ring_sum(0.0, z_field, sol.mesh.r, sol.mesh.z, sol.charges) / (4.0 * math.pi)
 
 
 def bem_mixed_derivative(z, z_prime, geom: ToroidGeometry, n_panels: int = 400):

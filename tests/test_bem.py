@@ -36,7 +36,9 @@ from torvdw.bem import (
     total_induced_charge,
 )
 from torvdw.dispersion import gh_mixed_derivative, particle_model, vdw_force
-from torvdw.errors import FarSourceWarning, MeshError, SingularKernelError, SolverError
+from torvdw.errors import (
+    FarSourceWarning, MeshError, ResultOverflowError, SingularKernelError, SolverError,
+)
 from torvdw.units import K_E_EV_NM
 from torvdw.validate import _exterior_points, check_bem_vs_series
 
@@ -218,6 +220,37 @@ class TestSolve:
         vh = mesh.collocation_matrix() @ sol.sigma
         coulomb = src.charge / np.hypot(mesh.r, mesh.z - src.z_src)
         np.testing.assert_allclose(vh, -coulomb, rtol=1e-10)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("b", [1.0, 0.125, 2.0**-10])
+    @pytest.mark.parametrize("charge", [0.0, 1e-320, 2.3e-308, 1.0, 1e300, 1e308])
+    def test_every_finite_charge(self, b, charge):
+        # solved, and the ring charges kept, for a unit charge, with the
+        # charge a factor of sigma and of the sums: a zero or subnormal
+        # charge has the unit solve's residual and eps0 V_H / q, and a huge
+        # one overflows neither the right-hand side (nodes within 1 nm of the
+        # source at b = 1/8) nor the field sum; a density beyond the float
+        # range (1e308 e on b = 2^-10 nm) is a typed error
+        geom = toroid_from_radii(5.0 * b, b)
+        mesh, src = build_mesh(geom, 64), axial_source(b, geom, charge)
+        if charge == 1e308 and b < 0.125:
+            with pytest.raises(ResultOverflowError, match="float64 range"):
+                solve_induced_density(mesh, src)
+            return
+        sol = solve_induced_density(mesh, src)
+        unit = solve_induced_density(mesh, axial_source(b, geom))
+        value = bem_vh(3.0, 2.0, sol)
+        point = cartesian_to_toroidal(3.0, 0.0, 2.0, geom.f)
+        series = vh_potential(point, src, axial_greens(geom))
+        assert math.isfinite(value) and math.isfinite(total_induced_charge(sol))
+        if abs(series) >= np.finfo(float).tiny:
+            assert value == pytest.approx(series, rel=1e-10)
+        assert sol.residual == unit.residual and sol.charges.tobytes() == unit.charges.tobytes()
+        if not charge:  # eps0 V_H / q needs a charge to divide by
+            with pytest.raises(ValueError, match="nonzero"):
+                bem_gh_reduced(2.0, sol)
+        else:
+            assert bem_gh_reduced(2.0, sol) == bem_gh_reduced(2.0, unit)
 
 
 NAN, INF = math.nan, math.inf
@@ -452,7 +485,7 @@ class TestMirrorBlocks:
 
     def test_nan_residual_fails_the_gate(self, geom53, monkeypatch):
         monkeypatch.setattr(bem_module.BemMesh, "lu",
-                            lambda self, parts: [np.full_like(b, NAN) for b in parts])
+                            lambda self, parts: np.full_like(parts, NAN))
         with pytest.raises(SolverError):
             solve_induced_density(build_mesh(geom53, 64), axial_source(1.0, geom53))
 
@@ -464,7 +497,8 @@ class TestPinnedToReference:
     and Q, K and the ring sums are bitwise those of tests/oracles.py."""
 
     @pytest.mark.parametrize("ratio", [1.01, 1.5, 5.0, 20.0])
-    @pytest.mark.parametrize("n", [64, 66, 100, 400])
+    # 182 and 184 nodes: 4,095 and 4,186 pairs, one short of a run and past it
+    @pytest.mark.parametrize("n", [64, 66, 100, 182, 184, 400])
     def test_blocks_bitwise(self, ratio, n):
         mesh = build_mesh(toroid_from_radii(2.0 * ratio, 2.0), n)
         for got, want in zip(mesh.blocks, nystrom_blocks_reference(mesh)):
@@ -704,12 +738,13 @@ class TestMixedDerivative:
         monkeypatch.setattr(bem_module.np.linalg, "solve", counting_block_solve)
         monkeypatch.setattr(bem_module, "solve_induced_density", counting_solve)
         bem_mixed_derivative(2.0, 1.0, geom51, 400)
-        assert len(block_solves) == 2
-        # ten heights: still one solve per block, with a column per height
+        assert block_solves == [((2, 200, 200), (2, 200, 1))]
+        # ten heights: still one solve over the block stack, with a column
+        # per height
         block_solves.clear()
         heights = np.linspace(0.0, 4.5, 10)
         bem_mixed_derivative(heights, heights, geom51, 400)
-        assert block_solves == [((200, 200), (200, 10)), ((200, 200), (200, 10))]
+        assert block_solves == [((2, 200, 200), (2, 200, 10))]
         assert not solves
 
     @pytest.mark.parametrize("n", [64, 66])
