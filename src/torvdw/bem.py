@@ -36,9 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MeshError, ResultOverflowError, SingularKernelError, SolverError
+from .errors import MeshError, SingularKernelError, SolverError
 from .geometry import ToroidGeometry, _axis_heights
-from .greens import AxialSource, _checked_source
+from .greens import AxialSource, _checked_source, _in_range
 from .units import K_E_EV_NM
 
 __all__ = [
@@ -287,12 +287,8 @@ def _solve(mesh: BemMesh, rhs: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _at_charge(value, charge: float):
     """value (numpy) for a unit source charge, at the given one, or ResultOverflowError."""
-    with np.errstate(over="raise"):
-        try:
-            return value * charge
-        except FloatingPointError:
-            raise ResultOverflowError(
-                f"result beyond the float64 range at a charge of {charge:g} e") from None
+    with np.errstate(over="ignore"):
+        return _in_range(value * charge, "result")
 
 
 def solve_induced_density(mesh: BemMesh, src: AxialSource) -> BemSolution:
@@ -407,8 +403,6 @@ def bem_mixed_derivative(z, z_prime, geom: ToroidGeometry, n_panels: int = 400):
     dkern = -(dz / rho) / rho / rho
     ring_charges = sigma_prime.T * (2.0 * math.pi * mesh.r * mesh.ds)
     with np.errstate(over="ignore"):
-        out = np.sum(ring_charges * dkern, axis=-1) / d_min / d_min / (4.0 * math.pi)
-    if not np.all(np.isfinite(out)):
-        raise ResultOverflowError(f"the mixed derivative exceeds the float64 range "
-                                  f"for a toroid of tube radius {geom.b} nm")
+        out = _in_range(np.sum(ring_charges * dkern, axis=-1) / d_min / d_min / (4.0 * math.pi),
+                        "mixed derivative")
     return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)

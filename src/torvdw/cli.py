@@ -242,7 +242,7 @@ def cmd_potential(args) -> int:
     if args.cut == "axis":
         grid = _grid(args.zmin, args.zmax, args.zpoints)
         # eta = 2 arccot(z / f), kept in (-pi, 0] below the midplane: near
-        # 2 pi the prefactor's 2 sin^2(eta / 2) would cancel
+        # 2 pi the half-chord's sin(eta / 2) would cancel
         etas = [math.copysign(2.0 * math.atan2(geom.f, abs(zz)), zz) for zz in grid]
         fields = [ToroidalCoords(xi=0.0, eta=eta) for eta in etas]
         label = "z_nm"

@@ -109,6 +109,12 @@ class ToroidalCoords:
         object.__setattr__(self, "eta", eta)
 
 
+def _half_chord(xi: float, eta: float) -> float:
+    """The half-chord h = hypot(sinh(xi/2), sin(eta/2)), with cosh(xi) - cos(eta)
+    = 2 h^2; unlike h^2 it keeps its digits for far points."""
+    return math.hypot(math.sinh(0.5 * xi), math.sin(0.5 * eta))
+
+
 def toroidal_to_cartesian(c: ToroidalCoords, f: float) -> tuple[float, float, float]:
     """Map (xi, eta) to the point (x, 0, z) of the half-plane phi = 0,
     lengths in the scale of f.
@@ -116,13 +122,22 @@ def toroidal_to_cartesian(c: ToroidalCoords, f: float) -> tuple[float, float, fl
     Raises
     ------
     PointAtInfinityError
-        At (xi, eta) = (0, 0), where the denominator vanishes.
+        At (xi, eta) = (0, 0), where the half-chord vanishes, and where the
+        point lies past the float range.
     """
-    # cosh(xi) - cos(eta) = 2 sinh^2(xi/2) + 2 sin^2(eta/2), stable near 0.
-    denom = 2.0 * math.sinh(0.5 * c.xi) ** 2 + 2.0 * math.sin(0.5 * c.eta) ** 2
-    if denom == 0.0:
+    try:
+        h = _half_chord(c.xi, c.eta)
+    except OverflowError:  # xi > 1420: the focal ring, to within 2 f e^{-xi}
+        return f, 0.0, 0.0
+    if h == 0.0:
         raise PointAtInfinityError("(xi, eta) = (0, 0) is the point at infinity")
-    return f * math.sinh(c.xi) / denom, 0.0, f * math.sin(c.eta) / denom
+    # sinh(xi) / (2 h^2) = (sinh(xi/2) / h) (cosh(xi/2) / h), and so for sin(eta)
+    half_xi, half_eta = 0.5 * c.xi, 0.5 * c.eta
+    r = f * (math.sinh(half_xi) / h) * (math.cosh(half_xi) / h)
+    z = f * (math.sin(half_eta) / h) * (math.cos(half_eta) / h)
+    if not (math.isfinite(r) and math.isfinite(z)):
+        raise PointAtInfinityError(f"(xi, eta) = ({c.xi}, {c.eta}) lies past the float range")
+    return r, 0.0, z
 
 
 def cartesian_to_toroidal(x: float, y: float, z: float, f: float) -> ToroidalCoords:
@@ -132,16 +147,16 @@ def cartesian_to_toroidal(x: float, y: float, z: float, f: float) -> ToroidalCoo
     eta comes from atan2(2 f z, r^2 + z^2 - f^2), which is exact for the
     forward map and keeps full precision where arccos-based inversions
     degrade; on-axis points get eta = 2 atan2(f, z) reduced to (-pi, pi].
+    Lengths past 2^511 are taken in a power-of-two unit that brings them
+    below it, so r^2 + z^2 + f^2 stays finite; (xi, eta) do not depend on it.
     """
-    r = math.hypot(x, y)
-    d1 = math.hypot(r + f, z)
+    unit = math.ldexp(1.0, min(0, 511 - math.frexp(max(abs(x), abs(y), abs(z), f))[1]))
+    r, z, f = math.hypot(unit * x, unit * y), unit * z, unit * f
     d2 = math.hypot(r - f, z)
     if d2 == 0.0:
-        raise CoordinateSingularityError(
-            "point lies on the focal ring r = f, z = 0"
-        )
+        raise CoordinateSingularityError("point lies on the focal ring r = f, z = 0")
     t = 2.0 * f * r / (r * r + z * z + f * f)
-    xi = math.atanh(t) if t < 0.999 else math.log(d1 / d2)
+    xi = math.atanh(t) if t < 0.999 else math.log(math.hypot(r + f, z) / d2)
     eta = math.atan2(2.0 * f * z, (r - f) * (r + f) + z * z)
     return ToroidalCoords(xi=xi, eta=eta)
 
@@ -156,9 +171,9 @@ def axis_eta_from_z(z: float, f: float) -> float:
     It stays on this branch because it gives axial_source its eta_src, and
     the other would move V_H's bits for sources below the midplane.  Axis
     field points need the branch of `potential --cut axis`,
-    math.copysign(2 atan2(f, |z|), z): from this one, the V_H prefactor's
-    2 sin^2(eta / 2) cancels near 2 pi, and at a/b = 1.01 V_H at z = +1e5
-    and -1e5 differs by 3.1e-12 relative, where the exact values are equal.
+    math.copysign(2 atan2(f, |z|), z): from this one, the half-chord's
+    sin(eta / 2) cancels near 2 pi, and at a/b = 1.01 V_H at z = +1e5 and
+    -1e5 differs by 3.1e-12 relative, where the exact values are equal.
     """
     if f <= 0.0:
         raise ValueError(f"focal scale must be positive, got f = {f}")

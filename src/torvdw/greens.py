@@ -32,6 +32,7 @@ from .errors import (
     CoincidentPointsError,
     FarSourceWarning,
     OutOfRegionError,
+    OverflowHorizonError,
     ResultOverflowError,
     TruncationError,
 )
@@ -39,6 +40,7 @@ from .geometry import (
     ToroidGeometry,
     ToroidalCoords,
     _axis_heights,
+    _half_chord,
     axis_eta_from_z,
     surface_rz,
 )
@@ -63,8 +65,8 @@ __all__ = [
 REL_TOL = 1e-12
 N_CAP = 2000
 
-#: |z_src| beyond this multiple of f is physically a detached source; the
-#: (1 - cos eta') factor then underflows toward zero.
+#: |z_src| beyond this multiple of f is physically a detached source, whose
+#: induced potential is vanishingly small.
 FAR_SOURCE_FACTOR = 1e6
 
 
@@ -97,7 +99,7 @@ def _checked_source(z_src, charge, f: float) -> tuple[np.ndarray, float]:
 
 def _in_range(value, what: str):
     """value, or ResultOverflowError if it left the float64 range."""
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise ResultOverflowError(f"the {what} exceeds the float64 range "
                                   "for this charge and toroid")
     return value
@@ -207,20 +209,11 @@ def _cosine_terms(radial: np.ndarray, delta) -> np.ndarray:
     return _two_minus_delta(n.size - 1)[:, None] * radial * np.cos(np.outer(n, delta))
 
 
-def _one_minus_cos_eta_src(src: AxialSource, f: float) -> float:
-    # 1 - cos(eta') = 2 f^2 / (f^2 + z'^2) on the axis; exact and stable
-    # for sources far out where the trig form would cancel.
-    return 2.0 * f * f / (f * f + src.z_src * src.z_src)
-
-
-def _cosh_minus_cos(xi: float, eta: float) -> float:
-    return 2.0 * math.sinh(0.5 * xi) ** 2 + 2.0 * math.sin(0.5 * eta) ** 2
-
-
-def _vh_prefactor(field: ToroidalCoords, src: AxialSource, f: float) -> float:
-    return -(1.0 / (math.pi * f)) * math.sqrt(
-        _cosh_minus_cos(field.xi, field.eta) * _one_minus_cos_eta_src(src, f)
-    )
+def _prefactor(field: ToroidalCoords, src: AxialSource, f: float) -> float:
+    """(2 / pi) h / hypot(f, z'), h the field point's half-chord: every term's
+    sqrt(cosh xi - cos eta) sqrt(1 - cos eta') / (pi f), with 1 - cos eta' =
+    2 f^2 / (f^2 + z'^2) on the axis, formed without a square."""
+    return (2.0 / math.pi) * _half_chord(field.xi, field.eta) / math.hypot(f, src.z_src)
 
 
 def _vh_reduced(field, src: AxialSource, g: AxialGreens) -> SeriesInfo:
@@ -256,7 +249,7 @@ def _vh_reduced(field, src: AxialSource, g: AxialGreens) -> SeriesInfo:
     delta = [fld.eta - src.eta_src for fld in fields]
     sums, stops = _truncated_sum(_cosine_terms(radial, delta), table.ratio, g.rel_tol,
                                  "potential")
-    value = np.array([_vh_prefactor(fld, src, geom.f) for fld in fields]) * sums
+    value = -np.array([_prefactor(fld, src, geom.f) for fld in fields]) * sums
     if single:
         return SeriesInfo(value=float(value[0]), n_used=int(stops[0]))
     return SeriesInfo(value=value, n_used=stops)
@@ -341,9 +334,7 @@ def surface_residual(src: AxialSource, g: AxialGreens, n_samples: int = 64) -> f
     return float(np.max(np.abs(1.0 / dist + vh) * dist))
 
 
-def inverse_distance_series(
-    field: ToroidalCoords, src: AxialSource, g: AxialGreens
-) -> float:
+def inverse_distance_series(field: ToroidalCoords, src: AxialSource, g: AxialGreens) -> float:
     """1 / |r - r'| (1/nm) through the toroidal expansion, source on axis.
 
     For the expansion with an on-axis source, Q is evaluated at the field
@@ -353,35 +344,34 @@ def inverse_distance_series(
     while the summed series stays finite -- so that branch evaluates the
     closed form of the summed expansion,
 
-        sum_n (2 - delta_n0) Q_{n-1/2}(cosh xi) cos(n D)
-            = pi / sqrt(2 (cosh xi - cos D)),
+        sum_n (2 - delta_n0) Q_{n-1/2}(cosh xi) cos(n D) = pi / (2 h_D),
 
-    which is exact for non-coincident points.
+    h_D the half-chord at (xi, D), which is exact for non-coincident points.
 
     Raises
     ------
     CoincidentPointsError
         If the field point is the source position.
+    OverflowHorizonError
+        Past xi = 86, within 2 f e^{-86} of the focal ring, where even the
+        smallest table leaves the float64 horizon.
     TruncationError
         If the term-by-term branch cannot converge within n_cap (field
         points very close to, but off, the axis).
     """
-    geom = g.geometry
-    f = geom.f
     delta = field.eta - src.eta_src
-    a_fac = _cosh_minus_cos(field.xi, field.eta)
-    b_fac = _one_minus_cos_eta_src(src, f)
-
-    cosh_xi = math.cosh(field.xi)
+    try:
+        cosh_xi = math.cosh(field.xi)
+    except OverflowError:
+        raise OverflowHorizonError(f"cosh(xi) overflows at {field.xi}", max_safe_n=0) from None
     if cosh_xi < 1.0 + Z_MIN_OFFSET:
-        gap = _cosh_minus_cos(field.xi, delta)
+        gap = _half_chord(field.xi, delta)
         if gap == 0.0:
-            raise CoincidentPointsError(
-                f"field point coincides with the source at z = {src.z_src} nm"
-            )
-        return math.sqrt(a_fac * b_fac / (2.0 * gap)) / f
+            raise CoincidentPointsError(f"field point coincides with the source at "
+                                        f"z = {src.z_src} nm")
+        return _half_chord(field.xi, field.eta) / (math.hypot(g.geometry.f, src.z_src) * gap)
 
     table = harmonic_table(cosh_xi, _table_size(field.xi, g.rel_tol, g.n_cap))
     sums, _ = _truncated_sum(_cosine_terms(table.q[:, None], [delta]), table.q, g.rel_tol,
                              "inverse-distance")
-    return (1.0 / (math.pi * f)) * math.sqrt(a_fac * b_fac) * float(sums[0])
+    return _prefactor(field, src, g.geometry.f) * float(sums[0])

@@ -674,10 +674,7 @@ class TestAgainstSeries:
             n0 = g.table.ratio[0]
             import torvdw.greens as gr
 
-            pref = -(K_E_EV_NM * src.charge / (math.pi * g.geometry.f)) * math.sqrt(
-                gr._cosh_minus_cos(field.xi, field.eta)
-                * gr._one_minus_cos_eta_src(src, g.geometry.f)
-            )
+            pref = -K_E_EV_NM * src.charge * gr._prefactor(field, src, g.geometry.f)
             clean = vh_potential(field, src, g)
             # flip the n = 0 contribution: subtract it twice
             if field.xi > 0.0:

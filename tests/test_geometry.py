@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -117,6 +118,22 @@ class TestForwardMap:
         with pytest.raises(PointAtInfinityError):
             toroidal_to_cartesian(ToroidalCoords(xi=0.0, eta=0.0), 1.0)
 
+    def test_point_past_the_float_range(self):
+        # r = 2 f / xi = 2e320 at xi = 1e-320
+        with pytest.raises(PointAtInfinityError, match="float range"):
+            toroidal_to_cartesian(ToroidalCoords(xi=1e-320, eta=0.0), 1.0)
+
+    @pytest.mark.parametrize("xi", [709.0, 711.0, 1420.0, 1421.0, 1e300])
+    def test_every_finite_xi_near_the_focal_ring(self, xi):
+        # within 2 f e^{-xi} of the focal ring, where cosh(xi) and then
+        # sinh(xi / 2) overflow: r rounds to f
+        f = 2.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r, y, z = toroidal_to_cartesian(ToroidalCoords(xi=xi, eta=1.0), f)
+        assert (r, y) == (f, 0.0)
+        assert 0.0 <= z <= 4.0 * f * math.exp(-xi)
+
 
 class TestInverseMap:
     def test_origin(self):
@@ -131,6 +148,33 @@ class TestInverseMap:
             assert c.xi == 0.0
             assert c.eta == pytest.approx(2.0 * math.atan(f / z), rel=1e-14)
             assert 0.0 < c.eta < math.pi
+
+    @pytest.mark.parametrize("f", [4.898979485566356, 1e-3, 1e300])
+    def test_far_points_keep_their_coordinates(self, f):
+        # r^2 + z^2 overflowed past 1.34e154 and sent these to (0, 0)
+        for x, z in [(0.0, 1e155), (0.0, -1e300), (1e160, 0.0), (1.7e308, 1.7e308)]:
+            c = cartesian_to_toroidal(x, 0.0, z, f)
+            with mpmath.workdps(40):
+                r2, z2, f2 = mpmath.mpf(x) ** 2, mpmath.mpf(z) ** 2, mpmath.mpf(f) ** 2
+                xi = mpmath.atanh(2 * mpmath.mpf(f) * x / (r2 + z2 + f2))
+                eta = mpmath.atan2(2 * mpmath.mpf(f) * z, r2 + z2 - f2)
+            assert c.xi == pytest.approx(float(xi), rel=1e-14, abs=0.0)
+            assert c.eta == pytest.approx(float(eta), rel=1e-14, abs=0.0)
+
+    def test_round_trip_over_the_whole_float_range(self):
+        # r and |z| log-uniform from 1e-300 to 1e300, within 4 ulp of the
+        # larger of |p| and f; within f of the focal ring the inverse map's
+        # atanh(t) branch, t just below its switch at 0.999, loses up to 40 ulp
+        f = 3.0
+        rng = np.random.default_rng(11)
+        rs = 10.0 ** rng.uniform(-300.0, 300.0, 4000)
+        zs = 10.0 ** rng.uniform(-300.0, 300.0, 4000) * rng.choice([-1.0, 1.0], 4000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for r, z in zip(rs.tolist(), zs.tolist()):
+                r2, y2, z2 = toroidal_to_cartesian(cartesian_to_toroidal(r, 0.0, z, f), f)
+                bound = (4.0 if math.hypot(r - f, z) > f else 64.0) * math.ulp(max(r, abs(z), f))
+                assert abs(r2 - r) <= bound and abs(z2 - z) <= bound and y2 == 0.0, (r, z)
 
     def test_focal_ring_rejected(self):
         with pytest.raises(CoordinateSingularityError):

@@ -22,10 +22,11 @@ from torvdw.errors import (
     CoincidentPointsError,
     FarSourceWarning,
     OutOfRegionError,
+    OverflowHorizonError,
     ResultOverflowError,
     TruncationError,
 )
-from torvdw.geometry import axis_eta_from_z
+from torvdw.geometry import axis_eta_from_z, cartesian_to_toroidal
 from torvdw.greens import charge_interaction_energy_info, vh_potential_info
 from torvdw.units import K_E_EV_NM
 
@@ -47,6 +48,16 @@ def term_matrices(draw):
 
 def axis_point(z, f):
     return ToroidalCoords(xi=0.0, eta=axis_eta_from_z(z, f))
+
+
+def signed_axis_point(z, f):
+    """The axis point on the branch of `potential --cut axis`, which keeps
+    sin(eta / 2) to full precision at either end of the axis."""
+    return ToroidalCoords(xi=0.0, eta=math.copysign(2.0 * math.atan2(f, abs(z)), z))
+
+
+#: far axis heights out to the end of the float range, both signs
+FAR_HEIGHTS = [s * z for z in np.geomspace(1e20, 1e300, 15) for s in (1.0, -1.0)]
 
 
 class TestInverseDistance:
@@ -87,6 +98,24 @@ class TestInverseDistance:
         field = ToroidalCoords(xi=0.0, eta=0.0)
         src = axial_source(1.0, geom53)
         assert inverse_distance_series(field, src, greens53) == 0.0
+
+    @pytest.mark.parametrize("zs", [0.0, 1.5, -40.0])
+    def test_far_axis_points(self, geom53, greens53, zs):
+        # the half-chords keep their digits where their squares underflow
+        src = axial_source(zs, geom53)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z in FAR_HEIGHTS:
+                value = inverse_distance_series(signed_axis_point(z, geom53.f), src, greens53)
+                assert value == pytest.approx(1.0 / abs(z - zs), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("xi", [100.0, 711.0, 1500.0, 1e300])
+    def test_past_the_table_horizon_a_typed_error(self, geom53, greens53, xi):
+        # within 2 f e^{-86} of the focal ring not even four table rows fit
+        # in float64, and past xi = 710 cosh(xi) itself overflows
+        with pytest.raises(OverflowHorizonError):
+            inverse_distance_series(ToroidalCoords(xi=xi, eta=1.0), axial_source(1.0, geom53),
+                                    greens53)
 
     def test_near_axis_truncation_error_carries_payload(self, geom53):
         g = axial_greens(geom53, n_cap=300)
@@ -137,6 +166,33 @@ class TestVhPotential:
         assert np.all(np.diff(vals) < 0.0)
         # the induced charge is a localized distribution: V_H ~ 1/z far out
         assert vals[-1] < 1.2 * vals[0] * (zs[0] / zs[-1])
+
+    def test_far_axis_monopole_over_the_whole_float_range(self, geom51, greens51):
+        # V_H z tends to K_E times the induced charge, and keeps it to the end
+        # of the float range, where squared half-chords underflowed to -0.0;
+        # at the exact coordinates of z = 1e155 too
+        src = axial_source(0.0, geom51)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            moments = [vh_potential(signed_axis_point(z, geom51.f), src, greens51) * abs(z)
+                       for z in FAR_HEIGHTS]
+            exact = cartesian_to_toroidal(0.0, 0.0, 1e155, geom51.f)
+            moments.append(vh_potential(exact, src, greens51) * 1e155)
+        np.testing.assert_allclose(moments, moments[0], rtol=1e-12, atol=0.0)
+
+    def test_far_source_keeps_its_potential(self, geom51, greens51):
+        # 1 - cos eta' = 2 f^2 / (f^2 + z'^2) is never formed, so a source at
+        # 1e200 induces a finite, nonzero V_H; V_H z z' tends to a constant
+        with pytest.warns(FarSourceWarning):
+            src = axial_source(1e200, geom51)
+        heights = [z for z in FAR_HEIGHTS if abs(z) <= 1e100]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.array([vh_potential(signed_axis_point(z, geom51.f), src, greens51)
+                               for z in [0.0, *heights]])
+        assert np.all(np.isfinite(values)) and np.all(values < 0.0)
+        moments = values[1:] * np.abs(heights) * 1e200
+        np.testing.assert_allclose(moments, moments[0], rtol=1e-12, atol=0.0)
 
     def test_in_plane_profile_finite_even_and_monotone(self):
         geom = toroid_from_radii(4.0, 1.0)
