@@ -30,7 +30,8 @@ from .dispersion import (
     sweep_contour,
 )
 from .errors import RangeExceededError, TruncationError
-from .geometry import ToroidalCoords, surface_rz, toroid_from_radii
+from .geometry import (ToroidalCoords, cartesian_to_toroidal, surface_rz, toroid_from_radii,
+                       toroidal_to_cartesian)
 from .greens import (
     N_CAP,
     REL_TOL,
@@ -218,9 +219,8 @@ def cmd_geom(args) -> int:
     # spherical-calotte identity at eta0 = pi/2:
     # (z - f cot eta0)^2 + r^2 = (f / sin eta0)^2
     eta0 = 0.5 * math.pi
-    xis = np.linspace(0.05, 4.0, 80)
-    rc = geom.f * np.sinh(xis) / (np.cosh(xis) - math.cos(eta0))
-    zc = geom.f * math.sin(eta0) / (np.cosh(xis) - math.cos(eta0))
+    rc, _, zc = np.array([toroidal_to_cartesian(ToroidalCoords(xi=xi, eta=eta0), geom.f)
+                          for xi in np.linspace(0.05, 4.0, 80)]).T
     cal = np.abs(np.hypot(zc - geom.f / math.tan(eta0), rc)
                  - geom.f / math.sin(eta0)) / geom.f
     print(f"a         = {geom.a:.12g} nm")
@@ -241,19 +241,12 @@ def cmd_potential(args) -> int:
 
     if args.cut == "axis":
         grid = _grid(args.zmin, args.zmax, args.zpoints)
-        # eta = 2 arccot(z / f), kept in (-pi, 0] below the midplane: near
-        # 2 pi the half-chord's sin(eta / 2) would cancel
-        etas = [math.copysign(2.0 * math.atan2(geom.f, abs(zz)), zz) for zz in grid]
-        fields = [ToroidalCoords(xi=0.0, eta=eta) for eta in etas]
+        fields = [cartesian_to_toroidal(0.0, 0.0, zz, geom.f) for zz in grid.tolist()]
         label = "z_nm"
     else:
         r_max = (geom.a - geom.b) * (1.0 - 1e-9)
         grid = np.linspace(0.0, r_max, args.zpoints)
-        # on the central disk eta = pi, r = f tanh(xi / 2)
-        fields = [
-            ToroidalCoords(xi=2.0 * math.atanh(rr / geom.f), eta=math.pi)
-            for rr in grid
-        ]
+        fields = [cartesian_to_toroidal(rr, 0.0, 0.0, geom.f) for rr in grid.tolist()]
         label = "r_nm"
 
     info = vh_potential_info(fields, src, g)

@@ -45,7 +45,7 @@ from .errors import (
     RangeExceededError,
     ResultOverflowError,
 )
-from .geometry import _axis_heights, toroid_from_radii
+from .geometry import _axis_heights, axis_eta_from_z, toroid_from_radii
 from .greens import (
     N_CAP,
     REL_TOL,
@@ -188,7 +188,7 @@ def gh_mixed_derivative(z: float, z_prime: float, g: AxialGreens) -> float:
     w = _two_minus_delta(g.table.n_max) * g.table.ratio
     n = np.arange(w.size)
     (r, c, s), (r_p, c_p, s_p) = _scaled(z, f), _scaled(z_prime, f)
-    phi = 2.0 * n * (math.atan2(f, z) - math.atan2(f, z_prime))
+    phi = n * (axis_eta_from_z(z, f) - axis_eta_from_z(z_prime, f))
     terms = w * ((s * s_p + 4.0 * n * n * c * c_p) * np.cos(phi)
                  + 2.0 * n * (s * c_p - s_p * c) * np.sin(phi))
     (total,), _ = _truncated_sum(terms[:, None], g.table.ratio, g.rel_tol, "mixed-derivative")

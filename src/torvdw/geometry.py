@@ -144,19 +144,20 @@ def cartesian_to_toroidal(x: float, y: float, z: float, f: float) -> ToroidalCoo
     """Inverse map to the (xi, eta) of r = hypot(x, y); the azimuth is
     dropped.  The input must not lie on the focal ring r = f, z = 0.
 
+    With d1,2 = hypot(r +- f, z), xi = ln(d1 / d2) and d1^2 - d2^2 = 4 f r,
+    so xi = log1p((2 f / (d1 + d2)) (2 r / d2)): a sum and products of
+    positive terms, within a few eps of xi from the axis to the focal ring.
     eta comes from atan2(2 f z, r^2 + z^2 - f^2), which is exact for the
     forward map and keeps full precision where arccos-based inversions
-    degrade; on-axis points get eta = 2 atan2(f, z) reduced to (-pi, pi].
-    Lengths past 2^511 are taken in a power-of-two unit that brings them
-    below it, so r^2 + z^2 + f^2 stays finite; (xi, eta) do not depend on it.
+    degrade.  Lengths past 2^511 are taken in a power-of-two unit that brings
+    them below it, so r^2 + z^2 stays finite; (xi, eta) do not depend on it.
     """
     unit = math.ldexp(1.0, min(0, 511 - math.frexp(max(abs(x), abs(y), abs(z), f))[1]))
     r, z, f = math.hypot(unit * x, unit * y), unit * z, unit * f
-    d2 = math.hypot(r - f, z)
+    d1, d2 = math.hypot(r + f, z), math.hypot(r - f, z)
     if d2 == 0.0:
         raise CoordinateSingularityError("point lies on the focal ring r = f, z = 0")
-    t = 2.0 * f * r / (r * r + z * z + f * f)
-    xi = math.atanh(t) if t < 0.999 else math.log(math.hypot(r + f, z) / d2)
+    xi = math.log1p((2.0 * f / (d1 + d2)) * (2.0 * r / d2))
     eta = math.atan2(2.0 * f * z, (r - f) * (r + f) + z * z)
     return ToroidalCoords(xi=xi, eta=eta)
 
@@ -170,10 +171,9 @@ def axis_eta_from_z(z: float, f: float) -> float:
 
     It stays on this branch because it gives axial_source its eta_src, and
     the other would move V_H's bits for sources below the midplane.  Axis
-    field points need the branch of `potential --cut axis`,
-    math.copysign(2 atan2(f, |z|), z): from this one, the half-chord's
-    sin(eta / 2) cancels near 2 pi, and at a/b = 1.01 V_H at z = +1e5 and
-    -1e5 differs by 3.1e-12 relative, where the exact values are equal.
+    field points come from cartesian_to_toroidal(0, 0, z, f), whose eta is
+    in (-pi, 0) below the midplane: from this branch the half-chord's
+    sin(eta / 2) would cancel near 2 pi.
     """
     if f <= 0.0:
         raise ValueError(f"focal scale must be positive, got f = {f}")
@@ -190,9 +190,11 @@ def _axis_heights(z, what: str) -> np.ndarray:
 
 
 def surface_rz(geom: ToroidGeometry, eta):
-    """(r, z) of the surface point(s) at angle eta on xi = xi0; vectorized."""
+    """(r, z) of the surface point(s) at angle eta on xi = xi0; vectorized.
+    cosh(xi0) - cos(eta) is the half-chord's (a - b) / b + 2 sin^2(eta / 2),
+    2 sinh^2(xi0 / 2) = (a - b) / b, so nothing cancels at thin holes."""
     eta = np.asarray(eta, dtype=float)
-    denom = geom.cosh_xi0 - np.cos(eta)
+    denom = (geom.a - geom.b) / geom.b + 2.0 * np.sin(0.5 * eta) ** 2
     sinh_xi0 = geom.f / geom.b  # exact: csch(xi0) = b / f
     r = geom.f * sinh_xi0 / denom
     z = geom.f * np.sin(eta) / denom

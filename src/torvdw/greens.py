@@ -346,7 +346,7 @@ def inverse_distance_series(field: ToroidalCoords, src: AxialSource, g: AxialGre
 
         sum_n (2 - delta_n0) Q_{n-1/2}(cosh xi) cos(n D) = pi / (2 h_D),
 
-    h_D the half-chord at (xi, D), which is exact for non-coincident points.
+    h_D the half-chord at (xi, D), D taken in [-pi, pi]; exact off the source.
 
     Raises
     ------
@@ -365,7 +365,7 @@ def inverse_distance_series(field: ToroidalCoords, src: AxialSource, g: AxialGre
     except OverflowError:
         raise OverflowHorizonError(f"cosh(xi) overflows at {field.xi}", max_safe_n=0) from None
     if cosh_xi < 1.0 + Z_MIN_OFFSET:
-        gap = _half_chord(field.xi, delta)
+        gap = _half_chord(field.xi, math.remainder(delta, 2.0 * math.pi))
         if gap == 0.0:
             raise CoincidentPointsError(f"field point coincides with the source at "
                                         f"z = {src.z_src} nm")

@@ -49,6 +49,13 @@ class TestGeom:
         assert code == 0
         assert "4.89897948557" in out
 
+    def test_thin_hole_residuals(self, capsys):
+        # cosh xi0 - cos eta cancelled near eta = 0 and read 1.332e-14 here
+        code, out, _ = run_cli(capsys, "geom", "--a", "1.0001", "--b", "1")
+        assert code == 0
+        residuals = [float(line.split(":")[1]) for line in out.splitlines() if "residual" in line]
+        assert len(residuals) == 2 and max(residuals) <= 1e-15
+
     def test_inverted_radii_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "geom", "--a", "3", "--b", "5")
         assert code == 2

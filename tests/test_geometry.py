@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import mpmath
@@ -163,8 +164,7 @@ class TestInverseMap:
 
     def test_round_trip_over_the_whole_float_range(self):
         # r and |z| log-uniform from 1e-300 to 1e300, within 4 ulp of the
-        # larger of |p| and f; within f of the focal ring the inverse map's
-        # atanh(t) branch, t just below its switch at 0.999, loses up to 40 ulp
+        # larger of |p| and f, and within 8 ulp inside f of the focal ring
         f = 3.0
         rng = np.random.default_rng(11)
         rs = 10.0 ** rng.uniform(-300.0, 300.0, 4000)
@@ -173,8 +173,21 @@ class TestInverseMap:
             warnings.simplefilter("error")
             for r, z in zip(rs.tolist(), zs.tolist()):
                 r2, y2, z2 = toroidal_to_cartesian(cartesian_to_toroidal(r, 0.0, z, f), f)
-                bound = (4.0 if math.hypot(r - f, z) > f else 64.0) * math.ulp(max(r, abs(z), f))
+                bound = (4.0 if math.hypot(r - f, z) > f else 8.0) * math.ulp(max(r, abs(z), f))
                 assert abs(r2 - r) <= bound and abs(z2 - z) <= bound and y2 == 0.0, (r, z)
+
+    def test_xi_near_the_focal_ring_matches_mpmath(self):
+        # within 2 f of the focal ring, where atanh(t) of t near 1 lost up to
+        # 112 eps of xi
+        f = 3.0
+        rng = np.random.default_rng(5)
+        rho, angle = 2.0 * f * rng.uniform(size=400) ** 2, rng.uniform(-math.pi, math.pi, 400)
+        for r, z in zip(np.abs(f + rho * np.cos(angle)).tolist(), (rho * np.sin(angle)).tolist()):
+            xi = cartesian_to_toroidal(r, 0.0, z, f).xi
+            with mpmath.workdps(40):
+                exact = float(mpmath.log(mpmath.hypot(mpmath.mpf(r) + f, z)
+                                         / mpmath.hypot(mpmath.mpf(r) - f, z)))
+            assert abs(xi - exact) <= 4.0 * sys.float_info.epsilon * exact, (r, z)
 
     def test_focal_ring_rejected(self):
         with pytest.raises(CoordinateSingularityError):
@@ -232,6 +245,15 @@ class TestSurfaceFamilies:
         r, z = surface_rz(geom, etas)
         resid = np.abs((r - geom.a) ** 2 + z**2 - geom.b**2)
         assert np.all(resid <= 1e-12 * geom.b**2)
+
+    @pytest.mark.parametrize("excess", [1e-6, 1e-4, 1e-2])
+    @pytest.mark.parametrize("eta", [1e-3, 0.1, 1.0, math.pi])
+    def test_thin_hole_surface_on_the_tube_circle(self, excess, eta):
+        # cosh xi0 - cos eta cancelled near eta = 0: at a/b - 1 = 1e-6 and
+        # eta = 1e-3 the point lay 7.0e-12 b off the tube circle
+        geom = toroid_from_radii(0.7 * (1.0 + excess), 0.7)
+        r, z = surface_rz(geom, eta)
+        assert abs(math.hypot(r - geom.a, z) - geom.b) <= 4.0 * sys.float_info.epsilon * geom.b
 
     def test_calotte_equation(self):
         f = 4.0

@@ -86,6 +86,15 @@ class TestInverseDistance:
         with pytest.raises(CoincidentPointsError):
             inverse_distance_series(axis_point(1.5, geom53.f), src, greens53)
 
+    @pytest.mark.parametrize("z_src", [1.0, -1.0, -30.0, -1e-300, 0.0, -0.0])
+    def test_axis_source_coincides_with_itself(self, geom51, greens51, z_src):
+        # below the midplane the field's eta is reduced to (-pi, pi] and
+        # eta_src is not, so their offset is the float -2 pi, whose half-chord
+        # read 1.2e-16 rather than 0
+        src = axial_source(z_src, geom51)
+        with pytest.raises(CoincidentPointsError):
+            inverse_distance_series(axis_point(z_src, geom51.f), src, greens51)
+
     def test_disk_point_against_cartesian(self, geom53, greens53):
         # point on the central disk at r = f/2: xi = 2 artanh(1/2)
         field = ToroidalCoords(xi=2.0 * math.atanh(0.5), eta=math.pi)
