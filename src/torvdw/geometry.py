@@ -149,17 +149,21 @@ def cartesian_to_toroidal(x: float, y: float, z: float, f: float) -> ToroidalCoo
     positive terms, within a few eps of xi from the axis to the focal ring.
     eta comes from atan2(2 f z, r^2 + z^2 - f^2), which is exact for the
     forward map and keeps full precision where arccos-based inversions
-    degrade.  Lengths past 2^511 are taken in a power-of-two unit that brings
-    them below it, so r^2 + z^2 stays finite; (xi, eta) do not depend on it.
+    degrade.  Within a subnormal distance of the ring, where 2 r / d2
+    overflows, xi = ln d1 - ln d2 (d2 << d1) and eta = atan2(z, r - f).
+    Lengths past 2^511 are taken in a power-of-two unit that brings them
+    below it, so r^2 + z^2 stays finite; (xi, eta) do not depend on it.
     """
     unit = math.ldexp(1.0, min(0, 511 - math.frexp(max(abs(x), abs(y), abs(z), f))[1]))
     r, z, f = math.hypot(unit * x, unit * y), unit * z, unit * f
     d1, d2 = math.hypot(r + f, z), math.hypot(r - f, z)
     if d2 == 0.0:
         raise CoordinateSingularityError("point lies on the focal ring r = f, z = 0")
-    xi = math.log1p((2.0 * f / (d1 + d2)) * (2.0 * r / d2))
-    eta = math.atan2(2.0 * f * z, (r - f) * (r + f) + z * z)
-    return ToroidalCoords(xi=xi, eta=eta)
+    t = (2.0 * f / (d1 + d2)) * (2.0 * r / d2)
+    if math.isfinite(t):
+        return ToroidalCoords(xi=math.log1p(t),
+                              eta=math.atan2(2.0 * f * z, (r - f) * (r + f) + z * z))
+    return ToroidalCoords(xi=math.log(d1) - math.log(d2), eta=math.atan2(z, r - f))
 
 
 def axis_eta_from_z(z: float, f: float) -> float:

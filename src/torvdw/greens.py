@@ -232,19 +232,14 @@ def _vh_reduced(field, src: AxialSource, g: AxialGreens) -> SeriesInfo:
             f"field point xi = {xi.max()} lies inside the conductor (xi0 = {geom.xi0})"
         )
 
-    # Q(cosh xi0) P(cosh xi) / P(cosh xi0) = ratio[n] * P(cosh xi); on the
-    # axis P_{n-1/2}(1) = 1, and on the surface ratio * P(cosh xi0)
-    # collapses to Q.  The P ratio is <= 1 for xi <= xi0, so table.ratio
-    # remains a valid decay envelope for the stopping rule.
+    # Q(cosh xi0) P(cosh xi) / P(cosh xi0) = ratio[n] P(cosh xi) at every point
+    # (P_{n-1/2}(1) = 1 exactly on the axis; a point within 4 eps of the surface
+    # takes the table's own argument, so its factor is the table's Q bit for bit).
+    # The P ratio is <= 1 for xi <= xi0, so table.ratio is a valid decay envelope.
     cosh_xi = np.array([math.cosh(fld.xi) for fld in fields])
-    on_axis = xi == 0.0
     on_surface = np.abs(cosh_xi - table.z) <= 4.0 * np.finfo(float).eps * table.z
-    rest = ~(on_axis | on_surface)
-    radial = np.empty((table.n_max + 1, len(fields)))
-    radial[:, on_axis] = table.ratio[:, None]
-    radial[:, on_surface] = table.q[:, None]
-    if rest.any():
-        radial[:, rest] = table.ratio[:, None] * legendre_p_half(cosh_xi[rest], table.n_max)
+    radial = table.ratio[:, None] * legendre_p_half(np.where(on_surface, table.z, cosh_xi),
+                                                    table.n_max)
 
     delta = [fld.eta - src.eta_src for fld in fields]
     sums, stops = _truncated_sum(_cosine_terms(radial, delta), table.ratio, g.rel_tol,

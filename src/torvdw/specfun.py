@@ -67,7 +67,7 @@ _TAIL_XI = 18.0
 
 #: Rows times columns of a group of tables built at once: it bounds the
 #: memory of a sweep over many shapes.
-_GROUP_ENTRIES = 2**13
+_GROUP_ENTRIES = 2**14
 
 #: Carlson's stopping constant (eps / 4)^(-1/6) for R_D in float64.
 _RD_STOP = (np.finfo(float).eps / 4.0) ** (-1.0 / 6.0)
@@ -176,9 +176,9 @@ def legendre_p_half(z, n_max: int) -> np.ndarray:
     """P_{n-1/2}(z) for n = 0..n_max by forward recurrence, z >= 1.
 
     z is a scalar (result shape (n_max + 1,)) or a 1-d array (one column
-    per argument); the growing solution is stable in this direction for
-    every argument.  At z = 1 exactly the recurrence reproduces
-    P_{n-1/2}(1) = 1 identically.
+    per argument, each distinct argument seeded and recurred once); the
+    growing solution is stable in this direction for every argument.  At
+    z = 1 exactly the recurrence reproduces P_{n-1/2}(1) = 1 identically.
 
     Raises
     ------
@@ -196,9 +196,9 @@ def legendre_p_half(z, n_max: int) -> np.ndarray:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
 
-    seeds = np.array([toroidal_seeds(x)[:2] if x > 1.0 else (1.0, 1.0)
-                      for x in z_arr.reshape(-1)]).reshape(z_arr.shape + (2,))
-    return _p_forward(z_arr, n_max, seeds[..., 0], seeds[..., 1])
+    args, where = np.unique(z_arr, return_inverse=True)  # where is flat before numpy 2
+    seeds = np.array([toroidal_seeds(x)[:2] if x > 1.0 else (1.0, 1.0) for x in args])
+    return _p_forward(args, n_max, *seeds.reshape(-1, 2).T)[:, where.reshape(z_arr.shape)]
 
 
 def _p_forward(z, n_max: int, p_minus, p_plus) -> np.ndarray:

@@ -11,9 +11,10 @@ another kind: the straightforward formulations of bem's kernel pass
 tables, one piece) and of its ring sum (the same kernel, everything
 recomputed per call), kept so that the production paths can be pinned to
 them bit for bit.  The truncation rule of the series is pinned the same
-way, to its earlier two-call form.  The Nyström blocks of Kress's other
-log split, with K(1 - m) / pi as the log coefficient, are kept to check
-that both splits give the same answer.
+way, to its earlier two-call form, and V_H to its earlier three-way
+radial factor.  The Nyström blocks of Kress's other log split, with
+K(1 - m) / pi as the log coefficient, are kept to check that both splits
+give the same answer.
 """
 
 import math
@@ -21,8 +22,10 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from torvdw import greens
 from torvdw.bem import _ELLPK_PQ, _log_weights
 from torvdw.errors import TruncationError
+from torvdw.specfun import legendre_p_half
 
 LN4 = _ELLPK_PQ[-1][0]
 #: Cephes' MACHEP, 2^-53: below it ellpk takes K(1 - x) as ln 4 - ln(x) / 2.
@@ -189,3 +192,26 @@ def truncated_sum_reference(terms, decay, rel_tol, what):
             n_terms=n_terms,
         )
     return values, stop
+
+
+def vh_series_reference(fields, src, g):
+    """(V_H / (K_E q), stops) at a sequence of field points with the radial
+    factor built three ways, as greens once built it: the table's ratio on
+    the axis (xi = 0), the table's Q within 4 eps of the surface, and the
+    ratio times one scalar legendre_p_half column per point elsewhere.  The
+    terms, the truncation rule and the prefactor are greens' own."""
+    table = g.table
+    cosh_xi = np.array([math.cosh(fld.xi) for fld in fields])
+    on_axis = np.array([fld.xi == 0.0 for fld in fields], dtype=bool)
+    on_surface = np.abs(cosh_xi - table.z) <= 4.0 * np.finfo(float).eps * table.z
+    rest = ~(on_axis | on_surface)
+    radial = np.empty((table.n_max + 1, len(fields)))
+    radial[:, on_axis] = table.ratio[:, None]
+    radial[:, on_surface] = table.q[:, None]
+    for k in np.flatnonzero(rest):
+        radial[:, k] = table.ratio * legendre_p_half(cosh_xi[k], table.n_max)
+    delta = [fld.eta - src.eta_src for fld in fields]
+    sums, stops = greens._truncated_sum(greens._cosine_terms(radial, delta), table.ratio,
+                                        g.rel_tol, "potential")
+    prefactor = np.array([greens._prefactor(fld, src, g.geometry.f) for fld in fields])
+    return -prefactor * sums, stops

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from torvdw import axial_greens, axial_source, toroid_from_radii, ToroidalCoords
-from torvdw import dispersion as dispersion_module
+from torvdw import dispersion as dispersion_module, specfun
 from torvdw.bem import bem_mixed_derivative
 from torvdw.dispersion import (
     _moments,
@@ -538,6 +538,18 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    @pytest.mark.parametrize("a_values", [1.0 + np.geomspace(1e-4, 1e-2, 40),
+                                          np.geomspace(1.5, 12.0, 220),
+                                          np.geomspace(1.001, 1e4, 300)])
+    def test_group_size_moves_no_bit(self, particle, monkeypatch, a_values):
+        # thin holes, a benchmark-sized sweep and the whole range: the bound
+        # on a group's entries only sets which columns are built together
+        z_values = [0.5, 1.0, 2.0]
+        grid = sweep_contour(a_values, z_values, 1.0, particle)
+        monkeypatch.setattr(specfun, "_GROUP_ENTRIES", 2**13)
+        assert sweep_contour(a_values, z_values, 1.0, particle).force.tobytes() \
+            == grid.force.tobytes()
 
     def test_validation(self, particle):
         with pytest.raises(ValueError):

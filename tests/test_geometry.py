@@ -188,6 +188,16 @@ class TestInverseMap:
                 exact = float(mpmath.log(mpmath.hypot(mpmath.mpf(r) + f, z)
                                          / mpmath.hypot(mpmath.mpf(r) - f, z)))
             assert abs(xi - exact) <= 4.0 * sys.float_info.epsilon * exact, (r, z)
+        # within a subnormal distance of the ring, where 2 r / d2 overflows,
+        # and a little farther off; f plus or minus a subnormal is f itself
+        heights = [5e-324, 1e-320, 1e-315, 1e-310, 2.2e-308, 1e-305, 1e-300]
+        for f in (1e-5, 3.0, 1e5):
+            for z in heights + [-h for h in heights]:
+                coords = cartesian_to_toroidal(f, 0.0, z, f)
+                with mpmath.workdps(50):
+                    exact = float(mpmath.log(mpmath.hypot(2 * mpmath.mpf(f), z) / abs(z)))
+                assert abs(coords.xi - exact) <= 2.0 * sys.float_info.epsilon * exact, (f, z)
+                assert coords.eta == math.copysign(math.pi / 2.0, z)
 
     def test_focal_ring_rejected(self):
         with pytest.raises(CoordinateSingularityError):

@@ -26,11 +26,11 @@ from torvdw.errors import (
     ResultOverflowError,
     TruncationError,
 )
-from torvdw.geometry import axis_eta_from_z, cartesian_to_toroidal
+from torvdw.geometry import axis_eta_from_z, cartesian_to_toroidal, surface_rz
 from torvdw.greens import charge_interaction_energy_info, vh_potential_info
 from torvdw.units import K_E_EV_NM
 
-from oracles import truncated_sum_reference
+from oracles import truncated_sum_reference, vh_series_reference
 from whole_range import FLOATS_MAX, HEIGHTS, TYPED_ERRORS
 
 
@@ -423,6 +423,51 @@ class TestArrayCalls:
     def test_empty_sequence(self, geom51, greens51):
         info = vh_potential_info([], axial_source(0.0, geom51), greens51)
         assert info.value.shape == (0,) and info.n_used.shape == (0,)
+
+
+class TestOneRadialFactor:
+    """V_H's radial factor, one formula at every field point, has the bits
+    of the three-way factor of tests/oracles.py."""
+
+    RATIOS = [1.01, 1.5, 3.2, 5.0, 20.0, 100.0]
+
+    @staticmethod
+    def _points(geom):
+        """_mixed_points, both axis branches and points within a few eps of
+        the surface, some of which the surface test takes to the surface."""
+        eps = np.finfo(float).eps
+        pts = _mixed_points(geom)
+        pts += [signed_axis_point(z, geom.f) for z in (-1e5, -3.0, 1e-9, 7.0)]
+        pts += [ToroidalCoords(xi=geom.xi0 * (1.0 - k * eps), eta=eta)
+                for k in (1, 2, 4, 64) for eta in (-2.0, 0.4, 3.0)]
+        return pts
+
+    @pytest.mark.parametrize("ratio", RATIOS)
+    def test_vh_potential(self, ratio):
+        geom = toroid_from_radii(ratio, 1.0)
+        g = axial_greens(geom, n_cap=5000)
+        pts = self._points(geom)
+        for z_src, charge in [(0.0, 1.0), (0.7, -1.5)]:
+            src = axial_source(z_src, geom, charge=charge)
+            reduced, stops = vh_series_reference(pts, src, g)
+            value = reduced * K_E_EV_NM * charge
+            info = vh_potential_info(pts, src, g)
+            assert info.value.tobytes() == value.tobytes()
+            assert info.n_used.tolist() == stops.tolist()
+            assert [vh_potential(pt, src, g) for pt in pts] == value.tolist()
+
+    @pytest.mark.parametrize("ratio", RATIOS)
+    def test_surface_residual(self, ratio):
+        geom = toroid_from_radii(ratio, 1.0)
+        g = axial_greens(geom, n_cap=5000)
+        src = axial_source(0.4, geom)
+        for n in (8, 48, 65):
+            etas = -math.pi + (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+            r, z = surface_rz(geom, etas)
+            dist = np.hypot(r, z - src.z_src)
+            vh, _ = vh_series_reference([ToroidalCoords(xi=geom.xi0, eta=float(e)) for e in etas],
+                                        src, g)
+            assert surface_residual(src, g, n) == float(np.max(np.abs(1.0 / dist + vh) * dist))
 
 
 class TestTruncationRule:

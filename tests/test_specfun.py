@@ -151,7 +151,9 @@ class TestHarmonicTable:
         assert np.all(legendre_p_half(1.0, 60) == 1.0)
 
     def test_legendre_p_half_array_matches_scalar(self):
-        zs = np.concatenate([[1.0, 1.0 + 1e-12, 1.3], 1.0 + np.geomspace(1e-9, 40.0, 57)])
+        zs = np.concatenate([[1.0, 1.0 + 1e-12, 1.3], 1.0 + np.geomspace(1e-9, 40.0, 57),
+                             # repeated and unsorted, 1 among arguments above it
+                             [1.3, 1.0, 41.0, 1.3, 1.0 + 1e-12, 1.0, 2.5, 2.5]])
         cols = legendre_p_half(zs, 60)
         assert cols.shape == (61, zs.size)
         for k, z in enumerate(zs):
