@@ -25,12 +25,13 @@ in z_p^2, so thin rings (A > 0) repel nearby axial particles out to the
 zero z*^2 = f^2 A / (2 B), and fat ones (A < 0) never do.  The decay
 rate of R_n, that is a/b alone, decides which a shape is.
 
-The two moments are summed once per shape under the package's truncation
-rule, after which each height costs a few flops.  No power of r is ever
-formed: the physical prefactor, the scaled sum and r are split into
-mantissas and exponents, r is divided out of the mantissa one factor at
-a time and the exponents are summed exactly, so every U and F that is
-representable comes out rather than an overflow.
+The two moments come once per shape from one positive stream that stops
+on its proven tail bound (specfun), after which each height costs a few
+flops.  No power of r is ever formed: the physical prefactor, the scaled
+sum and r are split into mantissas and exponents, r is divided out of
+the mantissa one factor at a time and the exponents are summed exactly,
+so every U and F that is representable comes out rather than an
+overflow.
 """
 
 from __future__ import annotations
@@ -50,12 +51,12 @@ from .greens import (
     N_CAP,
     REL_TOL,
     AxialGreens,
-    _table_size,
+    _moments,
     _truncated_sum,
     _two_minus_delta,
     axial_greens,
 )
-from .specfun import _ratio_groups, _table_column
+from .specfun import _moment_stream
 from .units import K_E_EV_NM, d2z_to_e2nm2
 
 __all__ = [
@@ -82,7 +83,8 @@ class ParticleModel:
     def __post_init__(self):
         if not 0.0 < self.d2z < math.inf:
             raise ValueError(f"<d_z^2> must be positive and finite, got {self.d2z}")
-        if not math.isfinite(_energy_prefactor(self)):
+        # <d_z^2> / (2 eps0) in eV nm^3 per (e nm)^2 of fluctuation
+        if not math.isfinite(self.d2z * 2.0 * math.pi * K_E_EV_NM):
             raise ValueError(f"<d_z^2> = {self.d2z} (e nm)^2 overflows the energy "
                              "prefactor; it must stay finite")
 
@@ -128,31 +130,11 @@ def _over_r(scale, s: np.ndarray, radii, what: str,
     return out
 
 
-def _moment_sums(ratio: np.ndarray, rel_tol: float, what):
-    """(M, stops), rows for M0 and M2, of each column of ratio (rows x
-    shapes): both moments as columns of one truncated sum, ratio being
-    their decay envelope."""
-    w = 2.0 * ratio
-    w[0] = ratio[0]  # (2 - delta_n0) R_n
-    n = np.arange(len(ratio))[:, None]
-    sums, stops = _truncated_sum(np.concatenate([w, n * n * w], axis=1),
-                                 np.concatenate([ratio, ratio], axis=1), rel_tol, what)
-    return sums.reshape(2, -1), stops.reshape(2, -1)
-
-
-def _moments(g: AxialGreens) -> tuple[float, float, int]:
-    """(M0, M2, n_used): both moments as two columns of one truncated sum,
-    n_used the later of their stop indices.  Raises TruncationError if
-    either does not converge within the term cap."""
-    ((m0,), (m2,)), stops = _moment_sums(g.table.ratio[:, None], g.rel_tol, "moment")
-    return float(m0), float(m2), int(stops.max())
-
-
 def _energy(z_p: np.ndarray, p: ParticleModel, f: float, m0: float, m2: float):
     """U(z_p) in eV from the moments, vectorized over heights."""
     r, c, t = _scaled(z_p, f)
-    # C' of the module docstring, as <d_z^2> / (2 eps0) over 2 pi^2
-    scale = -(_energy_prefactor(p) / (2.0 * math.pi**2)) * c
+    # C' = <d_z^2> K_E / pi of the module docstring, in two roundings
+    scale = -(p.d2z * K_E_EV_NM / math.pi) * c
     return _over_r(scale, t * t * m0 + 4.0 * c * c * m2, (r,) * 3, "energy")
 
 
@@ -196,11 +178,6 @@ def gh_mixed_derivative(z: float, z_prime: float, g: AxialGreens) -> float:
                          "mixed derivative", "the toroid is too small"))
 
 
-def _energy_prefactor(p: ParticleModel) -> float:
-    # <d_z^2>/(2 eps0) in eV nm^3 per (e nm)^2 of fluctuation.
-    return p.d2z * 2.0 * math.pi * K_E_EV_NM
-
-
 def _like_input(z: np.ndarray, out: np.ndarray):
     return float(out) if z.ndim == 0 else out
 
@@ -218,7 +195,7 @@ def vdw_energy(z_p, p: ParticleModel, g: AxialGreens):
         If the moments do not converge within the term cap.
     """
     z = _axis_heights(z_p, "particle heights")
-    m0, m2, _ = _moments(g)
+    (m0, m2, *_), _ = _moments(g, "moment")
     return _like_input(z, _energy(z, p, g.geometry.f, m0, m2))
 
 
@@ -236,7 +213,7 @@ def vdw_force(z_p, p: ParticleModel, g: AxialGreens):
         If the moments do not converge within the term cap.
     """
     z = _axis_heights(z_p, "particle heights")
-    m0, m2, _ = _moments(g)
+    (m0, m2, *_), _ = _moments(g, "moment")
     return _like_input(z, _force(z, p, g.geometry.f, m0, m2))
 
 
@@ -255,7 +232,7 @@ class ForceProfile:
 def force_profile(z_grid, p: ParticleModel, g: AxialGreens) -> ForceProfile:
     """Evaluate U and F on a grid and record the scales of normalized plots."""
     z_grid = np.array(_axis_heights(z_grid, "particle heights"), ndmin=1)
-    m0, m2, stop = _moments(g)
+    (m0, m2, *_), stop = _moments(g, "moment")
     f = g.geometry.f
     energy = _energy(z_grid, p, f, m0, m2)
     force = _force(z_grid, p, f, m0, m2)
@@ -291,7 +268,7 @@ def find_force_zero(
     lo, hi = map(float, bracket)
     if not -math.inf < lo < hi < math.inf:
         raise ValueError(f"bracket must be finite and ordered, got {bracket}")
-    m0, m2, _ = _moments(g)
+    (m0, m2, *_), _ = _moments(g, "moment")
     f_lo, f_hi = _force(np.array([lo, hi]), p, g.geometry.f, m0, m2)
     if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
         raise NoSignChangeError(
@@ -355,9 +332,7 @@ def critical_ratio(
         # (z^2 - 1) dA/dz = -(D0 - 12 D2) and (z^2 - 1) dB/dz = -D0 with
         # D0 = sum_n (2 - delta_n0) / P_n^2 and D2 the same weighted by n^2
         g = axial_greens(toroid_from_radii(z * b, b), rel_tol=rel_tol, n_cap=n_cap)
-        m0, m2, _ = _moments(g)
-        w = _two_minus_delta(g.table.n_max) / g.table.p ** 2
-        d0, d2 = np.sum(w), np.sum(np.arange(w.size) ** 2 * w)
+        (m0, m2, d0, d2), _ = _moments(g, "moment")
         a_sum = m0 - 12.0 * m2
         value = (z * z - 1.0) * a_sum - h2 * m0
         return value, z * (2.0 * z * a_sum - (d0 - 12.0 * d2) + h2 * d0 / (z * z - 1.0))
@@ -409,26 +384,22 @@ def sweep_contour(
     Each a value is one shape and one pair of moments, and its column has
     the bits of a vdw_force call on those heights.  Only the checks and
     seeds run shape by shape (toroid_from_radii's typed errors refuse a bad
-    shape before any force is evaluated); tables and moments are built in
-    groups of bounded size, and one force call covers all shapes.  A shape
-    whose moments do not converge within n_cap gives a NaN column, with
-    one diagnostic per cell.  The returned grid is immutable.  A grid that
-    is empty or not 1-d raises ValueError.
+    shape before any force is evaluated); one moment stream covers all
+    shapes, each dropping out once its moments converge, and one force call
+    covers all columns.  A shape whose moments do not converge within n_cap
+    gives a NaN column, with one diagnostic per cell.  The returned grid is
+    immutable.  A grid that is empty or not 1-d raises ValueError.
     """
     a_values = np.asarray(a_values, dtype=float)
     z_values = _axis_heights(z_values, "particle heights")
     if not (a_values.ndim == z_values.ndim == 1 and a_values.size and z_values.size):
         raise ValueError("a and z grids must be non-empty 1-d arrays")
 
-    f, columns = np.empty(a_values.size), []
-    for j, a in enumerate(a_values):
-        geom = toroid_from_radii(a, b)
-        f[j] = geom.f
-        columns.append(_table_column(geom.cosh_xi0, _table_size(geom.xi0, rel_tol, n_cap)))
-    moments, stops = np.empty((2, a_values.size)), np.empty((2, a_values.size), dtype=int)
-    for run, ratio in _ratio_groups(columns):
-        moments[:, run], stops[:, run] = _moment_sums(ratio, rel_tol, None)
-    (m0, m2), ok = moments, stops.min(axis=0) >= 0
+    # axial_greens checks the policy; a column has the bits of its own stream
+    geoms = [axial_greens(toroid_from_radii(a, b), rel_tol, n_cap).geometry for a in a_values]
+    (m0, m2, *_), stops, _ = _moment_stream([g.cosh_xi0 for g in geoms],
+                                            [(g.a - g.b) / g.b for g in geoms], rel_tol, n_cap)
+    f, ok = np.array([g.f for g in geoms]), stops.min(axis=0) >= 0
     force = np.full((z_values.size, a_values.size), np.nan)
     force[:, ok] = _force(z_values[:, None], p, f[ok], m0[ok], m2[ok])
     force.flags.writeable = False

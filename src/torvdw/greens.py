@@ -20,6 +20,7 @@ Everything internal works in reduced potential V / (K_E q), units 1/nm.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import warnings
@@ -44,7 +45,8 @@ from .geometry import (
     axis_eta_from_z,
     surface_rz,
 )
-from .specfun import Z_MIN_OFFSET, HarmonicTable, harmonic_table, legendre_p_half
+from .specfun import (Z_MIN_OFFSET, HarmonicTable, _moment_stream, harmonic_table,
+                      legendre_p_half)
 from .units import K_E_EV_NM
 
 __all__ = [
@@ -122,21 +124,27 @@ def axial_source(z_src: float, geom: ToroidGeometry, charge: float = 1.0) -> Axi
 
 @dataclass(frozen=True)
 class AxialGreens:
-    """Geometry, truncation policy and the cached ratio table at cosh(xi0)."""
+    """Geometry and truncation policy; the ratio table at cosh(xi0) and the
+    moments of the ratio are each computed on first use and kept."""
 
     geometry: ToroidGeometry
-    table: HarmonicTable
     rel_tol: float
     n_cap: int
 
+    @functools.cached_property
+    def table(self) -> HarmonicTable:
+        geom = self.geometry
+        return harmonic_table(geom.cosh_xi0, _table_size(geom.xi0, self.rel_tol, self.n_cap))
+
+    @functools.cached_property
+    def _stream(self) -> tuple:
+        geom = self.geometry  # delta = a/b - 1 from the radii
+        return _moment_stream([geom.cosh_xi0], [(geom.a - geom.b) / geom.b], self.rel_tol,
+                              self.n_cap)
+
 
 def _table_size(xi: float, rel_tol: float, n_cap: int) -> int:
-    """n_max at xi for the truncation policy, refused here if out of bounds."""
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    n_cap = operator.index(n_cap)
-    if n_cap < 8:
-        raise ValueError(f"n_cap must be at least 8, got {n_cap}")
+    """n_max at xi for a truncation policy that axial_greens has checked."""
     # Terms decay like e^{-n xi} at worst (on the surface); size the table
     # so the triple-small-term stop can always trigger within it, but never
     # past the float64 horizon of the ratio entries.
@@ -149,8 +157,11 @@ def axial_greens(geom: ToroidGeometry, rel_tol: float = REL_TOL,
                  n_cap: int = N_CAP) -> AxialGreens:
     """Build the evaluator for the given toroid and truncation policy; an
     n_cap that is not an integer raises TypeError."""
-    table = harmonic_table(geom.cosh_xi0, _table_size(geom.xi0, rel_tol, n_cap))
-    return AxialGreens(geom, table, float(rel_tol), operator.index(n_cap))
+    if not 0.0 < rel_tol < 1.0:
+        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
+    if operator.index(n_cap) < 8:
+        raise ValueError(f"n_cap must be at least 8, got {n_cap}")
+    return AxialGreens(geom, float(rel_tol), operator.index(n_cap))
 
 
 class SeriesInfo(NamedTuple):
@@ -160,22 +171,32 @@ class SeriesInfo(NamedTuple):
     n_used: int
 
 
+def _moments(g: AxialGreens, what: str, needs: int = 2) -> tuple[np.ndarray, int]:
+    """(M0, M2, D0, D2) of g's shape and the last row summed for the first
+    `needs` of M0 and M2; the first of those that did not converge raises
+    TruncationError, labelled by `what`, with the tail bound reached."""
+    value, stop, bound = (x[:, 0] for x in g._stream)
+    for j in range(needs):
+        if stop[j] < 0:
+            raise TruncationError(f"{what} series not converged after {g.n_cap + 1} terms",
+                                  partial_sum=value[j], bound=bound[j], n_terms=g.n_cap + 1)
+    return value, int(stop[needs - 1])
+
+
 def _truncated_sum(terms: np.ndarray, decay: np.ndarray, rel_tol: float,
-                   what: str | None) -> tuple[np.ndarray, np.ndarray]:
+                   what: str) -> tuple[np.ndarray, np.ndarray]:
     """(sums, stops): each column of a (n_terms x n_points) term matrix
     summed to its stopping term, and that term's index.
 
     A column stops at the first n where the term magnitude has stayed below
     rel_tol * |partial sum| for 3 consecutive terms (single-term smallness
     is unreliable under the cos factors) and the monotone decay envelope
-    has fallen to decay[n] <= rel_tol * decay[0].  This is the package's
-    only truncation rule.  decay is one envelope or one per column; no
-    column stops on a NaN, so columns of many shapes, padded with NaN, are
-    summed at once with the bits each has alone.  The first column that
-    does not stop raises TruncationError, labelled by `what`, with the
+    has fallen to decay[n] <= rel_tol * decay[0] (the moments stop on a
+    proven tail bound instead, in specfun._moment_stream).  The first column
+    that does not stop raises TruncationError, labelled by `what`, with the
     column's whole sum, the tail estimate |t_N| rho / (1 - rho), rho =
     min(0.99, |t_N / t_(N-1)|) (0.5 when t_(N-1) = 0), as its bound, and
-    the number of terms summed; with `what` None its stop is -1 instead.
+    the number of terms summed.
     """
     acc = np.cumsum(terms, axis=0)
     scale = np.abs(acc)
@@ -184,9 +205,9 @@ def _truncated_sum(terms: np.ndarray, decay: np.ndarray, rel_tol: float,
     ok = small.copy()
     ok[1:] &= small[:-1]
     ok[2:] &= small[:-2]
-    ok &= decay.reshape(len(decay), -1) <= rel_tol * decay[0]
+    ok &= (decay <= rel_tol * decay[0])[:, None]
     converged = ok.any(axis=0)
-    if what is not None and not converged.all():
+    if not converged.all():
         k = int(np.argmin(converged))
         n_terms = terms.shape[0]
         prev, last = np.abs(terms[-2:, k])
@@ -194,7 +215,7 @@ def _truncated_sum(terms: np.ndarray, decay: np.ndarray, rel_tol: float,
         raise TruncationError(f"{what} series not converged after {n_terms} terms",
                               partial_sum=acc[-1, k], bound=last * rho / (1.0 - rho),
                               n_terms=n_terms)
-    stops = np.where(converged, np.argmax(ok, axis=0), -1)
+    stops = np.argmax(ok, axis=0)
     return acc[stops, np.arange(terms.shape[1])], stops
 
 
@@ -285,9 +306,7 @@ def charge_interaction_energy_info(z_src, g: AxialGreens, charge: float = 1.0) -
     # exactly 1 (eta - eta' is 0 or the float 2 pi), so one series, the
     # on-axis ratio sum M0, serves every height; the prefactor there is
     # -(1 / pi f) (1 - cos eta') = -2 c^2 / (pi f) with c = f / hypot(f, z').
-    ratio = g.table.ratio
-    weighted = (_two_minus_delta(g.table.n_max) * ratio)[:, None]
-    (m0,), (stop,) = _truncated_sum(weighted, ratio, g.rel_tol, "charge-energy")
+    (m0, *_), stop = _moments(g, "charge-energy", needs=1)
     # q c enters twice, so q^2 is never formed on its own: it may overflow
     # where the energy does not
     qc = charge * (f / np.hypot(f, heights))

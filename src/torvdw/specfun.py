@@ -15,7 +15,10 @@ Casoratian P_n Q_{n+1} - P_{n+1} Q_n = -1/(n + 1/2) (Gautschi, SIAM Rev. 9,
     R_n = sum_{k >= n} 1 / ((k + 1/2) P_k P_{k+1}),
 
 a tail sum of positive terms, normalized against the closed form of
-Q_{-1/2}(z).
+Q_{-1/2}(z).  Summed by parts, with u_k = 1 / (P_k P_{k+1}) and S = sum_k
+u_k / (k + 1/2), the moments of R that the dispersion force reads need no
+table: M0 = 2 R_0 sum_k u_k / S and M2 = (2/3) R_0 sum_k k (k + 1) u_k / S,
+one positive stream whose term ratios fall, so its tail bound is proven.
 
 Seed closed forms, in the scipy parameter convention m = k^2, with
 emx = e^{-xi} and m1 = 1 - e^{-2 xi}:
@@ -64,10 +67,6 @@ _LOG_HORIZON = 690.0
 #: Rows past n_max over which R_n is summed, in units of 1/xi: the dropped
 #: tail is e^{-2 xi (n_top - n_max)} <= e^{-36} of R_{n_max}.
 _TAIL_XI = 18.0
-
-#: Rows times columns of a group of tables built at once: it bounds the
-#: memory of a sweep over many shapes.
-_GROUP_ENTRIES = 2**14
 
 #: Carlson's stopping constant (eps / 4)^(-1/6) for R_D in float64.
 _RD_STOP = (np.finfo(float).eps / 4.0) ** (-1.0 / 6.0)
@@ -160,14 +159,14 @@ def toroidal_seeds(z: float) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class HarmonicTable:
-    """P_{n-1/2}(z), Q_{n-1/2}(z) and their ratios for n = 0..n_max.
+    """Q_{n-1/2}(z) and the ratios Q/P for n = 0..n_max; P itself is
+    legendre_p_half(z, n_max), to the bit.
 
     Immutable after construction; safe to share between threads.
     """
 
     z: float
     n_max: int
-    p: np.ndarray
     q: np.ndarray
     ratio: np.ndarray
 
@@ -251,18 +250,6 @@ def harmonic_table(z: float, n_max: int) -> HarmonicTable:
     TypeError
         For an n_max that is not an integer.
     """
-    z, n_max, n_top, _, *seeds = _table_column(z, n_max)
-    p, ratio = _ratio_rows(z, n_max, n_top, n_top, *seeds)
-    p = p[: n_max + 1].copy()
-    q = ratio * p
-    for arr in (p, q, ratio):
-        arr.flags.writeable = False
-    return HarmonicTable(z=z, n_max=n_max, p=p, q=q, ratio=ratio)
-
-
-def _table_column(z: float, n_max: int) -> tuple:
-    """(z, n_max, n_top, horizon, *toroidal_seeds(z)), checked as
-    harmonic_table documents; P stays in range up to row horizon."""
     z = float(z)
     n_max = operator.index(n_max)
     if n_max < 0 or not math.isfinite(z):
@@ -270,9 +257,7 @@ def _table_column(z: float, n_max: int) -> tuple:
     if z < 1.0 + Z_MIN_OFFSET:
         raise NearSingularArgumentError(
             f"argument z = {z} is within {Z_MIN_OFFSET} of the degenerate "
-            "point z = 1 (tube radius equals center radius)"
-        )
-
+            "point z = 1 (tube radius equals center radius)")
     xi = math.acosh(z)
     # The binding constraint is the ratio Q/P ~ e^{-2 n xi}, which leaves
     # float64 range twice as fast as either function alone.
@@ -282,42 +267,83 @@ def _table_column(z: float, n_max: int) -> tuple:
             f"largest safe n is {int(_LOG_HORIZON / (2.0 * xi))}",
             max_safe_n=int(_LOG_HORIZON / (2.0 * xi)),
         )
-    horizon = int(_LOG_HORIZON / xi)
     # At least one row past n_max, and no row where P could overflow.
-    n_top = min(n_max + 1 + math.ceil(_TAIL_XI / xi), max(n_max + 1, horizon))
-    return (z, n_max, n_top, horizon, *toroidal_seeds(z))
-
-
-def _ratio_rows(z, n_max: int, n_top: int, ends, p_minus, p_plus, q_minus):
-    """(P, R) for rows 0..n_top and 0..n_max of one column (scalars) or of
-    one column per entry of 1-d arrays, each column's Casoratian sum ending
-    at its own row `ends` <= n_top, so that it has the bits it has alone."""
+    n_top = min(n_max + 1 + math.ceil(_TAIL_XI / xi), max(n_max + 1, int(_LOG_HORIZON / xi)))
+    p_minus, p_plus, q_minus = toroidal_seeds(z)
     p = _p_forward(z, n_top, p_minus, p_plus)
-    half = np.arange(0.5, n_top).reshape((n_top,) + (1,) * (p.ndim - 1))
     # R_k - R_{k+1} = 1 / ((k + 1/2) P_k P_{k+1}), each P divided out on its
-    # own (the product can overflow); an infinite k + 1/2 past a column's
-    # end makes its terms there zero.
-    ratio = 1.0 / (np.where(half < ends, half, np.inf) * p[:-1]) / p[1:]
-    np.cumsum(ratio[::-1], axis=0, out=ratio[::-1])
-    return p, ratio[: n_max + 1] * (q_minus / (ratio[0] * p[0]))
+    # own (the product can overflow)
+    ratio = 1.0 / (np.arange(0.5, n_top) * p[:-1]) / p[1:]
+    np.cumsum(ratio[::-1], out=ratio[::-1])
+    ratio = ratio[: n_max + 1] * (q_minus / (ratio[0] * p[0]))
+    q = ratio * p[: n_max + 1]
+    for arr in (q, ratio):
+        arr.flags.writeable = False
+    return HarmonicTable(z=z, n_max=n_max, q=q, ratio=ratio)
 
 
-def _ratio_groups(columns):
-    """(index, R) of each group of table columns, given as the tuples of
-    _table_column, R from _ratio_rows and NaN past each column's own n_max.
-    A group's top row stays inside every member's horizon, which falls
-    along the order taken, so no P overflows, and it holds at most
-    _GROUP_ENTRIES values."""
-    columns = np.array(columns, dtype=float)
-    n_max, n_top, horizon = columns[:, 1:4].T.astype(int)
-    order = np.argsort(-horizon, kind="stable")
-    while order.size:
-        top = np.maximum.accumulate(n_top[order[:_GROUP_ENTRIES]])
-        fits = ((top <= horizon[order[:top.size]])
-                & (top * np.arange(1, top.size + 1) <= _GROUP_ENTRIES))
-        # the first member that does not fit ends the group; one alone fits
-        run, order = np.split(order, [max(1, np.append(fits, False).argmin())])
-        _, ratio = _ratio_rows(columns[run, 0], n_max[run].max(), top[run.size - 1], n_top[run],
-                               *columns[run, 4:].T)
-        ratio[np.arange(len(ratio))[:, None] > n_max[run]] = np.nan
-        yield run, ratio
+def _moment_stream(z, delta, rel_tol: float, n_cap: int):
+    """(value, stop, bound): M0, M2, D0 and D2 at each argument z, summed
+    by parts; delta = z - 1, from the radii.  stop: the last row summed for
+    M0 and M2, or -1 where the moment did not converge in rows 0..n_cap,
+    and bound there the tail bound reached (inf while a term ratio exceeds
+    1).  D takes the rows of M2.  A lone argument runs on Python floats,
+    which round as float64 does: it has the bits it has among others.
+    """
+    z, delta = np.asarray(z, dtype=float), np.asarray(delta, dtype=float)
+    if np.any(z < 1.0 + Z_MIN_OFFSET):
+        raise NearSingularArgumentError(f"argument z = {np.min(z)} is within {Z_MIN_OFFSET} "
+                                        "of the degenerate point z = 1")
+    p_minus, p_plus, q_minus = np.array([toroidal_seeds(x) for x in z]).reshape(-1, 3).T
+    # per argument: the sums A, S, B, D0, D2, the last room and tail of M0
+    # and of M2, each moment's rows used and live flag, v_k = u_k / u_0,
+    # w_k = (P_{-1/2} / P_{k-1/2})^2, delta and sigma_k
+    out, cols, st = np.zeros((13, z.size)), np.arange(z.size), np.zeros((17, z.size))
+    st[7:9] = st[11:15] = 1.0
+    st[15:] = delta, p_plus / p_minus - 1.0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for k in range(n_cap + 1):
+            if st is not None:  # the arguments left, on Python floats if one
+                (a, s, b, d0, d2, room0, room2, tail0, tail2, used0, used2, live0, live2,
+                 v, w, delta, sig) = st if cols.size > 1 else st[:, 0].tolist()
+                st = None
+            # rho_k = P_{k+1/2} / P_{k-1/2} = 1 + sigma_k, sigma_{k+1} by the
+            # recurrence in delta, which does not cancel near z = 1
+            rho = 1.0 + sig
+            sig = (delta * (2 * k + 2) + (k + 0.5) / (1.0 + 1.0 / sig)) / (k + 1.5)
+            r = 1.0 / rho / (1.0 + sig)
+            # the sums A, S and B, each frozen at its moment's stop
+            v0, t2 = v * live0, (k * k + k) * v
+            a += v0
+            s += v0 / (k + 0.5)
+            b += t2 * live2
+            d0 += (2.0 if k else 1.0) * w * live2
+            d2 += (2 * k * k) * w * live2
+            w = w / rho / rho
+            # the terms from row k on sum to at most t_k / (1 - r), r = t_{k+1}
+            # / t_k, as the ratios fall: r for A, (k + 2) / k r for B; S needs
+            # no test, its relative tail being below A's.  A moment stops one
+            # row after the first whose bound is within rel_tol of its sum.
+            used0 += live0
+            used2 += live2
+            live0 = live0 > (tail0 <= rel_tol * room0)
+            live2 = live2 > ((tail2 <= rel_tol * room2) & (k > 1))
+            r2 = r * ((k + 2) / k) if k else 0.0
+            tail0, room0, tail2, room2 = v, (1.0 - r) * a, t2, (1.0 - r2) * b
+            v = v * r
+            alive = live0 | live2
+            # arguments that are done stay, frozen, until half are; a lone
+            # argument's flag is a Python bool, True while it runs
+            if k == n_cap or (alive is not True
+                              and np.count_nonzero(alive) <= cols.size // 2):
+                st = np.reshape([a, s, b, d0, d2, room0, room2, tail0, tail2, used0, used2,
+                                 live0, live2, v, w, delta, sig], (17, -1))
+                out[:, cols], left = st[:13], np.reshape(alive, -1) & (k < n_cap)
+                cols, st = cols[left], st[:, left]
+                if not cols.size:
+                    break
+        # M0 = 2 R_0 A / S, M2 = (2/3) R_0 B / S and D = its sum / P_{-1/2}^2
+        r0, w0, room, live = q_minus / p_minus / out[1], 1.0 / p_minus ** 2, out[5:7], out[11:]
+        value, live = out[[0, 2, 3, 4]] * [2.0 * r0, (2.0 / 3.0) * r0, w0, w0], live > 0.0
+        bound = np.where(live, np.where(room > 0.0, value[:2] * out[7:9] / room, np.inf), 0.0)
+    return value, np.where(live, -1, out[9:11].astype(int) - 1), bound

@@ -312,11 +312,13 @@ class TestContour:
 
 
     def test_json_failed_cells_are_null(self, tmp_path, capsys):
-        # every cell's series is starved by --ncap 8; JSON has no NaN, so a
-        # failed cell is written as null and a strict parser reads the file
+        # every cell's series is starved by --ncap 8 (a/b = 2 needs 16
+        # moment rows); JSON has no NaN, so a failed cell is written as null
+        # and a strict parser reads the file
         out_file = tmp_path / "g.json"
         code, _, _ = run_cli(capsys, "contour", "--b", "1", "--ratio-min", "1.01",
-                             "--ratio-points", "3", "--zpoints", "3", "--ncap", "8",
+                             "--ratio-max", "2", "--ratio-points", "3", "--zpoints", "3",
+                             "--ncap", "8",
                              "--format", "json", "--out", str(out_file))
         assert code == 0
 

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from torvdw import axial_greens, axial_source, toroid_from_radii, ToroidalCoords
-from torvdw import dispersion as dispersion_module, specfun
+from torvdw import dispersion as dispersion_module
 from torvdw.bem import bem_mixed_derivative
 from torvdw.dispersion import (
-    _moments,
     critical_ratio,
     find_force_zero,
     force_profile,
@@ -29,6 +28,7 @@ from torvdw.errors import (
 )
 from torvdw.geometry import axis_eta_from_z
 from torvdw.greens import (
+    _moments,
     _vh_reduced,
     charge_interaction_energy,
     charge_interaction_energy_info,
@@ -500,13 +500,12 @@ class TestSweep:
                                    max_size=5),
            rel_tol=st.sampled_from([1e-12, 1e-6, 1e-300]),
            n_cap=st.sampled_from([8, 60, 2000]))
-    # at rel_tol 1e-300 no shape converges within its own rows, but most
-    # would within the taller rows of the group they are built in
+    # at rel_tol 1e-300 a shape converges only once its terms underflow
     @example(log_gaps=np.linspace(-0.3, 4.0, 30).tolist(), log_b=0.0, heights_over_b=[1.0],
              rel_tol=1e-300, n_cap=2000)
     def test_every_column_is_its_own_vdw_force(self, particle, log_gaps, log_b,
                                                 heights_over_b, rel_tol, n_cap):
-        # shapes from a/b - 1 = 1e-4 to 1e6 fall into many groups of columns:
+        # shapes from a/b - 1 = 1e-4 to 1e6 leave the stream at many rows:
         # every converged column has the bytes of its own vdw_force call, and
         # the NaN columns are the shapes whose moments do not converge
         b = 10.0**log_b
@@ -517,19 +516,19 @@ class TestSweep:
         for j, a in enumerate(a_values):
             g = axial_greens(toroid_from_radii(a, b), rel_tol=rel_tol, n_cap=n_cap)
             try:
-                _moments(g)
+                force = vdw_force(z_values, particle, g)
             except TruncationError:
                 failed.append(j)
                 continue
-            assert grid.force[:, j].tobytes() == vdw_force(z_values, particle, g).tobytes()
+            assert grid.force[:, j].tobytes() == force.tobytes()
         assert np.flatnonzero(np.isnan(grid.force).any(axis=0)).tolist() == failed
         assert np.isnan(grid.force[:, failed]).all()
         assert grid.diagnostics == tuple((i, j, "series not converged within cap")
                                          for j in failed for i in range(z_values.size))
 
     def test_memory_does_not_grow_with_the_number_of_shapes(self, particle):
-        # 2000 shapes from a/b = 1.001, whose table alone has 1351 rows: the
-        # tables and moments are built a bounded group of columns at a time
+        # 2000 shapes from a/b = 1.001, whose moments take 413 rows: the
+        # stream holds one row of each shape
         a_values = np.geomspace(1.001, 1e4, 2000)
         tracemalloc.start()
         try:
@@ -542,14 +541,15 @@ class TestSweep:
     @pytest.mark.parametrize("a_values", [1.0 + np.geomspace(1e-4, 1e-2, 40),
                                           np.geomspace(1.5, 12.0, 220),
                                           np.geomspace(1.001, 1e4, 300)])
-    def test_group_size_moves_no_bit(self, particle, monkeypatch, a_values):
-        # thin holes, a benchmark-sized sweep and the whole range: the bound
-        # on a group's entries only sets which columns are built together
-        z_values = [0.5, 1.0, 2.0]
+    def test_every_column_is_vdw_force_bit_for_bit(self, particle, a_values):
+        # thin holes, a benchmark-sized sweep and the whole range: a column
+        # leaves the shared stream at its own row, alone at the end, and has
+        # the bits of vdw_force at those heights
+        z_values = np.array([0.5, 1.0, 2.0])
         grid = sweep_contour(a_values, z_values, 1.0, particle)
-        monkeypatch.setattr(specfun, "_GROUP_ENTRIES", 2**13)
-        assert sweep_contour(a_values, z_values, 1.0, particle).force.tobytes() \
-            == grid.force.tobytes()
+        for j, a in enumerate(a_values):
+            g = axial_greens(toroid_from_radii(a, 1.0))
+            assert grid.force[:, j].tobytes() == vdw_force(z_values, particle, g).tobytes()
 
     def test_validation(self, particle):
         with pytest.raises(ValueError):
@@ -627,7 +627,7 @@ class TestLargeHeights:
             warnings.simplefilter("error")
             u = vdw_energy(self.Z_FAR, p, greens51)
             force = vdw_force(self.Z_FAR, p, greens51)
-        u_ref, f_ref = self._reference(greens51, p, self.Z_FAR, _moments(greens51)[2])
+        u_ref, f_ref = self._reference(greens51, p, self.Z_FAR, greens51.table.n_max)
         assert u < 0.0 and force < 0.0
         assert float(abs((u - u_ref) / u_ref)) <= 1e-12
         assert float(abs((force - f_ref) / f_ref)) <= 1e-12
@@ -743,7 +743,7 @@ class TestWholeRange:
         # <d_z^2> times 4 M2 overflows, but U(0) = -C' 4 M2 / f^3 does not
         g = axial_greens(toroid_from_radii(1001.0, 1000.0))
         p = particle_model(1e307)
-        _, m2, _ = _moments(g)
+        (_, m2, *_), _ = _moments(g, "moment")
         with mpmath.workdps(30):
             c = mpmath.mpf(p.d2z) * mpmath.mpf(K_E_EV_NM) / mpmath.pi
             exact = float(-c * 4 * mpmath.mpf(m2) / mpmath.mpf(g.geometry.f) ** 3)
@@ -759,9 +759,9 @@ class TestWholeRange:
 # (mpmath quadrature, recomputed by test_integrals).
 HORN_I0 = 2.7353537239343278118
 HORN_I2 = 1.2937785170986032972
-# a/b - 1 down to 1e-5: below about 1e-6 the forward P recurrence itself
-# loses accuracy.
-HORN_GAPS = (1e-2, 1e-3, 1e-4, 1e-5)
+# a/b - 1 down to 1e-6: the moment stream's recurrence in a/b - 1 keeps its
+# digits as the hole closes.
+HORN_GAPS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
 
 class TestHornTorus:
@@ -782,13 +782,16 @@ class TestHornTorus:
         # xi0 M0 / I_0 - 1 -> +0.0371 xi0^2, xi0^3 M2 / I_2 - 1 -> -0.0881 xi0^2
         k0, k2 = [], []
         for g in horns:
-            m0, m2, _ = _moments(g)
+            (m0, m2, *_), _ = _moments(g, "moment")
             xi = g.geometry.xi0
             k0.append((xi * m0 / HORN_I0 - 1.0) / xi**2)
             k2.append((xi**3 * m2 / HORN_I2 - 1.0) / xi**2)
         assert all(abs(k - 0.0371) < 2e-4 for k in k0), k0
         assert all(abs(k + 0.0881) < 2e-4 for k in k2), k2
         assert abs(k0[-1] - 0.0371) < 1e-5 and abs(k2[-1] + 0.0881) < 1e-5, (k0, k2)
+        # the coefficients settle: over the last three gaps each spreads by
+        # less than 2e-6, which a moment error of 2e-6 xi0^2 would exceed
+        assert np.ptp(k0[-3:]) < 2e-6 and np.ptp(k2[-3:]) < 2e-6, (k0, k2)
 
     @pytest.mark.parametrize("z_over_b", [0.5, 1.0, 2.0, 5.0])
     def test_energy_and_force_approach_the_horn_forms(self, horns, particle, z_over_b):
@@ -877,6 +880,21 @@ def test_truncation_error_contract(name):
     assert math.isfinite(exc.value.partial_sum)
     assert math.isfinite(exc.value.bound) and exc.value.bound > 0.0
     assert exc.value.n_terms == 9  # n = 0..n_cap
+
+
+def test_thin_hole_refused_at_its_cap_in_little_memory():
+    # a/b = 1 + 1e-12 needs about 1e7 moment rows: the stream stops at the
+    # cap with the tail bound it reached, holding one row of the shape
+    g = axial_greens(toroid_from_radii(1.000000000001, 1.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncationError) as exc:
+            vdw_force(1.0, particle_model(1.0), g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < exc.value.bound < math.inf and exc.value.n_terms == g.n_cap + 1
+    assert peak < 1e6
 
 
 # Each entry point that reads heights on the axis, as a call on the heights

@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 import warnings
 
 import mpmath
@@ -13,8 +15,7 @@ from torvdw.greens import _table_size
 from torvdw.specfun import (
     _e_complement,
     _k_comodulus,
-    _ratio_groups,
-    _table_column,
+    _moment_stream,
     harmonic_table,
     legendre_p_half,
     toroidal_seeds,
@@ -123,7 +124,6 @@ class TestSeeds:
 
     def test_largest_arguments_give_tables(self):
         table = harmonic_table(1e155, 0)
-        assert table.p[0] == toroidal_seeds(1e155)[0]
         assert table.q[0] == pytest.approx(toroidal_seeds(1e155)[2], rel=2.0 * EPS)
         assert legendre_p_half(1e155, 0)[0] == toroidal_seeds(1e155)[0]
         assert legendre_p_half(1.7e308, 1).tolist() == list(toroidal_seeds(1.7e308)[:2])
@@ -159,7 +159,8 @@ class TestHarmonicTable:
         for k, z in enumerate(zs):
             assert cols[:, k].tolist() == legendre_p_half(z, 60).tolist()
         assert legendre_p_half(zs[:0], 60).shape == (61, 0)
-        assert legendre_p_half(5.0, 35).tolist() == harmonic_table(5.0, 35).p.tolist()
+        table = harmonic_table(5.0, 35)
+        assert (table.ratio * legendre_p_half(5.0, 35)).tolist() == table.q.tolist()
 
     @pytest.mark.parametrize("z_minus_1", [1e-6, 1e-3, 1e-2, 4.0, 1e3])
     def test_scalar_recurrence_matches_one_element_array(self, z_minus_1):
@@ -206,15 +207,16 @@ class TestHarmonicTable:
         n_safe = exc.value.max_safe_n
         assert 0 < n_safe < 200
         table = harmonic_table(100.0, n_safe)
-        assert np.all(np.isfinite(table.p))
+        assert np.all(np.isfinite(table.q / table.ratio))
         assert np.all(table.q > 0.0)
 
     def test_quadrature_oracle_three_halves(self):
         # the a = 5, b = 3 toroid argument
         table = harmonic_table(5.0 / 3.0, 20)
+        p = legendre_p_half(5.0 / 3.0, 20)
         for n in [0, 1, 2, 5, 10, 20]:
             nu = n - 0.5
-            assert table.p[n] == pytest.approx(
+            assert p[n] == pytest.approx(
                 legendre_p_quad(nu, 5.0 / 3.0), rel=1e-10
             )
             assert table.q[n] == pytest.approx(
@@ -227,7 +229,8 @@ class TestHarmonicTable:
             z = math.exp(rng.uniform(math.log(1.001), math.log(50.0)))
             n = int(rng.integers(0, 30))
             table = harmonic_table(z, n)
-            assert table.p[n] == pytest.approx(legendre_p_quad(n - 0.5, z), rel=1e-10)
+            assert legendre_p_half(z, n)[n] == pytest.approx(legendre_p_quad(n - 0.5, z),
+                                                             rel=1e-10)
             assert table.q[n] == pytest.approx(legendre_q_quad(n - 0.5, z), rel=1e-10)
 
     def test_ratio_decay_rate_z5(self):
@@ -246,9 +249,9 @@ class TestHarmonicTable:
         for _ in range(50):
             z = math.exp(rng.uniform(math.log(1.0001), math.log(100.0)))
             n_max = int(rng.integers(1, min(60, int(500.0 / math.acosh(z)) + 1)))
-            table = harmonic_table(z, n_max)
+            table, p = harmonic_table(z, n_max), legendre_p_half(z, n_max)
             n = np.arange(1, n_max + 1)
-            caso = table.p[1:] * table.q[:-1] - table.p[:-1] * table.q[1:]
+            caso = p[1:] * table.q[:-1] - p[:-1] * table.q[1:]
             np.testing.assert_allclose(caso, 1.0 / (n - 0.5), rtol=1e-10)
 
     def test_q_half_matches_closed_form(self):
@@ -269,27 +272,34 @@ class TestHarmonicTable:
 
     def test_tables_are_immutable(self):
         table = harmonic_table(2.0, 10)
-        for arr in (table.p, table.q, table.ratio):
+        for arr in (table.q, table.ratio):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
-    @given(log_gaps=st.lists(st.floats(min_value=-4.0, max_value=6.0), min_size=1, max_size=40),
-           rel_tol=st.sampled_from([1e-12, 1e-300]),
-           n_cap=st.sampled_from([8, 60, 2000]))
-    def test_groups_of_columns_have_the_bits_of_one_table_each(self, log_gaps, rel_tol, n_cap):
-        # a sweep's tables are built in groups of columns with many tops
-        # and horizons: every column has the ratio bytes of its own table up
-        # to its n_max, and NaN past it
-        args = [(z, _table_size(math.acosh(z), rel_tol, n_cap))
-                for z in (1.0 + 10.0**gap for gap in log_gaps)]
-        built = []
-        for run, ratio in _ratio_groups([_table_column(*arg) for arg in args]):
-            for k, j in enumerate(run.tolist()):
-                z, n_max = args[j]
-                assert ratio[:n_max + 1, k].tobytes() == harmonic_table(z, n_max).ratio.tobytes()
-                assert np.isnan(ratio[n_max + 1:, k]).all()
-            built += run.tolist()
-        assert sorted(built) == list(range(len(args)))
+
+#: scripts/referee.py's 30 digits of M0, M2, D0 and D2 at b = 1 and a/b - 1
+#: from 1e-6 to 1e12
+REFEREE_MOMENTS = json.loads((pathlib.Path(__file__).parent
+                              / "referee_moments.json").read_text())["shapes"]
+#: The stream's rounding term: M2 reads 1.07e-14 at a/b = 1 + 1e-6 and
+#: rel_tol 1e-15, after 15,690 rows, the largest error over the referee.
+MOMENT_ROUNDING = 64.0 * EPS
+
+
+@pytest.mark.parametrize("rel_tol", [1e-12, 1e-15])
+def test_moments_against_60_digit_referee(rel_tol):
+    # every shape in one stream, each leaving it at its own row: M0 and M2
+    # within rel_tol plus the rounding term; D0 and D2, summed over the
+    # moments' rows with no stop of their own, within 2 rel_tol plus four
+    # rounding terms (measured: 1.0 rel_tol at 1e-12, 3.3e-14 at 1e-15)
+    a, b = (np.array([shape[k] for shape in REFEREE_MOMENTS]) for k in ("a", "b"))
+    value, stop, _ = _moment_stream(a / b, (a - b) / b, rel_tol, 20000)
+    assert np.all(stop >= 0)
+    want = np.array([[float(shape[k]) for shape in REFEREE_MOMENTS]
+                     for k in ("M0", "M2", "D0", "D2")])
+    err = np.abs(value / want - 1.0)
+    assert np.all(err[:2] <= rel_tol + MOMENT_ROUNDING), err[:2].max(axis=1)
+    assert np.all(err[2:] <= 2.0 * rel_tol + 4.0 * MOMENT_ROUNDING), err[2:].max(axis=1)
 
 
 # z - 1 from near the thin-hole end to the nanoring end of the domain
@@ -303,14 +313,14 @@ def test_tables_against_50_digit_referee(offset):
     z = 1.0 + offset
     xi = math.acosh(z)
     for n_max in {min(2000, _table_size(xi, 1e-12, 2000)), min(2000, int(690.0 / (2.0 * xi)))}:
-        table = harmonic_table(z, n_max)
+        table, p = harmonic_table(z, n_max), legendre_p_half(z, n_max)
         for n in {0, 1, n_max // 2, n_max}:
             with mpmath.workdps(50):
                 nu = n - mpmath.mpf(1) / 2
                 x = mpmath.mpf(z)
                 refs = (mpmath.legenp(nu, 0, x, type=3),
                         mpmath.re(mpmath.legenq(nu, 0, x, type=3)))
-                for value, ref in zip((table.p[n], table.q[n]), refs):
+                for value, ref in zip((p[n], table.q[n]), refs):
                     err = float(abs((mpmath.mpf(value) - ref) / ref))
                     assert err <= 32.0 * (n + 1) * EPS, (n_max, n, err)
 
@@ -338,16 +348,17 @@ class TestInvariantProperties:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = harmonic_table(z, n_max)
-        for arr in (table.p, table.q, table.ratio):
+            p = legendre_p_half(z, n_max)
+        for arr in (p, table.q, table.ratio):
             assert arr.shape == (n_max + 1,)
             assert np.all(np.isfinite(arr)) and np.all(arr > 0.0)
 
     @given(table_args())
     def test_monotonicity_and_positivity(self, args):
         z, n_max = args
-        table = harmonic_table(z, n_max)
-        assert np.all(table.p > 0.0)
-        assert np.all(np.diff(table.p) > 0.0)
+        table, p = harmonic_table(z, n_max), legendre_p_half(z, n_max)
+        assert np.all(p > 0.0)
+        assert np.all(np.diff(p) > 0.0)
         assert np.all(table.q > 0.0)
         assert np.all(np.diff(table.q) < 0.0)
         assert np.all(np.diff(table.ratio) < 0.0)
@@ -358,7 +369,7 @@ class TestInvariantProperties:
         table = harmonic_table(z, n_max)
         n = np.arange(1, n_max)
         nu = n - 0.5
-        for y in (table.p, table.q):
+        for y in (legendre_p_half(z, n_max), table.q):
             resid = np.abs(
                 (nu + 1.0) * y[2:] - (2.0 * nu + 1.0) * z * y[1:-1] + nu * y[:-2]
             )
