@@ -288,7 +288,7 @@ def cmd_vdw(args) -> int:
         "n_used": prof.n_used.tolist(),
         "energy_scale_eV": prof.energy_scale,
         "force_scale_eV_per_nm": prof.force_scale,
-        "series_terms_available": int(g.table.n_max + 1),
+        "series_terms_available": g.n_cap + 1,
     }
     return _emit_table(args, [*table], np.column_stack([*table.values()]).tolist(),
                        diagnostics, _plot([*table], range(2, len(table) + 1)))

@@ -41,21 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NoSignChangeError,
-    RangeExceededError,
-    ResultOverflowError,
-)
+from .errors import NoSignChangeError, RangeExceededError, ResultOverflowError
 from .geometry import _axis_heights, axis_eta_from_z, toroid_from_radii
-from .greens import (
-    N_CAP,
-    REL_TOL,
-    AxialGreens,
-    _moments,
-    _truncated_sum,
-    _two_minus_delta,
-    axial_greens,
-)
+from .greens import N_CAP, REL_TOL, AxialGreens, _moments, _series, axial_greens
 from .specfun import _moment_stream
 from .units import K_E_EV_NM, d2z_to_e2nm2
 
@@ -149,9 +137,10 @@ def gh_mixed_derivative(z: float, z_prime: float, g: AxialGreens) -> float:
     """d^2 G_H / dz dz' at two axis heights (1/nm^3), term-by-term analytic.
 
     Symmetric in (z, z'); at z = z' it reduces to the rational closed form
-    used by vdw_energy.  Term n is w_n [(s s' + 4 n^2 c c') cos phi_n +
-    2 n (s c' - s' c) sin phi_n], (r, c, s) being _scaled at z and z', and
-    the sum is scaled by -f / (2 pi^2 r^2 r'^2) as _over_r does.
+    used by vdw_energy.  Term n is (2 - delta_n0) R_n [(s s' + 4 n^2 c c')
+    cos n phi + 2 n (s c' - s' c) sin n phi], (r, c, s) being _scaled at z
+    and z' and phi the offset of their eta, summed by parts in one series
+    stream; the sum is scaled by -f / (2 pi^2 r^2 r'^2) as _over_r does.
 
     Raises
     ------
@@ -167,13 +156,10 @@ def gh_mixed_derivative(z: float, z_prime: float, g: AxialGreens) -> float:
     z, z_prime = _axis_heights(z, "axis heights"), _axis_heights(z_prime, "axis heights")
     if z.ndim or z_prime.ndim:
         raise ValueError("gh_mixed_derivative takes one pair of axis heights, not arrays")
-    w = _two_minus_delta(g.table.n_max) * g.table.ratio
-    n = np.arange(w.size)
     (r, c, s), (r_p, c_p, s_p) = _scaled(z, f), _scaled(z_prime, f)
-    phi = n * (axis_eta_from_z(z, f) - axis_eta_from_z(z_prime, f))
-    terms = w * ((s * s_p + 4.0 * n * n * c * c_p) * np.cos(phi)
-                 + 2.0 * n * (s * c_p - s_p * c) * np.sin(phi))
-    (total,), _ = _truncated_sum(terms[:, None], g.table.ratio, g.rel_tol, "mixed-derivative")
+    phi = axis_eta_from_z(z, f) - axis_eta_from_z(z_prime, f)
+    (total,), _ = _series(g, [0.0], [phi], (s * s_p, 2.0 * (s * c_p - s_p * c), 4.0 * c * c_p),
+                          "mixed-derivative")
     return float(_over_r(-f / (2.0 * math.pi**2), total, (r, r, r_p, r_p),
                          "mixed derivative", "the toroid is too small"))
 

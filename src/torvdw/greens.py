@@ -11,9 +11,9 @@ xi = xi0, V_H has the separable expansion
                      Q_{n-1/2}(cosh xi0) P_{n-1/2}(cosh xi) / P_{n-1/2}(cosh xi0)
 
 valid for 0 <= xi <= xi0, which by construction cancels the Coulomb
-potential on the surface.  The same machinery evaluates the expansion of
-the bare inverse distance (Q at the field argument, P at the axis value 1)
-used for self-validation.
+potential on the surface.  It, and the expansion of the bare inverse
+distance used for self-validation (Q at the field argument, P at 1), are
+columns of specfun's series stream, summed by parts with no table.
 
 Everything internal works in reduced potential V / (K_E q), units 1/nm.
 """
@@ -45,8 +45,8 @@ from .geometry import (
     axis_eta_from_z,
     surface_rz,
 )
-from .specfun import (Z_MIN_OFFSET, HarmonicTable, _moment_stream, harmonic_table,
-                      legendre_p_half)
+from .specfun import (Z_MIN_OFFSET, HarmonicTable, _moment_stream, _series_stream,
+                      harmonic_table, legendre_p_half, toroidal_seeds)
 from .units import K_E_EV_NM
 
 __all__ = [
@@ -144,13 +144,9 @@ class AxialGreens:
 
 
 def _table_size(xi: float, rel_tol: float, n_cap: int) -> int:
-    """n_max at xi for a truncation policy that axial_greens has checked."""
-    # Terms decay like e^{-n xi} at worst (on the surface); size the table
-    # so the triple-small-term stop can always trigger within it, but never
-    # past the float64 horizon of the ratio entries.
-    need = int(math.ceil((-math.log(rel_tol) + 14.0) / xi)) + 16
-    horizon = int(330.0 / xi)
-    return max(4, min(n_cap, need, horizon))
+    """n_max at xi for a checked policy: e^{-14} past rel_tol for terms that
+    decay like e^{-n xi}, within the float64 horizon of the ratio entries."""
+    return max(4, min(n_cap, math.ceil((14.0 - math.log(rel_tol)) / xi) + 16, int(330.0 / xi)))
 
 
 def axial_greens(geom: ToroidGeometry, rel_tol: float = REL_TOL,
@@ -183,51 +179,24 @@ def _moments(g: AxialGreens, what: str, needs: int = 2) -> tuple[np.ndarray, int
     return value, int(stop[needs - 1])
 
 
-def _truncated_sum(terms: np.ndarray, decay: np.ndarray, rel_tol: float,
-                   what: str) -> tuple[np.ndarray, np.ndarray]:
-    """(sums, stops): each column of a (n_terms x n_points) term matrix
-    summed to its stopping term, and that term's index.
-
-    A column stops at the first n where the term magnitude has stayed below
-    rel_tol * |partial sum| for 3 consecutive terms (single-term smallness
-    is unreliable under the cos factors) and the monotone decay envelope
-    has fallen to decay[n] <= rel_tol * decay[0] (the moments stop on a
-    proven tail bound instead, in specfun._moment_stream).  The first column
-    that does not stop raises TruncationError, labelled by `what`, with the
-    column's whole sum, the tail estimate |t_N| rho / (1 - rho), rho =
-    min(0.99, |t_N / t_(N-1)|) (0.5 when t_(N-1) = 0), as its bound, and
-    the number of terms summed.
-    """
-    acc = np.cumsum(terms, axis=0)
-    scale = np.abs(acc)
-    scale[scale == 0.0] = np.finfo(float).tiny
-    small = np.abs(terms) <= rel_tol * scale
-    ok = small.copy()
-    ok[1:] &= small[:-1]
-    ok[2:] &= small[:-2]
-    ok &= (decay <= rel_tol * decay[0])[:, None]
-    converged = ok.any(axis=0)
-    if not converged.all():
-        k = int(np.argmin(converged))
-        n_terms = terms.shape[0]
-        prev, last = np.abs(terms[-2:, k])
-        rho = min(0.99, last / prev) if prev > 0.0 else 0.5
-        raise TruncationError(f"{what} series not converged after {n_terms} terms",
-                              partial_sum=acc[-1, k], bound=last * rho / (1.0 - rho),
-                              n_terms=n_terms)
-    stops = np.argmax(ok, axis=0)
-    return acc[stops, np.arange(terms.shape[1])], stops
-
-
-def _two_minus_delta(n_max: int) -> np.ndarray:
-    return np.where(np.arange(n_max + 1) == 0, 1.0, 2.0)
-
-
-def _cosine_terms(radial: np.ndarray, delta) -> np.ndarray:
-    """(2 - delta_n0) radial[n] cos(n delta) for each column of radial and
-    entry of delta."""
-    n = np.arange(radial.shape[0])
-    return _two_minus_delta(n.size - 1)[:, None] * radial * np.cos(np.outer(n, delta))
+def _series(g: AxialGreens, xi, phi, coef, what: str, own: bool = False) -> tuple:
+    """(sums, stops): specfun's series stream at each (xi, phi) of a sequence,
+    x = cosh xi and R_n at g's shape (or, own, at the one point's cosh xi);
+    the first point that does not converge raises TruncationError, labelled
+    by `what`, with the tail bound reached."""
+    geom, xi, phi = g.geometry, np.asarray(xi, dtype=float), np.asarray(phi, dtype=float)
+    with np.errstate(over="ignore"):
+        x, dx = np.cosh(xi), 2.0 * np.sinh(0.5 * xi) ** 2
+    z, delta = (float(x[0]), float(dx[0])) if own else (geom.cosh_xi0, (geom.a - geom.b) / geom.b)
+    # the field seeds, and e^xi to bound P's growth (past xi = 709, q is 0)
+    field = np.reshape(toroidal_seeds(z)[:2], (2, 1)) if own else legendre_p_half(x, 1)
+    sums, stops, bound = _series_stream(z, delta, field, dx, np.exp(np.minimum(xi, 709.0)), phi,
+                                        coef, g.rel_tol, g.n_cap)
+    if np.any(stops < 0):
+        k = int(np.argmin(stops))
+        raise TruncationError(f"{what} series not converged after {g.n_cap + 1} terms",
+                              partial_sum=sums[k], bound=bound[k], n_terms=g.n_cap + 1)
+    return sums, stops
 
 
 def _prefactor(field: ToroidalCoords, src: AxialSource, f: float) -> float:
@@ -238,33 +207,16 @@ def _prefactor(field: ToroidalCoords, src: AxialSource, f: float) -> float:
 
 
 def _vh_reduced(field, src: AxialSource, g: AxialGreens) -> SeriesInfo:
-    """V_H / (K_E q) in 1/nm at one field point or a sequence of them.
-
-    Every point is one column of a single term matrix summed by the shared
-    truncation rule.
-    """
+    """V_H / (K_E q) in 1/nm at one field point or a sequence of them, each a
+    column R_n P(cosh xi) of one series stream, with the bits of its own call."""
     single = isinstance(field, ToroidalCoords)
     fields = [field] if single else list(field)
-    geom = g.geometry
-    table = g.table
-    xi = np.array([fld.xi for fld in fields])
+    geom, xi = g.geometry, np.array([fld.xi for fld in fields])
     if np.any(xi > geom.xi0 * (1.0 + 1e-12)):
-        raise OutOfRegionError(
-            f"field point xi = {xi.max()} lies inside the conductor (xi0 = {geom.xi0})"
-        )
-
-    # Q(cosh xi0) P(cosh xi) / P(cosh xi0) = ratio[n] P(cosh xi) at every point
-    # (P_{n-1/2}(1) = 1 exactly on the axis; a point within 4 eps of the surface
-    # takes the table's own argument, so its factor is the table's Q bit for bit).
-    # The P ratio is <= 1 for xi <= xi0, so table.ratio is a valid decay envelope.
-    cosh_xi = np.array([math.cosh(fld.xi) for fld in fields])
-    on_surface = np.abs(cosh_xi - table.z) <= 4.0 * np.finfo(float).eps * table.z
-    radial = table.ratio[:, None] * legendre_p_half(np.where(on_surface, table.z, cosh_xi),
-                                                    table.n_max)
-
-    delta = [fld.eta - src.eta_src for fld in fields]
-    sums, stops = _truncated_sum(_cosine_terms(radial, delta), table.ratio, g.rel_tol,
-                                 "potential")
+        raise OutOfRegionError(f"field point xi = {xi.max()} lies inside the conductor "
+                               f"(xi0 = {geom.xi0})")
+    sums, stops = _series(g, xi, [fld.eta - src.eta_src for fld in fields], (1.0, 0.0, 0.0),
+                          "potential")
     value = -np.array([_prefactor(fld, src, geom.f) for fld in fields]) * sums
     if single:
         return SeriesInfo(value=float(value[0]), n_used=int(stops[0]))
@@ -351,12 +303,10 @@ def surface_residual(src: AxialSource, g: AxialGreens, n_samples: int = 64) -> f
 def inverse_distance_series(field: ToroidalCoords, src: AxialSource, g: AxialGreens) -> float:
     """1 / |r - r'| (1/nm) through the toroidal expansion, source on axis.
 
-    For the expansion with an on-axis source, Q is evaluated at the field
-    point's cosh(xi) and every P factor collapses to P_{n-1/2}(1) = 1.
-    Field points on the axis, or with cosh(xi) - 1 < 1e-12, sit outside the
-    harmonic-table domain -- there each Q term diverges logarithmically
-    while the summed series stays finite -- so that branch evaluates the
-    closed form of the summed expansion,
+    With an on-axis source Q is taken at the field point's cosh(xi), the
+    series stream's own argument, and every P factor is P_{n-1/2}(1) = 1.
+    Where cosh(xi) - 1 < 1e-12 each Q term diverges logarithmically while
+    the sum stays finite, and the closed form of the summed expansion serves,
 
         sum_n (2 - delta_n0) Q_{n-1/2}(cosh xi) cos(n D) = pi / (2 h_D),
 
@@ -367,11 +317,11 @@ def inverse_distance_series(field: ToroidalCoords, src: AxialSource, g: AxialGre
     CoincidentPointsError
         If the field point is the source position.
     OverflowHorizonError
-        Past xi = 86, within 2 f e^{-86} of the focal ring, where even the
-        smallest table leaves the float64 horizon.
+        Past xi = 710, where cosh(xi) leaves the float range: within
+        2 f e^{-710} of the focal ring.
     TruncationError
-        If the term-by-term branch cannot converge within n_cap (field
-        points very close to, but off, the axis).
+        If the series cannot converge within n_cap (field points very
+        close to, but off, the axis).
     """
     delta = field.eta - src.eta_src
     try:
@@ -384,8 +334,6 @@ def inverse_distance_series(field: ToroidalCoords, src: AxialSource, g: AxialGre
             raise CoincidentPointsError(f"field point coincides with the source at "
                                         f"z = {src.z_src} nm")
         return _half_chord(field.xi, field.eta) / (math.hypot(g.geometry.f, src.z_src) * gap)
-
-    table = harmonic_table(cosh_xi, _table_size(field.xi, g.rel_tol, g.n_cap))
-    sums, _ = _truncated_sum(_cosine_terms(table.q[:, None], [delta]), table.q, g.rel_tol,
-                             "inverse-distance")
-    return _prefactor(field, src, g.geometry.f) * float(sums[0])
+    (total,), _ = _series(g, [field.xi], [delta], (1.0, 0.0, 0.0), "inverse-distance",
+                          own=True)
+    return _prefactor(field, src, g.geometry.f) * float(total)

@@ -16,9 +16,10 @@ Casoratian P_n Q_{n+1} - P_{n+1} Q_n = -1/(n + 1/2) (Gautschi, SIAM Rev. 9,
 
 a tail sum of positive terms, normalized against the closed form of
 Q_{-1/2}(z).  Summed by parts, with u_k = 1 / (P_k P_{k+1}) and S = sum_k
-u_k / (k + 1/2), the moments of R that the dispersion force reads need no
-table: M0 = 2 R_0 sum_k u_k / S and M2 = (2/3) R_0 sum_k k (k + 1) u_k / S,
-one positive stream whose term ratios fall, so its tail bound is proven.
+u_k / (k + 1/2), a series sum_n (2 - delta_n0) R_n F_n needs no table: it
+is (R_0 / S) sum_k u_k B_k / (k + 1/2), B_k its partial sums.  The moments
+M0 = 2 R_0 sum_k u_k / S and M2 = (2/3) R_0 sum_k k (k + 1) u_k / S are one
+positive stream, the cosine series of V_H another (README).
 
 Seed closed forms, in the scipy parameter convention m = k^2, with
 emx = e^{-xi} and m1 = 1 - e^{-2 xi}:
@@ -67,6 +68,9 @@ _LOG_HORIZON = 690.0
 #: Rows past n_max over which R_n is summed, in units of 1/xi: the dropped
 #: tail is e^{-2 xi (n_top - n_max)} <= e^{-36} of R_{n_max}.
 _TAIL_XI = 18.0
+
+#: Rows a series sums past the first whose tail bound is within rel_tol of it
+_EXTRA_ROWS = 2
 
 #: Carlson's stopping constant (eps / 4)^(-1/6) for R_D in float64.
 _RD_STOP = (np.finfo(float).eps / 4.0) ** (-1.0 / 6.0)
@@ -285,7 +289,7 @@ def harmonic_table(z: float, n_max: int) -> HarmonicTable:
 def _moment_stream(z, delta, rel_tol: float, n_cap: int):
     """(value, stop, bound): M0, M2, D0 and D2 at each argument z, summed
     by parts; delta = z - 1, from the radii.  stop: the last row summed for
-    M0 and M2, or -1 where the moment did not converge in rows 0..n_cap,
+    M0 and M2, or -1 where the moment did not stop within rows 0..n_cap,
     and bound there the tail bound reached (inf while a term ratio exceeds
     1).  D takes the rows of M2.  A lone argument runs on Python floats,
     which round as float64 does: it has the bits it has among others.
@@ -295,24 +299,25 @@ def _moment_stream(z, delta, rel_tol: float, n_cap: int):
         raise NearSingularArgumentError(f"argument z = {np.min(z)} is within {Z_MIN_OFFSET} "
                                         "of the degenerate point z = 1")
     p_minus, p_plus, q_minus = np.array([toroidal_seeds(x) for x in z]).reshape(-1, 3).T
-    # per argument: the sums A, S, B, D0, D2, the last room and tail of M0
-    # and of M2, each moment's rows used and live flag, v_k = u_k / u_0,
-    # w_k = (P_{-1/2} / P_{k-1/2})^2, delta and sigma_k
+    # per argument: the sums A, S, B, D0, D2, the last room and tail of M0 and
+    # of M2, each moment's rows used and since its bound first held, v_k =
+    # u_k / u_0, w_k = (P_{-1/2} / P_{k-1/2})^2, delta and sigma_k
     out, cols, st = np.zeros((13, z.size)), np.arange(z.size), np.zeros((17, z.size))
-    st[7:9] = st[11:15] = 1.0
+    st[7:9] = st[13:15] = 1.0
     st[15:] = delta, p_plus / p_minus - 1.0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for k in range(n_cap + 1):
             if st is not None:  # the arguments left, on Python floats if one
-                (a, s, b, d0, d2, room0, room2, tail0, tail2, used0, used2, live0, live2,
+                (a, s, b, d0, d2, room0, room2, tail0, tail2, used0, used2, met0, met2,
                  v, w, delta, sig) = st if cols.size > 1 else st[:, 0].tolist()
                 st = None
             # rho_k = P_{k+1/2} / P_{k-1/2} = 1 + sigma_k, sigma_{k+1} by the
             # recurrence in delta, which does not cancel near z = 1
             rho = 1.0 + sig
-            sig = (delta * (2 * k + 2) + (k + 0.5) / (1.0 + 1.0 / sig)) / (k + 1.5)
+            sig = (delta * (2 * k + 2) + (k + 0.5) * (sig / (1.0 + sig))) / (k + 1.5)
             r = 1.0 / rho / (1.0 + sig)
             # the sums A, S and B, each frozen at its moment's stop
+            live0, live2 = met0 <= _EXTRA_ROWS, met2 <= _EXTRA_ROWS
             v0, t2 = v * live0, (k * k + k) * v
             a += v0
             s += v0 / (k + 0.5)
@@ -320,30 +325,90 @@ def _moment_stream(z, delta, rel_tol: float, n_cap: int):
             d0 += (2.0 if k else 1.0) * w * live2
             d2 += (2 * k * k) * w * live2
             w = w / rho / rho
-            # the terms from row k on sum to at most t_k / (1 - r), r = t_{k+1}
-            # / t_k, as the ratios fall: r for A, (k + 2) / k r for B; S needs
-            # no test, its relative tail being below A's.  A moment stops one
-            # row after the first whose bound is within rel_tol of its sum.
             used0 += live0
             used2 += live2
-            live0 = live0 > (tail0 <= rel_tol * room0)
-            live2 = live2 > ((tail2 <= rel_tol * room2) & (k > 1))
+            # the terms from row k on sum to at most t_k / (1 - r), r = t_{k+1}
+            # / t_k, as the ratios fall: r for A, (k + 2) / k r for B; S needs
+            # no test, its relative tail being below A's.
             r2 = r * ((k + 2) / k) if k else 0.0
             tail0, room0, tail2, room2 = v, (1.0 - r) * a, t2, (1.0 - r2) * b
+            met0 = met0 + ((met0 > 0.0) | (tail0 <= rel_tol * room0))
+            met2 = met2 + ((met2 > 0.0) | ((tail2 <= rel_tol * room2) & (k > 0)))
             v = v * r
-            alive = live0 | live2
+            alive = (met0 <= _EXTRA_ROWS) | (met2 <= _EXTRA_ROWS)
             # arguments that are done stay, frozen, until half are; a lone
             # argument's flag is a Python bool, True while it runs
             if k == n_cap or (alive is not True
                               and np.count_nonzero(alive) <= cols.size // 2):
                 st = np.reshape([a, s, b, d0, d2, room0, room2, tail0, tail2, used0, used2,
-                                 live0, live2, v, w, delta, sig], (17, -1))
+                                 met0, met2, v, w, delta, sig], (17, -1))
                 out[:, cols], left = st[:13], np.reshape(alive, -1) & (k < n_cap)
                 cols, st = cols[left], st[:, left]
                 if not cols.size:
                     break
         # M0 = 2 R_0 A / S, M2 = (2/3) R_0 B / S and D = its sum / P_{-1/2}^2
         r0, w0, room, live = q_minus / p_minus / out[1], 1.0 / p_minus ** 2, out[5:7], out[11:]
-        value, live = out[[0, 2, 3, 4]] * [2.0 * r0, (2.0 / 3.0) * r0, w0, w0], live > 0.0
+        value, live = out[[0, 2, 3, 4]] * [2.0 * r0, (2.0 / 3.0) * r0, w0, w0], live <= _EXTRA_ROWS
         bound = np.where(live, np.where(room > 0.0, value[:2] * out[7:9] / room, np.inf), 0.0)
     return value, np.where(live, -1, out[9:11].astype(int) - 1), bound
+
+
+def _series_stream(z, delta, field, dx, grow, phi, coef, rel_tol: float, n_cap: int):
+    """(value, stop, bound): sum_n (2 - delta_n0) R_n F_n at each column,
+    R_n = Q_{n-1/2}(z) / P_{n-1/2}(z) at the one argument z = 1 + delta and
+    F_n = P_{n-1/2}(x) (c0 cos n phi + c1 n sin n phi + c2 n^2 cos n phi),
+    (c0, c1, c2) = coef, summed by parts; a column is a field argument x >= 1
+    with P_{-1/2}(x) and P_{1/2}(x) in field, dx = x - 1 and grow >= e^xi.
+    stop: a column's last row, or -1 where it did not stop within rows
+    0..n_cap, and bound there the tail bound reached.  A lone column runs on
+    Python floats, with the bits it has among others.
+    """
+    if z < 1.0 + Z_MIN_OFFSET:
+        raise NearSingularArgumentError(f"argument z = {z} is within {Z_MIN_OFFSET} of 1")
+    (c0, c1, c2), cosine = map(float, coef), not (coef[1] or coef[2])
+    e0, e1, e2, ad = abs(c0), abs(c1), abs(c2), 2.0 * abs(c0) if cosine else math.inf
+    p_minus, p_plus, q_minus = toroidal_seeds(z)
+    # per column: tau_k = P_{k+1/2}(x) / P_{k-1/2}(x) - 1, dx, grow, phi and
+    # |sin(phi / 2)|; on Python floats if one, with numpy's cos and sin for a list's bits
+    lone, cols = phi.size == 1, (field[1] / field[0] - 1.0, dx, grow, phi,
+                                 np.abs(np.sin(0.5 * phi)))
+    tau, dx, grow, phi, half = (float(c[0]) for c in cols) if lone else cols
+    cos, sin = (np.cos, np.sin) if not lone else (lambda u: float(np.cos(u)),
+                                                  lambda u: float(np.sin(u)))
+    sig, y, v, q, s, a, b, t, used, met = p_plus / p_minus - 1.0, 1.0, 1.0, 0.0, *[0.0 * tau] * 6
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for k in range(n_cap + 1):
+            # row k of v_k B_k, v_k A_k, T and S; |F_{k+i}| / P_{k+i-1/2}(x)
+            # <= g0 + g1 i + e2 i^2 for the absolute partial sums A
+            live, w, cos_k = met <= _EXTRA_ROWS, 2.0 if k else 1.0, cos(k * phi)
+            g0, g1 = e0 + e1 * k + e2 * k * k, e1 + 2.0 * e2 * k
+            f = c0 * cos_k if cosine else c0 * cos_k + ((c1 * k) * sin(k * phi)
+                                                        + (c2 * k * k) * cos_k)
+            b = b * q + (w * f) * y
+            a = a * q + (w * g0) * y
+            t = t + live * (b / (k + 0.5))
+            s = s + live * (v / (k + 0.5))
+            used = used + live
+            # q = v_{k+1} / v_k = 1 / (rho_k rho_{k+1}), rho_k = 1 + sigma_k
+            rho = 1.0 + sig
+            sig = (delta * (2 * k + 2) + (k + 0.5) * (sig / (1.0 + sig))) / (k + 1.5)
+            q = 1.0 / rho / (1.0 + sig)
+            # the two tail bounds n / d (README), held where n <= rel_tol |T| d
+            r, u = q * grow, 1.0 - q * grow
+            uu, poly = (u, g0) if cosine else (u * u * u, g0 * (u * u) + g1 * u + e2 * (1.0 + r))
+            n1, d1 = q * a * uu + (2.0 * y * r) * poly, (k + 0.5) * (1.0 - q) * uu
+            n2, d2, room = ad * y * r, (k + 0.5) * half * u, rel_tol * abs(t)
+            held = (u > 0.0) & ((n1 <= room * d1) | (n2 <= room * d2))
+            met = met + ((met > 0) | held)
+            # the field's row k + 1
+            y = y * (1.0 + tau) * q
+            tau = (dx * (2 * k + 2) + (k + 0.5) * (tau / (1.0 + tau))) / (k + 1.5)
+            v = v * q
+            if (met > _EXTRA_ROWS) if lone else np.all(met > _EXTRA_ROWS):
+                break
+        # P_{-1/2}(x) (R_0 / S) T, and the bound reached, scaled alike
+        t, s, used, met, n1, d1, n2, d2 = np.reshape([t, s, used, met, n1, d1, n2, d2], (8, -1))
+        scale, live = field[0] * (q_minus / p_minus) / s, met <= _EXTRA_ROWS
+        tail = np.minimum(np.where(d1 > 0.0, n1 / d1, np.inf), np.where(d2 > 0.0, n2 / d2, np.inf))
+        bound = np.where(live, np.abs(scale) * tail, 0.0)
+    return scale * t, np.where(live, -1, used.astype(int) - 1), bound

@@ -10,11 +10,13 @@ another kind: the straightforward formulations of bem's kernel pass
 (fancy-index gathers and scatters, one polynomial at a time, no cached
 tables, one piece) and of its ring sum (the same kernel, everything
 recomputed per call), kept so that the production paths can be pinned to
-them bit for bit.  The truncation rule of the series is pinned the same
-way, to its earlier two-call form, and V_H to its earlier three-way
-radial factor.  The Nyström blocks of Kress's other log split, with
+them bit for bit.  The Nyström blocks of Kress's other log split, with
 K(1 - m) / pi as the log coefficient, are kept to check that both splits
 give the same answer.
+
+V_H and the mixed derivative on the axis have references in their
+textbook forms, summed whole over the public harmonic table by math.fsum,
+against which the series stream's stop is held.
 """
 
 import math
@@ -22,9 +24,10 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from torvdw import greens
 from torvdw.bem import _ELLPK_PQ, _log_weights
-from torvdw.errors import TruncationError
+from torvdw.dispersion import _scaled
+from torvdw.geometry import axis_eta_from_z
+from torvdw.greens import _prefactor
 from torvdw.specfun import legendre_p_half
 
 LN4 = _ELLPK_PQ[-1][0]
@@ -163,55 +166,26 @@ def vh_reference(r, z, sol):
     return (2.0 / math.pi) * np.sum(ring_charges * kernel, axis=-1) * scale
 
 
-def truncated_sum_reference(terms, decay, rel_tol, what):
-    """(sums, stops) of greens' truncation rule as it was once summed in
-    two calls: every column truncated (an unconverged one summed whole),
-    then a TruncationError raised for the first unconverged column, with
-    its whole sum, the capped-rho tail estimate and the number of terms."""
-    acc = np.cumsum(terms, axis=0)
-    scale = np.abs(acc)
-    scale[scale == 0.0] = np.finfo(float).tiny
-    small = np.abs(terms) <= rel_tol * scale
-    ok = small.copy()
-    ok[1:] &= small[:-1]
-    ok[2:] &= small[:-2]
-    ok &= (decay <= rel_tol * decay[0])[:, None]
-    converged = ok.any(axis=0)
-    stop = np.argmax(ok, axis=0)
-    stop[~converged] = terms.shape[0] - 1
-    values = acc[stop, np.arange(terms.shape[1])]
-    if not converged.all():
-        k = int(np.argmin(converged))
-        n_terms = terms.shape[0]
-        prev, last = np.abs(terms[-2:, k])
-        rho = min(0.99, last / prev) if prev > 0.0 else 0.5
-        raise TruncationError(
-            f"{what} series not converged after {n_terms} terms",
-            partial_sum=values[k],
-            bound=last * rho / (1.0 - rho),
-            n_terms=n_terms,
-        )
-    return values, stop
-
-
-def vh_series_reference(fields, src, g):
-    """(V_H / (K_E q), stops) at a sequence of field points with the radial
-    factor built three ways, as greens once built it: the table's ratio on
-    the axis (xi = 0), the table's Q within 4 eps of the surface, and the
-    ratio times one scalar legendre_p_half column per point elsewhere.  The
-    terms, the truncation rule and the prefactor are greens' own."""
+def vh_table_sum(field, src, g):
+    """V_H / (K_E q) at one field point: the series of greens' docstring,
+    with the radial factor Q_{n-1/2}(cosh xi0) P_{n-1/2}(cosh xi) /
+    P_{n-1/2}(cosh xi0) from g's table and legendre_p_half, summed over
+    every row of the table by math.fsum."""
     table = g.table
-    cosh_xi = np.array([math.cosh(fld.xi) for fld in fields])
-    on_axis = np.array([fld.xi == 0.0 for fld in fields], dtype=bool)
-    on_surface = np.abs(cosh_xi - table.z) <= 4.0 * np.finfo(float).eps * table.z
-    rest = ~(on_axis | on_surface)
-    radial = np.empty((table.n_max + 1, len(fields)))
-    radial[:, on_axis] = table.ratio[:, None]
-    radial[:, on_surface] = table.q[:, None]
-    for k in np.flatnonzero(rest):
-        radial[:, k] = table.ratio * legendre_p_half(cosh_xi[k], table.n_max)
-    delta = [fld.eta - src.eta_src for fld in fields]
-    sums, stops = greens._truncated_sum(greens._cosine_terms(radial, delta), table.ratio,
-                                        g.rel_tol, "potential")
-    prefactor = np.array([greens._prefactor(fld, src, g.geometry.f) for fld in fields])
-    return -prefactor * sums, stops
+    n = np.arange(table.n_max + 1)
+    radial = (table.q * legendre_p_half(math.cosh(field.xi), table.n_max)
+              / legendre_p_half(table.z, table.n_max))
+    terms = np.where(n == 0, 1.0, 2.0) * radial * np.cos(n * (field.eta - src.eta_src))
+    return -_prefactor(field, src, g.geometry.f) * math.fsum(terms)
+
+
+def mixed_table_sum(z, z_prime, g):
+    """d^2 G_H / dz dz' at two axis heights: the terms of gh_mixed_derivative's
+    docstring with R_n from g's table, summed over every row by math.fsum."""
+    f, table = g.geometry.f, g.table
+    n = np.arange(table.n_max + 1)
+    (r, c, s), (r_p, c_p, s_p) = _scaled(z, f), _scaled(z_prime, f)
+    phi = n * (axis_eta_from_z(z, f) - axis_eta_from_z(z_prime, f))
+    terms = np.where(n == 0, 1.0, 2.0) * table.ratio * (
+        (s * s_p + 4.0 * n * n * c * c_p) * np.cos(phi) + 2.0 * n * (s * c_p - s_p * c) * np.sin(phi))
+    return -f / (2.0 * math.pi**2) / (r * r * r_p * r_p) * math.fsum(terms)

@@ -193,6 +193,18 @@ class TestVdw:
             cols_d["U_eV"], DEBYE2_TO_E2NM2 * cols_e["U_eV"], rtol=1e-12
         )
 
+    def test_nanoring_past_the_table_horizon(self, capsys):
+        # the moments need no table and the diagnostics read none: a/b = 1e40
+        # lies past the horizon of any table at its xi0, yet U and F are finite
+        code, out, _ = run_cli(
+            capsys, "vdw", "--a", "1e40", "--b", "1", "--zmin", "1e39", "--zmax", "2e40",
+            "--zpoints", "3", "--no-normalize", "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert all(math.isfinite(v) for row in payload["rows"] for v in row)
+        assert payload["diagnostics"]["series_terms_available"] == 2001  # n_cap + 1 rows
+
     def test_energy_normalization_reference(self, capsys):
         code, out, _ = run_cli(
             capsys, "vdw", "--a", "5", "--b", "1", "--quantity", "energy",

@@ -36,6 +36,7 @@ from torvdw.greens import (
 )
 from torvdw.units import DEBYE2_TO_E2NM2, K_E_EV_NM
 
+from oracles import mixed_table_sum
 from whole_range import HEIGHTS, TYPED_ERRORS, assert_scaled_by_inverse_cube
 
 # Oracle values frozen from the boundary-element route (1600 panels,
@@ -193,6 +194,15 @@ class TestMixedDerivative:
             if abs(exact) < 1e-6:  # relative comparison near a sign change
                 continue
             assert exact == pytest.approx(gh_num(z, zp), rel=1e-6)
+
+    @pytest.mark.parametrize("ratio", [1.01, 1.5, 3.2, 5.0, 20.0, 100.0])
+    def test_summed_whole_over_the_table(self, ratio):
+        # the table at n_cap 5000 runs e^{-41} past rel_tol, so its whole sum
+        # holds the stream's stop (measured: 5.4e-13 at a/b = 1.01)
+        g = axial_greens(toroid_from_radii(ratio, 1.0), n_cap=5000)
+        for z, z_prime in [(0.5, 0.5), (2.0, 1.0), (0.5, -1.5), (4.0, 0.0), (0.0, 0.0)]:
+            assert gh_mixed_derivative(z, z_prime, g) == pytest.approx(
+                mixed_table_sum(z, z_prime, g), rel=g.rel_tol + 256 * np.finfo(float).eps, abs=0.0)
 
     def test_consistent_with_energy(self, particle, greens51):
         for z_p in [0.0, 1.3, 4.2]:
