@@ -25,13 +25,12 @@ in z_p^2, so thin rings (A > 0) repel nearby axial particles out to the
 zero z*^2 = f^2 A / (2 B), and fat ones (A < 0) never do.  The decay
 rate of R_n, that is a/b alone, decides which a shape is.
 
-The two moments come once per shape from one positive stream that stops
-on its proven tail bound (specfun), after which each height costs a few
-flops.  No power of r is ever formed: the physical prefactor, the scaled
-sum and r are split into mantissas and exponents, r is divided out of
-the mantissa one factor at a time and the exponents are summed exactly,
-so every U and F that is representable comes out rather than an
-overflow.
+The two moments come once per shape, as positive columns of specfun's
+series stream, after which each height costs a few flops.  No power of
+r is ever formed: the physical prefactor, the scaled sum and r are split
+into mantissas and exponents, r is divided out of the mantissa one
+factor at a time and the exponents are summed exactly, so every U and F
+that is representable comes out rather than an overflow.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import numpy as np
 from .errors import NoSignChangeError, RangeExceededError, ResultOverflowError
 from .geometry import _axis_heights, axis_eta_from_z, toroid_from_radii
 from .greens import N_CAP, REL_TOL, AxialGreens, _moments, _series, axial_greens
-from .specfun import _moment_stream
+from .specfun import _series_stream
 from .units import K_E_EV_NM, d2z_to_e2nm2
 
 __all__ = [
@@ -141,6 +140,9 @@ def gh_mixed_derivative(z: float, z_prime: float, g: AxialGreens) -> float:
     cos n phi + 2 n (s c' - s' c) sin n phi], (r, c, s) being _scaled at z
     and z' and phi the offset of their eta, summed by parts in one series
     stream; the sum is scaled by -f / (2 pi^2 r^2 r'^2) as _over_r does.
+    Between heights of opposite sign at thin holes the series cancels, and
+    the rounding of phi and f is amplified with it: at a/b = 1.0001 and
+    (z, z') = (1, -0.3) nm the value is 1.2e-12 off at any rel_tol.
 
     Raises
     ------
@@ -370,11 +372,12 @@ def sweep_contour(
     Each a value is one shape and one pair of moments, and its column has
     the bits of a vdw_force call on those heights.  Only the checks and
     seeds run shape by shape (toroid_from_radii's typed errors refuse a bad
-    shape before any force is evaluated); one moment stream covers all
-    shapes, each dropping out once its moments converge, and one force call
-    covers all columns.  A shape whose moments do not converge within n_cap
-    gives a NaN column, with one diagnostic per cell.  The returned grid is
-    immutable.  A grid that is empty or not 1-d raises ValueError.
+    shape before any force is evaluated); one series stream covers the
+    moments of all shapes, each dropping out once it converges, and one
+    force call covers all columns.  A shape whose moments do not converge
+    within n_cap gives a NaN column, with one diagnostic per cell.  The
+    returned grid is immutable.  A grid that is empty or not 1-d raises
+    ValueError.
     """
     a_values = np.asarray(a_values, dtype=float)
     z_values = _axis_heights(z_values, "particle heights")
@@ -382,10 +385,11 @@ def sweep_contour(
         raise ValueError("a and z grids must be non-empty 1-d arrays")
 
     # axial_greens checks the policy; a column has the bits of its own stream
-    geoms = [axial_greens(toroid_from_radii(a, b), rel_tol, n_cap).geometry for a in a_values]
-    (m0, m2, *_), stops, _ = _moment_stream([g.cosh_xi0 for g in geoms],
-                                            [(g.a - g.b) / g.b for g in geoms], rel_tol, n_cap)
-    f, ok = np.array([g.f for g in geoms]), stops.min(axis=0) >= 0
+    gs = (axial_greens(toroid_from_radii(a, b), rel_tol, n_cap) for a in a_values)
+    f, shapes = zip(*((g.geometry.f, g._shape) for g in gs))
+    value, stops, *_ = _series_stream(shapes, rel_tol, n_cap)
+    (m0, m2), (stop0, stop2) = value.reshape(-1, 2).T, stops.reshape(-1, 2).T
+    f, ok = np.array(f), np.minimum(stop0, stop2) >= 0
     force = np.full((z_values.size, a_values.size), np.nan)
     force[:, ok] = _force(z_values[:, None], p, f[ok], m0[ok], m2[ok])
     force.flags.writeable = False

@@ -45,8 +45,8 @@ from .geometry import (
     axis_eta_from_z,
     surface_rz,
 )
-from .specfun import (Z_MIN_OFFSET, HarmonicTable, _moment_stream, _series_stream,
-                      harmonic_table, legendre_p_half, toroidal_seeds)
+from .specfun import (Z_MIN_OFFSET, HarmonicTable, _series_stream, harmonic_table,
+                      legendre_p_half, toroidal_seeds)
 from .units import K_E_EV_NM
 
 __all__ = [
@@ -124,8 +124,8 @@ def axial_source(z_src: float, geom: ToroidGeometry, charge: float = 1.0) -> Axi
 
 @dataclass(frozen=True)
 class AxialGreens:
-    """Geometry and truncation policy; the ratio table at cosh(xi0) and the
-    moments of the ratio are each computed on first use and kept."""
+    """Geometry and truncation policy; the ratio table at cosh(xi0), the
+    shape's seeds and its moments are each computed on first use and kept."""
 
     geometry: ToroidGeometry
     rel_tol: float
@@ -137,10 +137,13 @@ class AxialGreens:
         return harmonic_table(geom.cosh_xi0, _table_size(geom.xi0, self.rel_tol, self.n_cap))
 
     @functools.cached_property
-    def _stream(self) -> tuple:
+    def _shape(self) -> tuple:
         geom = self.geometry  # delta = a/b - 1 from the radii
-        return _moment_stream([geom.cosh_xi0], [(geom.a - geom.b) / geom.b], self.rel_tol,
-                              self.n_cap)
+        return (*toroidal_seeds(geom.cosh_xi0), (geom.a - geom.b) / geom.b)
+
+    @functools.cached_property
+    def _stream(self) -> tuple:
+        return _series_stream(self._shape, self.rel_tol, self.n_cap)
 
 
 def _table_size(xi: float, rel_tol: float, n_cap: int) -> int:
@@ -167,16 +170,17 @@ class SeriesInfo(NamedTuple):
     n_used: int
 
 
-def _moments(g: AxialGreens, what: str, needs: int = 2) -> tuple[np.ndarray, int]:
-    """(M0, M2, D0, D2) of g's shape and the last row summed for the first
-    `needs` of M0 and M2; the first of those that did not converge raises
-    TruncationError, labelled by `what`, with the tail bound reached."""
-    value, stop, bound = (x[:, 0] for x in g._stream)
+def _moments(g: AxialGreens, what: str, needs: int = 2) -> tuple[tuple, int]:
+    """(M0, M2, D0, D2) of g's shape, each D over its moment's rows, and the
+    last row summed for the first `needs` of M0 and M2; the first of those
+    that did not converge raises TruncationError, labelled by `what`, with
+    the tail bound reached."""
+    value, stop, bound, d = g._stream
     for j in range(needs):
         if stop[j] < 0:
             raise TruncationError(f"{what} series not converged after {g.n_cap + 1} terms",
                                   partial_sum=value[j], bound=bound[j], n_terms=g.n_cap + 1)
-    return value, int(stop[needs - 1])
+    return (*value, *d), int(stop[needs - 1])
 
 
 def _series(g: AxialGreens, xi, phi, coef, what: str, own: bool = False) -> tuple:
@@ -184,14 +188,17 @@ def _series(g: AxialGreens, xi, phi, coef, what: str, own: bool = False) -> tupl
     x = cosh xi and R_n at g's shape (or, own, at the one point's cosh xi);
     the first point that does not converge raises TruncationError, labelled
     by `what`, with the tail bound reached."""
-    geom, xi, phi = g.geometry, np.asarray(xi, dtype=float), np.asarray(phi, dtype=float)
+    xi, phi = np.asarray(xi, dtype=float), np.asarray(phi, dtype=float)
     with np.errstate(over="ignore"):
         x, dx = np.cosh(xi), 2.0 * np.sinh(0.5 * xi) ** 2
-    z, delta = (float(x[0]), float(dx[0])) if own else (geom.cosh_xi0, (geom.a - geom.b) / geom.b)
-    # the field seeds, and e^xi to bound P's growth (past xi = 709, q is 0)
-    field = np.reshape(toroidal_seeds(z)[:2], (2, 1)) if own else legendre_p_half(x, 1)
-    sums, stops, bound = _series_stream(z, delta, field, dx, np.exp(np.minimum(xi, 709.0)), phi,
-                                        coef, g.rel_tol, g.n_cap)
+    # the shape's seeds, or the point's own, which are its field seeds too,
+    # and e^xi to bound P's growth (past xi = 709, q is 0)
+    shape = (*toroidal_seeds(x[0]), float(dx[0])) if own else g._shape
+    cols = np.zeros((9, xi.size))
+    cols[1:3], cols[3], cols[4], cols[5], cols[6:] = (
+        np.reshape(shape[:2], (2, 1)) if own else legendre_p_half(x, 1), dx,
+        np.exp(np.minimum(xi, 709.0)), phi, np.reshape(coef, (3, 1)))
+    sums, stops, bound, _ = _series_stream(shape, g.rel_tol, g.n_cap, cols)
     if np.any(stops < 0):
         k = int(np.argmin(stops))
         raise TruncationError(f"{what} series not converged after {g.n_cap + 1} terms",

@@ -17,9 +17,8 @@ Casoratian P_n Q_{n+1} - P_{n+1} Q_n = -1/(n + 1/2) (Gautschi, SIAM Rev. 9,
 a tail sum of positive terms, normalized against the closed form of
 Q_{-1/2}(z).  Summed by parts, with u_k = 1 / (P_k P_{k+1}) and S = sum_k
 u_k / (k + 1/2), a series sum_n (2 - delta_n0) R_n F_n needs no table: it
-is (R_0 / S) sum_k u_k B_k / (k + 1/2), B_k its partial sums.  The moments
-M0 = 2 R_0 sum_k u_k / S and M2 = (2/3) R_0 sum_k k (k + 1) u_k / S are one
-positive stream, the cosine series of V_H another (README).
+is (R_0 / S) sum_k u_k B_k / (k + 1/2), B_k its partial sums.  One stream
+sums the cosine series of V_H and, as positive columns, the moments (README).
 
 Seed closed forms, in the scipy parameter convention m = k^2, with
 emx = e^{-xi} and m1 = 1 - e^{-2 xi}:
@@ -71,6 +70,11 @@ _TAIL_XI = 18.0
 
 #: Rows a series sums past the first whose tail bound is within rel_tol of it
 _EXTRA_ROWS = 2
+
+_FEW_COLUMNS = 4  #: columns the series stream runs one by one on Python floats
+
+#: M0 and M2 of a shape as series-stream columns: x = 1, phi = 0 and c = (1, 0, 0), (0, 0, 1)
+_MOMENTS = np.array([[0, 1, 1, 0, 1, 0, 1, 0, 0], [0, 1, 1, 0, 1, 0, 0, 0, 1]], dtype=float).T
 
 #: Carlson's stopping constant (eps / 4)^(-1/6) for R_D in float64.
 _RD_STOP = (np.finfo(float).eps / 4.0) ** (-1.0 / 6.0)
@@ -286,129 +290,100 @@ def harmonic_table(z: float, n_max: int) -> HarmonicTable:
     return HarmonicTable(z=z, n_max=n_max, q=q, ratio=ratio)
 
 
-def _moment_stream(z, delta, rel_tol: float, n_cap: int):
-    """(value, stop, bound): M0, M2, D0 and D2 at each argument z, summed
-    by parts; delta = z - 1, from the radii.  stop: the last row summed for
-    M0 and M2, or -1 where the moment did not stop within rows 0..n_cap,
-    and bound there the tail bound reached (inf while a term ratio exceeds
-    1).  D takes the rows of M2.  A lone argument runs on Python floats,
-    which round as float64 does: it has the bits it has among others.
-    """
-    z, delta = np.asarray(z, dtype=float), np.asarray(delta, dtype=float)
-    if np.any(z < 1.0 + Z_MIN_OFFSET):
-        raise NearSingularArgumentError(f"argument z = {np.min(z)} is within {Z_MIN_OFFSET} "
-                                        "of the degenerate point z = 1")
-    p_minus, p_plus, q_minus = np.array([toroidal_seeds(x) for x in z]).reshape(-1, 3).T
-    # per argument: the sums A, S, B, D0, D2, the last room and tail of M0 and
-    # of M2, each moment's rows used and since its bound first held, v_k =
-    # u_k / u_0, w_k = (P_{-1/2} / P_{k-1/2})^2, delta and sigma_k
-    out, cols, st = np.zeros((13, z.size)), np.arange(z.size), np.zeros((17, z.size))
-    st[7:9] = st[13:15] = 1.0
-    st[15:] = delta, p_plus / p_minus - 1.0
+def _series_stream(shapes, rel_tol: float, n_cap: int, cols=None):
+    """(value, stop, bound, d) per column: sum_n (2 - delta_n0) R_n F_n, R_n =
+    Q_{n-1/2}(z) / P_{n-1/2}(z) at the column's shape z = 1 + delta and F_n =
+    P_{n-1/2}(x) (c0 cos n phi + c1 n sin n phi + c2 n^2 cos n phi), summed
+    by parts (README).  shapes holds (P_{-1/2}(z), P_{1/2}(z), Q_{-1/2}(z),
+    delta) per shape, cols (shape, P_{-1/2}(x), P_{1/2}(x), x - 1, grow >=
+    e^xi, phi, c0, c1, c2) per cosine column; without cols, M0 and M2 of each
+    shape are positive columns, and d = sum_k (2 - delta_k0) F_k / P_{k-1/2}^2
+    over their rows.  stop: a column's last row, or -1 where it did not stop
+    within rows 0..n_cap, and bound there the tail bound reached.  Up to
+    _FEW_COLUMNS columns run one by one on Python floats, with the bits they
+    have among others, and are live in every row they run; more leave
+    numpy's rows once half are done."""
+    shapes, positive = np.array(shapes, ndmin=2), cols is None
+    if np.count_nonzero(shapes[:, 3] < Z_MIN_OFFSET):
+        raise NearSingularArgumentError(f"a shape lies within {Z_MIN_OFFSET} of z = 1")
+    cols = np.tile(_MOMENTS, len(shapes)) if positive else cols
+    p_minus, p_plus, q_minus, dz = (np.repeat(shapes, 2, axis=0) if positive
+                                    else shapes[cols[0].astype(int)]).T
+    cosine, n = not np.count_nonzero(cols[7:]), cols.shape[1]
+    # per column: the sums T, S and D, the rows since the bound held, v_k B_k,
+    # v_k A_k, y_k = v_k P_{k-1/2}(x) / P_{-1/2}(x), the last term, tau_k =
+    # P_{k+1/2}(x) / P_{k-1/2}(x) - 1, dx, grow, phi, |sin(phi / 2)|, c0, c1,
+    # c2, q, v_k, sigma_k and dz = z - 1; then the tail bounds n1 / d1 and
+    # n2 / d2, and the last row less the rows since
+    out = np.zeros((25, n))
+    out[[6, 17]], out[7], out[8], out[9:12] = 1.0, -np.inf, cols[2] / cols[1] - 1.0, cols[3:6]
+    out[12], out[13:16] = np.abs(np.sin(0.5 * cols[5])), cols[6:]
+    out[18], out[19] = p_plus / p_minus - 1.0, dz
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for k in range(n_cap + 1):
-            if st is not None:  # the arguments left, on Python floats if one
-                (a, s, b, d0, d2, room0, room2, tail0, tail2, used0, used2, met0, met2,
-                 v, w, delta, sig) = st if cols.size > 1 else st[:, 0].tolist()
-                st = None
-            # rho_k = P_{k+1/2} / P_{k-1/2} = 1 + sigma_k, sigma_{k+1} by the
-            # recurrence in delta, which does not cancel near z = 1
-            rho = 1.0 + sig
-            sig = (delta * (2 * k + 2) + (k + 0.5) * (sig / (1.0 + sig))) / (k + 1.5)
-            r = 1.0 / rho / (1.0 + sig)
-            # the sums A, S and B, each frozen at its moment's stop
-            live0, live2 = met0 <= _EXTRA_ROWS, met2 <= _EXTRA_ROWS
-            v0, t2 = v * live0, (k * k + k) * v
-            a += v0
-            s += v0 / (k + 0.5)
-            b += t2 * live2
-            d0 += (2.0 if k else 1.0) * w * live2
-            d2 += (2 * k * k) * w * live2
-            w = w / rho / rho
-            used0 += live0
-            used2 += live2
-            # the terms from row k on sum to at most t_k / (1 - r), r = t_{k+1}
-            # / t_k, as the ratios fall: r for A, (k + 2) / k r for B; S needs
-            # no test, its relative tail being below A's.
-            r2 = r * ((k + 2) / k) if k else 0.0
-            tail0, room0, tail2, room2 = v, (1.0 - r) * a, t2, (1.0 - r2) * b
-            met0 = met0 + ((met0 > 0.0) | (tail0 <= rel_tol * room0))
-            met2 = met2 + ((met2 > 0.0) | ((tail2 <= rel_tol * room2) & (k > 0)))
-            v = v * r
-            alive = (met0 <= _EXTRA_ROWS) | (met2 <= _EXTRA_ROWS)
-            # arguments that are done stay, frozen, until half are; a lone
-            # argument's flag is a Python bool, True while it runs
-            if k == n_cap or (alive is not True
-                              and np.count_nonzero(alive) <= cols.size // 2):
-                st = np.reshape([a, s, b, d0, d2, room0, room2, tail0, tail2, used0, used2,
-                                 met0, met2, v, w, delta, sig], (17, -1))
-                out[:, cols], left = st[:13], np.reshape(alive, -1) & (k < n_cap)
-                cols, st = cols[left], st[:, left]
-                if not cols.size:
+        queue = [(np.arange(n), out[:20], 0)]
+        while queue:  # (columns, their state, first row)
+            left, st, k0 = queue.pop()
+            if not isinstance(left, int) and left.size <= _FEW_COLUMNS:  # each on Python floats
+                queue += [(j, col, k0) for j, col in zip(left.tolist(), np.transpose(st).tolist())]
+                continue
+            lone = isinstance(left, int)
+            t, s, d, met, b, a, y, prev, tau, dx, grow, phi, half, c0, c1, c2, q, v, sig, dz = st
+            if not lone and len(shapes) == 1 and not np.count_nonzero(cols[6:] != cols[6:, :1]):
+                c0, c1, c2, q, v, sig, dz = st[13:, 0].tolist()  # shared: on Python floats
+            # numpy's cos and sin, for a list's bits; Abel-Dirichlet's factor ad
+            e0, e1, e2, num = abs(c0), abs(c1), abs(c2), float if lone else np.asarray
+            ad, n2, d2 = 2.0 * e0 + (0.0 if cosine else np.inf), 0.0, 0.0
+            for k in range(k0, n_cap + 1):
+                live, w, h = 1.0 if lone else met <= _EXTRA_ROWS, 2.0 if k else 1.0, k + 0.5
+                if positive:
+                    f = c0 + c2 * k * k
+                else:
+                    # g0 + g1 i + e2 i^2 bounds |F_{k+i}| / P_{k+i-1/2}(x), for the sums A
+                    cos_k, g0, g1 = num(np.cos(k * phi)), e0 + e1 * k + e2 * k * k, e1 + 2 * e2 * k
+                    f = c0 * cos_k if cosine else c0 * cos_k + ((c1 * k) * num(np.sin(k * phi))
+                                                                + (c2 * k * k) * cos_k)
+                    a = a * q + (w * g0) * y
+                # row k of v_k B_k, T and S; q = v_{k+1} / v_k = 1 / (rho_k rho_{k+1})
+                wf, rho = w * f, 1.0 + sig
+                b = b * q + wf * y
+                term = b / h
+                t, s = t + live * term, s + live * (v / h)
+                sig = (dz * (2 * k + 2) + h * (sig / (1.0 + sig))) / (k + 1.5)
+                q = 1.0 / rho / (1.0 + sig)
+                if positive:
+                    # positive terms with falling ratios: past row k they sum to at
+                    # most term^2 / (prev - term); v_k rho_k = P_{-1/2} P_{1/2} P_{k-1/2}^-2
+                    d, y = d + live * (wf * (v * rho)), v * q
+                    n1, d1, prev = term * term, prev - term, term
+                    held = n1 <= rel_tol * t * d1
+                else:
+                    # the two tail bounds n / d (README), held where n <= rel_tol |T| d
+                    r, u = q * grow, 1.0 - q * grow
+                    uu, poly = (u, g0) if cosine else (u * u * u, g0 * (u * u) + g1 * u
+                                                       + e2 * (1.0 + r))
+                    n1, d1 = q * a * uu + (2.0 * y * r) * poly, h * (1.0 - q) * uu
+                    n2, d2, room = ad * y * r, h * half * u, rel_tol * abs(t)
+                    held = (u > 0.0) & ((n1 <= room * d1) | (n2 <= room * d2))
+                    y = y * (1.0 + tau) * q  # the field's row k + 1
+                    tau = (dx * (2 * k + 2) + h * (tau / (1.0 + tau))) / (k + 1.5)
+                met = met + ((met > 0.0 or held) if lone else (met > 0.0) | held)
+                v = v * q
+                # columns that are done stay, frozen, until half are
+                if k == n_cap or (met > _EXTRA_ROWS if lone else np.count_nonzero(
+                        met <= _EXTRA_ROWS) <= left.size // 2):
+                    rows = (t, s, d, met, b, a, y, prev, tau, dx, grow, phi, half, c0, c1, c2, q,
+                            v, sig, dz, n1, d1, n2, d2, k - met)
+                    out[:, left] = rows if lone else np.broadcast_arrays(*rows)
+                    if not lone:  # the columns left
+                        left = left[(met <= _EXTRA_ROWS) & (k < n_cap)]
+                        queue.append((left, out[:20, left], k + 1))
                     break
-        # M0 = 2 R_0 A / S, M2 = (2/3) R_0 B / S and D = its sum / P_{-1/2}^2
-        r0, w0, room, live = q_minus / p_minus / out[1], 1.0 / p_minus ** 2, out[5:7], out[11:]
-        value, live = out[[0, 2, 3, 4]] * [2.0 * r0, (2.0 / 3.0) * r0, w0, w0], live <= _EXTRA_ROWS
-        bound = np.where(live, np.where(room > 0.0, value[:2] * out[7:9] / room, np.inf), 0.0)
-    return value, np.where(live, -1, out[9:11].astype(int) - 1), bound
-
-
-def _series_stream(z, delta, field, dx, grow, phi, coef, rel_tol: float, n_cap: int):
-    """(value, stop, bound): sum_n (2 - delta_n0) R_n F_n at each column,
-    R_n = Q_{n-1/2}(z) / P_{n-1/2}(z) at the one argument z = 1 + delta and
-    F_n = P_{n-1/2}(x) (c0 cos n phi + c1 n sin n phi + c2 n^2 cos n phi),
-    (c0, c1, c2) = coef, summed by parts; a column is a field argument x >= 1
-    with P_{-1/2}(x) and P_{1/2}(x) in field, dx = x - 1 and grow >= e^xi.
-    stop: a column's last row, or -1 where it did not stop within rows
-    0..n_cap, and bound there the tail bound reached.  A lone column runs on
-    Python floats, with the bits it has among others.
-    """
-    if z < 1.0 + Z_MIN_OFFSET:
-        raise NearSingularArgumentError(f"argument z = {z} is within {Z_MIN_OFFSET} of 1")
-    (c0, c1, c2), cosine = map(float, coef), not (coef[1] or coef[2])
-    e0, e1, e2, ad = abs(c0), abs(c1), abs(c2), 2.0 * abs(c0) if cosine else math.inf
-    p_minus, p_plus, q_minus = toroidal_seeds(z)
-    # per column: tau_k = P_{k+1/2}(x) / P_{k-1/2}(x) - 1, dx, grow, phi and
-    # |sin(phi / 2)|; on Python floats if one, with numpy's cos and sin for a list's bits
-    lone, cols = phi.size == 1, (field[1] / field[0] - 1.0, dx, grow, phi,
-                                 np.abs(np.sin(0.5 * phi)))
-    tau, dx, grow, phi, half = (float(c[0]) for c in cols) if lone else cols
-    cos, sin = (np.cos, np.sin) if not lone else (lambda u: float(np.cos(u)),
-                                                  lambda u: float(np.sin(u)))
-    sig, y, v, q, s, a, b, t, used, met = p_plus / p_minus - 1.0, 1.0, 1.0, 0.0, *[0.0 * tau] * 6
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for k in range(n_cap + 1):
-            # row k of v_k B_k, v_k A_k, T and S; |F_{k+i}| / P_{k+i-1/2}(x)
-            # <= g0 + g1 i + e2 i^2 for the absolute partial sums A
-            live, w, cos_k = met <= _EXTRA_ROWS, 2.0 if k else 1.0, cos(k * phi)
-            g0, g1 = e0 + e1 * k + e2 * k * k, e1 + 2.0 * e2 * k
-            f = c0 * cos_k if cosine else c0 * cos_k + ((c1 * k) * sin(k * phi)
-                                                        + (c2 * k * k) * cos_k)
-            b = b * q + (w * f) * y
-            a = a * q + (w * g0) * y
-            t = t + live * (b / (k + 0.5))
-            s = s + live * (v / (k + 0.5))
-            used = used + live
-            # q = v_{k+1} / v_k = 1 / (rho_k rho_{k+1}), rho_k = 1 + sigma_k
-            rho = 1.0 + sig
-            sig = (delta * (2 * k + 2) + (k + 0.5) * (sig / (1.0 + sig))) / (k + 1.5)
-            q = 1.0 / rho / (1.0 + sig)
-            # the two tail bounds n / d (README), held where n <= rel_tol |T| d
-            r, u = q * grow, 1.0 - q * grow
-            uu, poly = (u, g0) if cosine else (u * u * u, g0 * (u * u) + g1 * u + e2 * (1.0 + r))
-            n1, d1 = q * a * uu + (2.0 * y * r) * poly, (k + 0.5) * (1.0 - q) * uu
-            n2, d2, room = ad * y * r, (k + 0.5) * half * u, rel_tol * abs(t)
-            held = (u > 0.0) & ((n1 <= room * d1) | (n2 <= room * d2))
-            met = met + ((met > 0) | held)
-            # the field's row k + 1
-            y = y * (1.0 + tau) * q
-            tau = (dx * (2 * k + 2) + (k + 0.5) * (tau / (1.0 + tau))) / (k + 1.5)
-            v = v * q
-            if (met > _EXTRA_ROWS) if lone else np.all(met > _EXTRA_ROWS):
-                break
         # P_{-1/2}(x) (R_0 / S) T, and the bound reached, scaled alike
-        t, s, used, met, n1, d1, n2, d2 = np.reshape([t, s, used, met, n1, d1, n2, d2], (8, -1))
-        scale, live = field[0] * (q_minus / p_minus) / s, met <= _EXTRA_ROWS
-        tail = np.minimum(np.where(d1 > 0.0, n1 / d1, np.inf), np.where(d2 > 0.0, n2 / d2, np.inf))
-        bound = np.where(live, np.abs(scale) * tail, 0.0)
-    return scale * t, np.where(live, -1, used.astype(int) - 1), bound
+        (t, s, d, met), (n1, d1, n2, d2, last) = out[:4], out[20:]
+        scale, live, bound = cols[1] * (q_minus / p_minus) / s, met <= _EXTRA_ROWS, np.zeros(n)
+        if np.count_nonzero(live):
+            bound[live] = (np.abs(scale) * np.minimum(np.where(d1 > 0.0, n1 / d1, np.inf),
+                                                      np.where(d2 > 0.0, n2 / d2, np.inf)))[live]
+    stop = (last + _EXTRA_ROWS + 1).astype(int)
+    stop[live] = -1
+    return scale * t, stop, bound, d / (p_plus * p_minus)

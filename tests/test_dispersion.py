@@ -769,7 +769,7 @@ class TestWholeRange:
 # (mpmath quadrature, recomputed by test_integrals).
 HORN_I0 = 2.7353537239343278118
 HORN_I2 = 1.2937785170986032972
-# a/b - 1 down to 1e-6: the moment stream's recurrence in a/b - 1 keeps its
+# a/b - 1 down to 1e-6: the series stream's recurrence in a/b - 1 keeps its
 # digits as the hole closes.
 HORN_GAPS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 

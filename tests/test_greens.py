@@ -19,7 +19,7 @@ from torvdw import (
     toroidal_to_cartesian,
     vh_potential,
 )
-from torvdw import greens
+from torvdw import greens, specfun
 from torvdw.dispersion import gh_mixed_derivative
 from torvdw.errors import (
     CoincidentPointsError,
@@ -31,6 +31,7 @@ from torvdw.errors import (
 )
 from torvdw.geometry import axis_eta_from_z, cartesian_to_toroidal, surface_rz
 from torvdw.greens import charge_interaction_energy_info, vh_potential_info
+from torvdw.specfun import toroidal_seeds
 from torvdw.units import K_E_EV_NM
 
 from oracles import vh_table_sum
@@ -395,6 +396,26 @@ class TestDiagnostics:
         inverse_distance_series(ToroidalCoords(xi=0.5, eta=1.0), src, g)
         gh_mixed_derivative(0.5, 0.7, g)
         assert "table" not in g.__dict__
+
+    def test_seeds_computed_once(self, geom53, monkeypatch):
+        # the evaluator seeds its shape once, for every V_H call after it (an
+        # axis point's field seeds are exactly 1), and the inverse distance
+        # seeds its own argument once; the values keep their bits
+        g, src, calls = axial_greens(geom53), axial_source(0.3, geom53), []
+        field, off_axis = axis_point(1.0, geom53.f), ToroidalCoords(xi=0.5, eta=1.0)
+        want = [vh_potential(field, src, axial_greens(geom53)),
+                inverse_distance_series(off_axis, src, g)]
+
+        def counting(z):
+            calls.append(z)
+            return toroidal_seeds(z)
+
+        for module in (greens, specfun):
+            monkeypatch.setattr(module, "toroidal_seeds", counting)
+        assert [vh_potential(field, src, g) for _ in range(2)] == [want[0]] * 2
+        assert calls == [geom53.cosh_xi0]
+        assert inverse_distance_series(off_axis, src, g) == want[1]
+        assert calls == [geom53.cosh_xi0, np.cosh(0.5)]
 
 
 def _mixed_points(geom):

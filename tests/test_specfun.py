@@ -15,7 +15,7 @@ from torvdw.greens import _table_size
 from torvdw.specfun import (
     _e_complement,
     _k_comodulus,
-    _moment_stream,
+    _series_stream,
     harmonic_table,
     legendre_p_half,
     toroidal_seeds,
@@ -288,18 +288,42 @@ MOMENT_ROUNDING = 64.0 * EPS
 
 @pytest.mark.parametrize("rel_tol", [1e-12, 1e-15])
 def test_moments_against_60_digit_referee(rel_tol):
-    # every shape in one stream, each leaving it at its own row: M0 and M2
-    # within rel_tol plus the rounding term; D0 and D2, summed over the
-    # moments' rows with no stop of their own, within 2 rel_tol plus four
-    # rounding terms (measured: 1.0 rel_tol at 1e-12, 3.3e-14 at 1e-15)
+    # every shape in one series stream, each moment column leaving it at its
+    # own row: M0 and M2 within rel_tol plus the rounding term; D0 and D2,
+    # summed over the rows of M0 and M2 with no stop of their own, within
+    # 2 rel_tol plus four rounding terms (measured: 1.0 rel_tol at 1e-12,
+    # 3.1e-14 at 1e-15)
     a, b = (np.array([shape[k] for shape in REFEREE_MOMENTS]) for k in ("a", "b"))
-    value, stop, _ = _moment_stream(a / b, (a - b) / b, rel_tol, 20000)
+    shapes = [(*toroidal_seeds(z), delta) for z, delta in zip(a / b, (a - b) / b)]
+    value, stop, _, d = _series_stream(shapes, rel_tol, 20000)
     assert np.all(stop >= 0)
     want = np.array([[float(shape[k]) for shape in REFEREE_MOMENTS]
                      for k in ("M0", "M2", "D0", "D2")])
-    err = np.abs(value / want - 1.0)
+    err = np.abs(np.vstack((value.reshape(-1, 2).T, d.reshape(-1, 2).T)) / want - 1.0)
     assert np.all(err[:2] <= rel_tol + MOMENT_ROUNDING), err[:2].max(axis=1)
     assert np.all(err[2:] <= 2.0 * rel_tol + 4.0 * MOMENT_ROUNDING), err[2:].max(axis=1)
+
+
+def test_seeds_place_rho_0_between_one_and_z():
+    # the base case of README's proof that rho_k = P_{k+1/2} / P_{k-1/2}
+    # rises with k: 1 <= rho_0 <= z, here in float64 over the whole domain
+    for z in 1.0 + np.geomspace(1e-12, 1e12, 241):
+        p_minus, p_plus, _ = toroidal_seeds(z)
+        assert 1.0 <= p_plus / p_minus <= z, z
+
+
+def test_float64_rho_never_falls_at_the_referee_shapes():
+    # the series stream's rho_k = 1 + sigma_k by its recurrence in delta,
+    # over more rows than the moments use at rel_tol 1e-15 (15,691 at
+    # a/b = 1 + 1e-6): rounding never takes a row below the one before it
+    for shape in REFEREE_MOMENTS:
+        z, delta = shape["a"] / shape["b"], (shape["a"] - shape["b"]) / shape["b"]
+        p_minus, p_plus, _ = toroidal_seeds(z)
+        sig = p_plus / p_minus - 1.0
+        for k in range(min(20000, int(30.0 / math.acosh(z)) + 10)):
+            rho = 1.0 + sig
+            sig = (delta * (2 * k + 2) + (k + 0.5) * (sig / (1.0 + sig))) / (k + 1.5)
+            assert 1.0 + sig >= rho, (z, k)
 
 
 # z - 1 from near the thin-hole end to the nanoring end of the domain
